@@ -8,13 +8,17 @@ are zero), adjoints are taken with respect to the bilinear form
 <f, g> = sum_s w_s f_s g_s, and the index/parameter flip tau relates the
 adjoints back to the original operators. Everything is an exact rational
 matrix identity.
+
+Every grid operator here (T^+, T^-, X, Y, their adjoints and tau flips)
+is bidiagonal, so each is stored as a :class:`Band` of three diagonals
+rather than as a dense N x N matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 from .qcore import LaurentPoly, QParams, ResonantParameterError, Scalar, format_rational
 from .pastro import (
@@ -35,6 +39,9 @@ from .report import (
 
 __all__ = [
     "Matrix",
+    "Band",
+    "band_entries",
+    "band_mismatch_witness",
     "mat_vec",
     "diag_times",
     "scalar_product",
@@ -56,22 +63,70 @@ __all__ = [
 ]
 
 Matrix = list[list[Fraction]]
-MatrixBuilder = Callable[[int, Fraction, Fraction], Matrix]
 
 
-def _zero_matrix(N: int) -> Matrix:
-    return [[Fraction(0)] * N for _ in range(N)]
+class Band(NamedTuple):
+    """An N x N tridiagonal matrix stored as its three diagonals.
+
+    ``lower[s - 1]`` is entry (s, s-1), ``main[s]`` is entry (s, s) and
+    ``upper[s]`` is entry (s, s+1); every other entry is zero. A diagonal
+    that is zero is stored as zeros, so two bands are equal exactly when
+    the matrices are.
+    """
+
+    lower: list[Fraction]
+    main: list[Fraction]
+    upper: list[Fraction]
 
 
-def mat_vec(matrix: Matrix, vector: list[Fraction]) -> list[Fraction]:
-    return [
-        sum((entry * value for entry, value in zip(row, vector)), Fraction(0))
-        for row in matrix
-    ]
+MatrixBuilder = Callable[[int, Fraction, Fraction], Band]
 
 
-def diag_times(diagonal: list[Fraction], matrix: Matrix) -> Matrix:
-    return [[d * entry for entry in row] for d, row in zip(diagonal, matrix)]
+def _zeros(length: int) -> list[Fraction]:
+    return [Fraction(0)] * length
+
+
+def band_entries(band: Band) -> Iterator[tuple[int, int, Fraction]]:
+    """Every stored entry (s, t, value) of a band, in row-major order."""
+    lower, main, upper = band
+    for s, value in enumerate(main):
+        if s >= 1:
+            yield s, s - 1, lower[s - 1]
+        yield s, s, value
+        if s < len(upper):
+            yield s, s + 1, upper[s]
+
+
+def band_mismatch_witness(lhs: Band, rhs: Band) -> str | None:
+    """First entry, in row-major order, where two bands differ, or None."""
+    for (s, t, left), (_, _, right) in zip(band_entries(lhs), band_entries(rhs)):
+        if left != right:
+            return (
+                f"entry ({s},{t}): lhs {format_rational(left)}, "
+                f"rhs {format_rational(right)}"
+            )
+    return None
+
+
+def mat_vec(band: Band, vector: list[Fraction]) -> list[Fraction]:
+    """The image W v of a grid vector under a band W."""
+    lower, main, upper = band
+    image = [entry * value for entry, value in zip(main, vector)]
+    for s, entry in enumerate(lower, 1):
+        image[s] += entry * vector[s - 1]
+    for s, entry in enumerate(upper):
+        image[s] += entry * vector[s + 1]
+    return image
+
+
+def diag_times(diagonal: list[Fraction], band: Band) -> Band:
+    """diag(d) W: row s of W scaled by d_s."""
+    lower, main, upper = band
+    return Band(
+        [d * entry for d, entry in zip(diagonal[1:], lower)],
+        [d * entry for d, entry in zip(diagonal, main)],
+        [d * entry for d, entry in zip(diagonal, upper)],
+    )
 
 
 def scalar_product(
@@ -81,10 +136,15 @@ def scalar_product(
     return sum((w * fs * gs for w, fs, gs in zip(weights, f, g)), Fraction(0))
 
 
-def weight_adjoint(matrix: Matrix, weights: list[Fraction]) -> Matrix:
+def weight_adjoint(band: Band, weights: list[Fraction]) -> Band:
     """The adjoint with respect to the weighted form: W*[t][s] = (w_s/w_t) W[s][t]."""
-    N = len(matrix)
-    return [[weights[s] * matrix[s][t] / weights[t] for s in range(N)] for t in range(N)]
+    lower, main, upper = band
+    w = weights
+    return Band(
+        [w[t - 1] * entry / w[t] for t, entry in enumerate(upper, 1)],
+        list(main),
+        [w[t + 1] * entry / w[t] for t, entry in enumerate(lower)],
+    )
 
 
 def tau_parameter(b: Scalar, q: Scalar, N: int) -> Fraction:
@@ -93,13 +153,13 @@ def tau_parameter(b: Scalar, q: Scalar, N: int) -> Fraction:
     return q ** (1 - N) / b
 
 
-def tau_conjugate(matrix: Matrix) -> Matrix:
+def tau_conjugate(band: Band) -> Band:
     """Reverse both indices: entry (s, t) -> (N-1-s, N-1-t), swapping T^+ and T^-."""
-    N = len(matrix)
-    return [[matrix[N - 1 - s][N - 1 - t] for t in range(N)] for s in range(N)]
+    lower, main, upper = band
+    return Band(upper[::-1], main[::-1], lower[::-1])
 
 
-def tau_transform(build: MatrixBuilder, N: int, b: Scalar, q: Scalar) -> Matrix:
+def tau_transform(build: MatrixBuilder, N: int, b: Scalar, q: Scalar) -> Band:
     """The flip tau applied to a b-dependent matrix family.
 
     Rebuilds the matrix at the flipped parameter q^(1-N)/b and reverses
@@ -109,88 +169,102 @@ def tau_transform(build: MatrixBuilder, N: int, b: Scalar, q: Scalar) -> Matrix:
     return tau_conjugate(build(N, tau_parameter(b, q, N), q))
 
 
-def shift_plus_matrix(N: int, b: Scalar = 0, q: Scalar = 0) -> Matrix:
+def shift_plus_matrix(N: int) -> Band:
     """T^+ on grid values: (T^+ f)_s = f_(s+1), with f_N = 0."""
-    matrix = _zero_matrix(N)
-    for s in range(N - 1):
-        matrix[s][s + 1] = Fraction(1)
-    return matrix
+    return Band(_zeros(N - 1), _zeros(N), [Fraction(1)] * (N - 1))
 
 
-def shift_minus_matrix(N: int, b: Scalar = 0, q: Scalar = 0) -> Matrix:
+def shift_minus_matrix(N: int) -> Band:
     """T^- on grid values: (T^- f)_s = f_(s-1), with f_(-1) = 0."""
-    matrix = _zero_matrix(N)
-    for s in range(1, N):
-        matrix[s][s - 1] = Fraction(1)
-    return matrix
+    return Band([Fraction(1)] * (N - 1), _zeros(N), _zeros(N - 1))
 
 
-def restricted_x_matrix(N: int, b: Scalar, q: Scalar) -> Matrix:
+def restricted_x_matrix(N: int, b: Scalar, q: Scalar) -> Band:
     """X on the grid: q(q^s - 1) T^- + q(1 - b q^s) I.
 
     The s = 0 subdiagonal coefficient q(q^0 - 1) vanishes, so the lower
     boundary condition is automatic.
     """
     b, q = Fraction(b), Fraction(q)
-    matrix = _zero_matrix(N)
-    for s in range(N):
-        matrix[s][s] = q * (1 - b * q**s)
-        if s >= 1:
-            matrix[s][s - 1] = q * (q**s - 1)
-    return matrix
+    return Band(
+        [q * (q**s - 1) for s in range(1, N)],
+        [q * (1 - b * q**s) for s in range(N)],
+        _zeros(N - 1),
+    )
 
 
-def restricted_y_matrix(N: int, b: Scalar, q: Scalar) -> Matrix:
+def restricted_y_matrix(N: int, b: Scalar, q: Scalar) -> Band:
     """Y on the grid: (q^(s+1) - q^N) T^+ + (q^N - q^(s+1)/b) I.
 
     The s = N-1 superdiagonal coefficient q^N - q^N vanishes, so the upper
     boundary condition is automatic.
     """
     b, q = Fraction(b), Fraction(q)
-    matrix = _zero_matrix(N)
-    for s in range(N):
-        matrix[s][s] = q**N - q ** (s + 1) / b
-        if s <= N - 2:
-            matrix[s][s + 1] = q ** (s + 1) - q**N
-    return matrix
+    return Band(
+        _zeros(N - 1),
+        [q**N - q ** (s + 1) / b for s in range(N)],
+        [q ** (s + 1) - q**N for s in range(N - 1)],
+    )
 
 
-def _adjoint_x_closed_form(N: int, b: Fraction, q: Fraction) -> Matrix:
+def _adjoint_x_closed_form(N: int, b: Fraction, q: Fraction) -> Band:
     """X* = b (q^(s+1) - q^N) T^+ + q (1 - b q^s) I."""
-    matrix = _zero_matrix(N)
-    for s in range(N):
-        matrix[s][s] = q * (1 - b * q**s)
-        if s <= N - 2:
-            matrix[s][s + 1] = b * (q ** (s + 1) - q**N)
-    return matrix
+    return Band(
+        _zeros(N - 1),
+        [q * (1 - b * q**s) for s in range(N)],
+        [b * (q ** (s + 1) - q**N) for s in range(N - 1)],
+    )
 
 
-def _adjoint_y_closed_form(N: int, b: Fraction, q: Fraction) -> Matrix:
+def _adjoint_y_closed_form(N: int, b: Fraction, q: Fraction) -> Band:
     """Y* = (q/b)(q^s - 1) T^- + (q^N - q^(s+1)/b) I."""
-    matrix = _zero_matrix(N)
-    for s in range(N):
-        matrix[s][s] = q**N - q ** (s + 1) / b
-        if s >= 1:
-            matrix[s][s - 1] = (q / b) * (q**s - 1)
-    return matrix
+    return Band(
+        [(q / b) * (q**s - 1) for s in range(1, N)],
+        [q**N - q ** (s + 1) / b for s in range(N)],
+        _zeros(N - 1),
+    )
 
 
 @dataclass
 class GridRep:
-    """The truncated representation: weights plus the four grid matrices."""
+    """Everything the grid checks read, built once per (N, b, q).
+
+    The weights, the bands X, Y, X*, Y*, the grid samples of P_0..P_(N-1)
+    and R_0..R_(N-1) at a = q^(1-N), the truncation polynomial P_N, the norm
+    constants h_0..h_N, and the coupled-recurrence partners Q_0..Q_(N-1) of
+    :func:`baxter_system`. Only what a check reads is kept: the families
+    P_n and R_n are dropped once sampled, which bounds peak memory.
+    """
 
     N: int
     params: QParams
     weights: GridWeights
-    matrices: dict[str, Matrix]
+    matrices: dict[str, Band]
+    poly_values: list[list[Fraction]]
+    partner_values: list[list[Fraction]]
+    p_top: LaurentPoly
+    h: list[Fraction]
+    q_polys: list[LaurentPoly]
 
 
 def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
-    """Build weights, X, Y and their weighted adjoints at a = q^(1-N)."""
+    """Build the truncated representation at a = q^(1-N).
+
+    Raises ResonantParameterError at the first vanishing factor in this
+    build order: weights, P_0..P_(N-1), R_0..R_(N-1), h_0..h_N, P_N. The
+    coupled recurrences come last and cannot fail once h_N exists, since
+    their denominators are factors of h_N's. The CLI prints that error's
+    message, so the order is part of the report.
+    """
     weights = grid_weights(N, b, q)
     params = QParams(weights.q, weights.q ** (1 - N), weights.b)
     X = restricted_x_matrix(N, weights.b, weights.q)
     Y = restricted_y_matrix(N, weights.b, weights.q)
+    grid = weights.grid
+    poly_values = [grid_samples(pastro_poly(n, params), grid) for n in range(N)]
+    partner_values = [grid_samples(biorthogonal_partner(m, params), grid) for m in range(N)]
+    h = [norm_constant(n, params) for n in range(N + 1)]
+    p_top = pastro_poly(N, params)
     return GridRep(
         N=N,
         params=params,
@@ -201,6 +275,11 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
             "X*": weight_adjoint(X, weights.w),
             "Y*": weight_adjoint(Y, weights.w),
         },
+        poly_values=poly_values,
+        partner_values=partner_values,
+        p_top=p_top,
+        h=h,
+        q_polys=baxter_system(N - 1, params).q_polys,
     )
 
 
@@ -227,14 +306,10 @@ def proportionality_witness(u: list[Fraction], v: list[Fraction]) -> str | None:
                     f"{format_rational(u[i] * v[j])}, u_{j} v_{i} = "
                     f"{format_rational(u[j] * v[i])}"
                 )
-    witness = vector_mismatch_witness(u, [Fraction(0)] * len(u))
-    paired = vector_mismatch_witness(v, [Fraction(0)] * len(v))
-    if witness is None or paired is None:  # unreachable: zero vectors raise above
-        raise AssertionError("proportionality reached with a zero vector")
     return None
 
 
-def verify_adjoint_structure(N: int, b: Scalar, q: Scalar) -> list[Check]:
+def verify_adjoint_structure(rep: GridRep) -> list[Check]:
     """Check every structural adjoint identity of the grid representation.
 
     Covers the closed forms of (T^+)*, (T^-)*, X*, Y*, the defining pairing
@@ -242,35 +317,37 @@ def verify_adjoint_structure(N: int, b: Scalar, q: Scalar) -> list[Check]:
     adjoint, the tau-flip expressions X* = -b q^s tau(X) and
     Y* = -(1/b) q^(s+1-N) tau(Y), and tau o tau = id.
     """
-    rep = make_grid_rep(N, b, q)
+    N = rep.N
     b, q = rep.weights.b, rep.weights.q
     w = rep.weights.w
     context = {"N": str(N), "b": format_rational(b), "q": format_rational(q)}
     checks: list[Check] = []
 
-    adjoint_plus = weight_adjoint(shift_plus_matrix(N), w)
-    closed_plus = _zero_matrix(N)
-    for s in range(1, N):
-        closed_plus[s][s - 1] = q * (1 - q**s) / (b * (q**N - q**s))
+    closed_plus = Band(
+        [q * (1 - q**s) / (b * (q**N - q**s)) for s in range(1, N)],
+        _zeros(N),
+        _zeros(N - 1),
+    )
     checks.append(
         equality_check(
             "adjoint-shift-plus",
             "(T^+)* = [q (1 - q^s) / (b (q^N - q^s))] T^-",
             context,
-            matrix_mismatch_witness(adjoint_plus, closed_plus),
+            band_mismatch_witness(weight_adjoint(shift_plus_matrix(N), w), closed_plus),
         )
     )
 
-    adjoint_minus = weight_adjoint(shift_minus_matrix(N), w)
-    closed_minus = _zero_matrix(N)
-    for s in range(N - 1):
-        closed_minus[s][s + 1] = b * (q**N - q ** (s + 1)) / (q * (1 - q ** (s + 1)))
+    closed_minus = Band(
+        _zeros(N - 1),
+        _zeros(N),
+        [b * (q**N - q ** (s + 1)) / (q * (1 - q ** (s + 1))) for s in range(N - 1)],
+    )
     checks.append(
         equality_check(
             "adjoint-shift-minus",
             "(T^-)* = [b (q^N - q^(s+1)) / (q (1 - q^(s+1)))] T^+",
             context,
-            matrix_mismatch_witness(adjoint_minus, closed_minus),
+            band_mismatch_witness(weight_adjoint(shift_minus_matrix(N), w), closed_minus),
         )
     )
 
@@ -279,7 +356,7 @@ def verify_adjoint_structure(N: int, b: Scalar, q: Scalar) -> list[Check]:
             "adjoint-X-closed-form",
             "X* = b (q^(s+1) - q^N) T^+ + q (1 - b q^s) I",
             context,
-            matrix_mismatch_witness(rep.matrices["X*"], _adjoint_x_closed_form(N, b, q)),
+            band_mismatch_witness(rep.matrices["X*"], _adjoint_x_closed_form(N, b, q)),
         )
     )
     checks.append(
@@ -287,29 +364,27 @@ def verify_adjoint_structure(N: int, b: Scalar, q: Scalar) -> list[Check]:
             "adjoint-Y-closed-form",
             "Y* = (q/b)(q^s - 1) T^- + (q^N - q^(s+1)/b) I",
             context,
-            matrix_mismatch_witness(rep.matrices["Y*"], _adjoint_y_closed_form(N, b, q)),
+            band_mismatch_witness(rep.matrices["Y*"], _adjoint_y_closed_form(N, b, q)),
         )
     )
 
     for name in ("X", "Y"):
         matrix, adjoint = rep.matrices[name], rep.matrices[f"{name}*"]
+        # <W e_i, e_j> = w_j W[j][i] and <e_i, W* e_j> = w_i W*[i][j]. Both
+        # vanish off the band, so the pairs scanned in row-major order are
+        # the band entries (i, j) of W^T and of W*.
+        transpose = Band(matrix.upper, matrix.main, matrix.lower)
         witness = None
-        for i in range(N):
-            basis_i = [Fraction(int(t == i)) for t in range(N)]
-            left_image = mat_vec(matrix, basis_i)
-            right_image = mat_vec(adjoint, basis_i)
-            for j in range(N):
-                basis_j = [Fraction(int(t == j)) for t in range(N)]
-                left = scalar_product(w, left_image, basis_j)
-                right = scalar_product(w, basis_i, mat_vec(adjoint, basis_j))
-                if left != right:
-                    witness = (
-                        f"basis pair ({i},{j}): <W e_{i}, e_{j}> = "
-                        f"{format_rational(left)}, <e_{i}, W* e_{j}> = "
-                        f"{format_rational(right)}"
-                    )
-                    break
-            if witness:
+        for (i, j, entry), (_, _, adjoint_entry) in zip(
+            band_entries(transpose), band_entries(adjoint)
+        ):
+            left, right = w[j] * entry, w[i] * adjoint_entry
+            if left != right:
+                witness = (
+                    f"basis pair ({i},{j}): <W e_{i}, e_{j}> = "
+                    f"{format_rational(left)}, <e_{i}, W* e_{j}> = "
+                    f"{format_rational(right)}"
+                )
                 break
         checks.append(
             equality_check(
@@ -324,7 +399,7 @@ def verify_adjoint_structure(N: int, b: Scalar, q: Scalar) -> list[Check]:
                 f"adjoint-involution-{name}",
                 f"({name}*)* = {name}",
                 context,
-                matrix_mismatch_witness(weight_adjoint(adjoint, w), matrix),
+                band_mismatch_witness(weight_adjoint(adjoint, w), matrix),
             )
         )
 
@@ -334,7 +409,7 @@ def verify_adjoint_structure(N: int, b: Scalar, q: Scalar) -> list[Check]:
             "adjoint-X-tau",
             "X* = diag(-b q^s) tau(X)",
             context,
-            matrix_mismatch_witness(
+            band_mismatch_witness(
                 rep.matrices["X*"], diag_times([-b * q**s for s in range(N)], tau_x)
             ),
         )
@@ -345,7 +420,7 @@ def verify_adjoint_structure(N: int, b: Scalar, q: Scalar) -> list[Check]:
             "adjoint-Y-tau",
             "Y* = diag(-(1/b) q^(s+1-N)) tau(Y)",
             context,
-            matrix_mismatch_witness(
+            band_mismatch_witness(
                 rep.matrices["Y*"],
                 diag_times([-(1 / b) * q ** (s + 1 - N) for s in range(N)], tau_y),
             ),
@@ -353,7 +428,7 @@ def verify_adjoint_structure(N: int, b: Scalar, q: Scalar) -> list[Check]:
     )
 
     for name, build in (("X", restricted_x_matrix), ("Y", restricted_y_matrix)):
-        def double_flip(size: int, inner_b: Fraction, inner_q: Fraction, _build=build) -> Matrix:
+        def double_flip(size: int, inner_b: Fraction, inner_q: Fraction, _build=build) -> Band:
             return tau_transform(_build, size, inner_b, inner_q)
 
         checks.append(
@@ -361,7 +436,7 @@ def verify_adjoint_structure(N: int, b: Scalar, q: Scalar) -> list[Check]:
                 f"tau-involution-{name}",
                 f"tau(tau({name})) = {name}",
                 context,
-                matrix_mismatch_witness(
+                band_mismatch_witness(
                     tau_transform(double_flip, N, b, q), build(N, b, q)
                 ),
             )
@@ -369,7 +444,7 @@ def verify_adjoint_structure(N: int, b: Scalar, q: Scalar) -> list[Check]:
     return checks
 
 
-def verify_adjoint_gevp(n: int, N: int, b: Scalar, q: Scalar) -> list[Check]:
+def verify_adjoint_gevp(n: int, rep: GridRep) -> list[Check]:
     """Check the adjoint eigenvalue problem and the partner cross-derivations.
 
     The flipped eigenvector P*_n has grid values P_n(q^(N-s); a, q^(1-N)/b).
@@ -380,43 +455,40 @@ def verify_adjoint_gevp(n: int, N: int, b: Scalar, q: Scalar) -> list[Check]:
       X* P*_n  prop  Q_n(1/x_s)                    (coupled-recurrence route),
     where 'prop' means proportional by a single nonzero scalar.
     """
-    rep = make_grid_rep(N, b, q)
+    N = rep.N
     b, q = rep.weights.b, rep.weights.q
     if not 0 <= n < N:
         raise ValueError(f"degree must lie in [0, {N - 1}], got {n}")
     context = {"N": str(N), "n": str(n), "b": format_rational(b), "q": format_rational(q)}
+    flip_points = [q ** (N - s) for s in range(N)]
 
     flipped = QParams(q, rep.params.a, tau_parameter(b, q, N))
-    p_star_poly = pastro_poly(n, flipped)
-    p_star = [p_star_poly.eval_at(q ** (N - s)) for s in range(N)]
+    p_star = grid_samples(pastro_poly(n, flipped), flip_points)
 
     lam = pastro_eigenvalue(n, rep.params)
-    lhs = mat_vec(rep.matrices["Y*"], p_star)
-    rhs = [lam * value for value in mat_vec(rep.matrices["X*"], p_star)]
+    image = mat_vec(rep.matrices["X*"], p_star)
     checks = [
         equality_check(
             "adjoint-gevp",
             "Y* P*_n = lambda_n X* P*_n with P*_n(s) = P_n(q^(N-s); a, q^(1-N)/b)",
             context,
-            vector_mismatch_witness(lhs, rhs),
+            vector_mismatch_witness(
+                mat_vec(rep.matrices["Y*"], p_star), [lam * value for value in image]
+            ),
         )
     ]
 
-    image = mat_vec(rep.matrices["X*"], p_star)
-    partner_samples = grid_samples(
-        biorthogonal_partner(n, rep.params), rep.weights.grid
-    )
     checks.append(
         equality_check(
             "adjoint-partner-closed-form",
             "X* P*_n prop R_n(x_s)",
             context,
-            proportionality_witness(image, partner_samples),
+            proportionality_witness(image, rep.partner_values[n]),
         )
     )
 
     reflected = QParams(q, rep.params.a, q ** (2 - N) / b)
-    flip_samples = [pastro_poly(n, reflected).eval_at(q ** (N - s)) for s in range(N)]
+    flip_samples = grid_samples(pastro_poly(n, reflected), flip_points)
     checks.append(
         equality_check(
             "adjoint-partner-parameter-flip",
@@ -426,9 +498,8 @@ def verify_adjoint_gevp(n: int, N: int, b: Scalar, q: Scalar) -> list[Check]:
         )
     )
 
-    baxter = baxter_system(n, rep.params)
     baxter_samples = grid_samples(
-        baxter.q_polys[n].invert_variable(), rep.weights.grid
+        rep.q_polys[n].invert_variable(), rep.weights.grid
     )
     checks.append(
         equality_check(
@@ -441,9 +512,7 @@ def verify_adjoint_gevp(n: int, N: int, b: Scalar, q: Scalar) -> list[Check]:
     return checks
 
 
-def verify_biorthogonality(
-    N: int, b: Scalar, q: Scalar
-) -> tuple[Matrix, list[Check]]:
+def verify_biorthogonality(rep: GridRep) -> tuple[Matrix, list[Check]]:
     """Check discrete biorthogonality on the grid and its degeneration at N.
 
     Builds the Gram matrix G[n][m] = sum_s w_s P_n(x_s) R_m(x_s) for
@@ -452,20 +521,14 @@ def verify_biorthogonality(
     derivative nonzero at every grid point), and the weight-origin formula
     w_s = h_(N-1) / (P'_N(x_s) R_(N-1)(x_s)).
     """
-    rep = make_grid_rep(N, b, q)
+    N = rep.N
     b, q = rep.weights.b, rep.weights.q
     w, grid = rep.weights.w, rep.weights.grid
-    params = rep.params
+    h = rep.h
     context = {"N": str(N), "b": format_rational(b), "q": format_rational(q)}
 
-    polys = [pastro_poly(n, params) for n in range(N)]
-    partners = [biorthogonal_partner(m, params) for m in range(N)]
-    poly_values = [grid_samples(p, grid) for p in polys]
-    partner_values = [grid_samples(r, grid) for r in partners]
-    h = [norm_constant(n, params) for n in range(N)]
-
     gram = [
-        [scalar_product(w, poly_values[n], partner_values[m]) for m in range(N)]
+        [scalar_product(w, rep.poly_values[n], rep.partner_values[m]) for m in range(N)]
         for n in range(N)
     ]
     expected = [
@@ -499,17 +562,16 @@ def verify_biorthogonality(
         )
     )
 
-    h_top = norm_constant(N, params)
     checks.append(
         equality_check(
             "norm-truncation",
             "h_N = 0 at a = q^(1-N)",
             context,
-            None if h_top == 0 else f"h_N = {format_rational(h_top)}",
+            None if h[N] == 0 else f"h_N = {format_rational(h[N])}",
         )
     )
 
-    p_top = pastro_poly(N, params)
+    p_top = rep.p_top
     target = LaurentPoly.one()
     for point in grid:
         target = target * LaurentPoly({1: 1, 0: -point})
@@ -545,7 +607,7 @@ def verify_biorthogonality(
 
     witness = None
     for s, point in enumerate(grid):
-        denominator = derivative.eval_at(point) * partner_values[N - 1][s]
+        denominator = derivative.eval_at(point) * rep.partner_values[N - 1][s]
         if denominator == 0:
             witness = f"s={s}: P'_N(x_s) R_(N-1)(x_s) = 0"
             break

@@ -22,6 +22,7 @@ from .algebra import (
     verify_raw_relations,
 )
 from .biorth import (
+    make_grid_rep,
     verify_adjoint_gevp,
     verify_adjoint_structure,
     verify_biorthogonality,
@@ -29,8 +30,6 @@ from .biorth import (
 from .pastro import (
     baxter_coefficients,
     biorthogonal_partner,
-    grid_weights,
-    norm_constant,
     pastro_poly,
     verify_baxter_consistency,
 )
@@ -177,18 +176,18 @@ def _cmd_biorth(config: RunConfig) -> tuple[Report, dict, list[str]]:
         "N": str(config.N),
     }
     try:
-        gram, biorth_checks = verify_biorthogonality(config.N, config.b, config.q)
-        report.extend(verify_adjoint_structure(config.N, config.b, config.q))
+        rep = make_grid_rep(config.N, config.b, config.q)
+        report.extend(verify_adjoint_structure(rep))
         for n in range(config.N):
-            report.extend(verify_adjoint_gevp(n, config.N, config.b, config.q))
-        report.extend(biorth_checks)
+            report.extend(verify_adjoint_gevp(n, rep))
     except ParameterError as exc:
         report.checks.append(_error_check(context, str(exc)))
         return report, extra, lines
+    gram, biorth_checks = verify_biorthogonality(rep)
+    report.extend(biorth_checks)
 
-    weights = grid_weights(config.N, config.b, config.q)
-    params = QParams(weights.q, weights.q ** (1 - config.N), weights.b)
-    h = [norm_constant(n, params) for n in range(config.N)]
+    weights = rep.weights
+    h = rep.h[: config.N]
     extra = {
         "params": context,
         "grid": vector_to_json(weights.grid),
@@ -321,6 +320,21 @@ def _cmd_sweep(config: RunConfig) -> tuple[Report, dict, list[str]]:
         accepted.append((label, params))
         for check in verify_suite(params, config.n_max):
             report.checks.append(replace(check, params=check.params | {"draw": label}))
+    if len(accepted) < config.draws:
+        report.checks.append(
+            Check(
+                name="sweep-draws",
+                identity="admissible draws run = draws requested",
+                params={
+                    "seed": str(config.seed),
+                    "draws": str(config.draws),
+                    "n_max": str(config.n_max),
+                },
+                status=ERROR,
+                witness=f"{len(accepted)} of {config.draws} draws admissible "
+                f"within {attempts} attempts",
+            )
+        )
     return report, {"draws_requested": config.draws, "draws_run": len(accepted)}, []
 
 
@@ -351,16 +365,33 @@ def emit(report: Report, extra: dict, lines: list[str], fmt: str) -> str:
     return "\n".join(parts)
 
 
+def _int_at_least(minimum: int):
+    """An argparse type: an int literal no smaller than ``minimum``.
+
+    argparse prefixes the error with the flag ("argument --N: ...") and
+    exits 2, the usage-error code.
+    """
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value" messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--q", type=parse_rational, default=Fraction(1, 2), help="deformation parameter (rational literal)")
     common.add_argument("--a", type=parse_rational, default=Fraction(3), help="first family parameter (rational literal)")
     common.add_argument("--b", type=parse_rational, default=Fraction(1, 5), help="second family parameter (rational literal)")
     common.add_argument("--mu", type=parse_rational, default=Fraction(2, 3), help="pencil parameter (rational literal)")
-    common.add_argument("--nmax", dest="n_max", type=int, default=8, help="largest degree to cover")
-    common.add_argument("--N", dest="N", type=int, default=4, help="grid size for the truncated representation")
+    common.add_argument("--nmax", dest="n_max", type=_int_at_least(0), default=8, help="largest degree to cover")
+    common.add_argument("--N", dest="N", type=_int_at_least(1), default=4, help="grid size for the truncated representation")
     common.add_argument("--seed", type=int, default=1, help="seed for the sweep draws")
-    common.add_argument("--draws", type=int, default=5, help="number of admissible sweep points")
+    common.add_argument("--draws", type=_int_at_least(1), default=5, help="number of admissible sweep points")
     common.add_argument("--format", dest="fmt", choices=("text", "json"), default="text", help="output format")
 
     parser = argparse.ArgumentParser(

@@ -239,9 +239,16 @@ class LaurentPoly:
     def eval_at(self, point: Scalar) -> Fraction:
         """Evaluate at a rational point (nonzero if negative exponents occur)."""
         point = Fraction(point)
-        if point == 0 and self._terms and min(self._terms) < 0:
+        if not self._terms:
+            return Fraction(0)
+        low, high = min(self._terms), max(self._terms)
+        if point == 0 and low < 0:
             raise ZeroDivisionError("negative exponents cannot be evaluated at 0")
-        return sum((c * point**e for e, c in self._terms.items()), Fraction(0))
+        # Horner's rule over [valuation, degree], then scale by point^valuation.
+        value = Fraction(0)
+        for exponent in range(high, low - 1, -1):
+            value = value * point + self._terms.get(exponent, 0)
+        return value * point**low
 
     def dilate(self, factor: Scalar) -> "LaurentPoly":
         """Substitute x -> factor*x, i.e. scale the exponent-k term by factor^k."""

@@ -111,7 +111,7 @@ def test_criterion_4_biorthogonality():
             attempts += 1
             b = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
             try:
-                gram, checks = verify_biorthogonality(N, b, GRID_Q)
+                gram, checks = verify_biorthogonality(make_grid_rep(N, b, GRID_Q))
             except ParameterError:
                 continue
             accepted += 1
@@ -187,9 +187,10 @@ def test_criterion_6_adjoint_suite():
     ok = True
     for N in range(1, 9):
         for b in (Fraction(1, 5), Fraction(-3, 4)):
-            ok = ok and all_pass(verify_adjoint_structure(N, b, GRID_Q))
+            rep = make_grid_rep(N, b, GRID_Q)
+            ok = ok and all_pass(verify_adjoint_structure(rep))
             for n in range(N):
-                ok = ok and all_pass(verify_adjoint_gevp(n, N, b, GRID_Q))
+                ok = ok and all_pass(verify_adjoint_gevp(n, rep))
     assert record(
         6,
         "shift adjoints, closed-form X*/Y*, parameter-flip conjugations, "

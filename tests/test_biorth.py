@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from pastroq.biorth import (
+    Band,
+    band_mismatch_witness,
     grid_samples,
     make_grid_rep,
     mat_vec,
@@ -23,22 +25,55 @@ from pastroq.biorth import (
 )
 from pastroq.pastro import norm_constant, pastro_poly
 from pastroq.qcore import QParams, ResonantParameterError
+from pastroq.report import matrix_mismatch_witness
 
 Q = Fraction(1, 2)
 B = Fraction(1, 5)
 
 
+def dense(band: Band) -> list[list[Fraction]]:
+    """The N x N matrix a band stands for."""
+    N = len(band.main)
+    matrix = [[Fraction(0)] * N for _ in range(N)]
+    for s in range(N):
+        matrix[s][s] = band.main[s]
+        if s >= 1:
+            matrix[s][s - 1] = band.lower[s - 1]
+        if s + 1 < N:
+            matrix[s][s + 1] = band.upper[s]
+    return matrix
+
+
+def dense_mat_vec(matrix, vector):
+    """Row-by-row matrix-vector product: the reference for the banded mat_vec."""
+    return [
+        sum((entry * value for entry, value in zip(row, vector)), Fraction(0))
+        for row in matrix
+    ]
+
+
+def random_band(rng: random.Random, N: int) -> Band:
+    def entry() -> Fraction:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    return Band(
+        [entry() for _ in range(N - 1)],
+        [entry() for _ in range(N)],
+        [entry() for _ in range(N - 1)],
+    )
+
+
 def test_single_point_grid():
     rep = make_grid_rep(1, B, Q)
     assert rep.weights.w == [1]
-    assert rep.matrices["X"] == [[Q * (1 - B)]]
+    assert dense(rep.matrices["X"]) == [[Q * (1 - B)]]
     assert rep.matrices["X*"] == rep.matrices["X"]
-    assert rep.matrices["Y"] == [[Q - Q / B]]
+    assert dense(rep.matrices["Y"]) == [[Q - Q / B]]
     assert rep.matrices["Y*"] == rep.matrices["Y"]
 
 
 def test_two_point_frozen_gram():
-    gram, checks = verify_biorthogonality(2, B, Q)
+    gram, checks = verify_biorthogonality(make_grid_rep(2, B, Q))
     assert gram == [
         [Fraction(1), Fraction(0)],
         [Fraction(0), Fraction(5, 32)],
@@ -73,6 +108,61 @@ def test_weight_adjoint_against_random_vectors():
             assert scalar_product(w, mat_vec(matrix, f), g) == scalar_product(
                 w, f, mat_vec(adjoint, g)
             )
+            assert scalar_product(w, dense_mat_vec(dense(matrix), f), g) == scalar_product(
+                w, f, dense_mat_vec(dense(adjoint), g)
+            )
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 6])
+def test_band_operations_match_dense_reference(N):
+    rng = random.Random(N)
+    w = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(N)]
+    for _ in range(5):
+        band = random_band(rng, N)
+        vector = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(N)]
+        assert mat_vec(band, vector) == dense_mat_vec(dense(band), vector)
+        matrix = dense(band)
+        adjoint = [[w[s] * matrix[s][t] / w[t] for s in range(N)] for t in range(N)]
+        assert dense(weight_adjoint(band, w)) == adjoint
+        other = random_band(rng, N)
+        assert band_mismatch_witness(band, other) == matrix_mismatch_witness(
+            dense(band), dense(other)
+        )
+        assert band_mismatch_witness(band, band) is None
+
+
+def _dense_pairing_witness(matrix, adjoint, w):
+    """The pairing check on dense matrices over every pair of basis vectors."""
+    N = len(w)
+    for i in range(N):
+        basis_i = [Fraction(int(t == i)) for t in range(N)]
+        left_image = dense_mat_vec(matrix, basis_i)
+        for j in range(N):
+            basis_j = [Fraction(int(t == j)) for t in range(N)]
+            left = scalar_product(w, left_image, basis_j)
+            right = scalar_product(w, basis_i, dense_mat_vec(adjoint, basis_j))
+            if left != right:
+                return f"basis pair ({i},{j}): <W e_{i}, e_{j}> = {left}, <e_{i}, W* e_{j}> = {right}"
+    return None
+
+
+@pytest.mark.parametrize("name", ["X", "Y"])
+def test_pairing_witness_matches_dense_basis_pairs(name):
+    N = 4
+    for diagonal in ("lower", "main", "upper"):
+        for index in range(N - 1):
+            rep = make_grid_rep(N, B, Q)
+            adjoint = rep.matrices[f"{name}*"]
+            entries = list(getattr(adjoint, diagonal))
+            entries[index] += 1
+            rep.matrices[f"{name}*"] = adjoint._replace(**{diagonal: entries})
+            checks = {check.name: check for check in verify_adjoint_structure(rep)}
+            check = checks[f"adjoint-pairing-{name}"]
+            expected = _dense_pairing_witness(
+                dense(rep.matrices[name]), dense(rep.matrices[f"{name}*"]), rep.weights.w
+            )
+            assert expected is not None
+            assert (check.status, check.witness) == ("FAIL", expected)
 
 
 def test_adjoint_is_involutive():
@@ -88,12 +178,17 @@ def test_tau_parameter_is_involutive():
 
 
 def test_tau_conjugate_reverses_indices():
-    matrix = [[Fraction(3 * s + t) for t in range(3)] for s in range(3)]
-    flipped = tau_conjugate(matrix)
+    # entry (s, t) = 3s + t, so every stored entry is distinct
+    band = Band(
+        [Fraction(3 * s + (s - 1)) for s in range(1, 3)],
+        [Fraction(3 * s + s) for s in range(3)],
+        [Fraction(3 * s + (s + 1)) for s in range(2)],
+    )
+    matrix, flipped = dense(band), dense(tau_conjugate(band))
     for s in range(3):
         for t in range(3):
             assert flipped[s][t] == matrix[2 - s][2 - t]
-    assert tau_conjugate(flipped) == matrix
+    assert tau_conjugate(tau_conjugate(band)) == band
 
 
 def test_tau_naturality():
@@ -116,22 +211,23 @@ def test_tau_naturality():
 @pytest.mark.parametrize("b", [B, Fraction(-3, 4), Fraction(7, 3)])
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
 def test_adjoint_structure_suite_passes(N, b):
-    for check in verify_adjoint_structure(N, b, Q):
+    for check in verify_adjoint_structure(make_grid_rep(N, b, Q)):
         assert check.status == "PASS", (check.name, check.witness)
 
 
 @pytest.mark.parametrize("b", [B, Fraction(-3, 4)])
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
 def test_adjoint_gevp_suite_passes(N, b):
+    rep = make_grid_rep(N, b, Q)
     for n in range(N):
-        for check in verify_adjoint_gevp(n, N, b, Q):
+        for check in verify_adjoint_gevp(n, rep):
             assert check.status == "PASS", (check.name, check.witness)
 
 
 @pytest.mark.parametrize("b", [B, Fraction(-3, 4), Fraction(7, 3)])
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
 def test_biorthogonality_suite_passes(N, b):
-    gram, checks = verify_biorthogonality(N, b, Q)
+    gram, checks = verify_biorthogonality(make_grid_rep(N, b, Q))
     for check in checks:
         assert check.status == "PASS", (check.name, check.witness)
     params = QParams(Q, Q ** (1 - N), b)
@@ -143,7 +239,7 @@ def test_biorthogonality_suite_passes(N, b):
 
 def test_adjoint_gevp_rejects_out_of_range_degree():
     with pytest.raises(ValueError):
-        verify_adjoint_gevp(3, 3, B, Q)
+        verify_adjoint_gevp(3, make_grid_rep(3, B, Q))
 
 
 def test_proportionality_witness():

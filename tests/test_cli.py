@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pastroq.cli import RunConfig, admissible_draws, emit, run
+from pastroq.cli import RunConfig, admissible_draws, emit, main, run
 from pastroq.report import Check, Report
 
 PASTROQ = [sys.executable, "-m", "pastroq"]
@@ -105,6 +105,36 @@ def test_sweep_is_seeded_and_skips_bad_draws():
         check.params["draw"] for check in report.checks if check.status == "PASS"
     }
     assert len(labels) == 2
+
+
+def test_sweep_shortfall_is_an_error(capsys):
+    # the attempt cap (1000) admits only 537 of the 900 requested draws
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--draws", "900", "--nmax", "0"])
+    assert exit_info.value.code == 2
+    last, summary = capsys.readouterr().out.splitlines()[-2:]
+    assert last.startswith("ERROR sweep-draws [draws=900 n_max=0 seed=1]")
+    assert "537 of 900 draws admissible within 1000 attempts" in last
+    assert "1 ERROR" in summary
+
+
+@pytest.mark.parametrize(
+    "argv, flag, minimum",
+    [
+        (["biorth", "--N", "0"], "--N", 1),
+        (["verify", "--nmax", "-1"], "--nmax", 0),
+        (["table", "--nmax", "-2"], "--nmax", 0),
+        (["sweep", "--draws", "-1"], "--draws", 1),
+    ],
+)
+def test_out_of_range_sizes_are_usage_errors(argv, flag, minimum, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be at least {minimum}" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_admissible_draws_deterministic():

@@ -1,0 +1,33 @@
+"""Golden reports: whole CLI outputs compared byte for byte with tests/golden/.
+
+The corpus was generated with ``python -m pastroq <argv> --format {text,json}``.
+Regenerate it only in a change that alters report bytes on purpose.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from pastroq.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+#: (file stem, argv, exit code). The two N=3 inputs are resonant and exit 2
+#: with the first ParameterError the grid build raises.
+CASES = [
+    ("biorth_N8", ["biorth", "--N", "8"], 0),
+    ("biorth_q-4_5_b-2_N16", ["biorth", "--q=-4/5", "--b=-2", "--N", "16"], 0),
+    ("biorth_q6_b-1_3_N16", ["biorth", "--q=6", "--b=-1/3", "--N", "16"], 0),
+    ("biorth_q-3_b-3_N3", ["biorth", "--q=-3", "--b=-3", "--N", "3"], 2),
+    ("biorth_q-3_b-1_3_N3", ["biorth", "--q=-3", "--b=-1/3", "--N", "3"], 2),
+]
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+@pytest.mark.parametrize("stem, argv, code", CASES)
+def test_golden_report(stem, argv, code, fmt, suffix, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--format", fmt])
+    assert exit_info.value.code == code
+    expected = (GOLDEN / f"{stem}.{suffix}").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected

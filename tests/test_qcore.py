@@ -137,6 +137,30 @@ def test_eval_is_ring_homomorphism(p, r, point):
     assert (p + r).eval_at(point) == p.eval_at(point) + r.eval_at(point)
 
 
+def _eval_by_powers(poly: LaurentPoly, point: Fraction) -> Fraction:
+    """The sum of c * point^e over the terms: the reference for Horner's rule."""
+    return sum((c * point**e for e, c in poly.items()), Fraction(0))
+
+
+_wide_polys = st.dictionaries(
+    st.integers(min_value=-12, max_value=12),
+    st.fractions(max_denominator=50, min_value=-100, max_value=100),
+    max_size=12,
+).map(LaurentPoly)
+
+
+@given(_wide_polys, st.fractions(max_denominator=9, min_value=-5, max_value=5))
+@settings(max_examples=200, derandomize=True)
+def test_eval_at_matches_sum_of_powers(p, point):
+    if point == 0 and p.valuation is not None and p.valuation < 0:
+        with pytest.raises(ZeroDivisionError):
+            p.eval_at(point)
+        return
+    value = p.eval_at(point)
+    assert type(value) is Fraction
+    assert value == _eval_by_powers(p, point)
+
+
 def test_q_pochhammer_values():
     assert q_pochhammer(Fraction(1, 3), Fraction(1, 2), 0) == 1
     # independent product evaluation
