@@ -24,21 +24,21 @@ from .qcore import (
 from .pastro import (
     BaxterData,
     GridWeights,
-    PastroFamily,
     alpha_coefficient,
     baxter_coefficients,
     baxter_system,
     beta_coefficient,
     biorthogonal_partner,
     grid_weights,
-    mu_coefficients,
     norm_constant,
     pastro_eigenvalue,
     pastro_poly,
     verify_baxter_consistency,
 )
 from .qdiff import (
+    DegreeRecord,
     QDiffOperator,
+    degree_records,
     make_operators,
     verify_contiguity,
     verify_gevp,
@@ -80,19 +80,19 @@ __all__ = [
     "x",
     "BaxterData",
     "GridWeights",
-    "PastroFamily",
     "alpha_coefficient",
     "baxter_coefficients",
     "baxter_system",
     "beta_coefficient",
     "biorthogonal_partner",
     "grid_weights",
-    "mu_coefficients",
     "norm_constant",
     "pastro_eigenvalue",
     "pastro_poly",
     "verify_baxter_consistency",
+    "DegreeRecord",
     "QDiffOperator",
+    "degree_records",
     "make_operators",
     "verify_contiguity",
     "verify_gevp",

@@ -292,12 +292,18 @@ def proportionality_witness(u: list[Fraction], v: list[Fraction]) -> str | None:
     """Witness that u and v are NOT proportional by a nonzero scalar.
 
     Uses the cross-product criterion u_i v_j = u_j v_i for all pairs, which
-    needs no division. Zero vectors are degenerate rather than proportional
-    and raise, since every comparison downstream expects genuine
-    eigenvectors.
+    needs no division. With u_k the first nonzero entry, u_j v_k = u_k v_j
+    for every j already makes v a multiple of u, so that O(N) pass decides
+    the proportional case; the pair scan runs only to find the witness, the
+    first failing (i, j) in row-major order. Zero vectors are degenerate
+    rather than proportional and raise, since every comparison downstream
+    expects genuine eigenvectors.
     """
     if all(value == 0 for value in u) or all(value == 0 for value in v):
         raise ResonantParameterError("zero grid vector encountered (degenerate parameters)")
+    k = next(i for i, value in enumerate(u) if value != 0)
+    if all(u_j * v[k] == u[k] * v_j for u_j, v_j in zip(u, v)):
+        return None
     for i in range(len(u)):
         for j in range(i + 1, len(u)):
             if u[i] * v[j] != u[j] * v[i]:

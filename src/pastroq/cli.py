@@ -35,6 +35,7 @@ from .pastro import (
 )
 from .qcore import ParameterError, QParams, format_rational, parse_rational
 from .qdiff import (
+    degree_records,
     verify_contiguity,
     verify_gevp,
     verify_qdiff_equation,
@@ -69,6 +70,18 @@ class RunConfig:
     draws: int = 5
 
 
+#: The smallest accepted value of each size field, and the fields each
+#: command reads. ``run`` returns an ERROR check for a smaller value; the
+#: parser rejects it before that, naming the flag.
+_MINIMUM_SIZE = {"n_max": 0, "N": 1, "draws": 1}
+_SIZE_FIELDS = {
+    "table": ("n_max",),
+    "verify": ("n_max",),
+    "biorth": ("N",),
+    "sweep": ("n_max", "draws"),
+}
+
+
 def _admissibility_issues(params: QParams, n_max: int) -> list[str]:
     """Vanishing factors for the verify suite, including the b -> bq shift."""
     issues = params.vanishing_factors(n_max + 2)
@@ -78,18 +91,31 @@ def _admissibility_issues(params: QParams, n_max: int) -> list[str]:
 
 
 def verify_suite(params: QParams, n_max: int) -> list[Check]:
-    """Every polynomial/operator identity at one parameter triple, n <= n_max."""
-    checks: list[Check] = []
-    for n in range(n_max + 1):
-        checks.append(verify_gevp(n, params))
-    for n in range(n_max + 1):
-        checks.append(verify_qdiff_equation(n, params))
-    for n in range(n_max + 1):
-        checks.extend(verify_recurrence(n, params))
-    for n in range(n_max + 1):
-        checks.extend(verify_contiguity(n, params))
-    checks.extend(verify_baxter_consistency(n_max, params))
-    return checks
+    """Every polynomial/operator identity at one parameter triple, n <= n_max.
+
+    One pass over n = 0..n_max: each degree's record is built once, read by
+    the per-degree groups, then streamed into the Baxter checks. The groups
+    are reported in the order gevp, q-difference, recurrence, contiguity,
+    baxter.
+    """
+    data = baxter_coefficients(n_max, params)
+    gevp: list[Check] = []
+    qdiff_equation: list[Check] = []
+    recurrence: list[Check] = []
+    contiguity: list[Check] = []
+
+    def checked(records):
+        for record in records:
+            gevp.append(verify_gevp(record))
+            qdiff_equation.append(verify_qdiff_equation(record))
+            recurrence.extend(verify_recurrence(record))
+            contiguity.extend(verify_contiguity(record))
+            yield record
+
+    baxter = verify_baxter_consistency(
+        n_max, params, data, checked(degree_records(params, n_max, data))
+    )
+    return gevp + qdiff_equation + recurrence + contiguity + baxter
 
 
 def _error_check(context: dict[str, str], message: str) -> Check:
@@ -353,6 +379,11 @@ def run(config: RunConfig) -> tuple[Report, dict, list[str]]:
         handler = _COMMANDS[config.command]
     except KeyError:
         raise ValueError(f"unknown command {config.command!r}") from None
+    for name in _SIZE_FIELDS.get(config.command, ()):
+        value, minimum = getattr(config, name), _MINIMUM_SIZE[name]
+        if value < minimum:
+            message = f"{name} must be at least {minimum}, got {value}"
+            return Report([_error_check({name: str(value)}, message)]), {}, []
     return handler(config)
 
 
@@ -388,10 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--a", type=parse_rational, default=Fraction(3), help="first family parameter (rational literal)")
     common.add_argument("--b", type=parse_rational, default=Fraction(1, 5), help="second family parameter (rational literal)")
     common.add_argument("--mu", type=parse_rational, default=Fraction(2, 3), help="pencil parameter (rational literal)")
-    common.add_argument("--nmax", dest="n_max", type=_int_at_least(0), default=8, help="largest degree to cover")
-    common.add_argument("--N", dest="N", type=_int_at_least(1), default=4, help="grid size for the truncated representation")
+    common.add_argument("--nmax", dest="n_max", type=_int_at_least(_MINIMUM_SIZE["n_max"]), default=8, help="largest degree to cover")
+    common.add_argument("--N", dest="N", type=_int_at_least(_MINIMUM_SIZE["N"]), default=4, help="grid size for the truncated representation")
     common.add_argument("--seed", type=int, default=1, help="seed for the sweep draws")
-    common.add_argument("--draws", type=_int_at_least(1), default=5, help="number of admissible sweep points")
+    common.add_argument("--draws", type=_int_at_least(_MINIMUM_SIZE["draws"]), default=5, help="number of admissible sweep points")
     common.add_argument("--format", dest="fmt", choices=("text", "json"), default="text", help="output format")
 
     parser = argparse.ArgumentParser(

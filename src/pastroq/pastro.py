@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
 from .qcore import (
     LaurentPoly,
@@ -34,18 +35,17 @@ __all__ = [
     "pastro_eigenvalue",
     "mu1",
     "mu2",
-    "mu_coefficients",
     "alpha_coefficient",
     "beta_coefficient",
     "norm_constant",
     "BaxterData",
     "baxter_coefficients",
+    "baxter_step",
     "baxter_system",
     "verify_baxter_consistency",
     "biorthogonal_partner",
     "GridWeights",
     "grid_weights",
-    "PastroFamily",
 ]
 
 
@@ -164,11 +164,6 @@ def mu2(n: int, params: QParams) -> Fraction:
     )
 
 
-def mu_coefficients(n: int, params: QParams) -> tuple[Fraction, Fraction]:
-    """The pair (mu1_n, mu2_n) of three-term recurrence coefficients."""
-    return mu1(n, params), mu2(n, params)
-
-
 def alpha_coefficient(n: int, params: QParams) -> Fraction:
     """Coupled-recurrence coefficient alpha_n = -((b/a)q)^(n+1) (a/b;q)_(n+1) / (b;q)_(n+1)."""
     _check_degree(n)
@@ -212,14 +207,68 @@ class BaxterData:
     q_polys: list[LaurentPoly] = field(default_factory=list)
 
 
+def _pochhammer_prefixes(z: Fraction, q: Fraction, n: int) -> list[Fraction]:
+    """[(z;q)_0, (z;q)_1, ..., (z;q)_n] as running products."""
+    prefixes = [Fraction(1)]
+    power = z
+    for _ in range(n):
+        prefixes.append(prefixes[-1] * (1 - power))
+        power *= q
+    return prefixes
+
+
+def _divisor(value: Fraction, message: str) -> Fraction:
+    if value == 0:
+        raise ResonantParameterError(message)
+    return value
+
+
 def baxter_coefficients(n_max: int, params: QParams) -> BaxterData:
-    """Closed-form alpha_n, beta_n for n <= n_max and h_n for n <= n_max."""
+    """Closed-form alpha_n, beta_n and h_n for n <= n_max.
+
+    The closed forms of :func:`alpha_coefficient`, :func:`beta_coefficient`
+    and :func:`norm_constant`, read off running q-Pochhammer products, so the
+    table costs O(n_max) products rather than O(n_max) per degree. The
+    lists are filled alpha first, then beta, then h, so a resonant triple
+    raises the error those functions raise first in that order.
+    """
     _check_degree(n_max)
-    return BaxterData(
-        alpha=[alpha_coefficient(n, params) for n in range(n_max + 1)],
-        beta=[beta_coefficient(n, params) for n in range(n_max + 1)],
-        h=[norm_constant(n, params) for n in range(n_max + 1)],
-    )
+    q, a, b = params.q, params.a, params.b
+    count = n_max + 1
+    b_poch = _pochhammer_prefixes(b, q, count)
+    ab_poch = _pochhammer_prefixes(a / b, q, count)
+    abq_poch = _pochhammer_prefixes((a / b) * q, q, count)
+    alpha = [
+        -(((b / a) * q) ** (n + 1))
+        * ab_poch[n + 1]
+        / _divisor(b_poch[n + 1], f"(b;q)_{n + 1} vanishes")
+        for n in range(count)
+    ]
+    b_over_q_poch = _pochhammer_prefixes(b / q, q, count)
+    beta = [
+        -((a / b) ** (n + 1))
+        * b_over_q_poch[n + 1]
+        / _divisor(abq_poch[n + 1], f"((a/b)*q;q)_{n + 1} vanishes")
+        for n in range(count)
+    ]
+    a_poch = _pochhammer_prefixes(a, q, n_max)
+    q_poch = _pochhammer_prefixes(q, q, n_max)
+    h = [
+        a_poch[n]
+        * q_poch[n]
+        / _divisor(abq_poch[n] * b_poch[n], f"((a/b)*q;q)_{n} * (b;q)_{n} vanishes")
+        for n in range(count)
+    ]
+    return BaxterData(alpha=alpha, beta=beta, h=h)
+
+
+def baxter_step(
+    n: int, p_poly: LaurentPoly, q_poly: LaurentPoly, alpha_n: Fraction, beta_n: Fraction
+) -> tuple[LaurentPoly, LaurentPoly]:
+    """One step (P_n, Q_n) -> (P_(n+1), Q_(n+1)) of the coupled recurrences."""
+    reversed_q = q_poly.invert_variable() * x(n)
+    reversed_p = p_poly.invert_variable() * x(n)
+    return x() * p_poly - alpha_n * reversed_q, x() * q_poly - beta_n * reversed_p
 
 
 def baxter_system(n_max: int, params: QParams) -> BaxterData:
@@ -237,11 +286,9 @@ def baxter_system(n_max: int, params: QParams) -> BaxterData:
     p_polys = [LaurentPoly.one()]
     q_polys = [LaurentPoly.one()]
     for n in range(n_max):
-        p_prev, q_prev = p_polys[n], q_polys[n]
-        reversed_q = q_prev.invert_variable() * x(n)
-        reversed_p = p_prev.invert_variable() * x(n)
-        p_polys.append(x() * p_prev - data.alpha[n] * reversed_q)
-        q_polys.append(x() * q_prev - data.beta[n] * reversed_p)
+        p_next, q_next = baxter_step(n, p_polys[n], q_polys[n], data.alpha[n], data.beta[n])
+        p_polys.append(p_next)
+        q_polys.append(q_next)
     data.p_polys = p_polys
     data.q_polys = q_polys
     return data
@@ -319,27 +366,9 @@ def grid_weights(N: int, b: Scalar, q: Scalar) -> GridWeights:
     )
 
 
-@dataclass
-class PastroFamily:
-    """The polynomials P_0..P_n_max at a fixed admissible parameter triple."""
-
-    params: QParams
-    n_max: int
-    polys: list[LaurentPoly]
-
-    @classmethod
-    def build(cls, params: QParams, n_max: int) -> "PastroFamily":
-        """Validate the parameters eagerly, then build every degree at once."""
-        _check_degree(n_max)
-        params.require_valid(n_max)
-        return cls(
-            params=params,
-            n_max=n_max,
-            polys=[pastro_poly(n, params) for n in range(n_max + 1)],
-        )
-
-
-def verify_baxter_consistency(n_max: int, params: QParams) -> list[Check]:
+def verify_baxter_consistency(
+    n_max: int, params: QParams, data: BaxterData, records: Iterable
+) -> list[Check]:
     """Cross-check the coupled-recurrence route against every closed form.
 
     Covers: the alpha/beta recurrences against the three-term recurrence
@@ -347,127 +376,111 @@ def verify_baxter_consistency(n_max: int, params: QParams) -> list[Check]:
     P_n with the eigenvalue-route P_n, agreement of Q_n(1/x) with the
     closed-form partner R_n, and both coupled recurrences restated with the
     eigenvalue-route polynomials substituted in.
+
+    ``data`` holds the closed-form alpha_n, beta_n and h_n for n <= n_max.
+    ``records`` yields one record per degree n = 0..n_max, in order, with
+    the eigenvalue-route P_n and P_(n+1) (``p``, ``p_next``) and the
+    coupled pair P~_n, Q_n (``p_coupled``, ``q_coupled``), as
+    :func:`pastroq.qdiff.degree_records` builds them. Every record is
+    consumed; the four polynomial checks are evaluated as the records
+    stream past, and each keeps the witness of the first n that fails.
     """
     _check_degree(n_max)
     context = params.describe() | {"n_max": str(n_max)}
-    data = baxter_system(n_max, params)
-    checks: list[Check] = []
 
-    witness = None
+    alpha_witness = None
     for n in range(1, n_max + 1):
         expected = -data.alpha[n - 1] * mu1(n, params)
         if data.alpha[n] != expected:
-            witness = (
+            alpha_witness = (
                 f"n={n}: alpha_n {format_rational(data.alpha[n])}, "
                 f"-alpha_(n-1)*mu1_n {format_rational(expected)}"
             )
             break
-    checks.append(
-        equality_check("baxter-alpha-recurrence", "alpha_n = -alpha_(n-1) mu1_n", context, witness)
-    )
 
-    witness = None
+    beta_witness = None
     for n in range(n_max):
-        alpha_next = alpha_coefficient(n + 1, params)
+        alpha_next = data.alpha[n + 1]
         if alpha_next == 0:
-            witness = f"n={n}: alpha_(n+1) = 0, ratio undefined"
+            beta_witness = f"n={n}: alpha_(n+1) = 0, ratio undefined"
             break
         expected = (mu2(n + 1, params) - mu1(n + 1, params)) / alpha_next
         if data.beta[n] != expected:
-            witness = (
+            beta_witness = (
                 f"n={n}: beta_n {format_rational(data.beta[n])}, "
                 f"(mu2_(n+1) - mu1_(n+1))/alpha_(n+1) {format_rational(expected)}"
             )
             break
-    checks.append(
-        equality_check(
-            "baxter-beta-recurrence",
-            "beta_n = (mu2_(n+1) - mu1_(n+1)) / alpha_(n+1)",
-            context,
-            witness,
-        )
-    )
 
-    witness = None
+    norm_witness = None
     product = Fraction(1)
     for n in range(n_max + 1):
         if data.h[n] != product:
-            witness = (
+            norm_witness = (
                 f"n={n}: h_n {format_rational(data.h[n])}, "
                 f"prod {format_rational(product)}"
             )
             break
         product *= 1 - data.alpha[n] * data.beta[n]
-    checks.append(
+
+    pastro_witness = partner_witness = p_witness = q_witness = None
+    previous = None  # (P_(n-1), Q_(n-1)), for the Q recurrence at n - 1
+    for record in records:
+        n = record.n
+        reversed_q = record.q_coupled.invert_variable()
+        if pastro_witness is None:
+            mismatch = poly_mismatch_witness(record.p_coupled, record.p)
+            if mismatch:
+                pastro_witness = f"n={n}: {mismatch}"
+        if partner_witness is None:
+            mismatch = poly_mismatch_witness(reversed_q, biorthogonal_partner(n, params))
+            if mismatch:
+                partner_witness = f"n={n}: {mismatch}"
+        if p_witness is None and n < n_max:
+            residual = record.p_next - x() * record.p + data.alpha[n] * (reversed_q * x(n))
+            if residual:
+                p_witness = f"n={n}: residual {residual}"
+        if q_witness is None and previous is not None:
+            p_prev, q_prev = previous
+            residual = (
+                record.q_coupled
+                - x() * q_prev
+                + data.beta[n - 1] * (p_prev.invert_variable() * x(n - 1))
+            )
+            if residual:
+                q_witness = f"n={n - 1}: residual {residual}"
+        previous = record.p, record.q_coupled
+
+    return [
         equality_check(
-            "baxter-norm-product", "h_n = prod_(k<n) (1 - alpha_k beta_k)", context, witness
-        )
-    )
-
-    eigen_polys = [pastro_poly(n, params) for n in range(n_max + 1)]
-
-    witness = None
-    for n in range(n_max + 1):
-        mismatch = poly_mismatch_witness(data.p_polys[n], eigen_polys[n])
-        if mismatch:
-            witness = f"n={n}: {mismatch}"
-            break
-    checks.append(
+            "baxter-alpha-recurrence", "alpha_n = -alpha_(n-1) mu1_n", context, alpha_witness
+        ),
+        equality_check(
+            "baxter-beta-recurrence",
+            "beta_n = (mu2_(n+1) - mu1_(n+1)) / alpha_(n+1)",
+            context,
+            beta_witness,
+        ),
+        equality_check(
+            "baxter-norm-product", "h_n = prod_(k<n) (1 - alpha_k beta_k)", context, norm_witness
+        ),
         equality_check(
             "baxter-pastro-match",
             "P_n from the coupled recurrences = P_n from the eigenvalue route",
             context,
-            witness,
-        )
-    )
-
-    witness = None
-    for n in range(n_max + 1):
-        mismatch = poly_mismatch_witness(
-            data.q_polys[n].invert_variable(), biorthogonal_partner(n, params)
-        )
-        if mismatch:
-            witness = f"n={n}: {mismatch}"
-            break
-    checks.append(
-        equality_check("baxter-partner-match", "Q_n(1/x) = R_n(x)", context, witness)
-    )
-
-    witness = None
-    for n in range(n_max):
-        residual = (
-            eigen_polys[n + 1]
-            - x() * eigen_polys[n]
-            + data.alpha[n] * (data.q_polys[n].invert_variable() * x(n))
-        )
-        if residual:
-            witness = f"n={n}: residual {residual}"
-            break
-    checks.append(
+            pastro_witness,
+        ),
+        equality_check("baxter-partner-match", "Q_n(1/x) = R_n(x)", context, partner_witness),
         equality_check(
             "baxter-recurrence-P",
             "P_(n+1) = x P_n - alpha_n x^n Q_n(1/x)",
             context,
-            witness,
-        )
-    )
-
-    witness = None
-    for n in range(n_max):
-        residual = (
-            data.q_polys[n + 1]
-            - x() * data.q_polys[n]
-            + data.beta[n] * (eigen_polys[n].invert_variable() * x(n))
-        )
-        if residual:
-            witness = f"n={n}: residual {residual}"
-            break
-    checks.append(
+            p_witness,
+        ),
         equality_check(
             "baxter-recurrence-Q",
             "Q_(n+1) = x Q_n - beta_n x^n P_n(1/x)",
             context,
-            witness,
-        )
-    )
-    return checks
+            q_witness,
+        ),
+    ]

@@ -11,16 +11,20 @@ The triple (X, Y, Z) below satisfies the generalized eigenvalue problem
 Y P_n = lambda_n X P_n on the monic family, with Z = (1/x) X acting
 degree-preservingly. The verification functions check the eigenvalue
 problem, the explicit q-difference equation, the parameter-shift
-(contiguity) relations, and the recurrence structure, all exactly.
+(contiguity) relations, and the recurrence structure, all exactly. They
+read one :class:`DegreeRecord` each, built by :func:`degree_records` in a
+single pass over the degrees.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .qcore import LaurentPoly, QParams, Scalar, format_rational, x
 from .pastro import (
+    BaxterData,
+    baxter_step,
     mu1,
     mu2,
     pastro_eigenvalue,
@@ -32,6 +36,8 @@ __all__ = [
     "QDiffOperator",
     "operator_mismatch_witness",
     "make_operators",
+    "DegreeRecord",
+    "degree_records",
     "verify_gevp",
     "verify_qdiff_equation",
     "verify_contiguity",
@@ -222,12 +228,66 @@ def make_operators(params: QParams) -> tuple[QDiffOperator, QDiffOperator, QDiff
     return X, Y, Z
 
 
-def verify_gevp(n: int, params: QParams) -> Check:
+class DegreeRecord(NamedTuple):
+    """Everything the per-degree checks read at one degree n.
+
+    The eigenvalue-route P_(n-1) (zero at n = 0), P_n and P_(n+1); P_n at
+    the shifted parameter bq; the images X P_n, Y P_n, Z P_n; and the
+    coupled-recurrence pair P~_n, Q_n of :func:`pastroq.pastro.baxter_system`.
+    """
+
+    n: int
+    params: QParams
+    p_prev: LaurentPoly
+    p: LaurentPoly
+    p_next: LaurentPoly
+    p_shifted: LaurentPoly
+    x_image: LaurentPoly
+    y_image: LaurentPoly
+    z_image: LaurentPoly
+    p_coupled: LaurentPoly
+    q_coupled: LaurentPoly
+
+
+def degree_records(params: QParams, n_max: int, data: BaxterData) -> Iterator[DegreeRecord]:
+    """The records of n = 0..n_max, built in one pass over the degrees.
+
+    X, Y and Z are built once; each P_k is built once and held only while a
+    record still needs it (as P_(n+1), then P_n, then P_(n-1)); the coupled
+    pair advances one :func:`pastroq.pastro.baxter_step` per degree, with
+    the alpha_n, beta_n of ``data`` (which must cover n < n_max).
+    """
+    X, Y, Z = make_operators(params)
+    shifted = params.with_b(params.b * params.q)
+    p_prev, p = LaurentPoly.zero(), pastro_poly(0, params)
+    p_coupled = q_coupled = LaurentPoly.one()
+    for n in range(n_max + 1):
+        if n:
+            p_coupled, q_coupled = baxter_step(
+                n - 1, p_coupled, q_coupled, data.alpha[n - 1], data.beta[n - 1]
+            )
+        p_next = pastro_poly(n + 1, params)
+        yield DegreeRecord(
+            n=n,
+            params=params,
+            p_prev=p_prev,
+            p=p,
+            p_next=p_next,
+            p_shifted=pastro_poly(n, shifted),
+            x_image=X.apply(p),
+            y_image=Y.apply(p),
+            z_image=Z.apply(p),
+            p_coupled=p_coupled,
+            q_coupled=q_coupled,
+        )
+        p_prev, p = p, p_next
+
+
+def verify_gevp(record: DegreeRecord) -> Check:
     """Check the generalized eigenvalue identity Y P_n = lambda_n X P_n."""
-    X, Y, _ = make_operators(params)
-    p = pastro_poly(n, params)
+    n, params = record.n, record.params
     lam = pastro_eigenvalue(n, params)
-    witness = poly_mismatch_witness(Y.apply(p), lam * X.apply(p))
+    witness = poly_mismatch_witness(record.y_image, lam * record.x_image)
     return equality_check(
         "gevp",
         "Y P_n = lambda_n X P_n, lambda_n = -q^n/b",
@@ -236,16 +296,17 @@ def verify_gevp(n: int, params: QParams) -> Check:
     )
 
 
-def verify_qdiff_equation(n: int, params: QParams) -> Check:
+def verify_qdiff_equation(record: DegreeRecord) -> Check:
     """Check the explicit q-difference equation, written out with dilations.
 
     (x - q/a) P_n(qx) + (q/a - x/b) P_n(x)
         = lambda_n [ (x - q) P_n(x/q) + (q - b x) P_n(x) ].
-    This route never builds operator objects, so it is independent of the
-    operator calculus exercised by :func:`verify_gevp`.
+    This route reads only P_n from the record and never builds operator
+    objects, so it is independent of the operator calculus exercised by
+    :func:`verify_gevp`.
     """
+    n, params, p = record.n, record.params, record.p
     q, a, b = params.q, params.a, params.b
-    p = pastro_poly(n, params)
     lam = pastro_eigenvalue(n, params)
     lhs = (x() - q / a) * p.dilate(q) + (LaurentPoly.constant(q / a) - x() / b) * p
     rhs = lam * ((x() - q) * p.dilate(1 / q) + (q - b * x()) * p)
@@ -258,17 +319,15 @@ def verify_qdiff_equation(n: int, params: QParams) -> Check:
     )
 
 
-def verify_contiguity(n: int, params: QParams) -> list[Check]:
+def verify_contiguity(record: DegreeRecord) -> list[Check]:
     """Check that X, Y, Z map the family at b to the family at bq.
 
       X P_n(.; b) = q^-n (1 - b q^n) x P_n(.; bq),
       Y P_n(.; b) = -(1/b) (1 - b q^n) x P_n(.; bq),
       Z P_n(.; b) = q^-n (1 - b q^n) P_n(.; bq).
     """
+    n, params, p_shifted = record.n, record.params, record.p_shifted
     q, b = params.q, params.b
-    X, Y, Z = make_operators(params)
-    p = pastro_poly(n, params)
-    p_shifted = pastro_poly(n, params.with_b(b * q))
     context = params.describe() | {"n": str(n)}
     factor = q**-n * (1 - b * q**n)
     return [
@@ -276,26 +335,26 @@ def verify_contiguity(n: int, params: QParams) -> list[Check]:
             "contiguity-X",
             "X P_n(.; b) = q^-n (1 - b q^n) x P_n(.; bq)",
             context,
-            poly_mismatch_witness(X.apply(p), factor * x() * p_shifted),
+            poly_mismatch_witness(record.x_image, factor * x() * p_shifted),
         ),
         equality_check(
             "contiguity-Y",
             "Y P_n(.; b) = -(1/b) (1 - b q^n) x P_n(.; bq)",
             context,
             poly_mismatch_witness(
-                Y.apply(p), (-1 / b) * (1 - b * q**n) * x() * p_shifted
+                record.y_image, (-1 / b) * (1 - b * q**n) * x() * p_shifted
             ),
         ),
         equality_check(
             "contiguity-Z",
             "Z P_n(.; b) = q^-n (1 - b q^n) P_n(.; bq)",
             context,
-            poly_mismatch_witness(Z.apply(p), factor * p_shifted),
+            poly_mismatch_witness(record.z_image, factor * p_shifted),
         ),
     ]
 
 
-def verify_recurrence(n: int, params: QParams) -> list[Check]:
+def verify_recurrence(record: DegreeRecord) -> list[Check]:
     """Check the degree-basis actions of X and Z and the three-term recurrence.
 
       X P_n = q^-n (1 - b q^n) P_(n+1) + q (1 - (b/a) q^-n) P_n,
@@ -306,11 +365,9 @@ def verify_recurrence(n: int, params: QParams) -> list[Check]:
     The P_(n-1) terms drop at n = 0 through their vanishing 1 - q^-n and
     1 - q^n factors.
     """
+    n, params = record.n, record.params
+    p_prev, p_now, p_next = record.p_prev, record.p, record.p_next
     q, a, b = params.q, params.a, params.b
-    X, _, Z = make_operators(params)
-    p_now = pastro_poly(n, params)
-    p_next = pastro_poly(n + 1, params)
-    p_prev = pastro_poly(n - 1, params) if n >= 1 else LaurentPoly.zero()
     context = params.describe() | {"n": str(n)}
 
     raise_factor = q**-n * (1 - b * q**n)
@@ -325,21 +382,19 @@ def verify_recurrence(n: int, params: QParams) -> list[Check]:
     three_lhs = p_next + m1 * p_now
     three_rhs = x() * (p_now + m2 * p_prev)
 
-    applied_z = Z.apply(p_now)
-    applied_x = X.apply(p_now)
     return [
         equality_check(
             "recurrence-X-action",
             "X P_n = q^-n (1 - b q^n) P_(n+1) + q (1 - (b/a) q^-n) P_n",
             context,
-            poly_mismatch_witness(applied_x, x_rhs),
+            poly_mismatch_witness(record.x_image, x_rhs),
         ),
         equality_check(
             "recurrence-Z-action",
             "Z P_n = q^-n (1 - b q^n) P_n "
             "+ b q (1 - q^-n)(1 - a q^(n-1)) / (a (1 - b q^(n-1))) P_(n-1)",
             context,
-            poly_mismatch_witness(applied_z, z_rhs),
+            poly_mismatch_witness(record.z_image, z_rhs),
         ),
         equality_check(
             "recurrence-three-term",
@@ -351,6 +406,6 @@ def verify_recurrence(n: int, params: QParams) -> list[Check]:
             "recurrence-X-from-Z",
             "x (Z P_n) = X P_n",
             context,
-            poly_mismatch_witness(x() * applied_z, applied_x),
+            poly_mismatch_witness(x() * record.z_image, record.x_image),
         ),
     ]

@@ -30,6 +30,7 @@ from pastroq.biorth import (
 )
 from pastroq.cli import admissible_draws
 from pastroq.pastro import (
+    baxter_coefficients,
     baxter_system,
     biorthogonal_partner,
     grid_weights,
@@ -39,6 +40,7 @@ from pastroq.pastro import (
 from pastroq.qcore import ParameterError, QParams
 from pastroq.qdiff import (
     QDiffOperator,
+    degree_records,
     make_operators,
     verify_contiguity,
     verify_gevp,
@@ -60,12 +62,16 @@ def all_pass(checks) -> bool:
     return all(check.status == "PASS" for check in checks)
 
 
+def family_records(params: QParams, n_max: int):
+    return degree_records(params, n_max, baxter_coefficients(n_max, params))
+
+
 def test_criterion_1_gevp():
     points = admissible_draws(seed=11, count=10, n_max=12)
     ok = len(points) == 10
     for params in points:
-        for n in range(13):
-            ok = ok and verify_gevp(n, params).status == "PASS"
+        for degree in family_records(params, 12):
+            ok = ok and verify_gevp(degree).status == "PASS"
     assert record(
         1,
         "Y P_n = -(q^n/b) X P_n exactly for n <= 12 at 10 seeded triples",
@@ -77,9 +83,9 @@ def test_criterion_2_bispectrality():
     points = admissible_draws(seed=11, count=10, n_max=12)
     ok = len(points) == 10
     for params in points:
-        for n in range(13):
-            ok = ok and verify_qdiff_equation(n, params).status == "PASS"
-            ok = ok and all_pass(verify_recurrence(n, params))
+        for degree in family_records(params, 12):
+            ok = ok and verify_qdiff_equation(degree).status == "PASS"
+            ok = ok and all_pass(verify_recurrence(degree))
     assert record(
         2,
         "q-difference equation, three-term recurrence and x (Z P_n) = X P_n "
@@ -92,8 +98,8 @@ def test_criterion_3_contiguity():
     points = admissible_draws(seed=11, count=10, n_max=12)
     ok = len(points) == 10
     for params in points:
-        for n in range(11):
-            ok = ok and all_pass(verify_contiguity(n, params))
+        for degree in family_records(params, 10):
+            ok = ok and all_pass(verify_contiguity(degree))
     assert record(
         3,
         "parameter-shift relations for X, Y and Z for n <= 10 at the same triples",

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pastroq.biorth import (
     Band,
@@ -24,7 +26,7 @@ from pastroq.biorth import (
     weight_adjoint,
 )
 from pastroq.pastro import norm_constant, pastro_poly
-from pastroq.qcore import QParams, ResonantParameterError
+from pastroq.qcore import QParams, ResonantParameterError, format_rational
 from pastroq.report import matrix_mismatch_witness
 
 Q = Fraction(1, 2)
@@ -251,6 +253,52 @@ def test_proportionality_witness():
         proportionality_witness(u, [Fraction(0)] * 3)
     with pytest.raises(ResonantParameterError):
         proportionality_witness([Fraction(0)] * 3, u)
+
+
+def pairwise_proportionality_witness(u, v):
+    """The all-pairs cross-product scan, kept as the reference."""
+    if all(value == 0 for value in u) or all(value == 0 for value in v):
+        raise ResonantParameterError("zero grid vector encountered (degenerate parameters)")
+    for i in range(len(u)):
+        for j in range(i + 1, len(u)):
+            if u[i] * v[j] != u[j] * v[i]:
+                return (
+                    f"cross product at ({i},{j}): u_{i} v_{j} = "
+                    f"{format_rational(u[i] * v[j])}, u_{j} v_{i} = "
+                    f"{format_rational(u[j] * v[i])}"
+                )
+    return None
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def vector_pairs(draw):
+    """(u, v) of equal length; v is often a multiple of u, sometimes perturbed."""
+    size = draw(st.integers(1, 7))
+    u = draw(st.lists(st.sampled_from([Fraction(0)]) | small_rationals, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        scale = draw(small_rationals)
+        v = [scale * value for value in u]
+        if draw(st.booleans()):
+            v[draw(st.integers(0, size - 1))] += draw(small_rationals)
+    else:
+        v = draw(st.lists(small_rationals, min_size=size, max_size=size))
+    return u, v
+
+
+@given(vector_pairs())
+@settings(max_examples=300, derandomize=True)
+def test_proportionality_witness_matches_pairwise_scan(pair):
+    u, v = pair
+    try:
+        expected = pairwise_proportionality_witness(u, v)
+    except ResonantParameterError:
+        with pytest.raises(ResonantParameterError):
+            proportionality_witness(u, v)
+        return
+    assert proportionality_witness(u, v) == expected
 
 
 def test_grid_samples():

@@ -6,8 +6,19 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from pastroq.cli import RunConfig, admissible_draws, emit, main, run
+from pastroq.cli import (
+    RunConfig,
+    _admissibility_issues,
+    admissible_draws,
+    emit,
+    main,
+    run,
+    verify_suite,
+)
+from pastroq.qcore import ParameterError, QParams
 from pastroq.report import Check, Report
 
 PASTROQ = [sys.executable, "-m", "pastroq"]
@@ -135,6 +146,43 @@ def test_out_of_range_sizes_are_usage_errors(argv, flag, minimum, capsys):
     assert captured.out == ""
     assert f"argument {flag}: must be at least {minimum}" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "config, field, message",
+    [
+        (RunConfig("biorth", N=0), "N", "N must be at least 1, got 0"),
+        (RunConfig("verify", n_max=-1), "n_max", "n_max must be at least 0, got -1"),
+        (RunConfig("table", n_max=-2), "n_max", "n_max must be at least 0, got -2"),
+        (RunConfig("sweep", draws=-1), "draws", "draws must be at least 1, got -1"),
+    ],
+)
+def test_out_of_range_sizes_are_errors_in_process(config, field, message):
+    report, extra, lines = run(config)
+    assert report.exit_code == 2
+    (check,) = report.checks
+    assert check.status == "ERROR"
+    assert check.params == {field: str(getattr(config, field))}
+    assert check.witness == message
+    assert (extra, lines) == ({}, [])
+
+
+#: The rationals admissible_draws picks from: p/r with |p| <= 6, 1 <= r <= 6.
+draw_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@given(draw_rationals, draw_rationals, draw_rationals, st.integers(0, 4))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_verify_suite_passes_at_admissible_points(q, a, b, n_max):
+    try:
+        params = QParams(q, a, b)
+    except ParameterError:
+        assume(False)
+    assume(not _admissibility_issues(params, n_max))
+    checks = verify_suite(params, n_max)
+    assert len(checks) == 9 * (n_max + 1) + 7
+    failing = [(check.name, check.params, check.witness) for check in checks if check.status != "PASS"]
+    assert failing == []
 
 
 def test_admissible_draws_deterministic():

@@ -12,14 +12,23 @@ from pastroq.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-#: (file stem, argv, exit code). The two N=3 inputs are resonant and exit 2
-#: with the first ParameterError the grid build raises.
+#: (file stem, argv, exit code). The two biorth N=3 inputs are resonant and
+#: exit 2 with the first ParameterError the grid build raises. The five
+#: cases after them are the test_criterion_8_determinism invocations; the
+#: last verify input is resonant and exits 2 with the admissibility ERROR.
 CASES = [
     ("biorth_N8", ["biorth", "--N", "8"], 0),
     ("biorth_q-4_5_b-2_N16", ["biorth", "--q=-4/5", "--b=-2", "--N", "16"], 0),
     ("biorth_q6_b-1_3_N16", ["biorth", "--q=6", "--b=-1/3", "--N", "16"], 0),
     ("biorth_q-3_b-3_N3", ["biorth", "--q=-3", "--b=-3", "--N", "3"], 2),
     ("biorth_q-3_b-1_3_N3", ["biorth", "--q=-3", "--b=-1/3", "--N", "3"], 2),
+    ("verify_nmax4", ["verify", "--nmax", "4"], 0),
+    ("table_nmax5", ["table", "--nmax", "5"], 0),
+    ("biorth_N4", ["biorth", "--N", "4"], 0),
+    ("algebra", ["algebra"], 0),
+    ("sweep_seed9_draws3_nmax3", ["sweep", "--seed", "9", "--draws", "3", "--nmax", "3"], 0),
+    ("verify_q1_2_a-2_3_b-1_2_nmax24", ["verify", "--q=1/2", "--a=-2/3", "--b=-1/2", "--nmax", "24"], 0),
+    ("verify_q1_2_b2_nmax3", ["verify", "--q=1/2", "--b=2", "--nmax", "3"], 2),
 ]
 
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from pastroq.pastro import (
-    PastroFamily,
     alpha_coefficient,
     baxter_coefficients,
     baxter_system,
@@ -14,7 +13,6 @@ from pastroq.pastro import (
     grid_weights,
     mu1,
     mu2,
-    mu_coefficients,
     norm_constant,
     pastro_coefficient_ratio,
     pastro_coefficients,
@@ -25,6 +23,8 @@ from pastroq.pastro import (
     verify_baxter_consistency,
 )
 from pastroq.qcore import LaurentPoly, QParams, ResonantParameterError, x
+from pastroq.qdiff import degree_records
+from pastroq.report import poly_mismatch_witness
 
 REFERENCE = QParams(Fraction(1, 2), Fraction(3), Fraction(1, 5))
 SECOND = QParams(Fraction(-4, 5), Fraction(6), Fraction(-2))
@@ -79,7 +79,7 @@ def test_eigenvalues():
 
 def test_mu_frozen_values():
     assert mu1(0, REFERENCE) == Fraction(7, 12)
-    assert mu_coefficients(1, REFERENCE) == (Fraction(13, 54), Fraction(5, 108))
+    assert (mu1(1, REFERENCE), mu2(1, REFERENCE)) == (Fraction(13, 54), Fraction(5, 108))
     assert mu2(0, REFERENCE) == 0
 
 
@@ -98,6 +98,48 @@ def test_baxter_coefficient_frozen_values():
     assert data.h[0] == 1
     assert data.h[1] == Fraction(5, 26)
     assert baxter_coefficients(1, TRUNCATED).h[1] == Fraction(5, 32)
+
+
+@pytest.mark.parametrize("params", [REFERENCE, SECOND, TRUNCATED])
+def test_baxter_coefficients_match_closed_forms(params):
+    data = baxter_coefficients(12, params)
+    assert data.alpha == [alpha_coefficient(n, params) for n in range(13)]
+    assert data.beta == [beta_coefficient(n, params) for n in range(13)]
+    assert data.h == [norm_constant(n, params) for n in range(13)]
+
+
+def first_closed_form_error(n_max: int, params: QParams) -> str | None:
+    """The first error of the degree-by-degree closed forms: alpha, beta, then h."""
+    try:
+        for closed_form in (alpha_coefficient, beta_coefficient, norm_constant):
+            for n in range(n_max + 1):
+                closed_form(n, params)
+    except ResonantParameterError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        QParams(Fraction(1, 2), Fraction(3), Fraction(2)),  # b q = 1
+        QParams(Fraction(1, 2), Fraction(3), Fraction(8)),  # b q^3 = 1
+        QParams(Fraction(1, 2), Fraction(2, 5), Fraction(1, 5)),  # (a/b) q = 1
+        QParams(Fraction(-3), Fraction(1, 27), Fraction(1, 3)),  # (a/b) q^2 = 1
+        QParams(Fraction(2), Fraction(1, 2), Fraction(1, 2)),  # a = b and b q = 1
+        QParams(Fraction(1, 2), Fraction(1, 40), Fraction(1, 5)),  # admissible
+    ],
+)
+def test_baxter_coefficients_raise_the_first_closed_form_error(params):
+    expected = first_closed_form_error(6, params)
+    if expected is None:
+        assert baxter_coefficients(6, params).alpha == [
+            alpha_coefficient(n, params) for n in range(7)
+        ]
+        return
+    with pytest.raises(ResonantParameterError) as error:
+        baxter_coefficients(6, params)
+    assert str(error.value) == expected
 
 
 def test_norm_constant_product_form():
@@ -128,10 +170,77 @@ def test_baxter_system_first_steps():
     assert x() * p1 - p2 == data.alpha[1] * (data.q_polys[1].invert_variable() * x(1))
 
 
+def baxter_checks(n_max: int, params: QParams, corrupt=None):
+    """verify_baxter_consistency over the records of n <= n_max.
+
+    ``corrupt`` maps each record to the record the checks are shown.
+    """
+    data = baxter_coefficients(n_max, params)
+    records = degree_records(params, n_max, data)
+    if corrupt is not None:
+        records = map(corrupt, records)
+    return verify_baxter_consistency(n_max, params, data, records)
+
+
 def test_baxter_consistency_suite_passes():
     for params in (REFERENCE, SECOND):
-        for check in verify_baxter_consistency(8, params):
+        for check in baxter_checks(8, params):
             assert check.status == "PASS", (check.name, check.witness)
+
+
+def list_loop_witnesses(n_max, params, p_coupled, q_coupled):
+    """Witnesses of the four polynomial checks by the whole-family loops."""
+    data = baxter_coefficients(n_max, params)
+    eigen = [pastro_poly(n, params) for n in range(n_max + 1)]
+
+    def first(found):
+        return next((witness for witness in found if witness), None)
+
+    pastro_match = first(
+        f"n={n}: {m}" if (m := poly_mismatch_witness(p_coupled[n], eigen[n])) else None
+        for n in range(n_max + 1)
+    )
+    partner_match = first(
+        f"n={n}: {m}"
+        if (m := poly_mismatch_witness(q_coupled[n].invert_variable(), biorthogonal_partner(n, params)))
+        else None
+        for n in range(n_max + 1)
+    )
+    recurrence_p = first(
+        f"n={n}: residual {r}"
+        if (r := eigen[n + 1] - x() * eigen[n] + data.alpha[n] * (q_coupled[n].invert_variable() * x(n)))
+        else None
+        for n in range(n_max)
+    )
+    recurrence_q = first(
+        f"n={n}: residual {r}"
+        if (r := q_coupled[n + 1] - x() * q_coupled[n] + data.beta[n] * (eigen[n].invert_variable() * x(n)))
+        else None
+        for n in range(n_max)
+    )
+    return [pastro_match, partner_match, recurrence_p, recurrence_q]
+
+
+@pytest.mark.parametrize("bad_degrees", [(2, 3), (0,), (5,), (1, 4)])
+def test_streamed_baxter_witnesses_match_list_loops(bad_degrees):
+    # corrupt P~_n and Q_n at the given degrees; each streamed check must
+    # report the witness of its first failing n, as the whole-family loops do
+    n_max = 5
+    data = baxter_system(n_max, SECOND)
+    p_coupled = list(data.p_polys)
+    q_coupled = list(data.q_polys)
+    for n in bad_degrees:
+        p_coupled[n] = p_coupled[n] + x(n + 1)
+        q_coupled[n] = q_coupled[n] - Fraction(1, 3)
+
+    def corrupt(record):
+        return record._replace(p_coupled=p_coupled[record.n], q_coupled=q_coupled[record.n])
+
+    checks = baxter_checks(n_max, SECOND, corrupt)
+    assert [check.status for check in checks[:3]] == ["PASS"] * 3
+    expected = list_loop_witnesses(n_max, SECOND, p_coupled, q_coupled)
+    assert [check.witness for check in checks[3:]] == expected
+    assert all(witness is not None for witness in expected[:2])
 
 
 def test_partner_degree_zero_and_support():
@@ -214,9 +323,12 @@ def test_truncation_polynomial_splits_over_grid():
         assert pastro_poly(N, params) == expected
 
 
-def test_family_builder_validates_eagerly():
-    family = PastroFamily.build(REFERENCE, 6)
-    assert len(family.polys) == 7
-    assert family.polys[3] == pastro_poly(3, REFERENCE)
+def test_degree_records_carry_the_family():
+    data = baxter_coefficients(6, REFERENCE)
+    family = [record.p for record in degree_records(REFERENCE, 6, data)]
+    assert len(family) == 7
+    assert family[3] == pastro_poly(3, REFERENCE)
     with pytest.raises(ResonantParameterError):
-        PastroFamily.build(QParams(Fraction(1, 2), Fraction(3), Fraction(4)), 6)
+        # b q^2 = 1: the coefficient table the records step with is refused
+        resonant = QParams(Fraction(1, 2), Fraction(3), Fraction(4))
+        list(degree_records(resonant, 6, baxter_coefficients(6, resonant)))

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from pastroq.pastro import pastro_poly
+from pastroq.pastro import baxter_coefficients, baxter_system, pastro_eigenvalue, pastro_poly
 from pastroq.qcore import LaurentPoly, QParams, ResonantParameterError, x
 from pastroq.qdiff import (
     QDiffOperator,
+    degree_records,
     make_operators,
     operator_mismatch_witness,
     verify_contiguity,
@@ -21,6 +22,10 @@ from pastroq.report import poly_mismatch_witness
 REFERENCE = QParams(Fraction(1, 2), Fraction(3), Fraction(1, 5))
 SECOND = QParams(Fraction(-4, 5), Fraction(6), Fraction(-2))
 Q = Fraction(1, 2)
+
+
+def records(params: QParams, n_max: int):
+    return list(degree_records(params, n_max, baxter_coefficients(n_max, params)))
 
 
 def test_shift_operator_dilates():
@@ -149,29 +154,29 @@ def test_x_y_raise_degree_z_preserves():
 
 @pytest.mark.parametrize("params", [REFERENCE, SECOND])
 def test_gevp_passes(params):
-    for n in range(11):
-        check = verify_gevp(n, params)
+    for record in records(params, 10):
+        check = verify_gevp(record)
         assert check.status == "PASS", check.witness
 
 
 @pytest.mark.parametrize("params", [REFERENCE, SECOND])
 def test_qdiff_equation_passes(params):
-    for n in range(11):
-        check = verify_qdiff_equation(n, params)
+    for record in records(params, 10):
+        check = verify_qdiff_equation(record)
         assert check.status == "PASS", check.witness
 
 
 @pytest.mark.parametrize("params", [REFERENCE, SECOND])
 def test_recurrence_suite_passes(params):
-    for n in range(11):
-        for check in verify_recurrence(n, params):
+    for record in records(params, 10):
+        for check in verify_recurrence(record):
             assert check.status == "PASS", (check.name, check.witness)
 
 
 @pytest.mark.parametrize("params", [REFERENCE, SECOND])
 def test_contiguity_suite_passes(params):
-    for n in range(9):
-        for check in verify_contiguity(n, params):
+    for record in records(params, 8):
+        for check in verify_contiguity(record):
             assert check.status == "PASS", (check.name, check.witness)
 
 
@@ -188,7 +193,39 @@ def test_contiguity_z_follows_from_x():
 def test_verify_surfaces_resonance_from_construction():
     params = QParams(Fraction(1, 2), Fraction(2, 5), Fraction(1, 5))  # b/a = q
     with pytest.raises(ResonantParameterError):
-        verify_gevp(2, params)
+        verify_gevp(records(params, 2)[2])
+
+
+@pytest.mark.parametrize("params", [REFERENCE, SECOND])
+def test_degree_records_match_direct_constructions(params):
+    X, Y, Z = make_operators(params)
+    coupled = baxter_system(6, params)
+    shifted = params.with_b(params.b * params.q)
+    built = records(params, 6)
+    assert [record.n for record in built] == list(range(7))
+    for n, record in enumerate(built):
+        assert record.params == params
+        p = pastro_poly(n, params)
+        assert record.p_prev == (pastro_poly(n - 1, params) if n else LaurentPoly.zero())
+        assert record.p == p
+        assert record.p_next == pastro_poly(n + 1, params)
+        assert record.p_shifted == pastro_poly(n, shifted)
+        assert record.x_image == X.apply(p)
+        assert record.y_image == Y.apply(p)
+        assert record.z_image == Z.apply(p)
+        assert record.p_coupled == coupled.p_polys[n]
+        assert record.q_coupled == coupled.q_polys[n]
+
+
+def test_corrupted_record_fails_with_witness():
+    record = records(REFERENCE, 3)[3]
+    corrupted = record._replace(x_image=record.x_image + x(2))
+    assert verify_gevp(corrupted).status == "FAIL"
+    assert verify_gevp(corrupted).witness == poly_mismatch_witness(
+        record.y_image, pastro_eigenvalue(3, REFERENCE) * corrupted.x_image
+    )
+    statuses = {check.name: check.status for check in verify_contiguity(corrupted)}
+    assert statuses == {"contiguity-X": "FAIL", "contiguity-Y": "PASS", "contiguity-Z": "PASS"}
 
 
 def test_witness_pinpoints_first_mismatch():
