@@ -2,12 +2,13 @@
 
 This module is the arithmetic substrate for the whole package. Scalars are
 arbitrary-precision rationals (``fractions.Fraction``), Laurent polynomials
-are finite exponent-to-coefficient maps kept in canonical normal form (no
-zero coefficients stored), and the q-Pochhammer symbol and terminating
-basic hypergeometric series are evaluated exactly. Since the deformation
-parameter q is a rational outside {0, 1, -1}, it is never a root of unity,
-so denominators of the form 1 - q^m (m != 0) never vanish and every
-identity downstream reduces to literal equality of normal forms.
+are dense lists of int numerators over one common denominator, kept in a
+unique normal form (no zero end terms, content 1), and the q-Pochhammer
+symbol and terminating basic hypergeometric series are evaluated exactly.
+Since the deformation parameter q is a rational outside {0, 1, -1}, it is
+never a root of unity, so denominators of the form 1 - q^m (m != 0) never
+vanish and every identity downstream reduces to literal equality of normal
+forms.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
@@ -74,12 +77,17 @@ def format_rational(value: Scalar) -> str:
 class LaurentPoly:
     """A Laurent polynomial in one variable with exact rational coefficients.
 
-    Terms are stored as a finite map ``exponent -> coefficient`` with zero
-    coefficients dropped, so structural equality coincides with semantic
-    equality. Instances are treated as immutable.
+    The polynomial sum_i (nums[i] / den) x^(low + i) is stored as its
+    valuation ``_low``, a dense list ``_nums`` of int numerators and one
+    positive int denominator ``_den`` (the layout of FLINT's ``fmpq_poly``).
+    The normal form is unique: ``_nums[0]`` and ``_nums[-1]`` are nonzero,
+    ``gcd(_den, *_nums) == 1``, and zero is ``(0, [], 1)``. So structural
+    equality coincides with semantic equality, and each operation takes one
+    content gcd instead of reducing every coefficient. Instances are treated
+    as immutable.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_low", "_nums", "_den")
 
     def __init__(
         self,
@@ -91,96 +99,116 @@ class LaurentPoly:
             for exponent, coefficient in items:
                 if not isinstance(exponent, int):
                     raise TypeError(f"exponent must be int, got {exponent!r}")
-                total = data.get(exponent, Fraction(0)) + Fraction(coefficient)
-                if total:
-                    data[exponent] = total
-                elif exponent in data:
-                    del data[exponent]
-        self._terms = data
+                data[exponent] = data.get(exponent, 0) + Fraction(coefficient)
+        data = {e: c for e, c in data.items() if c}
+        if not data:
+            self._low, self._nums, self._den = 0, [], 1
+            return
+        low = min(data)
+        den = lcm(*(c.denominator for c in data.values()))
+        nums = [0] * (max(data) - low + 1)
+        for exponent, coefficient in data.items():
+            nums[exponent - low] = coefficient.numerator * (den // coefficient.denominator)
+        self._low, self._nums, self._den = low, nums, den
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _raw(0, [], 1)
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return _raw(0, [1], 1)
 
     @classmethod
     def constant(cls, value: Scalar) -> "LaurentPoly":
-        return cls({0: value})
+        return cls.monomial(value, 0)
 
     @classmethod
     def monomial(cls, coefficient: Scalar, exponent: int) -> "LaurentPoly":
-        return cls({exponent: coefficient})
+        if not isinstance(exponent, int):
+            raise TypeError(f"exponent must be int, got {exponent!r}")
+        coefficient = Fraction(coefficient)
+        if not coefficient:
+            return _raw(0, [], 1)
+        return _raw(exponent, [coefficient.numerator], coefficient.denominator)
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
         """Terms in ascending exponent order."""
-        return iter(sorted(self._terms.items()))
+        low, den = self._low, self._den
+        return ((low + i, Fraction(n, den)) for i, n in enumerate(self._nums) if n)
 
     def coefficient(self, exponent: int) -> Fraction:
-        return self._terms.get(exponent, Fraction(0))
+        index = exponent - self._low
+        if 0 <= index < len(self._nums):
+            return Fraction(self._nums[index], self._den)
+        return Fraction(0)
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._terms))
+        low = self._low
+        return tuple(low + i for i, n in enumerate(self._nums) if n)
 
     @property
     def degree(self) -> int | None:
         """Largest exponent, or None for the zero polynomial."""
-        return max(self._terms) if self._terms else None
+        return self._low + len(self._nums) - 1 if self._nums else None
 
     @property
     def valuation(self) -> int | None:
         """Smallest exponent, or None for the zero polynomial."""
-        return min(self._terms) if self._terms else None
+        return self._low if self._nums else None
 
     @property
     def is_polynomial(self) -> bool:
         """True when no negative exponents occur (includes the zero poly)."""
-        return not self._terms or min(self._terms) >= 0
+        return not self._nums or self._low >= 0
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self._terms:
+        if not self._nums:
             return Fraction(0)
-        return self._terms[max(self._terms)]
+        return Fraction(self._nums[-1], self._den)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, LaurentPoly):
-            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == LaurentPoly.constant(other)._terms
-        return NotImplemented
+            other = LaurentPoly.constant(other)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return (
+            self._low == other._low and self._den == other._den and self._nums == other._nums
+        )
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
+        return hash((self._low, self._den, tuple(self._nums)))
 
     def __add__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        merged = dict(self._terms)
-        for exponent, coefficient in other._terms.items():
-            total = merged.get(exponent, Fraction(0)) + coefficient
-            if total:
-                merged[exponent] = total
-            elif exponent in merged:
-                del merged[exponent]
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._terms = merged
-        return result
+        if not other._nums:
+            return self
+        if not self._nums:
+            return other
+        den = lcm(self._den, other._den)
+        low = min(self._low, other._low)
+        high = max(self._low + len(self._nums), other._low + len(other._nums))
+        nums = [0] * (high - low)
+        for term in (self, other):
+            scale = den // term._den
+            part = term._nums if scale == 1 else [n * scale for n in term._nums]
+            start = term._low - low
+            stop = start + len(part)
+            nums[start:stop] = map(add, nums[start:stop], part)
+        return _make(low, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._terms = {e: -c for e, c in self._terms.items()}
-        return result
+        return _raw(self._low, [-n for n in self._nums], self._den)
 
     def __sub__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -194,26 +222,25 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            factor = Fraction(other)
-            result = LaurentPoly.__new__(LaurentPoly)
-            result._terms = (
-                {e: c * factor for e, c in self._terms.items()} if factor else {}
-            )
-            return result
+            other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        product: dict[int, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exponent = e1 + e2
-                total = product.get(exponent, Fraction(0)) + c1 * c2
-                if total:
-                    product[exponent] = total
-                elif exponent in product:
-                    del product[exponent]
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._terms = product
-        return result
+        a, b = self._nums, other._nums
+        if not a or not b:
+            return _raw(0, [], 1)
+        low, den = self._low + other._low, self._den * other._den
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            factor = b[0]
+            return _make(low, [n * factor for n in a], den)
+        # Schoolbook product, one row per term of the shorter factor.
+        width = len(a)
+        nums = [0] * (width + len(b) - 1)
+        for i, factor in enumerate(b):
+            if factor:
+                nums[i : i + width] = map(add, nums[i : i + width], [n * factor for n in a])
+        return _make(low, nums, den)
 
     __rmul__ = __mul__
 
@@ -239,41 +266,63 @@ class LaurentPoly:
     def eval_at(self, point: Scalar) -> Fraction:
         """Evaluate at a rational point (nonzero if negative exponents occur)."""
         point = Fraction(point)
-        if not self._terms:
+        nums, low = self._nums, self._low
+        if not nums:
             return Fraction(0)
-        low, high = min(self._terms), max(self._terms)
-        if point == 0 and low < 0:
+        if not point and low < 0:
             raise ZeroDivisionError("negative exponents cannot be evaluated at 0")
-        # Horner's rule over [valuation, degree], then scale by point^valuation.
-        value = Fraction(0)
-        for exponent in range(high, low - 1, -1):
-            value = value * point + self._terms.get(exponent, 0)
-        return value * point**low
+        # With point = p/r, Horner's rule on ints gives sum_i nums[i] p^i r^(top-i);
+        # the value is that sum times p^low / r^high, high = low + top.
+        p, r = point.numerator, point.denominator
+        value = 0
+        r_power = 1
+        for n in reversed(nums):
+            value = value * p + n * r_power
+            r_power *= r
+        denominator = self._den
+        high = low + len(nums) - 1
+        if low >= 0:
+            value *= p**low
+        else:
+            denominator *= p**-low
+        if high >= 0:
+            denominator *= r**high
+        else:
+            value *= r**-high
+        return Fraction(value, denominator)
 
     def dilate(self, factor: Scalar) -> "LaurentPoly":
         """Substitute x -> factor*x, i.e. scale the exponent-k term by factor^k."""
         factor = Fraction(factor)
         if factor == 0:
             raise ValueError("dilation factor must be nonzero")
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._terms = {e: c * factor**e for e, c in self._terms.items()}
-        return result
+        nums, low = self._nums, self._low
+        if not nums:
+            return self
+        # With factor = p/r, the exponent-(low+i) term is scaled by
+        # p^i r^(top-i) times the common factor p^low / r^high, high = low + top.
+        p, r = factor.numerator, factor.denominator
+        top = len(nums) - 1
+        scale = factor**low / r**top
+        scaled = [n * p**i * r ** (top - i) * scale.numerator for i, n in enumerate(nums)]
+        return _make(low, scaled, self._den * scale.denominator)
 
     def derivative(self) -> "LaurentPoly":
         """Formal derivative, valid for all integer exponents."""
-        return LaurentPoly({e - 1: c * e for e, c in self._terms.items() if e})
+        low = self._low
+        return _make(low - 1, [n * (low + i) for i, n in enumerate(self._nums)], self._den)
 
     def invert_variable(self) -> "LaurentPoly":
         """Substitute x -> 1/x, negating every exponent."""
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._terms = {-e: c for e, c in self._terms.items()}
-        return result
+        if not self._nums:
+            return self
+        return _raw(1 - self._low - len(self._nums), self._nums[::-1], self._den)
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._nums:
             return "0"
         pieces: list[str] = []
-        for exponent, coefficient in sorted(self._terms.items(), reverse=True):
+        for exponent, coefficient in reversed(list(self.items())):
             if exponent == 0:
                 body = format_rational(abs(coefficient))
             else:
@@ -287,7 +336,36 @@ class LaurentPoly:
         return " ".join(pieces)
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({dict(sorted(self._terms.items()))!r})"
+        return f"LaurentPoly({dict(self.items())!r})"
+
+
+def _raw(low: int, nums: list[int], den: int) -> LaurentPoly:
+    """A LaurentPoly from parts already in normal form."""
+    poly = object.__new__(LaurentPoly)
+    poly._low, poly._nums, poly._den = low, nums, den
+    return poly
+
+
+def _make(low: int, nums: list[int], den: int) -> LaurentPoly:
+    """A LaurentPoly in normal form from any parts with ``den > 0``.
+
+    Strips the zero end terms and divides out the content gcd(den, *nums).
+    """
+    stop = len(nums)
+    while stop and not nums[stop - 1]:
+        stop -= 1
+    if not stop:
+        return _raw(0, [], 1)
+    start = 0
+    while not nums[start]:
+        start += 1
+    if start or stop < len(nums):
+        nums = nums[start:stop]
+    content = gcd(den, *nums)
+    if content != 1:
+        den //= content
+        nums = [n // content for n in nums]
+    return _raw(low + start, nums, den)
 
 
 def x(power: int = 1) -> LaurentPoly:

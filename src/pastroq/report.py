@@ -115,6 +115,8 @@ class Report:
 
 def poly_mismatch_witness(lhs: LaurentPoly, rhs: LaurentPoly) -> str | None:
     """First exponent where two Laurent polynomials differ, or None."""
+    if lhs == rhs:
+        return None
     for exponent in sorted(set(lhs.support) | set(rhs.support)):
         left, right = lhs.coefficient(exponent), rhs.coefficient(exponent)
         if left != right:

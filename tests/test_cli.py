@@ -1,8 +1,10 @@
 """CLI behavior: schemas, exit codes, determinism, error paths."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -165,6 +167,54 @@ def test_out_of_range_sizes_are_errors_in_process(config, field, message):
     assert check.params == {field: str(getattr(config, field))}
     assert check.witness == message
     assert (extra, lines) == ({}, [])
+
+
+def _mostly(good, bad):
+    """``good`` on five branches of six and ``bad`` on one, so most argvs parse."""
+    return st.integers(0, 5).flatmap(lambda k: bad if k == 0 else good)
+
+
+_rational_literals = _mostly(
+    st.one_of(
+        st.builds(lambda p, r: f"{p}/{r}", st.integers(-4, 4), st.integers(1, 4)),
+        st.integers(-3, 3).map(str),
+    ),
+    st.sampled_from(["1.5", "1e3", "nan", "x", "", "1/0", "1/-2", "--3", "2/3/4"]),
+)
+#: Size flags stay at or below 4 (so every run is quick) but go below their
+#: minimums, and sometimes are not integers at all.
+_size_literals = _mostly(st.integers(-2, 4).map(str), st.sampled_from(["1.5", "x", "", "2/3"]))
+_options = st.one_of(
+    st.tuples(st.sampled_from(["--q", "--a", "--b", "--mu"]), _rational_literals),
+    st.tuples(st.sampled_from(["--nmax", "--N", "--draws"]), _size_literals),
+    st.tuples(st.just("--seed"), _mostly(st.integers(-9, 9).map(str), st.just("seven"))),
+)
+
+
+@st.composite
+def _argvs(draw):
+    argv = [draw(st.sampled_from(["table", "verify", "biorth", "algebra", "sweep"]))]
+    for flag, value in draw(st.lists(_options, max_size=5)):
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv + ["--format", draw(st.sampled_from(["text", "json"]))]
+
+
+@given(_argvs())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_argv_fuzz_exits_0_or_2_without_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code in (0, 2), (argv, out.getvalue()[-500:])
+    assert "Traceback" not in err.getvalue()
+    if not out.getvalue():
+        # argparse refused the argv: a usage error naming the problem
+        assert exit_info.value.code == 2
+        assert "error:" in err.getvalue()
+    elif argv[-1] == "json":
+        assert isinstance(json.loads(out.getvalue())["checks"], list)
+    else:
+        assert out.getvalue().splitlines()[-1].startswith("checks: ")
 
 
 #: The rationals admissible_draws picks from: p/r with |p| <= 6, 1 <= r <= 6.

@@ -16,6 +16,8 @@ GOLDEN = Path(__file__).parent / "golden"
 #: exit 2 with the first ParameterError the grid build raises. The five
 #: cases after them are the test_criterion_8_determinism invocations; the
 #: last verify input is resonant and exits 2 with the admissibility ERROR.
+#: ``table --nmax 12`` is the one case that prints whole polynomials (str,
+#: items and poly_to_json), so it guards term order, signs and ``1*x`` elision.
 CASES = [
     ("biorth_N8", ["biorth", "--N", "8"], 0),
     ("biorth_q-4_5_b-2_N16", ["biorth", "--q=-4/5", "--b=-2", "--N", "16"], 0),
@@ -29,6 +31,7 @@ CASES = [
     ("sweep_seed9_draws3_nmax3", ["sweep", "--seed", "9", "--draws", "3", "--nmax", "3"], 0),
     ("verify_q1_2_a-2_3_b-1_2_nmax24", ["verify", "--q=1/2", "--a=-2/3", "--b=-1/2", "--nmax", "24"], 0),
     ("verify_q1_2_b2_nmax3", ["verify", "--q=1/2", "--b=2", "--nmax", "3"], 2),
+    ("table_nmax12", ["table", "--nmax", "12"], 0),
 ]
 
 

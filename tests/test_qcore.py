@@ -1,5 +1,6 @@
 """Exact scalar parsing, Laurent polynomial arithmetic, and q-series."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -260,3 +261,36 @@ def test_qparams_with_b():
     shifted = params.with_b(params.b * params.q)
     assert shifted.b == Fraction(1, 10)
     assert (shifted.q, shifted.a) == (params.q, params.a)
+
+
+_FACTOR_NAME = re.compile(r"\(1 - (b|\(b/a\))\*q\^(-?\d+)\) vanishes\Z")
+_unit_fractions = st.fractions(max_denominator=5, min_value=-5, max_value=5)
+
+
+@st.composite
+def _maybe_resonant_params(draw):
+    """Small (q, a, b), with b often placed on b*q^j = 1 or (b/a)*q^j = 1."""
+    q = draw(_unit_fractions.filter(lambda v: v not in (0, 1, -1)))
+    a = draw(_unit_fractions.filter(bool))
+    j = draw(st.integers(min_value=-8, max_value=8))
+    b = draw(st.sampled_from([None, q**-j, a * q**-j]))
+    if b is None:
+        b = draw(_unit_fractions.filter(bool))
+    return QParams(q, a, b)
+
+
+@given(_maybe_resonant_params(), st.integers(min_value=0, max_value=6))
+@settings(max_examples=200, derandomize=True)
+def test_vanishing_factors_are_exact(params, n_max):
+    q, a, b = params.q, params.a, params.b
+    named = set()
+    for text in params.vanishing_factors(n_max):
+        match = _FACTOR_NAME.match(text)
+        assert match, text
+        named.add((match[1], int(match[2])))
+    factors = {("b", j): 1 - b * q**j for j in range(-1, n_max + 2)}
+    factors.update({("(b/a)", j): 1 - (b / a) * q**j for j in range(-(n_max + 1), 1)})
+    assert named <= set(factors)
+    for key, value in factors.items():
+        assert (value == 0) == (key in named), key
+    assert len(params.vanishing_factors(n_max)) == len(named)
