@@ -14,6 +14,8 @@ import random
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
 from .algebra import (
     casimir_centrality,
@@ -283,70 +285,67 @@ def _draw_triple(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
     return rational(), rational(), rational()
 
 
+#: Draws a seeded sweep or ``admissible_draws`` makes before giving up.
+_MAX_ATTEMPTS = 1000
+
+
+def _draws(
+    seed: int, n_max: int
+) -> Iterator[tuple[int, tuple[Fraction, Fraction, Fraction], QParams | None, str | None]]:
+    """Seeded draws ``(attempt, (q, a, b), params, problem)`` for attempt = 1.._MAX_ATTEMPTS.
+
+    ``problem`` is None for an admissible draw; otherwise it is the
+    ``ParameterError`` text (``params`` is then None) or the vanishing
+    factors for degrees up to ``n_max``.
+    """
+    rng = random.Random(seed)
+    for attempt in range(1, _MAX_ATTEMPTS + 1):
+        triple = _draw_triple(rng)
+        try:
+            params = QParams(*triple)
+        except ParameterError as exc:
+            yield attempt, triple, None, str(exc)
+            continue
+        yield attempt, triple, params, "; ".join(_admissibility_issues(params, n_max)) or None
+
+
 def admissible_draws(seed: int, count: int, n_max: int) -> list[QParams]:
     """Deterministic admissible parameter triples (inadmissible draws skipped)."""
-    rng = random.Random(seed)
-    out: list[QParams] = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 1000:
-            raise RuntimeError("could not draw enough admissible parameter triples")
-        q, a, b = _draw_triple(rng)
-        try:
-            params = QParams(q, a, b)
-        except ParameterError:
-            continue
-        if _admissibility_issues(params, n_max):
-            continue
-        out.append(params)
+    admissible = (params for _, _, params, problem in _draws(seed, n_max) if problem is None)
+    out = list(islice(admissible, max(count, 0)))
+    if len(out) < count:
+        raise RuntimeError("could not draw enough admissible parameter triples")
     return out
 
 
 def _cmd_sweep(config: RunConfig) -> tuple[Report, dict, list[str]]:
     report = Report()
-    rng = random.Random(config.seed)
-    accepted: list[tuple[str, QParams]] = []
-    attempts = 0
-    while len(accepted) < config.draws and attempts < 1000:
-        attempts += 1
+    accepted = attempts = 0
+    for attempts, (q, a, b), params, problem in _draws(config.seed, config.n_max):
         label = f"draw-{attempts}"
-        q, a, b = _draw_triple(rng)
-        drawn = {
-            "draw": label,
-            "q": format_rational(q),
-            "a": format_rational(a),
-            "b": format_rational(b),
-        }
-        try:
-            params = QParams(q, a, b)
-        except ParameterError as exc:
+        if problem is not None:
+            drawn = {
+                "draw": label,
+                "q": format_rational(q),
+                "a": format_rational(a),
+                "b": format_rational(b),
+            }
             report.checks.append(
                 Check(
                     name="sweep-draw",
                     identity="admissible parameter draw",
                     params=drawn,
                     status=SKIP,
-                    witness=str(exc),
+                    witness=problem,
                 )
             )
             continue
-        issues = _admissibility_issues(params, config.n_max)
-        if issues:
-            report.checks.append(
-                Check(
-                    name="sweep-draw",
-                    identity="admissible parameter draw",
-                    params=drawn,
-                    status=SKIP,
-                    witness="; ".join(issues),
-                )
-            )
-            continue
-        accepted.append((label, params))
+        accepted += 1
         for check in verify_suite(params, config.n_max):
             report.checks.append(replace(check, params=check.params | {"draw": label}))
-    if len(accepted) < config.draws:
+        if accepted == config.draws:
+            break
+    if accepted < config.draws:
         report.checks.append(
             Check(
                 name="sweep-draws",
@@ -357,11 +356,11 @@ def _cmd_sweep(config: RunConfig) -> tuple[Report, dict, list[str]]:
                     "n_max": str(config.n_max),
                 },
                 status=ERROR,
-                witness=f"{len(accepted)} of {config.draws} draws admissible "
+                witness=f"{accepted} of {config.draws} draws admissible "
                 f"within {attempts} attempts",
             )
         )
-    return report, {"draws_requested": config.draws, "draws_run": len(accepted)}, []
+    return report, {"draws_requested": config.draws, "draws_run": accepted}, []
 
 
 _COMMANDS = {

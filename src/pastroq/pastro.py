@@ -1,11 +1,13 @@
 """The Pastro polynomial family, its partners, and its recurrence data.
 
 Everything in this module is a function of the parameter triple
-(q, a, b). The polynomials P_n are monic of degree n and are built by an
+(q, a, b). The polynomials P_n are monic of degree n and are built from an
 exact two-term coefficient recurrence; their biorthogonal partners R_n are
-Laurent polynomials supported on exponents [-n, 0], built from the
-terminating series. The Baxter-style coupled recurrence reconstructs both
-families from scratch and is used as an independent derivation route.
+Laurent polynomials supported on exponents [-n, 0], built from the term
+ratios of a terminating series. Both are built on integers, in one
+ratio-product pass per polynomial. The Baxter-style coupled recurrence
+reconstructs both families from scratch and is used as an independent
+derivation route.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from .qcore import (
     QParams,
     ResonantParameterError,
     Scalar,
+    _one_minus,
+    _ratio_poly,
     format_rational,
     phi21_terminating,
     q_pochhammer,
@@ -27,7 +31,6 @@ from .qcore import (
 from .report import Check, equality_check, poly_mismatch_witness
 
 __all__ = [
-    "pastro_coefficients",
     "pastro_poly",
     "pastro_poly_series",
     "pastro_monic_prefactor",
@@ -54,40 +57,39 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"degree must be a nonnegative integer, got {n!r}")
 
 
-def pastro_coefficients(n: int, params: QParams) -> list[Fraction]:
-    """Coefficients [C_0, ..., C_n] of the monic P_n, by descending recurrence.
+def _pair(value: Fraction) -> tuple[int, int]:
+    return value.numerator, value.denominator
+
+
+def pastro_poly(n: int, params: QParams) -> LaurentPoly:
+    """The monic polynomial P_n(x; a, b) of degree n, by descending recurrence.
 
     Seeded with C_n = 1 and stepped down through
-      (1 - q^(k-n)) (1 - b q^k) C_k = (1 - (b/a) q^(k+1-n)) (1 - q^(k+1)) C_(k+1).
-    The factor 1 - q^(k-n) never vanishes (q is not a root of unity); the
-    other factors are checked and reported exactly when they vanish.
+      (1 - q^(k-n)) (1 - b q^k) C_k = (1 - (b/a) q^(k+1-n)) (1 - q^(k+1)) C_(k+1),
+    with every factor an int pair, so the coefficients are built on
+    integers in one ratio-product pass. The factor 1 - q^(k-n) never
+    vanishes (q is not a root of unity); the other factors are checked and
+    reported exactly when they vanish.
     """
     _check_degree(n)
-    q, a, b = params.q, params.a, params.b
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
+    q, b_over_a, b = _pair(params.q), _pair(params.b / params.a), _pair(params.b)
+    ratios = []
     for k in range(n - 1, -1, -1):
-        shift_factor = 1 - (b / a) * q ** (k + 1 - n)
-        if shift_factor == 0:
+        shift_num, shift_den = _one_minus(b_over_a, q, k + 1 - n)
+        if shift_num == 0:
             raise ResonantParameterError(
                 f"factor (1 - (b/a)*q^{k + 1 - n}) vanishes: "
                 f"monic family of degree {n} degenerates"
             )
-        b_factor = 1 - b * q**k
-        if b_factor == 0:
+        b_num, b_den = _one_minus(b, q, k)
+        if b_num == 0:
             raise ResonantParameterError(f"factor (1 - b*q^{k}) vanishes")
-        coeffs[k] = (
-            coeffs[k + 1]
-            * shift_factor
-            * (1 - q ** (k + 1))
-            / ((1 - q ** (k - n)) * b_factor)
+        up_num, up_den = _one_minus((1, 1), q, k + 1)
+        down_num, down_den = _one_minus((1, 1), q, k - n)
+        ratios.append(
+            (shift_num * up_num * down_den * b_den, shift_den * up_den * down_num * b_num)
         )
-    return coeffs
-
-
-def pastro_poly(n: int, params: QParams) -> LaurentPoly:
-    """The monic polynomial P_n(x; a, b) of degree n."""
-    return LaurentPoly(enumerate(pastro_coefficients(n, params)))
+    return _ratio_poly(n, (1, 1), ratios)
 
 
 def pastro_monic_prefactor(n: int, params: QParams) -> Fraction:
@@ -299,23 +301,48 @@ def biorthogonal_partner(n: int, params: QParams) -> LaurentPoly:
 
     R_n = [(q^-n;q)_n (b/q;q)_n / (((b/a)q^-n;q)_n (q;q)_n)]
           * 2phi1(q^-n, (a/b)q; q^(2-n)/b; q, q^2/(a x)).
+
+    The prefactor is a product of n factor pairs and the series is built
+    from its term ratios times q^2/a, all on integers. The factors of
+    ((b/a)q^-n;q)_n are checked first, then the series factor
+    (1 - lower*q^k) at each k, lower = q^(2-n)/b.
     """
     _check_degree(n)
     q, a, b = params.q, params.a, params.b
-    denominator = q_pochhammer((b / a) * q**-n, q, n) * q_pochhammer(q, q, n)
-    if denominator == 0:
+    q_pair, one, b_over_a, b_over_q = _pair(q), (1, 1), _pair(b / a), _pair(b / q)
+    shifted = [_one_minus(b_over_a, q_pair, j - n) for j in range(n)]
+    if any(num == 0 for num, _ in shifted):
         raise ResonantParameterError(
             f"((b/a)*q^{-n};q)_{n} vanishes: partner of degree {n} degenerates"
         )
-    prefactor = q_pochhammer(q**-n, q, n) * q_pochhammer(b / q, q, n) / denominator
-    series = phi21_terminating(
-        n,
-        (a / b) * q,
-        q ** (2 - n) / b,
-        q,
-        LaurentPoly.monomial(q**2 / a, -1),
-    )
-    return prefactor * series
+    prefactor_num = prefactor_den = 1
+    for j, (shifted_num, shifted_den) in enumerate(shifted):
+        down_num, down_den = _one_minus(one, q_pair, j - n)
+        b_num, b_den = _one_minus(b_over_q, q_pair, j)
+        up_num, up_den = _one_minus(one, q_pair, j + 1)
+        prefactor_num *= down_num * b_num * shifted_den * up_den
+        prefactor_den *= down_den * b_den * shifted_num * up_num
+
+    inverse_b, a_over_b = (b.denominator, b.numerator), _pair(a / b)
+    arg_num, arg_den = q.numerator**2 * a.denominator, q.denominator**2 * a.numerator
+    ratios = []
+    for k in range(n):
+        lower_num, lower_den = _one_minus(inverse_b, q_pair, k + 2 - n)
+        if lower_num == 0:
+            raise ResonantParameterError(
+                f"series denominator factor (1 - lower*q^{k}) vanishes "
+                f"(lower = {format_rational(q ** (2 - n) / b)}, q = {format_rational(q)})"
+            )
+        down_num, down_den = _one_minus(one, q_pair, k - n)
+        upper_num, upper_den = _one_minus(a_over_b, q_pair, k + 1)
+        up_num, up_den = _one_minus(one, q_pair, k + 1)
+        ratios.append(
+            (
+                down_num * upper_num * lower_den * up_den * arg_num,
+                down_den * upper_den * lower_num * up_num * arg_den,
+            )
+        )
+    return _ratio_poly(0, (prefactor_num, prefactor_den), ratios)
 
 
 @dataclass

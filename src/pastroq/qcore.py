@@ -373,6 +373,53 @@ def x(power: int = 1) -> LaurentPoly:
     return LaurentPoly.monomial(1, power)
 
 
+def _one_minus(c: tuple[int, int], q: tuple[int, int], m: int) -> tuple[int, int]:
+    """The factor 1 - c*q^m as an unreduced int pair (numerator, denominator).
+
+    ``c`` and ``q`` are int pairs (numerator, nonzero denominator); the
+    result's denominator is nonzero but may be negative.
+    """
+    if m >= 0:
+        top, bottom = q[0] ** m, q[1] ** m
+    else:
+        top, bottom = q[1] ** -m, q[0] ** -m
+    den = c[1] * bottom
+    return den - c[0] * top, den
+
+
+def _ratio_poly(
+    top: int, first: tuple[int, int], ratios: list[tuple[int, int]]
+) -> LaurentPoly:
+    """The LaurentPoly sum_i c_i x^(top - i) with c_0 = first, c_(i+1) = c_i * ratios[i].
+
+    ``first`` and every ratio are int pairs (numerator, nonzero denominator).
+    Each pair is reduced by its own gcd, then with N_i the product of the
+    first i ratio numerators and S_i the product of the ratio denominators
+    from i on, c_i = first_num * N_i * S_i / (first_den * S_0): O(n) int
+    products, and one content gcd in ``_make``.
+    """
+
+    def reduced(num: int, den: int) -> tuple[int, int]:
+        common = gcd(num, den)
+        return (num // common, den // common) if common != 1 else (num, den)
+
+    ratios = [reduced(num, den) for num, den in ratios]
+    prefix, first_den = reduced(*first)
+    suffix = [1] * (len(ratios) + 1)
+    for i in range(len(ratios) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * ratios[i][1]
+    den = first_den * suffix[0]
+    if den < 0:
+        den, prefix = -den, -prefix
+    nums = []
+    for (num, _), tail in zip(ratios, suffix):
+        nums.append(prefix * tail)
+        prefix *= num
+    nums.append(prefix)
+    nums.reverse()
+    return _make(top - len(ratios), nums, den)
+
+
 def q_pochhammer(z: Scalar, q: Scalar, n: int) -> Fraction:
     """The q-shifted factorial (z; q)_n = prod_{j=0}^{n-1} (1 - z*q^j)."""
     if not isinstance(n, int) or n < 0:

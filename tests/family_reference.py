@@ -1,0 +1,75 @@
+"""The Fraction routes that ``pastroq.pastro`` used to build P_n and R_n
+before it built them on integers, kept as the reference of the differential
+tests.
+
+P_n steps the descending coefficient recurrence in reduced Fractions and
+hands the coefficients to the ``LaurentPoly`` constructor. R_n multiplies
+four ``q_pochhammer`` products into a prefactor and expands the series with
+``phi21_terminating``. Both raise the same ``ResonantParameterError`` texts,
+in the same order, as the package's builders.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from pastroq.qcore import (
+    LaurentPoly,
+    QParams,
+    ResonantParameterError,
+    phi21_terminating,
+    q_pochhammer,
+)
+
+
+def pastro_coefficients(n: int, params: QParams) -> list[Fraction]:
+    """Coefficients [C_0, ..., C_n] of the monic P_n, by descending recurrence.
+
+    Seeded with C_n = 1 and stepped down through
+      (1 - q^(k-n)) (1 - b q^k) C_k = (1 - (b/a) q^(k+1-n)) (1 - q^(k+1)) C_(k+1).
+    """
+    q, a, b = params.q, params.a, params.b
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    for k in range(n - 1, -1, -1):
+        shift_factor = 1 - (b / a) * q ** (k + 1 - n)
+        if shift_factor == 0:
+            raise ResonantParameterError(
+                f"factor (1 - (b/a)*q^{k + 1 - n}) vanishes: "
+                f"monic family of degree {n} degenerates"
+            )
+        b_factor = 1 - b * q**k
+        if b_factor == 0:
+            raise ResonantParameterError(f"factor (1 - b*q^{k}) vanishes")
+        coeffs[k] = (
+            coeffs[k + 1]
+            * shift_factor
+            * (1 - q ** (k + 1))
+            / ((1 - q ** (k - n)) * b_factor)
+        )
+    return coeffs
+
+
+def pastro_poly(n: int, params: QParams) -> LaurentPoly:
+    """The monic P_n from the Fraction recurrence."""
+    return LaurentPoly(enumerate(pastro_coefficients(n, params)))
+
+
+def biorthogonal_partner(n: int, params: QParams) -> LaurentPoly:
+    """R_n = [(q^-n;q)_n (b/q;q)_n / (((b/a)q^-n;q)_n (q;q)_n)]
+    * 2phi1(q^-n, (a/b)q; q^(2-n)/b; q, q^2/(a x)), in Fractions."""
+    q, a, b = params.q, params.a, params.b
+    denominator = q_pochhammer((b / a) * q**-n, q, n) * q_pochhammer(q, q, n)
+    if denominator == 0:
+        raise ResonantParameterError(
+            f"((b/a)*q^{-n};q)_{n} vanishes: partner of degree {n} degenerates"
+        )
+    prefactor = q_pochhammer(q**-n, q, n) * q_pochhammer(b / q, q, n) / denominator
+    series = phi21_terminating(
+        n,
+        (a / b) * q,
+        q ** (2 - n) / b,
+        q,
+        LaurentPoly.monomial(q**2 / a, -1),
+    )
+    return prefactor * series

@@ -20,7 +20,7 @@ from pastroq.cli import (
     run,
     verify_suite,
 )
-from pastroq.qcore import ParameterError, QParams
+from pastroq.qcore import ParameterError, QParams, format_rational
 from pastroq.report import Check, Report
 
 PASTROQ = [sys.executable, "-m", "pastroq"]
@@ -233,6 +233,37 @@ def test_verify_suite_passes_at_admissible_points(q, a, b, n_max):
     assert len(checks) == 9 * (n_max + 1) + 7
     failing = [(check.name, check.params, check.witness) for check in checks if check.status != "PASS"]
     assert failing == []
+
+
+@given(draw_rationals, draw_rationals, st.integers(1, 4))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_biorth_never_raises(q, b, N):
+    report, _, _ = run(RunConfig("biorth", q=q, b=b, N=N))
+    assert report.exit_code in (0, 2)
+    if report.exit_code == 2:
+        assert [check.name for check in report.checks if check.status == "ERROR"] == ["parameters"]
+
+
+def test_sweep_runs_the_admissible_draws():
+    report, extra, _ = run(RunConfig("sweep", seed=3, draws=4, n_max=2))
+    ran = {}
+    for check in report.checks:
+        if check.status != "SKIP":
+            ran.setdefault(check.params["draw"], check.params)
+    expected = admissible_draws(seed=3, count=4, n_max=2)
+    assert [(c["q"], c["a"], c["b"]) for c in ran.values()] == [
+        tuple(format_rational(v) for v in (p.q, p.a, p.b)) for p in expected
+    ]
+    skipped = [check.params["draw"] for check in report.checks if check.status == "SKIP"]
+    labels = sorted(skipped + list(ran), key=lambda label: int(label.split("-")[1]))
+    assert labels == [f"draw-{i}" for i in range(1, len(labels) + 1)]
+    assert extra == {"draws_requested": 4, "draws_run": 4}
+
+
+def test_admissible_draws_give_up_after_the_attempt_cap():
+    with pytest.raises(RuntimeError):
+        admissible_draws(seed=1, count=1001, n_max=0)
+    assert admissible_draws(seed=1, count=0, n_max=0) == []
 
 
 def test_admissible_draws_deterministic():

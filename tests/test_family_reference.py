@@ -1,0 +1,116 @@
+"""Differential tests: the integer builders of P_n and R_n against the Fraction routes.
+
+``family_reference`` holds the recurrence-in-Fractions P_n and the
+``q_pochhammer``/``phi21_terminating`` R_n that the package used before.
+``pastro_poly`` and ``biorthogonal_partner`` must give the same polynomial,
+or raise a ``ResonantParameterError`` with the same text, at admissible
+points and at points placed on the factors that vanish.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import family_reference
+from pastroq.pastro import biorthogonal_partner, pastro_poly
+from pastroq.qcore import ParameterError, QParams, ResonantParameterError
+
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+#: How b (or a) is placed relative to q, each with an offset j:
+#: "b*q^j=1" b = q^-j; "(b/a)*q^j=1" b = a q^-j; "(a/b)*q^j=1" a = b q^-j
+#: (a vanishing factor of R_n's series numerator); "(b/q;q)" b = q^(1-j)
+#: (a zero of the prefactor's (b/q;q)_n).
+_PLACEMENTS = ("free", "b*q^j=1", "(b/a)*q^j=1", "(a/b)*q^j=1", "(b/q;q)")
+
+
+def _place(placement: str, q: Fraction, a: Fraction, b: Fraction, j: int):
+    if placement == "b*q^j=1":
+        b = q**-j
+    elif placement == "(b/a)*q^j=1":
+        b = a * q**-j
+    elif placement == "(a/b)*q^j=1":
+        a = b * q**-j
+    elif placement == "(b/q;q)":
+        b = q ** (1 - j)
+    return q, a, b
+
+
+def _outcome(build, n: int, params: QParams):
+    """The built polynomial, or the error's text."""
+    try:
+        return "poly", build(n, params)
+    except ResonantParameterError as exc:
+        return "error", str(exc)
+
+
+def assert_normal_form(poly) -> None:
+    low, nums, den = poly._low, poly._nums, poly._den
+    assert den > 0
+    if not nums:
+        assert (low, den) == (0, 1)
+    else:
+        assert nums[0] and nums[-1]
+        assert gcd(den, *nums) == 1
+
+
+@given(
+    _rationals,
+    _rationals,
+    _rationals,
+    st.integers(0, 9),
+    st.sampled_from(_PLACEMENTS),
+    st.integers(-2, 10),
+)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_builders_match_fraction_routes(q, a, b, n, placement, j):
+    assume(q not in (0, 1, -1))
+    try:
+        params = QParams(*_place(placement, q, a, b, j))
+    except ParameterError:
+        assume(False)
+    for build, reference in (
+        (pastro_poly, family_reference.pastro_poly),
+        (biorthogonal_partner, family_reference.biorthogonal_partner),
+    ):
+        outcome = _outcome(build, n, params)
+        assert outcome == _outcome(reference, n, params)
+        if outcome[0] == "poly":
+            assert_normal_form(outcome[1])
+
+
+@pytest.mark.parametrize(
+    "q, a, b, n",
+    [
+        (Fraction(1, 2), Fraction(3), Fraction(1, 5), 0),
+        (Fraction(-4, 5), Fraction(6), Fraction(-2), 0),
+        (Fraction(1, 2), Fraction(3), Fraction(1, 5), 12),
+        (Fraction(-7, 5), Fraction(5, 3), Fraction(2, 9), 24),
+    ],
+)
+def test_builders_match_at_fixed_points(q, a, b, n):
+    params = QParams(q, a, b)
+    assert pastro_poly(n, params) == family_reference.pastro_poly(n, params)
+    assert biorthogonal_partner(n, params) == family_reference.biorthogonal_partner(n, params)
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        # (a/b) q^2 = 1 would zero R_4's series terms from k = 2 on, but the
+        # same factor is (1 - (b/a) q^-2) of ((b/a)q^-4;q)_4, checked first.
+        (Fraction(4, 5), Fraction(1, 5), "((b/a)*q^-4;q)_4 vanishes: partner of degree 4 degenerates"),
+        # b = q^-1 would zero the prefactor's (b/q;q)_4, but then
+        # lower*q^1 = q^(1+2-4)/b = 1 too, and the series factor is checked.
+        (Fraction(3), Fraction(2), "series denominator factor (1 - lower*q^1) vanishes (lower = 2, q = 1/2)"),
+    ],
+)
+def test_vanishing_partner_factors_raise_first(a, b, message):
+    params = QParams(Fraction(1, 2), a, b)
+    for build in (biorthogonal_partner, family_reference.biorthogonal_partner):
+        with pytest.raises(ResonantParameterError) as raised:
+            build(4, params)
+        assert str(raised.value) == message

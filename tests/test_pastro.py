@@ -15,7 +15,6 @@ from pastroq.pastro import (
     mu2,
     norm_constant,
     pastro_coefficient_ratio,
-    pastro_coefficients,
     pastro_eigenvalue,
     pastro_monic_prefactor,
     pastro_poly,
@@ -51,11 +50,11 @@ def test_family_is_monic_polynomial(params):
 def test_coefficients_match_closed_form_ratio():
     for params in (REFERENCE, SECOND):
         for n in range(9):
-            coeffs = pastro_coefficients(n, params)
+            poly = pastro_poly(n, params)
             lead = pastro_monic_prefactor(n, params)
-            assert coeffs[0] == lead
+            assert poly.coefficient(0) == lead
             for k in range(n + 1):
-                assert coeffs[k] == pastro_coefficient_ratio(n, k, params) * lead
+                assert poly.coefficient(k) == pastro_coefficient_ratio(n, k, params) * lead
 
 
 def test_recurrence_route_matches_series_route():
