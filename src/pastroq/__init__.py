@@ -24,10 +24,8 @@ from .qcore import (
 from .pastro import (
     BaxterData,
     GridWeights,
-    alpha_coefficient,
     baxter_coefficients,
     baxter_system,
-    beta_coefficient,
     biorthogonal_partner,
     grid_weights,
     norm_constant,
@@ -80,10 +78,8 @@ __all__ = [
     "x",
     "BaxterData",
     "GridWeights",
-    "alpha_coefficient",
     "baxter_coefficients",
     "baxter_system",
-    "beta_coefficient",
     "biorthogonal_partner",
     "grid_weights",
     "norm_constant",

@@ -434,17 +434,14 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
     )
 
     for name, build in (("X", restricted_x_matrix), ("Y", restricted_y_matrix)):
-        def double_flip(size: int, inner_b: Fraction, inner_q: Fraction, _build=build) -> Band:
-            return tau_transform(_build, size, inner_b, inner_q)
-
+        # rebuilt at tau(tau(b)), not one band reversed twice: not a tautology
+        double_flip = tau_conjugate(tau_transform(build, N, tau_parameter(b, q, N), q))
         checks.append(
             equality_check(
                 f"tau-involution-{name}",
                 f"tau(tau({name})) = {name}",
                 context,
-                band_mismatch_witness(
-                    tau_transform(double_flip, N, b, q), build(N, b, q)
-                ),
+                band_mismatch_witness(double_flip, build(N, b, q)),
             )
         )
     return checks

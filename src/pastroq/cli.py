@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .algebra import (
     casimir_centrality,
@@ -72,16 +72,10 @@ class RunConfig:
     draws: int = 5
 
 
-#: The smallest accepted value of each size field, and the fields each
-#: command reads. ``run`` returns an ERROR check for a smaller value; the
-#: parser rejects it before that, naming the flag.
+#: The smallest accepted value of each size field. ``run`` returns an ERROR
+#: check for a smaller value; the parser rejects it before that, naming the
+#: flag.
 _MINIMUM_SIZE = {"n_max": 0, "N": 1, "draws": 1}
-_SIZE_FIELDS = {
-    "table": ("n_max",),
-    "verify": ("n_max",),
-    "biorth": ("N",),
-    "sweep": ("n_max", "draws"),
-}
 
 
 def _admissibility_issues(params: QParams, n_max: int) -> list[str]:
@@ -90,6 +84,15 @@ def _admissibility_issues(params: QParams, n_max: int) -> list[str]:
     shifted = params.with_b(params.b * params.q)
     issues += [f"(at shifted b -> bq) {text}" for text in shifted.vanishing_factors(n_max)]
     return issues
+
+
+def _admissible(config: RunConfig) -> QParams:
+    """The triple of ``config``, or a ParameterError naming every vanishing factor."""
+    params = QParams(config.q, config.a, config.b)
+    issues = _admissibility_issues(params, config.n_max)
+    if issues:
+        raise ParameterError("; ".join(issues))
+    return params
 
 
 def verify_suite(params: QParams, n_max: int) -> list[Check]:
@@ -130,29 +133,12 @@ def _error_check(context: dict[str, str], message: str) -> Check:
     )
 
 
-def _cmd_table(config: RunConfig) -> tuple[Report, dict, list[str]]:
-    report = Report()
-    extra: dict = {}
-    lines: list[str] = []
-    context = {
-        "q": format_rational(config.q),
-        "a": format_rational(config.a),
-        "b": format_rational(config.b),
-        "n_max": str(config.n_max),
-    }
-    try:
-        params = QParams(config.q, config.a, config.b)
-        issues = _admissibility_issues(params, config.n_max)
-        if issues:
-            report.checks.append(_error_check(context, "; ".join(issues)))
-            return report, extra, lines
-        polys = [pastro_poly(n, params) for n in range(config.n_max + 1)]
-        partners = [biorthogonal_partner(n, params) for n in range(config.n_max + 1)]
-        data = baxter_coefficients(config.n_max, params)
-    except ParameterError as exc:
-        report.checks.append(_error_check(context, str(exc)))
-        return report, extra, lines
-
+def _table(config: RunConfig, report: Report, context: dict[str, str]) -> tuple[dict, list[str]]:
+    params = _admissible(config)
+    degrees = range(config.n_max + 1)
+    polys = [pastro_poly(n, params) for n in degrees]
+    partners = [biorthogonal_partner(n, params) for n in degrees]
+    data = baxter_coefficients(config.n_max, params)
     extra = {
         "params": context,
         "pastro": [poly_to_json(p) for p in polys],
@@ -161,121 +147,61 @@ def _cmd_table(config: RunConfig) -> tuple[Report, dict, list[str]]:
         "beta": vector_to_json(data.beta),
         "h": vector_to_json(data.h),
     }
-    for n, poly in enumerate(polys):
-        lines.append(f"P_{n} = {poly}")
-    for n, partner in enumerate(partners):
-        lines.append(f"R_{n} = {partner}")
-    for n in range(config.n_max + 1):
-        lines.append(
-            f"alpha_{n} = {format_rational(data.alpha[n])}   "
-            f"beta_{n} = {format_rational(data.beta[n])}   "
-            f"h_{n} = {format_rational(data.h[n])}"
-        )
-    return report, extra, lines
+    lines = [f"P_{n} = {poly}" for n, poly in enumerate(polys)]
+    lines += [f"R_{n} = {partner}" for n, partner in enumerate(partners)]
+    lines += [
+        f"alpha_{n} = {alpha}   beta_{n} = {beta}   h_{n} = {h}"
+        for n, (alpha, beta, h) in enumerate(zip(extra["alpha"], extra["beta"], extra["h"]))
+    ]
+    return extra, lines
 
 
-def _cmd_verify(config: RunConfig) -> tuple[Report, dict, list[str]]:
-    report = Report()
-    context = {
-        "q": format_rational(config.q),
-        "a": format_rational(config.a),
-        "b": format_rational(config.b),
-        "n_max": str(config.n_max),
-    }
-    try:
-        params = QParams(config.q, config.a, config.b)
-        issues = _admissibility_issues(params, config.n_max)
-        if issues:
-            report.checks.append(_error_check(context, "; ".join(issues)))
-            return report, {}, []
-        report.extend(verify_suite(params, config.n_max))
-    except ParameterError as exc:
-        report.checks.append(_error_check(context, str(exc)))
-    return report, {}, []
+def _verify(config: RunConfig, report: Report, context: dict[str, str]) -> tuple[dict, list[str]]:
+    report.extend(verify_suite(_admissible(config), config.n_max))
+    return {}, []
 
 
-def _cmd_biorth(config: RunConfig) -> tuple[Report, dict, list[str]]:
-    report = Report()
-    extra: dict = {}
-    lines: list[str] = []
-    context = {
-        "q": format_rational(config.q),
-        "b": format_rational(config.b),
-        "N": str(config.N),
-    }
-    try:
-        rep = make_grid_rep(config.N, config.b, config.q)
-        report.extend(verify_adjoint_structure(rep))
-        for n in range(config.N):
-            report.extend(verify_adjoint_gevp(n, rep))
-    except ParameterError as exc:
-        report.checks.append(_error_check(context, str(exc)))
-        return report, extra, lines
+def _biorth(config: RunConfig, report: Report, context: dict[str, str]) -> tuple[dict, list[str]]:
+    rep = make_grid_rep(config.N, config.b, config.q)
+    report.extend(verify_adjoint_structure(rep))
+    for n in range(config.N):
+        report.extend(verify_adjoint_gevp(n, rep))
     gram, biorth_checks = verify_biorthogonality(rep)
     report.extend(biorth_checks)
 
-    weights = rep.weights
-    h = rep.h[: config.N]
-    extra = {
-        "params": context,
-        "grid": vector_to_json(weights.grid),
-        "weights": vector_to_json(weights.w),
-        "h": vector_to_json(h),
-        "gram": matrix_to_json(gram),
-    }
-    lines.append("grid:    " + "  ".join(vector_to_json(weights.grid)))
-    lines.append("weights: " + "  ".join(vector_to_json(weights.w)))
-    lines.append("h:       " + "  ".join(vector_to_json(h)))
-    lines.append("gram:")
-    for row in matrix_to_json(gram):
-        lines.append("  " + "  ".join(row))
-    return report, extra, lines
+    extra: dict = {"params": context}
+    lines = []
+    vectors = (("grid", rep.weights.grid), ("weights", rep.weights.w), ("h", rep.h[: config.N]))
+    for name, vector in vectors:
+        extra[name] = vector_to_json(vector)
+        lines.append(f"{name + ':':<9}" + "  ".join(extra[name]))
+    extra["gram"] = matrix_to_json(gram)
+    lines += ["gram:"] + ["  " + "  ".join(row) for row in extra["gram"]]
+    return extra, lines
 
 
-def _cmd_algebra(config: RunConfig) -> tuple[Report, dict, list[str]]:
-    report = Report()
-    extra: dict = {}
-    lines: list[str] = []
-    context = {
-        "q": format_rational(config.q),
-        "a": format_rational(config.a),
-        "b": format_rational(config.b),
-        "mu": format_rational(config.mu),
-    }
-    try:
-        params = QParams(config.q, config.a, config.b)
-        report.extend(verify_raw_relations(params))
-        report.extend(verify_affine_relations(params))
-        report.extend(casimir_centrality(params))
-        constants, pencil_checks = qhahn_embedding(params, config.mu)
-        report.extend(pencil_checks)
-    except ParameterError as exc:
-        report.checks.append(_error_check(context, str(exc)))
-        return report, extra, lines
+def _algebra(config: RunConfig, report: Report, context: dict[str, str]) -> tuple[dict, list[str]]:
+    params = QParams(config.q, config.a, config.b)
+    report.extend(verify_raw_relations(params))
+    report.extend(verify_affine_relations(params))
+    report.extend(casimir_centrality(params))
+    constants, pencil_checks = qhahn_embedding(params, config.mu)
+    report.extend(pencil_checks)
 
-    gamma4_json = [
+    extra: dict = {"params": context}
+    lines = []
+    for name in ("alpha1", "alpha2", "gamma1", "gamma2", "gamma3"):
+        extra[name] = format_rational(getattr(constants, name))
+        lines.append(f"{name} = {extra[name]}")
+    extra["gamma4"] = [
         {"shift": shift} | poly_to_json(coefficient)
         for shift, coefficient in constants.gamma4.items()
     ]
-    extra = {
-        "params": context,
-        "alpha1": format_rational(constants.alpha1),
-        "alpha2": format_rational(constants.alpha2),
-        "gamma1": format_rational(constants.gamma1),
-        "gamma2": format_rational(constants.gamma2),
-        "gamma3": format_rational(constants.gamma3),
-        "gamma4": gamma4_json,
-        "degenerate_pencil": constants.degenerate,
-        "presentation": {"beta1": "0", "beta2": "1", "delta1": "0", "delta2": "1"},
-    }
-    lines.append(f"alpha1 = {format_rational(constants.alpha1)}")
-    lines.append(f"alpha2 = {format_rational(constants.alpha2)}")
-    lines.append(f"gamma1 = {format_rational(constants.gamma1)}")
-    lines.append(f"gamma2 = {format_rational(constants.gamma2)}")
-    lines.append(f"gamma3 = {format_rational(constants.gamma3)}")
     lines.append(f"gamma4 = {constants.gamma4}")
+    extra["degenerate_pencil"] = constants.degenerate
     lines.append(f"degenerate pencil: {'yes' if constants.degenerate else 'no'}")
-    return report, extra, lines
+    extra["presentation"] = {"beta1": "0", "beta2": "1", "delta1": "0", "delta2": "1"}
+    return extra, lines
 
 
 def _draw_triple(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
@@ -318,8 +244,7 @@ def admissible_draws(seed: int, count: int, n_max: int) -> list[QParams]:
     return out
 
 
-def _cmd_sweep(config: RunConfig) -> tuple[Report, dict, list[str]]:
-    report = Report()
+def _sweep(config: RunConfig, report: Report, context: dict[str, str]) -> tuple[dict, list[str]]:
     accepted = attempts = 0
     for attempts, (q, a, b), params, problem in _draws(config.seed, config.n_max):
         label = f"draw-{attempts}"
@@ -360,30 +285,56 @@ def _cmd_sweep(config: RunConfig) -> tuple[Report, dict, list[str]]:
                 f"within {attempts} attempts",
             )
         )
-    return report, {"draws_requested": config.draws, "draws_run": accepted}, []
+    return {"draws_requested": config.draws, "draws_run": accepted}, []
+
+
+class _Command(NamedTuple):
+    """One subcommand of the command table.
+
+    ``fields`` are the config fields its ERROR context names, ``sizes`` the
+    size fields ``run`` bounds, and ``body`` appends checks to the report
+    and returns the JSON extras and text lines.
+    """
+
+    fields: tuple[str, ...]
+    sizes: tuple[str, ...]
+    body: Callable[[RunConfig, Report, dict[str, str]], tuple[dict, list[str]]]
 
 
 _COMMANDS = {
-    "table": _cmd_table,
-    "verify": _cmd_verify,
-    "biorth": _cmd_biorth,
-    "algebra": _cmd_algebra,
-    "sweep": _cmd_sweep,
+    "table": _Command(("q", "a", "b", "n_max"), ("n_max",), _table),
+    "verify": _Command(("q", "a", "b", "n_max"), ("n_max",), _verify),
+    "biorth": _Command(("q", "b", "N"), ("N",), _biorth),
+    "algebra": _Command(("q", "a", "b", "mu"), (), _algebra),
+    "sweep": _Command((), ("n_max", "draws"), _sweep),
 }
 
 
 def run(config: RunConfig) -> tuple[Report, dict, list[str]]:
-    """Execute one configuration; returns (report, json extras, text lines)."""
+    """Execute one configuration; returns (report, json extras, text lines).
+
+    A size field below its minimum gives one ERROR check naming it. A
+    ParameterError from the body keeps the checks already appended and adds
+    one ``parameters`` ERROR with the command's context; extras and lines
+    are then empty.
+    """
     try:
-        handler = _COMMANDS[config.command]
+        command = _COMMANDS[config.command]
     except KeyError:
         raise ValueError(f"unknown command {config.command!r}") from None
-    for name in _SIZE_FIELDS.get(config.command, ()):
+    for name in command.sizes:
         value, minimum = getattr(config, name), _MINIMUM_SIZE[name]
         if value < minimum:
             message = f"{name} must be at least {minimum}, got {value}"
             return Report([_error_check({name: str(value)}, message)]), {}, []
-    return handler(config)
+    context = {name: format_rational(getattr(config, name)) for name in command.fields}
+    report = Report()
+    try:
+        extra, lines = command.body(config, report, context)
+    except ParameterError as exc:
+        report.checks.append(_error_check(context, str(exc)))
+        return report, {}, []
+    return report, extra, lines
 
 
 def emit(report: Report, extra: dict, lines: list[str], fmt: str) -> str:
@@ -439,23 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> None:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        q=args.q,
-        a=args.a,
-        b=args.b,
-        mu=args.mu,
-        n_max=args.n_max,
-        N=args.N,
-        fmt=args.fmt,
-        seed=args.seed,
-        draws=args.draws,
-    )
+    config = RunConfig(**vars(build_parser().parse_args(argv)))
     report, extra, lines = run(config)
     print(emit(report, extra, lines, config.fmt))
     sys.exit(report.exit_code)
-
 
 if __name__ == "__main__":
     main()

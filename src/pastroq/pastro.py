@@ -34,12 +34,9 @@ __all__ = [
     "pastro_poly",
     "pastro_poly_series",
     "pastro_monic_prefactor",
-    "pastro_coefficient_ratio",
     "pastro_eigenvalue",
     "mu1",
     "mu2",
-    "alpha_coefficient",
-    "beta_coefficient",
     "norm_constant",
     "BaxterData",
     "baxter_coefficients",
@@ -115,20 +112,6 @@ def pastro_poly_series(n: int, params: QParams) -> LaurentPoly:
     return prefactor * phi21_terminating(n, b, (b / a) * q ** (1 - n), q, x())
 
 
-def pastro_coefficient_ratio(n: int, k: int, params: QParams) -> Fraction:
-    """Closed-form ratio C_k / C_0 = (q^-n;q)_k (b;q)_k / (((b/a)q^(1-n);q)_k (q;q)_k)."""
-    _check_degree(n)
-    if not 0 <= k <= n:
-        raise ValueError(f"coefficient index must lie in [0, {n}], got {k}")
-    q, a, b = params.q, params.a, params.b
-    denominator = q_pochhammer((b / a) * q ** (1 - n), q, k) * q_pochhammer(q, q, k)
-    if denominator == 0:
-        raise ResonantParameterError(
-            f"((b/a)*q^{1 - n};q)_{k} vanishes: monic family of degree {n} degenerates"
-        )
-    return q_pochhammer(q**-n, q, k) * q_pochhammer(b, q, k) / denominator
-
-
 def pastro_eigenvalue(n: int, params: QParams) -> Fraction:
     """The generalized eigenvalue lambda_n = -q^n / b."""
     _check_degree(n)
@@ -164,26 +147,6 @@ def mu2(n: int, params: QParams) -> Fraction:
         * (1 - a * q ** (n - 1))
         / (a * (1 - b * q**n) * (1 - b * q ** (n - 1)))
     )
-
-
-def alpha_coefficient(n: int, params: QParams) -> Fraction:
-    """Coupled-recurrence coefficient alpha_n = -((b/a)q)^(n+1) (a/b;q)_(n+1) / (b;q)_(n+1)."""
-    _check_degree(n)
-    q, a, b = params.q, params.a, params.b
-    denominator = q_pochhammer(b, q, n + 1)
-    if denominator == 0:
-        raise ResonantParameterError(f"(b;q)_{n + 1} vanishes")
-    return -(((b / a) * q) ** (n + 1)) * q_pochhammer(a / b, q, n + 1) / denominator
-
-
-def beta_coefficient(n: int, params: QParams) -> Fraction:
-    """Coupled-recurrence coefficient beta_n = -(a/b)^(n+1) (b/q;q)_(n+1) / ((a/b)q;q)_(n+1)."""
-    _check_degree(n)
-    q, a, b = params.q, params.a, params.b
-    denominator = q_pochhammer((a / b) * q, q, n + 1)
-    if denominator == 0:
-        raise ResonantParameterError(f"((a/b)*q;q)_{n + 1} vanishes")
-    return -((a / b) ** (n + 1)) * q_pochhammer(b / q, q, n + 1) / denominator
 
 
 def norm_constant(n: int, params: QParams) -> Fraction:
@@ -228,11 +191,12 @@ def _divisor(value: Fraction, message: str) -> Fraction:
 def baxter_coefficients(n_max: int, params: QParams) -> BaxterData:
     """Closed-form alpha_n, beta_n and h_n for n <= n_max.
 
-    The closed forms of :func:`alpha_coefficient`, :func:`beta_coefficient`
-    and :func:`norm_constant`, read off running q-Pochhammer products, so the
-    table costs O(n_max) products rather than O(n_max) per degree. The
-    lists are filled alpha first, then beta, then h, so a resonant triple
-    raises the error those functions raise first in that order.
+      alpha_n = -((b/a)q)^(n+1) (a/b;q)_(n+1) / (b;q)_(n+1),
+      beta_n  = -(a/b)^(n+1) (b/q;q)_(n+1) / ((a/b)q;q)_(n+1),
+    and h_n as in :func:`norm_constant`, read off running q-Pochhammer
+    products, so the table costs O(n_max) products rather than O(n_max) per
+    degree. The lists are filled alpha first, then beta, then h, so a
+    resonant triple raises the first vanishing denominator in that order.
     """
     _check_degree(n_max)
     q, a, b = params.q, params.a, params.b

@@ -159,11 +159,6 @@ class LaurentPoly:
         return self._low if self._nums else None
 
     @property
-    def is_polynomial(self) -> bool:
-        """True when no negative exponents occur (includes the zero poly)."""
-        return not self._nums or self._low >= 0
-
-    @property
     def leading_coefficient(self) -> Fraction:
         if not self._nums:
             return Fraction(0)
@@ -523,15 +518,6 @@ class QParams:
             if self.b * self.q**j == self.a:
                 offending.append(f"(1 - (b/a)*q^{j}) vanishes")
         return offending
-
-    def require_valid(self, n_max: int) -> None:
-        """Raise ResonantParameterError listing all vanishing factors, if any."""
-        offending = self.vanishing_factors(n_max)
-        if offending:
-            raise ResonantParameterError(
-                f"resonant parameters for degrees up to {n_max}: "
-                + "; ".join(offending)
-            )
 
     def describe(self) -> dict[str, str]:
         """Parameter map with formatted rational values (for reports)."""

@@ -71,26 +71,8 @@ class QDiffOperator:
         self._terms = data
 
     @classmethod
-    def zero(cls, q: Scalar) -> "QDiffOperator":
-        return cls(q)
-
-    @classmethod
     def identity(cls, q: Scalar) -> "QDiffOperator":
         return cls(q, {0: LaurentPoly.one()})
-
-    @classmethod
-    def shift(cls, q: Scalar, k: int) -> "QDiffOperator":
-        """The pure dilation T^k, (T^k f)(x) = f(q^k x)."""
-        return cls(q, {k: LaurentPoly.one()})
-
-    @classmethod
-    def multiplication(cls, q: Scalar, poly: LaurentPoly | Scalar) -> "QDiffOperator":
-        """Multiplication by a fixed Laurent polynomial."""
-        return cls(q, {0: poly})
-
-    @classmethod
-    def scalar(cls, q: Scalar, value: Scalar) -> "QDiffOperator":
-        return cls(q, {0: LaurentPoly.constant(value)})
 
     def items(self) -> Iterator[tuple[int, LaurentPoly]]:
         """Terms in ascending shift order."""

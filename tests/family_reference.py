@@ -7,6 +7,12 @@ hands the coefficients to the ``LaurentPoly`` constructor. R_n multiplies
 four ``q_pochhammer`` products into a prefactor and expands the series with
 ``phi21_terminating``. Both raise the same ``ResonantParameterError`` texts,
 in the same order, as the package's builders.
+
+The degree-by-degree closed forms of the coefficient ratio C_k / C_0 and of
+the coupled-recurrence coefficients alpha_n and beta_n are kept here too:
+the package reads alpha_n and beta_n off running products in
+``baxter_coefficients``, and the tests compare that table, and the
+coefficients of P_n, against these formulas.
 """
 
 from __future__ import annotations
@@ -73,3 +79,34 @@ def biorthogonal_partner(n: int, params: QParams) -> LaurentPoly:
         LaurentPoly.monomial(q**2 / a, -1),
     )
     return prefactor * series
+
+
+def pastro_coefficient_ratio(n: int, k: int, params: QParams) -> Fraction:
+    """Closed-form ratio C_k / C_0 = (q^-n;q)_k (b;q)_k / (((b/a)q^(1-n);q)_k (q;q)_k)."""
+    if not 0 <= k <= n:
+        raise ValueError(f"coefficient index must lie in [0, {n}], got {k}")
+    q, a, b = params.q, params.a, params.b
+    denominator = q_pochhammer((b / a) * q ** (1 - n), q, k) * q_pochhammer(q, q, k)
+    if denominator == 0:
+        raise ResonantParameterError(
+            f"((b/a)*q^{1 - n};q)_{k} vanishes: monic family of degree {n} degenerates"
+        )
+    return q_pochhammer(q**-n, q, k) * q_pochhammer(b, q, k) / denominator
+
+
+def alpha_coefficient(n: int, params: QParams) -> Fraction:
+    """Coupled-recurrence coefficient alpha_n = -((b/a)q)^(n+1) (a/b;q)_(n+1) / (b;q)_(n+1)."""
+    q, a, b = params.q, params.a, params.b
+    denominator = q_pochhammer(b, q, n + 1)
+    if denominator == 0:
+        raise ResonantParameterError(f"(b;q)_{n + 1} vanishes")
+    return -(((b / a) * q) ** (n + 1)) * q_pochhammer(a / b, q, n + 1) / denominator
+
+
+def beta_coefficient(n: int, params: QParams) -> Fraction:
+    """Coupled-recurrence coefficient beta_n = -(a/b)^(n+1) (b/q;q)_(n+1) / ((a/b)q;q)_(n+1)."""
+    q, a, b = params.q, params.a, params.b
+    denominator = q_pochhammer((a / b) * q, q, n + 1)
+    if denominator == 0:
+        raise ResonantParameterError(f"((a/b)*q;q)_{n + 1} vanishes")
+    return -((a / b) ** (n + 1)) * q_pochhammer(b / q, q, n + 1) / denominator

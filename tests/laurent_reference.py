@@ -79,11 +79,6 @@ class LaurentPoly:
         return min(self._terms) if self._terms else None
 
     @property
-    def is_polynomial(self) -> bool:
-        """True when no negative exponents occur (includes the zero poly)."""
-        return not self._terms or min(self._terms) >= 0
-
-    @property
     def leading_coefficient(self) -> Fraction:
         if not self._terms:
             return Fraction(0)

@@ -64,7 +64,7 @@ def test_casimir_acts_as_frozen_scalar():
     # in the Laurent-polynomial realization the Casimir is a pure scalar;
     # -74/5 was computed by hand from its action on the constant function
     element = casimir_element(REFERENCE)
-    assert element == QDiffOperator.scalar(REFERENCE.q, Fraction(-74, 5))
+    assert element == Fraction(-74, 5) * QDiffOperator.identity(REFERENCE.q)
 
 
 @pytest.mark.parametrize("params", POINTS)

@@ -169,6 +169,42 @@ def test_out_of_range_sizes_are_errors_in_process(config, field, message):
     assert (extra, lines) == ({}, [])
 
 
+def test_parameter_error_after_checks_keeps_them(monkeypatch):
+    # No small input makes the grid build pass and a later degree raise, so
+    # make the adjoint GEVP at n = 1 raise after the n = 0 checks went in.
+    from pastroq import cli
+
+    real = cli.verify_adjoint_gevp
+
+    def raising(n, rep):
+        if n == 1:
+            raise ParameterError("injected at n = 1")
+        return real(n, rep)
+
+    monkeypatch.setattr(cli, "verify_adjoint_gevp", raising)
+    report, extra, lines = run(RunConfig("biorth", N=3))
+    assert report.exit_code == 2
+    assert (extra, lines) == ({}, [])
+    *kept, last = report.checks
+    assert kept and all(check.status == "PASS" for check in kept)
+    # the grid-structure checks (no degree) and the n = 0 adjoint checks
+    assert {check.params.get("n") for check in kept} == {None, "0"}
+    assert (last.name, last.status, last.witness) == ("parameters", "ERROR", "injected at n = 1")
+    assert last.params == {"q": "1/2", "b": "1/5", "N": "3"}
+
+
+def test_size_error_wins_over_parameter_error():
+    report, extra, lines = run(RunConfig("biorth", N=0, q=Fraction(1)))
+    assert report.exit_code == 2
+    (check,) = report.checks
+    assert (check.name, check.params, check.witness) == (
+        "parameters",
+        {"N": "0"},
+        "N must be at least 1, got 0",
+    )
+    assert (extra, lines) == ({}, [])
+
+
 def _mostly(good, bad):
     """``good`` on five branches of six and ``bad`` on one, so most argvs parse."""
     return st.integers(0, 5).flatmap(lambda k: bad if k == 0 else good)

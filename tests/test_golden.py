@@ -18,6 +18,9 @@ GOLDEN = Path(__file__).parent / "golden"
 #: last verify input is resonant and exits 2 with the admissibility ERROR.
 #: ``table --nmax 12`` is the one case that prints whole polynomials (str,
 #: items and poly_to_json), so it guards term order, signs and ``1*x`` elision.
+#: The last four cover the runner's ERROR paths: a table admissibility
+#: ERROR, a QParams ERROR in algebra and in verify, and the degenerate
+#: algebra pencil at mu = 0, which still exits 0.
 CASES = [
     ("biorth_N8", ["biorth", "--N", "8"], 0),
     ("biorth_q-4_5_b-2_N16", ["biorth", "--q=-4/5", "--b=-2", "--N", "16"], 0),
@@ -32,6 +35,10 @@ CASES = [
     ("verify_q1_2_a-2_3_b-1_2_nmax24", ["verify", "--q=1/2", "--a=-2/3", "--b=-1/2", "--nmax", "24"], 0),
     ("verify_q1_2_b2_nmax3", ["verify", "--q=1/2", "--b=2", "--nmax", "3"], 2),
     ("table_nmax12", ["table", "--nmax", "12"], 0),
+    ("table_q1_2_b2_nmax3", ["table", "--q=1/2", "--b=2", "--nmax", "3"], 2),
+    ("algebra_q1", ["algebra", "--q=1"], 2),
+    ("verify_a0_nmax2", ["verify", "--a", "0", "--nmax", "2"], 2),
+    ("algebra_mu0", ["algebra", "--mu", "0"], 0),
 ]
 
 

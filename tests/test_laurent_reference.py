@@ -142,7 +142,6 @@ def test_accessors_and_rendering_match_reference(terms):
     assert p.support == p_ref.support
     assert p.degree == p_ref.degree
     assert p.valuation == p_ref.valuation
-    assert p.is_polynomial == p_ref.is_polynomial
     assert bool(p) == bool(p_ref)
     assert p.leading_coefficient == p_ref.leading_coefficient
     assert type(p.leading_coefficient) is Fraction
