@@ -23,13 +23,11 @@ from .qcore import (
 )
 from .pastro import (
     BaxterData,
-    GridWeights,
     baxter_coefficients,
     baxter_system,
     biorthogonal_partner,
     grid_weights,
     norm_constant,
-    pastro_eigenvalue,
     pastro_poly,
     verify_baxter_consistency,
 )
@@ -77,13 +75,11 @@ __all__ = [
     "q_pochhammer",
     "x",
     "BaxterData",
-    "GridWeights",
     "baxter_coefficients",
     "baxter_system",
     "biorthogonal_partner",
     "grid_weights",
     "norm_constant",
-    "pastro_eigenvalue",
     "pastro_poly",
     "verify_baxter_consistency",
     "DegreeRecord",

@@ -22,12 +22,10 @@ from typing import Callable, Iterator, NamedTuple
 
 from .qcore import LaurentPoly, QParams, ResonantParameterError, Scalar, format_rational
 from .pastro import (
-    GridWeights,
     baxter_system,
     biorthogonal_partner,
     grid_weights,
     norm_constant,
-    pastro_eigenvalue,
     pastro_poly,
 )
 from .report import (
@@ -229,22 +227,28 @@ def _adjoint_y_closed_form(N: int, b: Fraction, q: Fraction) -> Band:
 class GridRep:
     """Everything the grid checks read, built once per (N, b, q).
 
-    The weights, the bands X, Y, X*, Y*, the grid samples of P_0..P_(N-1)
-    and R_0..R_(N-1) at a = q^(1-N), the truncation polynomial P_N, the norm
-    constants h_0..h_N, and the coupled-recurrence partners Q_0..Q_(N-1) of
-    :func:`baxter_system`. Only what a check reads is kept: the families
-    P_n and R_n are dropped once sampled, which bounds peak memory.
+    ``params`` is (q, q^(1-N), b); ``grid`` holds the points x_s = q^(s+1)
+    and ``w`` their weights; ``matrices`` the bands X, Y, X*, Y*;
+    ``poly_values`` and ``partner_values`` the grid samples of P_0..P_(N-1)
+    and R_0..R_(N-1); ``p_top`` the truncation polynomial P_N; ``h`` the
+    norm constants h_0..h_N; and ``q_polys`` and ``lam`` the
+    coupled-recurrence partners Q_0..Q_(N-1) and the eigenvalues
+    lambda_0..lambda_(N-1) of :func:`baxter_system`. Only what a check
+    reads is kept: the families P_n and R_n are dropped once sampled, and
+    of the coupled system only these two columns, which bounds peak memory.
     """
 
     N: int
     params: QParams
-    weights: GridWeights
+    grid: list[Fraction]
+    w: list[Fraction]
     matrices: dict[str, Band]
     poly_values: list[list[Fraction]]
     partner_values: list[list[Fraction]]
     p_top: LaurentPoly
     h: list[Fraction]
     q_polys: list[LaurentPoly]
+    lam: list[Fraction]
 
 
 def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
@@ -256,30 +260,29 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
     their denominators are factors of h_N's. The CLI prints that error's
     message, so the order is part of the report.
     """
-    weights = grid_weights(N, b, q)
-    params = QParams(weights.q, weights.q ** (1 - N), weights.b)
-    X = restricted_x_matrix(N, weights.b, weights.q)
-    Y = restricted_y_matrix(N, weights.b, weights.q)
-    grid = weights.grid
+    w = grid_weights(N, b, q)
+    q, b = Fraction(q), Fraction(b)
+    params = QParams(q, q ** (1 - N), b)
+    X = restricted_x_matrix(N, b, q)
+    Y = restricted_y_matrix(N, b, q)
+    grid = [q ** (s + 1) for s in range(N)]
     poly_values = [grid_samples(pastro_poly(n, params), grid) for n in range(N)]
     partner_values = [grid_samples(biorthogonal_partner(m, params), grid) for m in range(N)]
     h = [norm_constant(n, params) for n in range(N + 1)]
     p_top = pastro_poly(N, params)
+    coupled = baxter_system(N - 1, params)
     return GridRep(
         N=N,
         params=params,
-        weights=weights,
-        matrices={
-            "X": X,
-            "Y": Y,
-            "X*": weight_adjoint(X, weights.w),
-            "Y*": weight_adjoint(Y, weights.w),
-        },
+        grid=grid,
+        w=w,
+        matrices={"X": X, "Y": Y, "X*": weight_adjoint(X, w), "Y*": weight_adjoint(Y, w)},
         poly_values=poly_values,
         partner_values=partner_values,
         p_top=p_top,
         h=h,
-        q_polys=baxter_system(N - 1, params).q_polys,
+        q_polys=coupled.q_polys,
+        lam=coupled.lam,
     )
 
 
@@ -323,9 +326,8 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
     adjoint, the tau-flip expressions X* = -b q^s tau(X) and
     Y* = -(1/b) q^(s+1-N) tau(Y), and tau o tau = id.
     """
-    N = rep.N
-    b, q = rep.weights.b, rep.weights.q
-    w = rep.weights.w
+    N, w = rep.N, rep.w
+    b, q = rep.params.b, rep.params.q
     context = {"N": str(N), "b": format_rational(b), "q": format_rational(q)}
     checks: list[Check] = []
 
@@ -459,7 +461,7 @@ def verify_adjoint_gevp(n: int, rep: GridRep) -> list[Check]:
     where 'prop' means proportional by a single nonzero scalar.
     """
     N = rep.N
-    b, q = rep.weights.b, rep.weights.q
+    b, q = rep.params.b, rep.params.q
     if not 0 <= n < N:
         raise ValueError(f"degree must lie in [0, {N - 1}], got {n}")
     context = {"N": str(N), "n": str(n), "b": format_rational(b), "q": format_rational(q)}
@@ -468,7 +470,7 @@ def verify_adjoint_gevp(n: int, rep: GridRep) -> list[Check]:
     flipped = QParams(q, rep.params.a, tau_parameter(b, q, N))
     p_star = grid_samples(pastro_poly(n, flipped), flip_points)
 
-    lam = pastro_eigenvalue(n, rep.params)
+    lam = rep.lam[n]
     image = mat_vec(rep.matrices["X*"], p_star)
     checks = [
         equality_check(
@@ -501,9 +503,7 @@ def verify_adjoint_gevp(n: int, rep: GridRep) -> list[Check]:
         )
     )
 
-    baxter_samples = grid_samples(
-        rep.q_polys[n].invert_variable(), rep.weights.grid
-    )
+    baxter_samples = grid_samples(rep.q_polys[n].invert_variable(), rep.grid)
     checks.append(
         equality_check(
             "adjoint-partner-baxter",
@@ -524,10 +524,8 @@ def verify_biorthogonality(rep: GridRep) -> tuple[Matrix, list[Check]]:
     derivative nonzero at every grid point), and the weight-origin formula
     w_s = h_(N-1) / (P'_N(x_s) R_(N-1)(x_s)).
     """
-    N = rep.N
-    b, q = rep.weights.b, rep.weights.q
-    w, grid = rep.weights.w, rep.weights.grid
-    h = rep.h
+    N, w, grid, h = rep.N, rep.w, rep.grid, rep.h
+    b, q = rep.params.b, rep.params.q
     context = {"N": str(N), "b": format_rational(b), "q": format_rational(q)}
 
     gram = [

@@ -171,7 +171,7 @@ def _biorth(config: RunConfig, report: Report, context: dict[str, str]) -> tuple
 
     extra: dict = {"params": context}
     lines = []
-    vectors = (("grid", rep.weights.grid), ("weights", rep.weights.w), ("h", rep.h[: config.N]))
+    vectors = (("grid", rep.grid), ("weights", rep.w), ("h", rep.h[: config.N]))
     for name, vector in vectors:
         extra[name] = vector_to_json(vector)
         lines.append(f"{name + ':':<9}" + "  ".join(extra[name]))

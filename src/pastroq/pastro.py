@@ -34,9 +34,6 @@ __all__ = [
     "pastro_poly",
     "pastro_poly_series",
     "pastro_monic_prefactor",
-    "pastro_eigenvalue",
-    "mu1",
-    "mu2",
     "norm_constant",
     "BaxterData",
     "baxter_coefficients",
@@ -44,7 +41,6 @@ __all__ = [
     "baxter_system",
     "verify_baxter_consistency",
     "biorthogonal_partner",
-    "GridWeights",
     "grid_weights",
 ]
 
@@ -112,43 +108,6 @@ def pastro_poly_series(n: int, params: QParams) -> LaurentPoly:
     return prefactor * phi21_terminating(n, b, (b / a) * q ** (1 - n), q, x())
 
 
-def pastro_eigenvalue(n: int, params: QParams) -> Fraction:
-    """The generalized eigenvalue lambda_n = -q^n / b."""
-    _check_degree(n)
-    return -params.q**n / params.b
-
-
-def mu1(n: int, params: QParams) -> Fraction:
-    """Recurrence coefficient mu1_n = -q (b - a q^n) / (a (1 - b q^n))."""
-    _check_degree(n)
-    q, a, b = params.q, params.a, params.b
-    denominator = 1 - b * q**n
-    if denominator == 0:
-        raise ResonantParameterError(f"factor (1 - b*q^{n}) vanishes")
-    return -q * (b - a * q**n) / (a * denominator)
-
-
-def mu2(n: int, params: QParams) -> Fraction:
-    """Recurrence coefficient mu2_n; exactly 0 at n = 0 (the 1 - q^n factor).
-
-    For n >= 1, mu2_n = -b q (1 - q^n)(1 - a q^(n-1)) / (a (1 - b q^n)(1 - b q^(n-1))).
-    """
-    _check_degree(n)
-    if n == 0:
-        return Fraction(0)
-    q, a, b = params.q, params.a, params.b
-    for m in (n, n - 1):
-        if 1 - b * q**m == 0:
-            raise ResonantParameterError(f"factor (1 - b*q^{m}) vanishes")
-    return (
-        -b
-        * q
-        * (1 - q**n)
-        * (1 - a * q ** (n - 1))
-        / (a * (1 - b * q**n) * (1 - b * q ** (n - 1)))
-    )
-
-
 def norm_constant(n: int, params: QParams) -> Fraction:
     """Biorthogonality constant h_n = (a;q)_n (q;q)_n / (((a/b)q;q)_n (b;q)_n)."""
     _check_degree(n)
@@ -163,11 +122,24 @@ def norm_constant(n: int, params: QParams) -> Fraction:
 
 @dataclass
 class BaxterData:
-    """Closed-form recurrence data, optionally with the iterated families."""
+    """The per-degree scalars of one parameter point, n = 0..n_max.
+
+    The coupled-recurrence coefficients alpha_n, beta_n and the norms h_n;
+    the eigenvalue lambda_n = -q^n/b; the three-term recurrence
+    coefficients mu1_n, mu2_n; and the degree-raising factor
+    q^-n (1 - b q^n) of X and Z. Each column is read off its own closed
+    form, never off another column, so the checks that compare columns
+    compare independent routes. :func:`baxter_system` adds the iterated
+    families.
+    """
 
     alpha: list[Fraction]
     beta: list[Fraction]
     h: list[Fraction]
+    lam: list[Fraction]
+    mu1: list[Fraction]
+    mu2: list[Fraction]
+    raise_factor: list[Fraction]
     p_polys: list[LaurentPoly] = field(default_factory=list)
     q_polys: list[LaurentPoly] = field(default_factory=list)
 
@@ -189,14 +161,21 @@ def _divisor(value: Fraction, message: str) -> Fraction:
 
 
 def baxter_coefficients(n_max: int, params: QParams) -> BaxterData:
-    """Closed-form alpha_n, beta_n and h_n for n <= n_max.
+    """The scalar table of ``params`` for n <= n_max.
 
       alpha_n = -((b/a)q)^(n+1) (a/b;q)_(n+1) / (b;q)_(n+1),
       beta_n  = -(a/b)^(n+1) (b/q;q)_(n+1) / ((a/b)q;q)_(n+1),
-    and h_n as in :func:`norm_constant`, read off running q-Pochhammer
-    products, so the table costs O(n_max) products rather than O(n_max) per
-    degree. The lists are filled alpha first, then beta, then h, so a
-    resonant triple raises the first vanishing denominator in that order.
+      lambda_n = -q^n / b,
+      mu1_n = -q (b - a q^n) / (a (1 - b q^n)),
+      mu2_n = -b q (1 - q^n)(1 - a q^(n-1)) / (a (1 - b q^n)(1 - b q^(n-1))),
+    with mu2_0 = 0 (the 1 - q^n factor), the raise factor q^-n (1 - b q^n),
+    and h_n as in :func:`norm_constant`. alpha, beta and h are read off
+    running q-Pochhammer products, so the table costs O(n_max) products
+    rather than O(n_max) per degree. The lists are filled alpha first, then
+    beta, then h, so a resonant triple raises the first vanishing
+    denominator in that order. The columns after h divide only by b, a and
+    factors 1 - b q^n of (b;q)_(n_max+1), which alpha has already divided
+    by, so they raise nothing.
     """
     _check_degree(n_max)
     q, a, b = params.q, params.a, params.b
@@ -225,7 +204,22 @@ def baxter_coefficients(n_max: int, params: QParams) -> BaxterData:
         / _divisor(abq_poch[n] * b_poch[n], f"((a/b)*q;q)_{n} * (b;q)_{n} vanishes")
         for n in range(count)
     ]
-    return BaxterData(alpha=alpha, beta=beta, h=h)
+    powers = [q**n for n in range(count)]
+    b_factors = [1 - b * power for power in powers]
+    mu2 = [Fraction(0)] + [
+        -b * q * (1 - powers[n]) * (1 - a * powers[n - 1])
+        / (a * b_factors[n] * b_factors[n - 1])
+        for n in range(1, count)
+    ]
+    return BaxterData(
+        alpha=alpha,
+        beta=beta,
+        h=h,
+        lam=[-power / b for power in powers],
+        mu1=[-q * (b - a * power) / (a * factor) for power, factor in zip(powers, b_factors)],
+        mu2=mu2,
+        raise_factor=[factor / power for power, factor in zip(powers, b_factors)],
+    )
 
 
 def baxter_step(
@@ -309,19 +303,10 @@ def biorthogonal_partner(n: int, params: QParams) -> LaurentPoly:
     return _ratio_poly(0, (prefactor_num, prefactor_den), ratios)
 
 
-@dataclass
-class GridWeights:
-    """The geometric grid x_s = q^(s+1) and its weights, s = 0..N-1."""
+def grid_weights(N: int, b: Scalar, q: Scalar) -> list[Fraction]:
+    """The weights of the grid x_s = q^(s+1), s = 0..N-1, as a list:
 
-    N: int
-    q: Fraction
-    b: Fraction
-    grid: list[Fraction]
-    w: list[Fraction]
-
-
-def grid_weights(N: int, b: Scalar, q: Scalar) -> GridWeights:
-    """Weights w_s = [(q^(1-N);q)_s / (q;q)_s] (b q^(N-1))^s / (b;q)_(N-1).
+      w_s = [(q^(1-N);q)_s / (q;q)_s] (b q^(N-1))^s / (b;q)_(N-1).
 
     The weights are built by exact ratio iteration; their sum is checked to
     be exactly 1 and every weight is checked nonzero, since a vanishing
@@ -352,9 +337,7 @@ def grid_weights(N: int, b: Scalar, q: Scalar) -> GridWeights:
         raise ArithmeticError(
             f"weight normalization failed: sum = {format_rational(total)}"
         )
-    return GridWeights(
-        N=N, q=q, b=b, grid=[q ** (s + 1) for s in range(N)], w=weights
-    )
+    return weights
 
 
 def verify_baxter_consistency(
@@ -368,7 +351,7 @@ def verify_baxter_consistency(
     closed-form partner R_n, and both coupled recurrences restated with the
     eigenvalue-route polynomials substituted in.
 
-    ``data`` holds the closed-form alpha_n, beta_n and h_n for n <= n_max.
+    ``data`` is the scalar table of ``params`` for n <= n_max.
     ``records`` yields one record per degree n = 0..n_max, in order, with
     the eigenvalue-route P_n and P_(n+1) (``p``, ``p_next``) and the
     coupled pair P~_n, Q_n (``p_coupled``, ``q_coupled``), as
@@ -381,7 +364,7 @@ def verify_baxter_consistency(
 
     alpha_witness = None
     for n in range(1, n_max + 1):
-        expected = -data.alpha[n - 1] * mu1(n, params)
+        expected = -data.alpha[n - 1] * data.mu1[n]
         if data.alpha[n] != expected:
             alpha_witness = (
                 f"n={n}: alpha_n {format_rational(data.alpha[n])}, "
@@ -395,7 +378,7 @@ def verify_baxter_consistency(
         if alpha_next == 0:
             beta_witness = f"n={n}: alpha_(n+1) = 0, ratio undefined"
             break
-        expected = (mu2(n + 1, params) - mu1(n + 1, params)) / alpha_next
+        expected = (data.mu2[n + 1] - data.mu1[n + 1]) / alpha_next
         if data.beta[n] != expected:
             beta_witness = (
                 f"n={n}: beta_n {format_rational(data.beta[n])}, "

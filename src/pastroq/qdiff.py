@@ -22,14 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple
 
 from .qcore import LaurentPoly, QParams, Scalar, format_rational, x
-from .pastro import (
-    BaxterData,
-    baxter_step,
-    mu1,
-    mu2,
-    pastro_eigenvalue,
-    pastro_poly,
-)
+from .pastro import BaxterData, baxter_step, pastro_poly
 from .report import Check, equality_check, poly_mismatch_witness
 
 __all__ = [
@@ -214,12 +207,15 @@ class DegreeRecord(NamedTuple):
     """Everything the per-degree checks read at one degree n.
 
     The eigenvalue-route P_(n-1) (zero at n = 0), P_n and P_(n+1); P_n at
-    the shifted parameter bq; the images X P_n, Y P_n, Z P_n; and the
-    coupled-recurrence pair P~_n, Q_n of :func:`pastroq.pastro.baxter_system`.
+    the shifted parameter bq; the images X P_n, Y P_n, Z P_n; the
+    coupled-recurrence pair P~_n, Q_n of :func:`pastroq.pastro.baxter_system`;
+    and the scalar table of ``params``, from which the checks read
+    lambda_n, mu1_n, mu2_n and the raise factor at n.
     """
 
     n: int
     params: QParams
+    table: BaxterData
     p_prev: LaurentPoly
     p: LaurentPoly
     p_next: LaurentPoly
@@ -237,7 +233,8 @@ def degree_records(params: QParams, n_max: int, data: BaxterData) -> Iterator[De
     X, Y and Z are built once; each P_k is built once and held only while a
     record still needs it (as P_(n+1), then P_n, then P_(n-1)); the coupled
     pair advances one :func:`pastroq.pastro.baxter_step` per degree, with
-    the alpha_n, beta_n of ``data`` (which must cover n < n_max).
+    the alpha_n, beta_n of ``data``. ``data`` is the scalar table of
+    ``params`` for n <= n_max, and every record carries it.
     """
     X, Y, Z = make_operators(params)
     shifted = params.with_b(params.b * params.q)
@@ -252,6 +249,7 @@ def degree_records(params: QParams, n_max: int, data: BaxterData) -> Iterator[De
         yield DegreeRecord(
             n=n,
             params=params,
+            table=data,
             p_prev=p_prev,
             p=p,
             p_next=p_next,
@@ -268,7 +266,7 @@ def degree_records(params: QParams, n_max: int, data: BaxterData) -> Iterator[De
 def verify_gevp(record: DegreeRecord) -> Check:
     """Check the generalized eigenvalue identity Y P_n = lambda_n X P_n."""
     n, params = record.n, record.params
-    lam = pastro_eigenvalue(n, params)
+    lam = record.table.lam[n]
     witness = poly_mismatch_witness(record.y_image, lam * record.x_image)
     return equality_check(
         "gevp",
@@ -289,7 +287,7 @@ def verify_qdiff_equation(record: DegreeRecord) -> Check:
     """
     n, params, p = record.n, record.params, record.p
     q, a, b = params.q, params.a, params.b
-    lam = pastro_eigenvalue(n, params)
+    lam = record.table.lam[n]
     lhs = (x() - q / a) * p.dilate(q) + (LaurentPoly.constant(q / a) - x() / b) * p
     rhs = lam * ((x() - q) * p.dilate(1 / q) + (q - b * x()) * p)
     return equality_check(
@@ -311,7 +309,7 @@ def verify_contiguity(record: DegreeRecord) -> list[Check]:
     n, params, p_shifted = record.n, record.params, record.p_shifted
     q, b = params.q, params.b
     context = params.describe() | {"n": str(n)}
-    factor = q**-n * (1 - b * q**n)
+    factor = record.table.raise_factor[n]
     return [
         equality_check(
             "contiguity-X",
@@ -352,7 +350,8 @@ def verify_recurrence(record: DegreeRecord) -> list[Check]:
     q, a, b = params.q, params.a, params.b
     context = params.describe() | {"n": str(n)}
 
-    raise_factor = q**-n * (1 - b * q**n)
+    table = record.table
+    raise_factor = table.raise_factor[n]
     x_rhs = raise_factor * p_next + q * (1 - (b / a) * q**-n) * p_now
     z_rhs = raise_factor * p_now
     if n >= 1:
@@ -360,9 +359,8 @@ def verify_recurrence(record: DegreeRecord) -> list[Check]:
             b * q * (1 - q**-n) * (1 - a * q ** (n - 1)) / (a * (1 - b * q ** (n - 1)))
         ) * p_prev
 
-    m1, m2 = mu1(n, params), mu2(n, params)
-    three_lhs = p_next + m1 * p_now
-    three_rhs = x() * (p_now + m2 * p_prev)
+    three_lhs = p_next + table.mu1[n] * p_now
+    three_rhs = x() * (p_now + table.mu2[n] * p_prev)
 
     return [
         equality_check(

@@ -8,11 +8,13 @@ four ``q_pochhammer`` products into a prefactor and expands the series with
 ``phi21_terminating``. Both raise the same ``ResonantParameterError`` texts,
 in the same order, as the package's builders.
 
-The degree-by-degree closed forms of the coefficient ratio C_k / C_0 and of
-the coupled-recurrence coefficients alpha_n and beta_n are kept here too:
-the package reads alpha_n and beta_n off running products in
-``baxter_coefficients``, and the tests compare that table, and the
-coefficients of P_n, against these formulas.
+The degree-by-degree closed forms of the coefficient ratio C_k / C_0, of
+the coupled-recurrence coefficients alpha_n and beta_n, of the eigenvalue
+lambda_n, of the three-term recurrence coefficients mu1_n and mu2_n and of
+the raise factor q^-n (1 - b q^n) are kept here too: the package reads
+them off one scalar table per parameter point, ``baxter_coefficients``,
+and the tests compare that table, and the coefficients of P_n, against
+these formulas.
 """
 
 from __future__ import annotations
@@ -110,3 +112,37 @@ def beta_coefficient(n: int, params: QParams) -> Fraction:
     if denominator == 0:
         raise ResonantParameterError(f"((a/b)*q;q)_{n + 1} vanishes")
     return -((a / b) ** (n + 1)) * q_pochhammer(b / q, q, n + 1) / denominator
+
+
+def eigenvalue(n: int, params: QParams) -> Fraction:
+    """The generalized eigenvalue lambda_n = -q^n / b."""
+    return -params.q**n / params.b
+
+
+def mu1_coefficient(n: int, params: QParams) -> Fraction:
+    """Recurrence coefficient mu1_n = -q (b - a q^n) / (a (1 - b q^n))."""
+    q, a, b = params.q, params.a, params.b
+    return -q * (b - a * q**n) / (a * (1 - b * q**n))
+
+
+def mu2_coefficient(n: int, params: QParams) -> Fraction:
+    """Recurrence coefficient mu2_n; exactly 0 at n = 0 (the 1 - q^n factor).
+
+    For n >= 1, mu2_n = -b q (1 - q^n)(1 - a q^(n-1)) / (a (1 - b q^n)(1 - b q^(n-1))).
+    """
+    if n == 0:
+        return Fraction(0)
+    q, a, b = params.q, params.a, params.b
+    return (
+        -b
+        * q
+        * (1 - q**n)
+        * (1 - a * q ** (n - 1))
+        / (a * (1 - b * q**n) * (1 - b * q ** (n - 1)))
+    )
+
+
+def raise_factor(n: int, params: QParams) -> Fraction:
+    """The factor q^-n (1 - b q^n) of the X and Z actions and of the contiguity relations."""
+    q, b = params.q, params.b
+    return q**-n * (1 - b * q**n)

@@ -1,5 +1,6 @@
 """Grid representation, adjoints, the tau flip, and biorthogonality."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -67,7 +68,8 @@ def random_band(rng: random.Random, N: int) -> Band:
 
 def test_single_point_grid():
     rep = make_grid_rep(1, B, Q)
-    assert rep.weights.w == [1]
+    assert rep.grid == [Q]
+    assert rep.w == [1]
     assert dense(rep.matrices["X"]) == [[Q * (1 - B)]]
     assert rep.matrices["X*"] == rep.matrices["X"]
     assert dense(rep.matrices["Y"]) == [[Q - Q / B]]
@@ -95,13 +97,14 @@ def test_two_point_weight_origin_by_hand():
     derivative_values = [Fraction(1, 4), Fraction(-1, 4)]
     partner_values = [Fraction(1, 2), Fraction(5, 2)]
     expected = [h1 / (d * r) for d, r in zip(derivative_values, partner_values)]
-    assert rep.weights.w == expected == [Fraction(5, 4), Fraction(-1, 4)]
+    assert rep.grid == [Fraction(1, 2), Fraction(1, 4)]
+    assert rep.w == expected == [Fraction(5, 4), Fraction(-1, 4)]
 
 
 def test_weight_adjoint_against_random_vectors():
     rng = random.Random(3)
     rep = make_grid_rep(5, B, Q)
-    w = rep.weights.w
+    w = rep.w
     for name in ("X", "Y"):
         matrix, adjoint = rep.matrices[name], rep.matrices[f"{name}*"]
         for _ in range(10):
@@ -161,7 +164,7 @@ def test_pairing_witness_matches_dense_basis_pairs(name):
             checks = {check.name: check for check in verify_adjoint_structure(rep)}
             check = checks[f"adjoint-pairing-{name}"]
             expected = _dense_pairing_witness(
-                dense(rep.matrices[name]), dense(rep.matrices[f"{name}*"]), rep.weights.w
+                dense(rep.matrices[name]), dense(rep.matrices[f"{name}*"]), rep.w
             )
             assert expected is not None
             assert (check.status, check.witness) == ("FAIL", expected)
@@ -169,7 +172,7 @@ def test_pairing_witness_matches_dense_basis_pairs(name):
 
 def test_adjoint_is_involutive():
     rep = make_grid_rep(4, B, Q)
-    w = rep.weights.w
+    w = rep.w
     for name in ("X", "Y"):
         assert weight_adjoint(rep.matrices[f"{name}*"], w) == rep.matrices[name]
 
@@ -239,6 +242,20 @@ def test_biorthogonality_suite_passes(N, b):
             assert gram[n][m] == expected
 
 
+def test_corrupted_lam_fails_only_the_adjoint_gevp_at_that_degree():
+    rep = make_grid_rep(5, B, Q)
+    lam = list(rep.lam)
+    lam[2] += 1
+    corrupted = dataclasses.replace(rep, lam=lam)
+    for n in range(5):
+        for check in verify_adjoint_gevp(n, corrupted):
+            if (check.name, n) == ("adjoint-gevp", 2):
+                assert check.status == "FAIL"
+                assert check.witness.startswith("index ")
+            else:
+                assert check.status == "PASS", (check.name, n, check.witness)
+
+
 def test_adjoint_gevp_rejects_out_of_range_degree():
     with pytest.raises(ValueError):
         verify_adjoint_gevp(3, make_grid_rep(3, B, Q))
@@ -304,5 +321,5 @@ def test_proportionality_witness_matches_pairwise_scan(pair):
 def test_grid_samples():
     rep = make_grid_rep(3, B, Q)
     poly = pastro_poly(1, rep.params)
-    values = grid_samples(poly, rep.weights.grid)
-    assert values == [poly.eval_at(point) for point in rep.weights.grid]
+    values = grid_samples(poly, rep.grid)
+    assert values == [poly.eval_at(point) for point in rep.grid]

@@ -18,9 +18,10 @@ GOLDEN = Path(__file__).parent / "golden"
 #: last verify input is resonant and exits 2 with the admissibility ERROR.
 #: ``table --nmax 12`` is the one case that prints whole polynomials (str,
 #: items and poly_to_json), so it guards term order, signs and ``1*x`` elision.
-#: The last four cover the runner's ERROR paths: a table admissibility
+#: The four after it cover the runner's ERROR paths: a table admissibility
 #: ERROR, a QParams ERROR in algebra and in verify, and the degenerate
-#: algebra pencil at mu = 0, which still exits 0.
+#: algebra pencil at mu = 0, which still exits 0. The last two, verify at
+#: nmax 64, reach P_65, whose coefficients are far larger than nmax 24's.
 CASES = [
     ("biorth_N8", ["biorth", "--N", "8"], 0),
     ("biorth_q-4_5_b-2_N16", ["biorth", "--q=-4/5", "--b=-2", "--N", "16"], 0),
@@ -39,6 +40,8 @@ CASES = [
     ("algebra_q1", ["algebra", "--q=1"], 2),
     ("verify_a0_nmax2", ["verify", "--a", "0", "--nmax", "2"], 2),
     ("algebra_mu0", ["algebra", "--mu", "0"], 0),
+    ("verify_nmax64", ["verify", "--nmax", "64"], 0),
+    ("verify_q-1_2_a-3_b2_5_nmax64", ["verify", "--q=-1/2", "--a=-3", "--b=2/5", "--nmax", "64"], 0),
 ]
 
 

@@ -4,16 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from family_reference import alpha_coefficient, beta_coefficient, pastro_coefficient_ratio
+from family_reference import (
+    alpha_coefficient,
+    beta_coefficient,
+    eigenvalue,
+    mu1_coefficient,
+    mu2_coefficient,
+    pastro_coefficient_ratio,
+    raise_factor,
+)
 from pastroq.pastro import (
     baxter_coefficients,
     baxter_system,
     biorthogonal_partner,
     grid_weights,
-    mu1,
-    mu2,
     norm_constant,
-    pastro_eigenvalue,
     pastro_monic_prefactor,
     pastro_poly,
     pastro_poly_series,
@@ -69,23 +74,13 @@ def test_resonant_family_raises():
 
 
 def test_eigenvalues():
-    assert pastro_eigenvalue(0, REFERENCE) == -5
-    assert pastro_eigenvalue(1, REFERENCE) == Fraction(-5, 2)
-    assert pastro_eigenvalue(2, REFERENCE) == Fraction(-5, 4)
+    assert baxter_coefficients(2, REFERENCE).lam == [-5, Fraction(-5, 2), Fraction(-5, 4)]
 
 
 def test_mu_frozen_values():
-    assert mu1(0, REFERENCE) == Fraction(7, 12)
-    assert (mu1(1, REFERENCE), mu2(1, REFERENCE)) == (Fraction(13, 54), Fraction(5, 108))
-    assert mu2(0, REFERENCE) == 0
-
-
-def test_mu_resonance():
-    params = QParams(Fraction(1, 2), Fraction(3), Fraction(2))  # b q = 1
-    with pytest.raises(ResonantParameterError):
-        mu1(1, params)
-    with pytest.raises(ResonantParameterError):
-        mu2(1, params)
+    data = baxter_coefficients(1, REFERENCE)
+    assert data.mu1 == [Fraction(7, 12), Fraction(13, 54)]
+    assert data.mu2 == [0, Fraction(5, 108)]
 
 
 def test_baxter_coefficient_frozen_values():
@@ -103,6 +98,10 @@ def test_baxter_coefficients_match_closed_forms(params):
     assert data.alpha == [alpha_coefficient(n, params) for n in range(13)]
     assert data.beta == [beta_coefficient(n, params) for n in range(13)]
     assert data.h == [norm_constant(n, params) for n in range(13)]
+    assert data.lam == [eigenvalue(n, params) for n in range(13)]
+    assert data.mu1 == [mu1_coefficient(n, params) for n in range(13)]
+    assert data.mu2 == [mu2_coefficient(n, params) for n in range(13)]
+    assert data.raise_factor == [raise_factor(n, params) for n in range(13)]
 
 
 def first_closed_form_error(n_max: int, params: QParams) -> str | None:
@@ -272,23 +271,22 @@ def test_alpha_beta_resonance():
 
 
 def test_grid_weights_trivial_grid():
-    gw = grid_weights(1, Fraction(1, 5), Fraction(1, 2))
-    assert gw.w == [1]
-    assert gw.grid == [Fraction(1, 2)]
+    assert grid_weights(1, Fraction(1, 5), Fraction(1, 2)) == [1]
 
 
 def test_grid_weights_frozen_values():
-    gw = grid_weights(2, Fraction(1, 5), Fraction(1, 2))
-    assert gw.w == [Fraction(5, 4), Fraction(-1, 4)]
-    assert gw.grid == [Fraction(1, 2), Fraction(1, 4)]
-    gw3 = grid_weights(3, Fraction(1, 5), Fraction(1, 2))
-    assert gw3.w == [Fraction(25, 18), Fraction(-5, 12), Fraction(1, 36)]
+    assert grid_weights(2, Fraction(1, 5), Fraction(1, 2)) == [Fraction(5, 4), Fraction(-1, 4)]
+    assert grid_weights(3, Fraction(1, 5), Fraction(1, 2)) == [
+        Fraction(25, 18),
+        Fraction(-5, 12),
+        Fraction(1, 36),
+    ]
 
 
 @pytest.mark.parametrize("b", [Fraction(1, 5), Fraction(3), Fraction(-2, 7)])
 @pytest.mark.parametrize("N", [1, 2, 5, 8])
 def test_grid_weights_sum_to_one(N, b):
-    assert sum(grid_weights(N, b, Fraction(1, 2)).w) == 1
+    assert sum(grid_weights(N, b, Fraction(1, 2))) == 1
 
 
 def test_grid_weights_flip_invariance():
@@ -296,8 +294,8 @@ def test_grid_weights_flip_invariance():
     q = Fraction(1, 2)
     for N in (2, 3, 5):
         for b in (Fraction(1, 5), Fraction(-3, 4)):
-            w = grid_weights(N, b, q).w
-            flipped = grid_weights(N, q ** (2 - N) / b, q).w
+            w = grid_weights(N, b, q)
+            flipped = grid_weights(N, q ** (2 - N) / b, q)
             assert w == flipped[::-1]
 
 

@@ -1,11 +1,14 @@
 """Operator calculus and the verification of the operator identities."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from pastroq.pastro import baxter_coefficients, baxter_system, pastro_eigenvalue, pastro_poly
+from family_reference import eigenvalue
+from pastroq import cli
+from pastroq.pastro import baxter_coefficients, baxter_system, pastro_poly
 from pastroq.qcore import LaurentPoly, QParams, ResonantParameterError, x
 from pastroq.qdiff import (
     QDiffOperator,
@@ -202,9 +205,11 @@ def test_degree_records_match_direct_constructions(params):
     coupled = baxter_system(6, params)
     shifted = params.with_b(params.b * params.q)
     built = records(params, 6)
+    table = baxter_coefficients(6, params)
     assert [record.n for record in built] == list(range(7))
     for n, record in enumerate(built):
         assert record.params == params
+        assert record.table == table
         p = pastro_poly(n, params)
         assert record.p_prev == (pastro_poly(n - 1, params) if n else LaurentPoly.zero())
         assert record.p == p
@@ -222,7 +227,7 @@ def test_corrupted_record_fails_with_witness():
     corrupted = record._replace(x_image=record.x_image + x(2))
     assert verify_gevp(corrupted).status == "FAIL"
     assert verify_gevp(corrupted).witness == poly_mismatch_witness(
-        record.y_image, pastro_eigenvalue(3, REFERENCE) * corrupted.x_image
+        record.y_image, eigenvalue(3, REFERENCE) * corrupted.x_image
     )
     statuses = {check.name: check.status for check in verify_contiguity(corrupted)}
     assert statuses == {"contiguity-X": "FAIL", "contiguity-Y": "PASS", "contiguity-Z": "PASS"}
@@ -240,3 +245,50 @@ def test_witness_pinpoints_first_mismatch():
     assert operator_mismatch_witness(
         QDiffOperator(Q, {1: x()}), QDiffOperator(Q, {1: x()})
     ) is None
+
+
+#: For each column of the scalar table, the checks that read it at degree
+#: N_BAD: (name, n) for a per-degree check, (name, first witness degree)
+#: for a Baxter check, which scans the degrees and names the first failing
+#: one. The beta recurrence reads mu1_(n+1) and mu2_(n+1), so it fails one
+#: degree lower.
+N_BAD = 3
+COLUMN_READERS = {
+    "lam": {("gevp", N_BAD), ("q-difference-equation", N_BAD)},
+    "mu1": {
+        ("recurrence-three-term", N_BAD),
+        ("baxter-alpha-recurrence", N_BAD),
+        ("baxter-beta-recurrence", N_BAD - 1),
+    },
+    "mu2": {("recurrence-three-term", N_BAD), ("baxter-beta-recurrence", N_BAD - 1)},
+    "raise_factor": {
+        ("contiguity-X", N_BAD),
+        ("contiguity-Z", N_BAD),
+        ("recurrence-X-action", N_BAD),
+        ("recurrence-Z-action", N_BAD),
+    },
+}
+
+
+@pytest.mark.parametrize("params", [REFERENCE, SECOND])
+@pytest.mark.parametrize("column", sorted(COLUMN_READERS))
+def test_corrupted_table_column_fails_its_readers(column, params, monkeypatch):
+    def corrupted_table(n_max, params):
+        table = baxter_coefficients(n_max, params)
+        values = list(getattr(table, column))
+        values[N_BAD] += 1
+        return dataclasses.replace(table, **{column: values})
+
+    monkeypatch.setattr(cli, "baxter_coefficients", corrupted_table)
+    failed = set()
+    for check in cli.verify_suite(params, 5):
+        if check.status == "PASS":
+            continue
+        assert check.status == "FAIL", (check.name, check.witness)
+        if "n" in check.params:
+            assert check.witness.startswith("exponent "), (check.name, check.witness)
+            failed.add((check.name, int(check.params["n"])))
+        else:
+            degree, _ = check.witness.split(":", 1)
+            failed.add((check.name, int(degree.removeprefix("n="))))
+    assert failed == COLUMN_READERS[column]
