@@ -27,7 +27,6 @@ from .pastro import (
     baxter_system,
     biorthogonal_partner,
     grid_weights,
-    norm_constant,
     pastro_poly,
     verify_baxter_consistency,
 )
@@ -53,9 +52,10 @@ from .biorth import (
 )
 from .algebra import (
     AlgebraConstants,
-    affine_generators,
+    AlgebraRep,
     casimir_centrality,
     casimir_element,
+    make_algebra_rep,
     qhahn_embedding,
     verify_affine_relations,
     verify_raw_relations,
@@ -79,7 +79,6 @@ __all__ = [
     "baxter_system",
     "biorthogonal_partner",
     "grid_weights",
-    "norm_constant",
     "pastro_poly",
     "verify_baxter_consistency",
     "DegreeRecord",
@@ -99,9 +98,10 @@ __all__ = [
     "verify_adjoint_structure",
     "verify_biorthogonality",
     "AlgebraConstants",
-    "affine_generators",
+    "AlgebraRep",
     "casimir_centrality",
     "casimir_element",
+    "make_algebra_rep",
     "qhahn_embedding",
     "verify_affine_relations",
     "verify_raw_relations",

@@ -6,24 +6,25 @@ relations into pure q-canonical pairs; the third keeps two constants
 alpha1, alpha2. In the new generators a cubic Casimir element commutes
 with everything, and the pencil L = X' + mu Y' generates a q-Hahn type
 subalgebra whose relations close on L, Z' and their q-commutator M.
-All relation checks are exact operator equalities in normal form, and the
-operator arguments are injectable so corrupted inputs demonstrably FAIL.
+All relation checks are exact operator equalities in normal form. Each
+check reads one :class:`AlgebraRep`, built once per parameter point, so a
+record corrupted with ``_replace`` demonstrably FAILs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .qcore import QParams, Scalar, format_rational
 from .qdiff import QDiffOperator, make_operators, operator_mismatch_witness
 from .report import Check, equality_check
 
 __all__ = [
-    "alpha1",
-    "alpha2",
+    "AlgebraRep",
+    "make_algebra_rep",
     "verify_raw_relations",
-    "affine_generators",
     "verify_affine_relations",
     "casimir_element",
     "casimir_centrality",
@@ -31,35 +32,62 @@ __all__ = [
     "qhahn_embedding",
 ]
 
-OperatorTriple = tuple[QDiffOperator, QDiffOperator, QDiffOperator]
+
+class AlgebraRep(NamedTuple):
+    """Everything the algebra checks read, built once per parameter point.
+
+    ``context`` is ``params.describe()``; X, Y, Z the raw triple; Xp, Yp,
+    Zp the normalized generators X', Y', Z'; alpha1, alpha2 the structure
+    constants; and ``casimir`` the cubic Casimir Q of X', Y', Z'.
+    """
+
+    params: QParams
+    context: dict[str, str]
+    X: QDiffOperator
+    Y: QDiffOperator
+    Z: QDiffOperator
+    Xp: QDiffOperator
+    Yp: QDiffOperator
+    Zp: QDiffOperator
+    alpha1: Fraction
+    alpha2: Fraction
+    casimir: QDiffOperator
 
 
-def alpha1(params: QParams) -> Fraction:
-    """Structure constant alpha1 = b (q-1)^2 (q+1) / (a^2 q)."""
+def make_algebra_rep(params: QParams) -> AlgebraRep:
+    """Build the triple, the normalized generators, the constants and the Casimir.
+
+    The affine change of generators that normalizes two of the relations,
+      X' = a/(bq(q-1)) X - a/(b(q-1)) I,
+      Y' = (b/q) Y - (b/a) I,
+      Z' = -(1/a) Z - (b/a) I,
+    and the structure constants of the third,
+      alpha1 = b (q-1)^2 (q+1) / (a^2 q),
+      alpha2 = (q-1)(ab + aq + bq) / (a^2 q).
+    Requires q != 1, which QParams already guarantees.
+    """
+    X, Y, Z = make_operators(params)
     q, a, b = params.q, params.a, params.b
-    return b * (q - 1) ** 2 * (q + 1) / (a**2 * q)
+    I = QDiffOperator.identity(q)
+    Xp = (a / (b * q * (q - 1))) * X - (a / (b * (q - 1))) * I
+    Yp = (b / q) * Y - (b / a) * I
+    Zp = (-1 / a) * Z - (b / a) * I
+    a1 = b * (q - 1) ** 2 * (q + 1) / (a**2 * q)
+    a2 = (q - 1) * (a * b + a * q + b * q) / (a**2 * q)
+    casimir = casimir_element(q, (Xp, Yp, Zp), a1, a2)
+    return AlgebraRep(params, params.describe(), X, Y, Z, Xp, Yp, Zp, a1, a2, casimir)
 
 
-def alpha2(params: QParams) -> Fraction:
-    """Structure constant alpha2 = (q-1)(ab + aq + bq) / (a^2 q)."""
-    q, a, b = params.q, params.a, params.b
-    return (q - 1) * (a * b + a * q + b * q) / (a**2 * q)
-
-
-def verify_raw_relations(
-    params: QParams, operators: OperatorTriple | None = None
-) -> list[Check]:
+def verify_raw_relations(rep: AlgebraRep) -> list[Check]:
     """Check the three q-commutation relations of the raw triple (X, Y, Z).
 
       q XY - YX = q (q-1) ((1/a) X + Y),
       q YZ - ZY = (q-1) [ -(1+q)/(bq) X - b Y + (q/a) Z + (1-b)(a-bq)/(ab) ],
       q ZX - XZ = (q-1) (-b X + q Z).
-    Operators are injectable so corrupted coefficients surface as FAIL.
     """
-    X, Y, Z = operators if operators is not None else make_operators(params)
-    q, a, b = params.q, params.a, params.b
+    X, Y, Z, context = rep.X, rep.Y, rep.Z, rep.context
+    q, a, b = rep.params.q, rep.params.a, rep.params.b
     I = QDiffOperator.identity(q)
-    context = params.describe()
 
     checks = [
         equality_check(
@@ -95,26 +123,7 @@ def verify_raw_relations(
     return checks
 
 
-def affine_generators(params: QParams) -> OperatorTriple:
-    """The affine change of generators that normalizes two of the relations.
-
-      X' = a/(bq(q-1)) X - a/(b(q-1)) I,
-      Y' = (b/q) Y - (b/a) I,
-      Z' = -(1/a) Z - (b/a) I.
-    Requires q != 1, which QParams already guarantees.
-    """
-    X, Y, Z = make_operators(params)
-    q, a, b = params.q, params.a, params.b
-    I = QDiffOperator.identity(q)
-    Xp = (a / (b * q * (q - 1))) * X - (a / (b * (q - 1))) * I
-    Yp = (b / q) * Y - (b / a) * I
-    Zp = (-1 / a) * Z - (b / a) * I
-    return Xp, Yp, Zp
-
-
-def verify_affine_relations(
-    params: QParams, generators: OperatorTriple | None = None
-) -> list[Check]:
+def verify_affine_relations(rep: AlgebraRep) -> list[Check]:
     """Check the normalized relations of (X', Y', Z').
 
       q X'Y' - Y'X' = I,
@@ -124,11 +133,10 @@ def verify_affine_relations(
     (beta1, beta2) = (0, 1) and (delta1, delta2) = (0, 1) alongside
     (alpha1, alpha2).
     """
-    Xp, Yp, Zp = generators if generators is not None else affine_generators(params)
-    q = params.q
-    a1, a2 = alpha1(params), alpha2(params)
+    Xp, Yp, Zp, context = rep.Xp, rep.Yp, rep.Zp, rep.context
+    q = rep.params.q
+    a1, a2 = rep.alpha1, rep.alpha2
     I = QDiffOperator.identity(q)
-    context = params.describe()
 
     witness_xy = operator_mismatch_witness(q * (Xp @ Yp) - Yp @ Xp, I)
     witness_yz = operator_mismatch_witness(
@@ -169,43 +177,31 @@ def verify_affine_relations(
 
 
 def casimir_element(
-    params: QParams, generators: OperatorTriple | None = None
+    q: Fraction, generators: tuple[QDiffOperator, ...], alpha1: Fraction, alpha2: Fraction
 ) -> QDiffOperator:
-    """The cubic Casimir of the normalized generators.
+    """The cubic Casimir of the normalized generators (X', Y', Z').
 
     Q = (q^-2 - 1) X'Y'Z' + (alpha1/q) X'^2
         + (1/q)(1/q + 1)(alpha2 X' + (1/q) Y' + Z').
     """
-    Xp, Yp, Zp = generators if generators is not None else affine_generators(params)
-    q = params.q
-    a1, a2 = alpha1(params), alpha2(params)
+    Xp, Yp, Zp = generators
     return (
         (q**-2 - 1) * (Xp @ Yp @ Zp)
-        + (a1 / q) * (Xp @ Xp)
-        + (1 / q) * (1 / q + 1) * (a2 * Xp + (1 / q) * Yp + Zp)
+        + (alpha1 / q) * (Xp @ Xp)
+        + (1 / q) * (1 / q + 1) * (alpha2 * Xp + (1 / q) * Yp + Zp)
     )
 
 
-def casimir_centrality(
-    params: QParams,
-    casimir: QDiffOperator | None = None,
-    generators: OperatorTriple | None = None,
-) -> list[Check]:
-    """Check that the Casimir commutes with each normalized generator.
-
-    The Casimir (and the generators) are injectable, so a perturbed
-    candidate demonstrably fails centrality.
-    """
-    triple = generators if generators is not None else affine_generators(params)
-    element = casimir if casimir is not None else casimir_element(params, triple)
-    context = params.describe()
+def casimir_centrality(rep: AlgebraRep) -> list[Check]:
+    """Check that the Casimir commutes with each normalized generator."""
+    element = rep.casimir
     checks = []
-    for name, generator in zip(("X'", "Y'", "Z'"), triple):
+    for name, generator in zip(("X'", "Y'", "Z'"), (rep.Xp, rep.Yp, rep.Zp)):
         checks.append(
             equality_check(
                 f"casimir-central-{name.rstrip(chr(39))}",
                 f"Q {name} - {name} Q = 0",
-                context,
+                rep.context,
                 operator_mismatch_witness(
                     element @ generator, generator @ element
                 ),
@@ -229,7 +225,7 @@ class AlgebraConstants:
 
 
 def qhahn_embedding(
-    params: QParams, mu: Scalar
+    rep: AlgebraRep, mu: Scalar
 ) -> tuple[AlgebraConstants, list[Check]]:
     """Check the q-Hahn type relations of the pencil L = X' + mu Y'.
 
@@ -241,9 +237,9 @@ def qhahn_embedding(
     Casimir). mu = 0 collapses the pencil to X' and is flagged degenerate.
     """
     mu = Fraction(mu)
-    q = params.q
-    Xp, Yp, Zp = affine_generators(params)
-    a1, a2 = alpha1(params), alpha2(params)
+    q = rep.params.q
+    Xp, Yp, Zp = rep.Xp, rep.Yp, rep.Zp
+    a1, a2 = rep.alpha1, rep.alpha2
     I = QDiffOperator.identity(q)
 
     L = Xp + mu * Yp
@@ -251,11 +247,9 @@ def qhahn_embedding(
     M = q * (L @ Zp) - Zp @ L - gamma1 * I
     gamma2 = mu * a1
     gamma3 = mu * (q + 1) ** 2 * (q - 1) / q
-    gamma4 = (-mu * q**2 * (q - 1)) * casimir_element(params, (Xp, Yp, Zp)) + (
-        mu**2 * a1
-    ) * I
+    gamma4 = (-mu * q**2 * (q - 1)) * rep.casimir + (mu**2 * a1) * I
 
-    context = params.describe() | {"mu": format_rational(mu)}
+    context = rep.context | {"mu": format_rational(mu)}
     if mu == 0:
         context["degenerate"] = "true"
     checks = [

@@ -22,10 +22,10 @@ from typing import Callable, Iterator, NamedTuple
 
 from .qcore import LaurentPoly, QParams, ResonantParameterError, Scalar, format_rational
 from .pastro import (
+    _norm_constants,
     baxter_system,
     biorthogonal_partner,
     grid_weights,
-    norm_constant,
     pastro_poly,
 )
 from .report import (
@@ -227,8 +227,9 @@ def _adjoint_y_closed_form(N: int, b: Fraction, q: Fraction) -> Band:
 class GridRep:
     """Everything the grid checks read, built once per (N, b, q).
 
-    ``params`` is (q, q^(1-N), b); ``grid`` holds the points x_s = q^(s+1)
-    and ``w`` their weights; ``matrices`` the bands X, Y, X*, Y*;
+    ``params`` is (q, q^(1-N), b); ``context`` the report parameters N, b
+    and q that every grid check carries; ``grid`` holds the points
+    x_s = q^(s+1) and ``w`` their weights; ``matrices`` the bands X, Y, X*, Y*;
     ``poly_values`` and ``partner_values`` the grid samples of P_0..P_(N-1)
     and R_0..R_(N-1); ``p_top`` the truncation polynomial P_N; ``h`` the
     norm constants h_0..h_N; and ``q_polys`` and ``lam`` the
@@ -240,6 +241,7 @@ class GridRep:
 
     N: int
     params: QParams
+    context: dict[str, str]
     grid: list[Fraction]
     w: list[Fraction]
     matrices: dict[str, Band]
@@ -268,12 +270,13 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
     grid = [q ** (s + 1) for s in range(N)]
     poly_values = [grid_samples(pastro_poly(n, params), grid) for n in range(N)]
     partner_values = [grid_samples(biorthogonal_partner(m, params), grid) for m in range(N)]
-    h = [norm_constant(n, params) for n in range(N + 1)]
+    h = _norm_constants(N, params)
     p_top = pastro_poly(N, params)
     coupled = baxter_system(N - 1, params)
     return GridRep(
         N=N,
         params=params,
+        context={"N": str(N), "b": format_rational(b), "q": format_rational(q)},
         grid=grid,
         w=w,
         matrices={"X": X, "Y": Y, "X*": weight_adjoint(X, w), "Y*": weight_adjoint(Y, w)},
@@ -326,9 +329,8 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
     adjoint, the tau-flip expressions X* = -b q^s tau(X) and
     Y* = -(1/b) q^(s+1-N) tau(Y), and tau o tau = id.
     """
-    N, w = rep.N, rep.w
+    N, w, context = rep.N, rep.w, rep.context
     b, q = rep.params.b, rep.params.q
-    context = {"N": str(N), "b": format_rational(b), "q": format_rational(q)}
     checks: list[Check] = []
 
     closed_plus = Band(
@@ -464,7 +466,7 @@ def verify_adjoint_gevp(n: int, rep: GridRep) -> list[Check]:
     b, q = rep.params.b, rep.params.q
     if not 0 <= n < N:
         raise ValueError(f"degree must lie in [0, {N - 1}], got {n}")
-    context = {"N": str(N), "n": str(n), "b": format_rational(b), "q": format_rational(q)}
+    context = rep.context | {"n": str(n)}
     flip_points = [q ** (N - s) for s in range(N)]
 
     flipped = QParams(q, rep.params.a, tau_parameter(b, q, N))
@@ -524,9 +526,7 @@ def verify_biorthogonality(rep: GridRep) -> tuple[Matrix, list[Check]]:
     derivative nonzero at every grid point), and the weight-origin formula
     w_s = h_(N-1) / (P'_N(x_s) R_(N-1)(x_s)).
     """
-    N, w, grid, h = rep.N, rep.w, rep.grid, rep.h
-    b, q = rep.params.b, rep.params.q
-    context = {"N": str(N), "b": format_rational(b), "q": format_rational(q)}
+    N, w, grid, h, context = rep.N, rep.w, rep.grid, rep.h, rep.context
 
     gram = [
         [scalar_product(w, rep.poly_values[n], rep.partner_values[m]) for m in range(N)]

@@ -19,6 +19,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .algebra import (
     casimir_centrality,
+    make_algebra_rep,
     qhahn_embedding,
     verify_affine_relations,
     verify_raw_relations,
@@ -181,11 +182,11 @@ def _biorth(config: RunConfig, report: Report, context: dict[str, str]) -> tuple
 
 
 def _algebra(config: RunConfig, report: Report, context: dict[str, str]) -> tuple[dict, list[str]]:
-    params = QParams(config.q, config.a, config.b)
-    report.extend(verify_raw_relations(params))
-    report.extend(verify_affine_relations(params))
-    report.extend(casimir_centrality(params))
-    constants, pencil_checks = qhahn_embedding(params, config.mu)
+    rep = make_algebra_rep(QParams(config.q, config.a, config.b))
+    report.extend(verify_raw_relations(rep))
+    report.extend(verify_affine_relations(rep))
+    report.extend(casimir_centrality(rep))
+    constants, pencil_checks = qhahn_embedding(rep, config.mu)
     report.extend(pencil_checks)
 
     extra: dict = {"params": context}

@@ -34,7 +34,6 @@ __all__ = [
     "pastro_poly",
     "pastro_poly_series",
     "pastro_monic_prefactor",
-    "norm_constant",
     "BaxterData",
     "baxter_coefficients",
     "baxter_step",
@@ -108,18 +107,6 @@ def pastro_poly_series(n: int, params: QParams) -> LaurentPoly:
     return prefactor * phi21_terminating(n, b, (b / a) * q ** (1 - n), q, x())
 
 
-def norm_constant(n: int, params: QParams) -> Fraction:
-    """Biorthogonality constant h_n = (a;q)_n (q;q)_n / (((a/b)q;q)_n (b;q)_n)."""
-    _check_degree(n)
-    q, a, b = params.q, params.a, params.b
-    denominator = q_pochhammer((a / b) * q, q, n) * q_pochhammer(b, q, n)
-    if denominator == 0:
-        raise ResonantParameterError(
-            f"((a/b)*q;q)_{n} * (b;q)_{n} vanishes"
-        )
-    return q_pochhammer(a, q, n) * q_pochhammer(q, q, n) / denominator
-
-
 @dataclass
 class BaxterData:
     """The per-degree scalars of one parameter point, n = 0..n_max.
@@ -160,6 +147,25 @@ def _divisor(value: Fraction, message: str) -> Fraction:
     return value
 
 
+def _norm_constants(n_max: int, params: QParams) -> list[Fraction]:
+    """h_n = (a;q)_n (q;q)_n / (((a/b)q;q)_n (b;q)_n) for n <= n_max.
+
+    Read off running q-Pochhammer products; raises at the first n whose
+    denominator vanishes.
+    """
+    q, a, b = params.q, params.a, params.b
+    a_poch = _pochhammer_prefixes(a, q, n_max)
+    q_poch = _pochhammer_prefixes(q, q, n_max)
+    abq_poch = _pochhammer_prefixes((a / b) * q, q, n_max)
+    b_poch = _pochhammer_prefixes(b, q, n_max)
+    return [
+        a_poch[n]
+        * q_poch[n]
+        / _divisor(abq_poch[n] * b_poch[n], f"((a/b)*q;q)_{n} * (b;q)_{n} vanishes")
+        for n in range(n_max + 1)
+    ]
+
+
 def baxter_coefficients(n_max: int, params: QParams) -> BaxterData:
     """The scalar table of ``params`` for n <= n_max.
 
@@ -169,7 +175,7 @@ def baxter_coefficients(n_max: int, params: QParams) -> BaxterData:
       mu1_n = -q (b - a q^n) / (a (1 - b q^n)),
       mu2_n = -b q (1 - q^n)(1 - a q^(n-1)) / (a (1 - b q^n)(1 - b q^(n-1))),
     with mu2_0 = 0 (the 1 - q^n factor), the raise factor q^-n (1 - b q^n),
-    and h_n as in :func:`norm_constant`. alpha, beta and h are read off
+    and h_n as in :func:`_norm_constants`. alpha, beta and h are read off
     running q-Pochhammer products, so the table costs O(n_max) products
     rather than O(n_max) per degree. The lists are filled alpha first, then
     beta, then h, so a resonant triple raises the first vanishing
@@ -196,14 +202,7 @@ def baxter_coefficients(n_max: int, params: QParams) -> BaxterData:
         / _divisor(abq_poch[n + 1], f"((a/b)*q;q)_{n + 1} vanishes")
         for n in range(count)
     ]
-    a_poch = _pochhammer_prefixes(a, q, n_max)
-    q_poch = _pochhammer_prefixes(q, q, n_max)
-    h = [
-        a_poch[n]
-        * q_poch[n]
-        / _divisor(abq_poch[n] * b_poch[n], f"((a/b)*q;q)_{n} * (b;q)_{n} vanishes")
-        for n in range(count)
-    ]
+    h = _norm_constants(n_max, params)
     powers = [q**n for n in range(count)]
     b_factors = [1 - b * power for power in powers]
     mu2 = [Fraction(0)] + [

@@ -55,12 +55,7 @@ class QDiffOperator:
                 if not isinstance(coefficient, LaurentPoly):
                     coefficient = LaurentPoly.constant(coefficient)
                 if coefficient:
-                    existing = data.get(shift)
-                    merged = coefficient if existing is None else existing + coefficient
-                    if merged:
-                        data[shift] = merged
-                    elif shift in data:
-                        del data[shift]
+                    data[shift] = coefficient
         self._terms = data
 
     @classmethod
@@ -209,12 +204,15 @@ class DegreeRecord(NamedTuple):
     The eigenvalue-route P_(n-1) (zero at n = 0), P_n and P_(n+1); P_n at
     the shifted parameter bq; the images X P_n, Y P_n, Z P_n; the
     coupled-recurrence pair P~_n, Q_n of :func:`pastroq.pastro.baxter_system`;
-    and the scalar table of ``params``, from which the checks read
-    lambda_n, mu1_n, mu2_n and the raise factor at n.
+    the scalar table of ``params``, from which the checks read lambda_n,
+    mu1_n, mu2_n and the raise factor at n; and ``context``, the report
+    parameters ``params.describe()`` plus n that every check of the record
+    carries.
     """
 
     n: int
     params: QParams
+    context: dict[str, str]
     table: BaxterData
     p_prev: LaurentPoly
     p: LaurentPoly
@@ -237,6 +235,7 @@ def degree_records(params: QParams, n_max: int, data: BaxterData) -> Iterator[De
     ``params`` for n <= n_max, and every record carries it.
     """
     X, Y, Z = make_operators(params)
+    described = params.describe()
     shifted = params.with_b(params.b * params.q)
     p_prev, p = LaurentPoly.zero(), pastro_poly(0, params)
     p_coupled = q_coupled = LaurentPoly.one()
@@ -249,6 +248,7 @@ def degree_records(params: QParams, n_max: int, data: BaxterData) -> Iterator[De
         yield DegreeRecord(
             n=n,
             params=params,
+            context=described | {"n": str(n)},
             table=data,
             p_prev=p_prev,
             p=p,
@@ -265,14 +265,10 @@ def degree_records(params: QParams, n_max: int, data: BaxterData) -> Iterator[De
 
 def verify_gevp(record: DegreeRecord) -> Check:
     """Check the generalized eigenvalue identity Y P_n = lambda_n X P_n."""
-    n, params = record.n, record.params
-    lam = record.table.lam[n]
+    lam = record.table.lam[record.n]
     witness = poly_mismatch_witness(record.y_image, lam * record.x_image)
     return equality_check(
-        "gevp",
-        "Y P_n = lambda_n X P_n, lambda_n = -q^n/b",
-        params.describe() | {"n": str(n)},
-        witness,
+        "gevp", "Y P_n = lambda_n X P_n, lambda_n = -q^n/b", record.context, witness
     )
 
 
@@ -294,7 +290,7 @@ def verify_qdiff_equation(record: DegreeRecord) -> Check:
         "q-difference-equation",
         "(x - q/a) P_n(qx) + (q/a - x/b) P_n(x) = "
         "lambda_n ((x - q) P_n(x/q) + (q - b x) P_n(x))",
-        params.describe() | {"n": str(n)},
+        record.context,
         poly_mismatch_witness(lhs, rhs),
     )
 
@@ -308,19 +304,18 @@ def verify_contiguity(record: DegreeRecord) -> list[Check]:
     """
     n, params, p_shifted = record.n, record.params, record.p_shifted
     q, b = params.q, params.b
-    context = params.describe() | {"n": str(n)}
     factor = record.table.raise_factor[n]
     return [
         equality_check(
             "contiguity-X",
             "X P_n(.; b) = q^-n (1 - b q^n) x P_n(.; bq)",
-            context,
+            record.context,
             poly_mismatch_witness(record.x_image, factor * x() * p_shifted),
         ),
         equality_check(
             "contiguity-Y",
             "Y P_n(.; b) = -(1/b) (1 - b q^n) x P_n(.; bq)",
-            context,
+            record.context,
             poly_mismatch_witness(
                 record.y_image, (-1 / b) * (1 - b * q**n) * x() * p_shifted
             ),
@@ -328,7 +323,7 @@ def verify_contiguity(record: DegreeRecord) -> list[Check]:
         equality_check(
             "contiguity-Z",
             "Z P_n(.; b) = q^-n (1 - b q^n) P_n(.; bq)",
-            context,
+            record.context,
             poly_mismatch_witness(record.z_image, factor * p_shifted),
         ),
     ]
@@ -348,8 +343,6 @@ def verify_recurrence(record: DegreeRecord) -> list[Check]:
     n, params = record.n, record.params
     p_prev, p_now, p_next = record.p_prev, record.p, record.p_next
     q, a, b = params.q, params.a, params.b
-    context = params.describe() | {"n": str(n)}
-
     table = record.table
     raise_factor = table.raise_factor[n]
     x_rhs = raise_factor * p_next + q * (1 - (b / a) * q**-n) * p_now
@@ -366,26 +359,26 @@ def verify_recurrence(record: DegreeRecord) -> list[Check]:
         equality_check(
             "recurrence-X-action",
             "X P_n = q^-n (1 - b q^n) P_(n+1) + q (1 - (b/a) q^-n) P_n",
-            context,
+            record.context,
             poly_mismatch_witness(record.x_image, x_rhs),
         ),
         equality_check(
             "recurrence-Z-action",
             "Z P_n = q^-n (1 - b q^n) P_n "
             "+ b q (1 - q^-n)(1 - a q^(n-1)) / (a (1 - b q^(n-1))) P_(n-1)",
-            context,
+            record.context,
             poly_mismatch_witness(record.z_image, z_rhs),
         ),
         equality_check(
             "recurrence-three-term",
             "P_(n+1) + mu1_n P_n = x (P_n + mu2_n P_(n-1))",
-            context,
+            record.context,
             poly_mismatch_witness(three_lhs, three_rhs),
         ),
         equality_check(
             "recurrence-X-from-Z",
             "x (Z P_n) = X P_n",
-            context,
+            record.context,
             poly_mismatch_witness(x() * record.z_image, record.x_image),
         ),
     ]

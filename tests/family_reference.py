@@ -9,12 +9,12 @@ four ``q_pochhammer`` products into a prefactor and expands the series with
 in the same order, as the package's builders.
 
 The degree-by-degree closed forms of the coefficient ratio C_k / C_0, of
-the coupled-recurrence coefficients alpha_n and beta_n, of the eigenvalue
-lambda_n, of the three-term recurrence coefficients mu1_n and mu2_n and of
-the raise factor q^-n (1 - b q^n) are kept here too: the package reads
-them off one scalar table per parameter point, ``baxter_coefficients``,
-and the tests compare that table, and the coefficients of P_n, against
-these formulas.
+the coupled-recurrence coefficients alpha_n and beta_n, of the norm
+constant h_n, of the eigenvalue lambda_n, of the three-term recurrence
+coefficients mu1_n and mu2_n and of the raise factor q^-n (1 - b q^n) are
+kept here too: the package reads them off one scalar table per parameter
+point, ``baxter_coefficients`` (and ``GridRep.h``), and the tests compare
+that table, and the coefficients of P_n, against these formulas.
 """
 
 from __future__ import annotations
@@ -112,6 +112,15 @@ def beta_coefficient(n: int, params: QParams) -> Fraction:
     if denominator == 0:
         raise ResonantParameterError(f"((a/b)*q;q)_{n + 1} vanishes")
     return -((a / b) ** (n + 1)) * q_pochhammer(b / q, q, n + 1) / denominator
+
+
+def norm_constant(n: int, params: QParams) -> Fraction:
+    """Biorthogonality constant h_n = (a;q)_n (q;q)_n / (((a/b)q;q)_n (b;q)_n)."""
+    q, a, b = params.q, params.a, params.b
+    denominator = q_pochhammer((a / b) * q, q, n) * q_pochhammer(b, q, n)
+    if denominator == 0:
+        raise ResonantParameterError(f"((a/b)*q;q)_{n} * (b;q)_{n} vanishes")
+    return q_pochhammer(a, q, n) * q_pochhammer(q, q, n) / denominator
 
 
 def eigenvalue(n: int, params: QParams) -> Fraction:

@@ -10,10 +10,10 @@ import subprocess
 import sys
 from fractions import Fraction
 
+from family_reference import norm_constant
 from pastroq.algebra import (
-    affine_generators,
     casimir_centrality,
-    casimir_element,
+    make_algebra_rep,
     qhahn_embedding,
     verify_affine_relations,
     verify_raw_relations,
@@ -34,14 +34,12 @@ from pastroq.pastro import (
     baxter_system,
     biorthogonal_partner,
     grid_weights,
-    norm_constant,
     pastro_poly,
 )
 from pastroq.qcore import ParameterError, QParams
 from pastroq.qdiff import (
     QDiffOperator,
     degree_records,
-    make_operators,
     verify_contiguity,
     verify_gevp,
     verify_qdiff_equation,
@@ -208,23 +206,21 @@ def test_criterion_7_algebra():
     points = admissible_draws(seed=41, count=10, n_max=0)
     ok = len(points) == 10
     for params in points:
-        ok = ok and all_pass(verify_raw_relations(params))
-        ok = ok and all_pass(verify_affine_relations(params))
-        ok = ok and all_pass(casimir_centrality(params))
+        rep = make_algebra_rep(params)
+        ok = ok and all_pass(verify_raw_relations(rep))
+        ok = ok and all_pass(verify_affine_relations(rep))
+        ok = ok and all_pass(casimir_centrality(rep))
         for mu in (Fraction(0), Fraction(2, 3), Fraction(-3, 2)):
-            _, checks = qhahn_embedding(params, mu)
+            _, checks = qhahn_embedding(rep, mu)
             ok = ok and all_pass(checks)
 
-    X, Y, Z = make_operators(REFERENCE)
+    rep = make_algebra_rep(REFERENCE)
     corrupted = QDiffOperator(
-        X.q, {shift: -coeff if shift == -1 else coeff for shift, coeff in X.items()}
+        rep.X.q, {shift: -coeff if shift == -1 else coeff for shift, coeff in rep.X.items()}
     )
-    mutated = verify_raw_relations(REFERENCE, operators=(corrupted, Y, Z))
+    mutated = verify_raw_relations(rep._replace(X=corrupted))
     ok = ok and any(check.status == "FAIL" for check in mutated)
-    Xp, _, _ = affine_generators(REFERENCE)
-    perturbed = casimir_centrality(
-        REFERENCE, casimir=casimir_element(REFERENCE) + Xp
-    )
+    perturbed = casimir_centrality(rep._replace(casimir=rep.casimir + rep.Xp))
     ok = ok and any(check.status == "FAIL" for check in perturbed)
     assert record(
         7,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from family_reference import norm_constant
 from pastroq.biorth import (
     Band,
     band_mismatch_witness,
@@ -26,7 +27,7 @@ from pastroq.biorth import (
     verify_biorthogonality,
     weight_adjoint,
 )
-from pastroq.pastro import norm_constant, pastro_poly
+from pastroq.pastro import pastro_poly
 from pastroq.qcore import QParams, ResonantParameterError, format_rational
 from pastroq.report import matrix_mismatch_witness
 

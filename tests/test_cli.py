@@ -1,9 +1,12 @@
 """CLI behavior: schemas, exit codes, determinism, error paths."""
 
+import importlib
 import io
 import json
+import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -11,6 +14,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import pastroq
+from pastroq import algebra
+from pastroq.biorth import make_grid_rep, verify_adjoint_gevp, verify_adjoint_structure
 from pastroq.cli import (
     RunConfig,
     _admissibility_issues,
@@ -93,6 +99,47 @@ def test_algebra_constants_surface():
         "delta1": "0",
         "delta2": "1",
     }
+
+
+def test_algebra_run_builds_each_object_once(monkeypatch):
+    calls = Counter()
+    for name in ("make_operators", "casimir_element"):
+
+        def counted(*args, _name=name, _original=getattr(algebra, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(algebra, name, counted)
+    report, _, _ = run(RunConfig("algebra"))
+    assert report.exit_code == 0
+    assert calls == {"make_operators": 1, "casimir_element": 1}
+
+
+def test_verify_suite_holds_one_context_per_degree():
+    checks = verify_suite(QParams(Fraction(1, 2), 3, Fraction(1, 5)), 40)
+    assert len(checks) == 376
+    # one context per degree record (41) and one for the Baxter checks
+    assert len({id(check.params) for check in checks}) == 42
+
+
+def test_grid_checks_share_the_rep_context():
+    rep = make_grid_rep(4, Fraction(1, 5), Fraction(1, 2))
+    assert rep.context == {"N": "4", "b": "1/5", "q": "1/2"}
+    assert all(check.params is rep.context for check in verify_adjoint_structure(rep))
+    for check in verify_adjoint_gevp(2, rep):
+        assert check.params == rep.context | {"n": "2"}
+
+
+def test_every_exported_name_resolves():
+    modules = [pastroq] + [
+        importlib.import_module(f"pastroq.{info.name}")
+        for info in pkgutil.iter_modules(pastroq.__path__)
+        if info.name != "__main__"
+    ]
+    assert len(modules) >= 8
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
 
 
 def test_verify_rejects_unit_q():

@@ -20,8 +20,9 @@ GOLDEN = Path(__file__).parent / "golden"
 #: items and poly_to_json), so it guards term order, signs and ``1*x`` elision.
 #: The four after it cover the runner's ERROR paths: a table admissibility
 #: ERROR, a QParams ERROR in algebra and in verify, and the degenerate
-#: algebra pencil at mu = 0, which still exits 0. The last two, verify at
-#: nmax 64, reach P_65, whose coefficients are far larger than nmax 24's.
+#: algebra pencil at mu = 0, which still exits 0. The two verify cases at
+#: nmax 64 reach P_65, whose coefficients are far larger than nmax 24's.
+#: The last case is algebra away from the default (q, a, b), with q < 0.
 CASES = [
     ("biorth_N8", ["biorth", "--N", "8"], 0),
     ("biorth_q-4_5_b-2_N16", ["biorth", "--q=-4/5", "--b=-2", "--N", "16"], 0),
@@ -42,6 +43,7 @@ CASES = [
     ("algebra_mu0", ["algebra", "--mu", "0"], 0),
     ("verify_nmax64", ["verify", "--nmax", "64"], 0),
     ("verify_q-1_2_a-3_b2_5_nmax64", ["verify", "--q=-1/2", "--a=-3", "--b=2/5", "--nmax", "64"], 0),
+    ("algebra_q-4_5_a6_b-2_mu-3_2", ["algebra", "--q=-4/5", "--a=6", "--b=-2", "--mu=-3/2"], 0),
 ]
 
 

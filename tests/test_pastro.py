@@ -10,15 +10,16 @@ from family_reference import (
     eigenvalue,
     mu1_coefficient,
     mu2_coefficient,
+    norm_constant,
     pastro_coefficient_ratio,
     raise_factor,
 )
 from pastroq.pastro import (
+    _norm_constants,
     baxter_coefficients,
     baxter_system,
     biorthogonal_partner,
     grid_weights,
-    norm_constant,
     pastro_monic_prefactor,
     pastro_poly,
     pastro_poly_series,
@@ -150,9 +151,34 @@ def test_norm_vanishes_at_truncation():
     # a = q^(1-N) forces h_N = 0
     for N in range(1, 7):
         params = QParams(Fraction(1, 2), Fraction(1, 2) ** (1 - N), Fraction(1, 5))
-        assert norm_constant(N, params) == 0
-        for n in range(N):
-            assert norm_constant(n, params) != 0
+        h = baxter_coefficients(N, params).h
+        assert h[N] == 0
+        assert all(h[n] != 0 for n in range(N))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ResonantParameterError as exc:
+        return str(exc)
+
+
+def test_norm_prefixes_match_the_closed_form_on_grid_inputs():
+    # h_0..h_N at a = q^(1-N), as make_grid_rep reads them: equal lists, or
+    # the same first error text at the resonant inputs
+    units = [Fraction(1, 2), 2, Fraction(1, 3), 3, Fraction(2, 3), Fraction(3, 2)]
+    units += [Fraction(1, 4), 4]
+    bs = [Fraction(1, k) for k in range(1, 6)] + [Fraction(k) for k in range(2, 6)]
+    resonant = 0
+    for q in units + [-u for u in units]:
+        for b in bs + [-b for b in bs]:
+            for N in range(1, 6):
+                params = QParams(q, Fraction(q) ** (1 - N), b)
+                route = _outcome(lambda: _norm_constants(N, params))
+                reference = _outcome(lambda: [norm_constant(n, params) for n in range(N + 1)])
+                assert route == reference, (q, b, N)
+                resonant += isinstance(route, str)
+    assert resonant > 0
 
 
 def test_baxter_system_first_steps():
