@@ -12,12 +12,20 @@ matrix identity.
 Every grid operator here (T^+, T^-, X, Y, their adjoints and tau flips)
 is bidiagonal, so each is stored as a :class:`Band` of three diagonals
 rather than as a dense N x N matrix.
+
+The sums the checks run over whole grid vectors (the Gram matrix, the
+adjoint eigenvalue problem and the proportionality tests) run on a
+:class:`GridVector`, the ``LaurentPoly`` layout applied to vectors: int
+numerators over one positive denominator. A Gram entry is then one int
+dot product, and a ``Fraction`` is built only for what a report prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Callable, Iterator, NamedTuple
 
 from .qcore import LaurentPoly, QParams, ResonantParameterError, Scalar, format_rational
@@ -42,7 +50,6 @@ __all__ = [
     "band_mismatch_witness",
     "mat_vec",
     "diag_times",
-    "scalar_product",
     "weight_adjoint",
     "tau_parameter",
     "tau_conjugate",
@@ -51,6 +58,8 @@ __all__ = [
     "shift_minus_matrix",
     "restricted_x_matrix",
     "restricted_y_matrix",
+    "GridVector",
+    "grid_vector",
     "GridRep",
     "make_grid_rep",
     "grid_samples",
@@ -75,6 +84,38 @@ class Band(NamedTuple):
     lower: list[Fraction]
     main: list[Fraction]
     upper: list[Fraction]
+
+
+class GridVector(NamedTuple):
+    """A grid vector held as int numerators over one positive denominator.
+
+    Entry s is ``nums[s] / den``. The numerators and the denominator need
+    not be coprime: two vectors are proportional, or a dot product vanishes,
+    whatever common factor they carry.
+    """
+
+    nums: list[int]
+    den: int
+
+    def values(self) -> list[Fraction]:
+        """The entries as reduced Fractions."""
+        den = self.den
+        return [Fraction(num, den) for num in self.nums]
+
+
+def grid_vector(values: list[Fraction]) -> GridVector:
+    """The entries of a Fraction vector over the lcm of their denominators."""
+    den = lcm(*(value.denominator for value in values))
+    return GridVector([value.numerator * (den // value.denominator) for value in values], den)
+
+
+def _int_band(band: Band) -> tuple[Band, int]:
+    """A band as int entries over the lcm of its denominators."""
+    den = lcm(*(entry.denominator for diagonal in band for entry in diagonal))
+    scaled = (
+        [entry.numerator * (den // entry.denominator) for entry in diagonal] for diagonal in band
+    )
+    return Band(*scaled), den
 
 
 MatrixBuilder = Callable[[int, Fraction, Fraction], Band]
@@ -107,7 +148,7 @@ def band_mismatch_witness(lhs: Band, rhs: Band) -> str | None:
 
 
 def mat_vec(band: Band, vector: list[Fraction]) -> list[Fraction]:
-    """The image W v of a grid vector under a band W."""
+    """The image W v of a grid vector under a band W (of ints or of Fractions)."""
     lower, main, upper = band
     image = [entry * value for entry, value in zip(main, vector)]
     for s, entry in enumerate(lower, 1):
@@ -125,13 +166,6 @@ def diag_times(diagonal: list[Fraction], band: Band) -> Band:
         [d * entry for d, entry in zip(diagonal, main)],
         [d * entry for d, entry in zip(diagonal, upper)],
     )
-
-
-def scalar_product(
-    weights: list[Fraction], f: list[Fraction], g: list[Fraction]
-) -> Fraction:
-    """The bilinear form <f, g> = sum_s w_s f_s g_s (no conjugation)."""
-    return sum((w * fs * gs for w, fs, gs in zip(weights, f, g)), Fraction(0))
 
 
 def weight_adjoint(band: Band, weights: list[Fraction]) -> Band:
@@ -229,11 +263,12 @@ class GridRep:
 
     ``params`` is (q, q^(1-N), b); ``context`` the report parameters N, b
     and q that every grid check carries; ``grid`` holds the points
-    x_s = q^(s+1) and ``w`` their weights; ``matrices`` the bands X, Y, X*, Y*;
+    x_s = q^(s+1) and ``w`` their weights; ``matrices`` the bands X, Y, X*,
+    Y*, and ``int_bands`` X* and Y* again as (int band, denominator) pairs;
     ``poly_values`` and ``partner_values`` the grid samples of P_0..P_(N-1)
-    and R_0..R_(N-1); ``p_top`` the truncation polynomial P_N; ``h`` the
-    norm constants h_0..h_N; and ``q_polys`` and ``lam`` the
-    coupled-recurrence partners Q_0..Q_(N-1) and the eigenvalues
+    and R_0..R_(N-1), each a :class:`GridVector`; ``p_top`` the truncation
+    polynomial P_N; ``h`` the norm constants h_0..h_N; and ``q_polys`` and
+    ``lam`` the coupled-recurrence partners Q_0..Q_(N-1) and the eigenvalues
     lambda_0..lambda_(N-1) of :func:`baxter_system`. Only what a check
     reads is kept: the families P_n and R_n are dropped once sampled, and
     of the coupled system only these two columns, which bounds peak memory.
@@ -245,8 +280,9 @@ class GridRep:
     grid: list[Fraction]
     w: list[Fraction]
     matrices: dict[str, Band]
-    poly_values: list[list[Fraction]]
-    partner_values: list[list[Fraction]]
+    int_bands: dict[str, tuple[Band, int]]
+    poly_values: list[GridVector]
+    partner_values: list[GridVector]
     p_top: LaurentPoly
     h: list[Fraction]
     q_polys: list[LaurentPoly]
@@ -268,18 +304,26 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
     X = restricted_x_matrix(N, b, q)
     Y = restricted_y_matrix(N, b, q)
     grid = [q ** (s + 1) for s in range(N)]
-    poly_values = [grid_samples(pastro_poly(n, params), grid) for n in range(N)]
-    partner_values = [grid_samples(biorthogonal_partner(m, params), grid) for m in range(N)]
+    exponents = range(1, N + 1)
+    poly_values = [
+        GridVector(*pastro_poly(n, params).sample_at_powers(q, exponents)) for n in range(N)
+    ]
+    partner_values = [
+        GridVector(*biorthogonal_partner(m, params).sample_at_powers(q, exponents))
+        for m in range(N)
+    ]
     h = _norm_constants(N, params)
     p_top = pastro_poly(N, params)
     coupled = baxter_system(N - 1, params)
+    matrices = {"X": X, "Y": Y, "X*": weight_adjoint(X, w), "Y*": weight_adjoint(Y, w)}
     return GridRep(
         N=N,
         params=params,
         context={"N": str(N), "b": format_rational(b), "q": format_rational(q)},
         grid=grid,
         w=w,
-        matrices={"X": X, "Y": Y, "X*": weight_adjoint(X, w), "Y*": weight_adjoint(Y, w)},
+        matrices=matrices,
+        int_bands={name: _int_band(matrices[name]) for name in ("X*", "Y*")},
         poly_values=poly_values,
         partner_values=partner_values,
         p_top=p_top,
@@ -294,21 +338,29 @@ def grid_samples(poly: LaurentPoly, grid: list[Fraction]) -> list[Fraction]:
     return [poly.eval_at(point) for point in grid]
 
 
+def _proportional(u: list, v: list) -> bool:
+    """Whether v is a multiple of u, on ints or on Fractions alike.
+
+    Zero vectors are degenerate rather than proportional and raise, since
+    every comparison downstream expects genuine eigenvectors. With u_k the
+    first nonzero entry, u_j v_k = u_k v_j for every j makes v a multiple
+    of u. Scaling u or v by a nonzero constant changes no verdict.
+    """
+    if not any(u) or not any(v):
+        raise ResonantParameterError("zero grid vector encountered (degenerate parameters)")
+    k = next(i for i, value in enumerate(u) if value)
+    return all(u_j * v[k] == u[k] * v_j for u_j, v_j in zip(u, v))
+
+
 def proportionality_witness(u: list[Fraction], v: list[Fraction]) -> str | None:
     """Witness that u and v are NOT proportional by a nonzero scalar.
 
     Uses the cross-product criterion u_i v_j = u_j v_i for all pairs, which
-    needs no division. With u_k the first nonzero entry, u_j v_k = u_k v_j
-    for every j already makes v a multiple of u, so that O(N) pass decides
-    the proportional case; the pair scan runs only to find the witness, the
-    first failing (i, j) in row-major order. Zero vectors are degenerate
-    rather than proportional and raise, since every comparison downstream
-    expects genuine eigenvectors.
+    needs no division. The O(N) pass of :func:`_proportional` decides the
+    proportional case; the pair scan runs only to find the witness, the
+    first failing (i, j) in row-major order.
     """
-    if all(value == 0 for value in u) or all(value == 0 for value in v):
-        raise ResonantParameterError("zero grid vector encountered (degenerate parameters)")
-    k = next(i for i, value in enumerate(u) if value != 0)
-    if all(u_j * v[k] == u[k] * v_j for u_j, v_j in zip(u, v)):
+    if _proportional(u, v):
         return None
     for i in range(len(u)):
         for j in range(i + 1, len(u)):
@@ -319,6 +371,17 @@ def proportionality_witness(u: list[Fraction], v: list[Fraction]) -> str | None:
                     f"{format_rational(u[j] * v[i])}"
                 )
     return None
+
+
+def _vector_witness(u: GridVector, v: GridVector) -> str | None:
+    """:func:`proportionality_witness` of two int vectors.
+
+    The verdict is taken on the numerators; the Fractions are built only
+    to word a witness, so its text is the Fraction route's.
+    """
+    if _proportional(u.nums, v.nums):
+        return None
+    return proportionality_witness(u.values(), v.values())
 
 
 def verify_adjoint_structure(rep: GridRep) -> list[Check]:
@@ -460,28 +523,39 @@ def verify_adjoint_gevp(n: int, rep: GridRep) -> list[Check]:
       X* P*_n  prop  R_n(x_s)                      (closed-form partner),
       X* P*_n  prop  P_n(q^(N-s); q^(1-N), q^(2-N)/b)  (parameter flip),
       X* P*_n  prop  Q_n(1/x_s)                    (coupled-recurrence route),
-    where 'prop' means proportional by a single nonzero scalar.
+    where 'prop' means proportional by a single nonzero scalar. Every
+    vector is a :class:`GridVector` and both bands are ``rep.int_bands``,
+    so the eigenvalue equation is compared on ints with lambda_n's
+    numerator and denominator cross-multiplied.
     """
     N = rep.N
     b, q = rep.params.b, rep.params.q
     if not 0 <= n < N:
         raise ValueError(f"degree must lie in [0, {N - 1}], got {n}")
     context = rep.context | {"n": str(n)}
-    flip_points = [q ** (N - s) for s in range(N)]
+    flip_exponents = range(N, 0, -1)  # the points q^(N-s), s = 0..N-1
 
     flipped = QParams(q, rep.params.a, tau_parameter(b, q, N))
-    p_star = grid_samples(pastro_poly(n, flipped), flip_points)
+    p_star = GridVector(*pastro_poly(n, flipped).sample_at_powers(q, flip_exponents))
 
     lam = rep.lam[n]
-    image = mat_vec(rep.matrices["X*"], p_star)
+    (x_band, x_den), (y_band, y_den) = rep.int_bands["X*"], rep.int_bands["Y*"]
+    image = GridVector(mat_vec(x_band, p_star.nums), x_den * p_star.den)
+    y_image = GridVector(mat_vec(y_band, p_star.nums), y_den * p_star.den)
+    # Y* P* / (y_den p_den) = (lam_num / lam_den) X* P* / (x_den p_den)
+    left, right = x_den * lam.denominator, y_den * lam.numerator
+    if all(y * left == x * right for x, y in zip(image.nums, y_image.nums)):
+        witness = None
+    else:
+        witness = vector_mismatch_witness(
+            y_image.values(), [lam * value for value in image.values()]
+        )
     checks = [
         equality_check(
             "adjoint-gevp",
             "Y* P*_n = lambda_n X* P*_n with P*_n(s) = P_n(q^(N-s); a, q^(1-N)/b)",
             context,
-            vector_mismatch_witness(
-                mat_vec(rep.matrices["Y*"], p_star), [lam * value for value in image]
-            ),
+            witness,
         )
     ]
 
@@ -490,28 +564,29 @@ def verify_adjoint_gevp(n: int, rep: GridRep) -> list[Check]:
             "adjoint-partner-closed-form",
             "X* P*_n prop R_n(x_s)",
             context,
-            proportionality_witness(image, rep.partner_values[n]),
+            _vector_witness(image, rep.partner_values[n]),
         )
     )
 
     reflected = QParams(q, rep.params.a, q ** (2 - N) / b)
-    flip_samples = grid_samples(pastro_poly(n, reflected), flip_points)
+    flip_samples = GridVector(*pastro_poly(n, reflected).sample_at_powers(q, flip_exponents))
     checks.append(
         equality_check(
             "adjoint-partner-parameter-flip",
             "X* P*_n prop P_n(q^(N-s); q^(1-N), q^(2-N)/b)",
             context,
-            proportionality_witness(image, flip_samples),
+            _vector_witness(image, flip_samples),
         )
     )
 
-    baxter_samples = grid_samples(rep.q_polys[n].invert_variable(), rep.grid)
+    baxter = rep.q_polys[n].invert_variable()
+    baxter_samples = GridVector(*baxter.sample_at_powers(q, range(1, N + 1)))
     checks.append(
         equality_check(
             "adjoint-partner-baxter",
             "X* P*_n prop Q_n(1/x_s)",
             context,
-            proportionality_witness(image, baxter_samples),
+            _vector_witness(image, baxter_samples),
         )
     )
     return checks
@@ -525,13 +600,22 @@ def verify_biorthogonality(rep: GridRep) -> tuple[Matrix, list[Check]]:
     sum to 1, h_N = 0, P_N = prod_s (x - q^(s+1)) with simple roots (formal
     derivative nonzero at every grid point), and the weight-origin formula
     w_s = h_(N-1) / (P'_N(x_s) R_(N-1)(x_s)).
+
+    Each Gram entry is one int dot product of w P_n (built one row at a
+    time) with R_m, over the product of the three denominators.
     """
     N, w, grid, h, context = rep.N, rep.w, rep.grid, rep.h, rep.context
 
-    gram = [
-        [scalar_product(w, rep.poly_values[n], rep.partner_values[m]) for m in range(N)]
-        for n in range(N)
-    ]
+    int_w = grid_vector(w)
+    gram = []
+    for poly in rep.poly_values:
+        weighted, den = list(map(mul, int_w.nums, poly.nums)), int_w.den * poly.den
+        gram.append(
+            [
+                Fraction(sum(map(mul, weighted, partner.nums)), den * partner.den)
+                for partner in rep.partner_values
+            ]
+        )
     expected = [
         [h[n] if n == m else Fraction(0) for m in range(N)] for n in range(N)
     ]
@@ -588,13 +672,13 @@ def verify_biorthogonality(rep: GridRep) -> tuple[Matrix, list[Check]]:
         )
     )
 
-    derivative = p_top.derivative()
+    slopes = grid_samples(p_top.derivative(), grid)
     witness = None
-    for s, point in enumerate(grid):
-        if p_top.eval_at(point) != 0:
-            witness = f"P_N(x_{s}) = {format_rational(p_top.eval_at(point))}"
+    for s, (value, slope) in enumerate(zip(grid_samples(p_top, grid), slopes)):
+        if value != 0:
+            witness = f"P_N(x_{s}) = {format_rational(value)}"
             break
-        if derivative.eval_at(point) == 0:
+        if slope == 0:
             witness = f"P'_N(x_{s}) = 0 (multiple root)"
             break
     checks.append(
@@ -607,8 +691,8 @@ def verify_biorthogonality(rep: GridRep) -> tuple[Matrix, list[Check]]:
     )
 
     witness = None
-    for s, point in enumerate(grid):
-        denominator = derivative.eval_at(point) * rep.partner_values[N - 1][s]
+    for s, (slope, partner) in enumerate(zip(slopes, rep.partner_values[N - 1].values())):
+        denominator = slope * partner
         if denominator == 0:
             witness = f"s={s}: P'_N(x_s) R_(N-1)(x_s) = 0"
             break

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "Scalar",
@@ -285,6 +285,42 @@ class LaurentPoly:
         else:
             value *= r**-high
         return Fraction(value, denominator)
+
+    def sample_at_powers(self, q: Scalar, exponents: Sequence[int]) -> tuple[list[int], int]:
+        """Values at the points q^k, k in ``exponents``, over one denominator.
+
+        Returns ``(values, den)``: the value at q^k is ``values[i] / den``,
+        and ``den`` is positive and the lcm of the values' reduced
+        denominators. That is ``eval_at`` at every point followed by an lcm,
+        without a Fraction per point. q must be nonzero and every k >= 1.
+        """
+        q = Fraction(q)
+        if not q or min(exponents, default=1) < 1:
+            raise ValueError("sample points must be q^k with q nonzero and k >= 1")
+        nums, low = self._nums, self._low
+        if not nums:
+            return [0] * len(exponents), 1
+        p, r = q.numerator, q.denominator
+        size, high = abs(p), low + len(nums) - 1
+        K = max(exponents, default=0)
+        # Horner's rule at q^k = p^k / r^k as in eval_at, times the common
+        # denominator den r^(K max(high, 0)) |p|^(K max(-low, 0)): the sum
+        # is then scaled by sgn(p)^(k low) |p|^a r^c, both exponents >= 0.
+        values = []
+        for k in exponents:
+            pk, rk = p**k, r**k
+            value = 0
+            r_power = 1
+            for n in reversed(nums):
+                value = value * pk + n * r_power
+                r_power *= rk
+            a = k * low if low >= 0 else (K - k) * -low
+            c = (K - k) * high if high >= 0 else -k * high
+            sign = -1 if p < 0 and k * low % 2 else 1
+            values.append(sign * value * size**a * r**c)
+        den = self._den * r ** (K * max(high, 0)) * size ** (K * max(-low, 0))
+        common = gcd(den, *values)
+        return [value // common for value in values], den // common
 
     def dilate(self, factor: Scalar) -> "LaurentPoly":
         """Substitute x -> factor*x, i.e. scale the exponent-k term by factor^k."""

@@ -9,16 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from family_reference import norm_constant
+import grid_reference
+from grid_reference import (
+    fraction_band,
+    reference_adjoint_gevp,
+    reference_biorthogonality,
+    scalar_product,
+)
+from pastroq import biorth
 from pastroq.biorth import (
     Band,
+    GridVector,
     band_mismatch_witness,
     grid_samples,
+    grid_vector,
     make_grid_rep,
     mat_vec,
     proportionality_witness,
     restricted_x_matrix,
     restricted_y_matrix,
-    scalar_product,
     tau_conjugate,
     tau_parameter,
     tau_transform,
@@ -27,8 +36,14 @@ from pastroq.biorth import (
     verify_biorthogonality,
     weight_adjoint,
 )
-from pastroq.pastro import pastro_poly
-from pastroq.qcore import QParams, ResonantParameterError, format_rational
+from pastroq.pastro import biorthogonal_partner, pastro_poly
+from pastroq.qcore import (
+    LaurentPoly,
+    ParameterError,
+    QParams,
+    ResonantParameterError,
+    format_rational,
+)
 from pastroq.report import matrix_mismatch_witness
 
 Q = Fraction(1, 2)
@@ -324,3 +339,167 @@ def test_grid_samples():
     poly = pastro_poly(1, rep.params)
     values = grid_samples(poly, rep.grid)
     assert values == [poly.eval_at(point) for point in rep.grid]
+
+
+def test_grid_vector_round_trip():
+    values = [Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(5)]
+    vector = grid_vector(values)
+    assert vector == GridVector([3, -4, 0, 30], 6)
+    assert vector.values() == values
+
+
+def test_int_bands_stand_for_the_adjoint_bands():
+    rep = make_grid_rep(6, Fraction(-3, 4), Q)
+    for name in ("X*", "Y*"):
+        band, den = rep.int_bands[name]
+        assert den > 0 and all(type(entry) is int for diagonal in band for entry in diagonal)
+        assert fraction_band(band, den) == rep.matrices[name]
+
+
+#: The rationals admissible_draws picks from: p/r with |p| <= 6, 1 <= r <= 6.
+draw_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@given(draw_rationals.filter(lambda v: v not in (0, 1, -1)), draw_rationals, st.integers(1, 6))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_int_grid_route_matches_the_fraction_route(q, b, N):
+    try:
+        rep = make_grid_rep(N, b, q)
+    except ParameterError:
+        return
+    for n in range(N):
+        assert rep.poly_values[n] == grid_vector(grid_samples(pastro_poly(n, rep.params), rep.grid))
+        assert rep.partner_values[n] == grid_vector(
+            grid_samples(biorthogonal_partner(n, rep.params), rep.grid)
+        )
+    gram, checks = verify_biorthogonality(rep)
+    expected_gram, expected_checks = reference_biorthogonality(rep)
+    assert gram == expected_gram
+    assert all(type(entry) is Fraction for row in gram for entry in row)
+    assert checks == expected_checks
+    for n in range(N):
+        try:
+            expected = reference_adjoint_gevp(n, rep)
+        except ResonantParameterError as error:
+            with pytest.raises(ResonantParameterError, match=f"^{error}$"):
+                verify_adjoint_gevp(n, rep)
+            continue
+        assert verify_adjoint_gevp(n, rep) == expected
+
+
+def _grid_suite(rep, gevp, biorthogonality):
+    """Every grid check of a rep, the adjoint eigenvalue checks by ``gevp``."""
+    checks = verify_adjoint_structure(rep)
+    for n in range(rep.N):
+        checks += gevp(n, rep)
+    return checks + biorthogonality(rep)[1]
+
+
+def _failures(checks):
+    return [(c.name, c.params.get("n"), c.witness) for c in checks if c.status != "PASS"]
+
+
+def _bumped(vector: GridVector, index: int) -> GridVector:
+    nums = list(vector.nums)
+    nums[index] += 1
+    return vector._replace(nums=nums)
+
+
+def _corrupt(rep, field: str) -> None:
+    """Move one entry of one field of a 5-point rep."""
+    if field == "partner R_2":
+        rep.partner_values[2] = _bumped(rep.partner_values[2], 1)
+    elif field == "partner R_(N-1)":
+        rep.partner_values[4] = _bumped(rep.partner_values[4], 3)
+    elif field == "lambda_3":
+        rep.lam = rep.lam[:3] + [rep.lam[3] + Fraction(1, 7)] + rep.lam[4:]
+    else:
+        band, den = rep.int_bands["X*"]
+        diagonal = field.split()[-1]
+        entries = list(getattr(band, diagonal))
+        entries[0] -= 5
+        rep.int_bands["X*"] = (band._replace(**{diagonal: entries}), den)
+
+
+@pytest.mark.parametrize(
+    "field", ["partner R_2", "partner R_(N-1)", "lambda_3", "int X* main", "int X* upper"]
+)
+@pytest.mark.parametrize("q, b", [(Q, B), (Fraction(-4, 5), Fraction(-2))])
+def test_corrupted_rep_fails_as_the_fraction_route(field, q, b):
+    rep = make_grid_rep(5, b, q)
+    _corrupt(rep, field)
+    checks = _grid_suite(rep, verify_adjoint_gevp, verify_biorthogonality)
+    expected = _grid_suite(rep, reference_adjoint_gevp, reference_biorthogonality)
+    assert _failures(checks)
+    assert checks == expected
+
+
+@pytest.mark.parametrize("q, b", [(Q, B), (Fraction(-4, 5), Fraction(-2))])
+def test_corrupted_p_star_fails_as_the_fraction_route(q, b, monkeypatch):
+    # P_2 at the flipped b plus prod_(t != 1) (x - y_t) over the flip points
+    # y_t = q^(N-t): only entry 1 of P*_2 changes.
+    N, degree, index = 5, 2, 1
+    flipped = QParams(q, q ** (1 - N), tau_parameter(b, q, N))
+    bump = LaurentPoly.one()
+    for t in range(N):
+        if t != index:
+            bump = bump * LaurentPoly({1: 1, 0: -(q ** (N - t))})
+
+    def corrupted_pastro_poly(n, params):
+        poly = pastro_poly(n, params)
+        return poly + bump if (n, params) == (degree, flipped) else poly
+
+    rep = make_grid_rep(N, b, q)
+    monkeypatch.setattr(biorth, "pastro_poly", corrupted_pastro_poly)
+    monkeypatch.setattr(grid_reference, "pastro_poly", corrupted_pastro_poly)
+    checks = _grid_suite(rep, verify_adjoint_gevp, verify_biorthogonality)
+    expected = _grid_suite(rep, reference_adjoint_gevp, reference_biorthogonality)
+    assert {(name, n) for name, n, _ in _failures(checks)} >= {("adjoint-gevp", "2")}
+    assert checks == expected
+
+
+@pytest.mark.parametrize("field", ["partner", "X* band"])
+def test_zero_vector_raises_as_the_fraction_route(field):
+    rep = make_grid_rep(4, B, Q)
+    if field == "partner":
+        rep.partner_values[1] = GridVector([0] * 4, 1)
+    else:
+        band, den = rep.int_bands["X*"]
+        rep.int_bands["X*"] = (Band(*([0] * len(diagonal) for diagonal in band)), den)
+    with pytest.raises(ResonantParameterError) as expected:
+        reference_adjoint_gevp(1, rep)
+    with pytest.raises(ResonantParameterError) as raised:
+        verify_adjoint_gevp(1, rep)
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value) == "zero grid vector encountered (degenerate parameters)"
+
+
+def test_biorth_samples_p_top_and_its_derivative_once_per_point(monkeypatch):
+    calls = []
+    eval_at = LaurentPoly.eval_at
+
+    def counted(self, point):
+        calls.append(point)
+        return eval_at(self, point)
+
+    N = 5
+    rep = make_grid_rep(N, B, Q)
+    monkeypatch.setattr(LaurentPoly, "eval_at", counted)
+    for n in range(N):
+        verify_adjoint_gevp(n, rep)
+    verify_biorthogonality(rep)
+    assert sorted(calls) == sorted(rep.grid * 2)
+
+
+@pytest.mark.parametrize("q, b", [(Q, B), (Fraction(-4, 5), Fraction(-2))])
+def test_passing_gevp_words_no_witness(q, b, monkeypatch):
+    # The verdicts are taken on ints; the Fraction witness routes run only
+    # for a failing check.
+    def unexpected(*args):
+        raise AssertionError("witness built for a passing check")
+
+    rep = make_grid_rep(6, b, q)
+    monkeypatch.setattr(biorth, "vector_mismatch_witness", unexpected)
+    monkeypatch.setattr(biorth, "proportionality_witness", unexpected)
+    for n in range(6):
+        assert all(check.status == "PASS" for check in verify_adjoint_gevp(n, rep))

@@ -22,7 +22,9 @@ GOLDEN = Path(__file__).parent / "golden"
 #: ERROR, a QParams ERROR in algebra and in verify, and the degenerate
 #: algebra pencil at mu = 0, which still exits 0. The two verify cases at
 #: nmax 64 reach P_65, whose coefficients are far larger than nmax 24's.
-#: The last case is algebra away from the default (q, a, b), with q < 0.
+#: The algebra case after them is away from the default (q, a, b), with
+#: q < 0. The last two are biorth past N = 16, where the lcm of the grid
+#: denominators grows with N: N = 24 at the default point and N = 32 at q < 0.
 CASES = [
     ("biorth_N8", ["biorth", "--N", "8"], 0),
     ("biorth_q-4_5_b-2_N16", ["biorth", "--q=-4/5", "--b=-2", "--N", "16"], 0),
@@ -44,6 +46,8 @@ CASES = [
     ("verify_nmax64", ["verify", "--nmax", "64"], 0),
     ("verify_q-1_2_a-3_b2_5_nmax64", ["verify", "--q=-1/2", "--a=-3", "--b=2/5", "--nmax", "64"], 0),
     ("algebra_q-4_5_a6_b-2_mu-3_2", ["algebra", "--q=-4/5", "--a=6", "--b=-2", "--mu=-3/2"], 0),
+    ("biorth_N24", ["biorth", "--N", "24"], 0),
+    ("biorth_q-4_5_b-2_N32", ["biorth", "--q=-4/5", "--b=-2", "--N", "32"], 0),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,26 @@ def test_eval_at_matches_sum_of_powers(p, point):
     value = p.eval_at(point)
     assert type(value) is Fraction
     assert value == _eval_by_powers(p, point)
+
+
+@given(
+    _wide_polys,
+    st.fractions(max_denominator=9, min_value=-5, max_value=5).filter(bool),
+    st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=8),
+)
+@settings(max_examples=200, derandomize=True)
+def test_sample_at_powers_is_eval_at_over_the_lcm(p, q, exponents):
+    values = [p.eval_at(q**k) for k in exponents]
+    den = lcm(*(value.denominator for value in values))
+    expected = [value.numerator * (den // value.denominator) for value in values]
+    assert p.sample_at_powers(q, exponents) == (expected, den)
+
+
+def test_sample_at_powers_rejects_points_off_the_powers():
+    with pytest.raises(ValueError):
+        x().sample_at_powers(0, [1, 2])
+    with pytest.raises(ValueError):
+        x().sample_at_powers(Fraction(1, 2), [0, 1])
 
 
 def test_q_pochhammer_values():
