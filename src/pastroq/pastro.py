@@ -147,17 +147,25 @@ def _divisor(value: Fraction, message: str) -> Fraction:
     return value
 
 
-def _norm_constants(n_max: int, params: QParams) -> list[Fraction]:
+def _norm_constants(
+    n_max: int,
+    params: QParams,
+    abq_poch: list[Fraction] | None = None,
+    b_poch: list[Fraction] | None = None,
+) -> list[Fraction]:
     """h_n = (a;q)_n (q;q)_n / (((a/b)q;q)_n (b;q)_n) for n <= n_max.
 
     Read off running q-Pochhammer products; raises at the first n whose
-    denominator vanishes.
+    denominator vanishes. A caller that already holds the prefixes of
+    ((a/b)q;q) and (b;q), up to n_max or further, passes them in.
     """
     q, a, b = params.q, params.a, params.b
     a_poch = _pochhammer_prefixes(a, q, n_max)
     q_poch = _pochhammer_prefixes(q, q, n_max)
-    abq_poch = _pochhammer_prefixes((a / b) * q, q, n_max)
-    b_poch = _pochhammer_prefixes(b, q, n_max)
+    if abq_poch is None:
+        abq_poch = _pochhammer_prefixes((a / b) * q, q, n_max)
+    if b_poch is None:
+        b_poch = _pochhammer_prefixes(b, q, n_max)
     return [
         a_poch[n]
         * q_poch[n]
@@ -176,8 +184,9 @@ def baxter_coefficients(n_max: int, params: QParams) -> BaxterData:
       mu2_n = -b q (1 - q^n)(1 - a q^(n-1)) / (a (1 - b q^n)(1 - b q^(n-1))),
     with mu2_0 = 0 (the 1 - q^n factor), the raise factor q^-n (1 - b q^n),
     and h_n as in :func:`_norm_constants`. alpha, beta and h are read off
-    running q-Pochhammer products, so the table costs O(n_max) products
-    rather than O(n_max) per degree. The lists are filled alpha first, then
+    running q-Pochhammer products, built once and shared by the three
+    columns, so the table costs O(n_max) products rather than O(n_max) per
+    degree. The lists are filled alpha first, then
     beta, then h, so a resonant triple raises the first vanishing
     denominator in that order. The columns after h divide only by b, a and
     factors 1 - b q^n of (b;q)_(n_max+1), which alpha has already divided
@@ -202,7 +211,7 @@ def baxter_coefficients(n_max: int, params: QParams) -> BaxterData:
         / _divisor(abq_poch[n + 1], f"((a/b)*q;q)_{n + 1} vanishes")
         for n in range(count)
     ]
-    h = _norm_constants(n_max, params)
+    h = _norm_constants(n_max, params, abq_poch, b_poch)
     powers = [q**n for n in range(count)]
     b_factors = [1 - b * power for power in powers]
     mu2 = [Fraction(0)] + [

@@ -82,9 +82,20 @@ class LaurentPoly:
     positive int denominator ``_den`` (the layout of FLINT's ``fmpq_poly``).
     The normal form is unique: ``_nums[0]`` and ``_nums[-1]`` are nonzero,
     ``gcd(_den, *_nums) == 1``, and zero is ``(0, [], 1)``. So structural
-    equality coincides with semantic equality, and each operation takes one
-    content gcd instead of reducing every coefficient. Instances are treated
-    as immutable.
+    equality coincides with semantic equality. Results reach the normal
+    form from what the operands' normal forms already fix, not by reducing
+    every coefficient:
+
+    - a product divides gcd(den_b, *a) out of a and gcd(den_a, *b) out of
+      b before it multiplies; by Gauss's lemma that is the whole content,
+      so the product needs no further gcd (a scalar is b = [numerator]
+      over its denominator);
+    - a sum's content divides gcd(den_a, den_b), so its one gcd starts from
+      that bound and is free when the denominators are coprime;
+    - ``dilate(1)`` is the polynomial itself; any other dilation and the
+      derivative take one content gcd over the whole denominator.
+
+    Instances are treated as immutable.
     """
 
     __slots__ = ("_low", "_nums", "_den")
@@ -177,7 +188,13 @@ class LaurentPoly:
         )
 
     def __hash__(self) -> int:
-        return hash((self._low, self._den, tuple(self._nums)))
+        # A constant (zero included) equals its Fraction, so it hashes as one.
+        nums = self._nums
+        if not nums:
+            return hash(0)
+        if self._low == 0 and len(nums) == 1:
+            return hash(Fraction(nums[0], self._den))
+        return hash((self._low, self._den, tuple(nums)))
 
     def __add__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -198,7 +215,9 @@ class LaurentPoly:
             start = term._low - low
             stop = start + len(part)
             nums[start:stop] = map(add, nums[start:stop], part)
-        return _make(low, nums, den)
+        # Only a prime of equal valuation in both denominators can divide
+        # the content of the sum, so gcd(den_a, den_b) bounds it.
+        return _make(low, nums, den, gcd(self._den, other._den))
 
     __radd__ = __add__
 
@@ -216,26 +235,39 @@ class LaurentPoly:
         return LaurentPoly.constant(other) - self
 
     def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other)
-        if not isinstance(other, LaurentPoly):
+        # Both factors are in normal form, so by Gauss's lemma the content of
+        # the product is gcd(den_b, *a) * gcd(den_a, *b): divide each out of
+        # its factor first, and the product is in normal form as it comes.
+        if isinstance(other, LaurentPoly):
+            b, b_low, b_den = other._nums, other._low, other._den
+        elif isinstance(other, (int, Fraction)):
+            b, b_low, b_den = [other.numerator] if other else [], 0, other.denominator
+        else:
             return NotImplemented
-        a, b = self._nums, other._nums
+        a, a_den = self._nums, self._den
         if not a or not b:
             return _raw(0, [], 1)
-        low, den = self._low + other._low, self._den * other._den
+        if b_den != 1:
+            common = gcd(b_den, *a)
+            if common != 1:
+                a, b_den = [n // common for n in a], b_den // common
+        if a_den != 1:
+            common = gcd(a_den, *b)
+            if common != 1:
+                b, a_den = [n // common for n in b], a_den // common
+        low, den = self._low + b_low, a_den * b_den
         if len(a) < len(b):
             a, b = b, a
         if len(b) == 1:
             factor = b[0]
-            return _make(low, [n * factor for n in a], den)
+            return _raw(low, [n * factor for n in a], den)
         # Schoolbook product, one row per term of the shorter factor.
         width = len(a)
         nums = [0] * (width + len(b) - 1)
         for i, factor in enumerate(b):
             if factor:
                 nums[i : i + width] = map(add, nums[i : i + width], [n * factor for n in a])
-        return _make(low, nums, den)
+        return _raw(low, nums, den)
 
     __rmul__ = __mul__
 
@@ -328,7 +360,7 @@ class LaurentPoly:
         if factor == 0:
             raise ValueError("dilation factor must be nonzero")
         nums, low = self._nums, self._low
-        if not nums:
+        if not nums or factor == 1:
             return self
         # With factor = p/r, the exponent-(low+i) term is scaled by
         # p^i r^(top-i) times the common factor p^low / r^high, high = low + top.
@@ -336,12 +368,14 @@ class LaurentPoly:
         top = len(nums) - 1
         scale = factor**low / r**top
         scaled = [n * p**i * r ** (top - i) * scale.numerator for i, n in enumerate(nums)]
-        return _make(low, scaled, self._den * scale.denominator)
+        den = self._den * scale.denominator
+        return _make(low, scaled, den, den)
 
     def derivative(self) -> "LaurentPoly":
         """Formal derivative, valid for all integer exponents."""
         low = self._low
-        return _make(low - 1, [n * (low + i) for i, n in enumerate(self._nums)], self._den)
+        den = self._den
+        return _make(low - 1, [n * (low + i) for i, n in enumerate(self._nums)], den, den)
 
     def invert_variable(self) -> "LaurentPoly":
         """Substitute x -> 1/x, negating every exponent."""
@@ -377,10 +411,13 @@ def _raw(low: int, nums: list[int], den: int) -> LaurentPoly:
     return poly
 
 
-def _make(low: int, nums: list[int], den: int) -> LaurentPoly:
+def _make(low: int, nums: list[int], den: int, bound: int) -> LaurentPoly:
     """A LaurentPoly in normal form from any parts with ``den > 0``.
 
-    Strips the zero end terms and divides out the content gcd(den, *nums).
+    ``bound`` is a positive divisor of ``den`` that the content
+    gcd(den, *nums) is known to divide (``den`` itself when nothing is
+    known). Strips the zero end terms and divides out gcd(bound, *nums),
+    which is that content; a bound of 1 costs no gcd.
     """
     stop = len(nums)
     while stop and not nums[stop - 1]:
@@ -392,10 +429,11 @@ def _make(low: int, nums: list[int], den: int) -> LaurentPoly:
         start += 1
     if start or stop < len(nums):
         nums = nums[start:stop]
-    content = gcd(den, *nums)
-    if content != 1:
-        den //= content
-        nums = [n // content for n in nums]
+    if bound != 1:
+        content = gcd(bound, *nums)
+        if content != 1:
+            den //= content
+            nums = [n // content for n in nums]
     return _raw(low + start, nums, den)
 
 
@@ -427,7 +465,8 @@ def _ratio_poly(
     Each pair is reduced by its own gcd, then with N_i the product of the
     first i ratio numerators and S_i the product of the ratio denominators
     from i on, c_i = first_num * N_i * S_i / (first_den * S_0): O(n) int
-    products, and one content gcd in ``_make``.
+    products, and one content gcd in ``_make`` over the whole denominator,
+    since a product of ratios has no content known in advance.
     """
 
     def reduced(num: int, den: int) -> tuple[int, int]:
@@ -448,7 +487,7 @@ def _ratio_poly(
         prefix *= num
     nums.append(prefix)
     nums.reverse()
-    return _make(top - len(ratios), nums, den)
+    return _make(top - len(ratios), nums, den, den)
 
 
 def q_pochhammer(z: Scalar, q: Scalar, n: int) -> Fraction:

@@ -25,6 +25,8 @@ GOLDEN = Path(__file__).parent / "golden"
 #: The algebra case after them is away from the default (q, a, b), with
 #: q < 0. The last two are biorth past N = 16, where the lcm of the grid
 #: denominators grows with N: N = 24 at the default point and N = 32 at q < 0.
+#: The sweep after them is the small-polynomial path at many rational points,
+#: where most products have small denominators that share primes.
 CASES = [
     ("biorth_N8", ["biorth", "--N", "8"], 0),
     ("biorth_q-4_5_b-2_N16", ["biorth", "--q=-4/5", "--b=-2", "--N", "16"], 0),
@@ -48,6 +50,7 @@ CASES = [
     ("algebra_q-4_5_a6_b-2_mu-3_2", ["algebra", "--q=-4/5", "--a=6", "--b=-2", "--mu=-3/2"], 0),
     ("biorth_N24", ["biorth", "--N", "24"], 0),
     ("biorth_q-4_5_b-2_N32", ["biorth", "--q=-4/5", "--b=-2", "--N", "32"], 0),
+    ("sweep_seed12345_draws4_nmax12", ["sweep", "--seed", "12345", "--draws", "4", "--nmax", "12"], 0),
 ]
 
 

@@ -7,7 +7,7 @@ must be in the integer-numerator normal form.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +24,44 @@ _large = st.builds(
     Fraction,
     st.integers(min_value=-(2**100), max_value=2**100),
     st.integers(min_value=1, max_value=2**100),
+)
+#: Exponent caps of 2, 3, 5 and 7 that keep a product of their powers
+#: below ~2^65.
+_PRIME_CAPS = {2: 16, 3: 10, 5: 7, 7: 6}
+
+
+@st.composite
+def _smooth_terms(draw):
+    """Terms whose numerators and denominators are products of powers of 2, 3, 5, 7.
+
+    Two of the primes, drawn per polynomial, divide every numerator; the
+    other two make up the denominators. So in most pairs the content of one
+    polynomial shares primes with the denominator of the other, and the two
+    denominators share primes: both Gauss gcds of a product and the gcd
+    bound of a sum are nontrivial, with valuations that differ or coincide.
+    """
+    tops = draw(st.sets(st.sampled_from(sorted(_PRIME_CAPS)), min_size=2, max_size=2))
+    terms = {}
+    for exponent in draw(st.sets(st.integers(min_value=-4, max_value=4), min_size=1, max_size=6)):
+        num = den = 1
+        for prime, cap in _PRIME_CAPS.items():
+            if prime in tops:
+                num *= prime ** draw(st.integers(1, cap))
+            else:
+                den *= prime ** draw(st.integers(1, cap))
+        terms[exponent] = Fraction(draw(st.sampled_from([1, -1])) * num, den)
+    return terms
+
+
+_smooth_ints = st.builds(
+    lambda *powers: prod(prime**power for prime, power in zip(_PRIME_CAPS, powers)),
+    *(st.integers(0, cap) for cap in _PRIME_CAPS.values()),
+)
+_smooth = st.builds(
+    lambda sign, num, den: Fraction(sign * num, den),
+    st.sampled_from([1, -1]),
+    _smooth_ints,
+    _smooth_ints,
 )
 _coefficients = st.one_of(_small, _large, st.integers(min_value=-5, max_value=5))
 _terms = st.dictionaries(st.integers(min_value=-7, max_value=7), _coefficients, max_size=8)
@@ -102,6 +140,27 @@ def test_scalar_operations_match_reference(terms, scalar):
             p / scalar
 
 
+@given(_smooth_terms(), _smooth_terms(), _smooth)
+@_settings
+def test_content_rules_match_reference(left, right, scalar):
+    p, p_ref = _pair(left)
+    r, r_ref = _pair(right)
+    assert_same(p * r, p_ref * r_ref)
+    assert_same(r * p, r_ref * p_ref)
+    assert_same(p * scalar, p_ref * scalar)
+    assert_same(scalar * p, scalar * p_ref)
+    assert_same(p * scalar.numerator, p_ref * scalar.numerator)
+    assert_same(p * LaurentPoly.monomial(scalar, 2), p_ref * Reference.monomial(scalar, 2))
+    assert_same(p + r, p_ref + r_ref)
+    assert_same(p - r, p_ref - r_ref)
+    assert_same(p + scalar, p_ref + scalar)
+    assert_same(p * scalar + r, p_ref * scalar + r_ref)
+    assert_same(p * scalar - p, p_ref * scalar - p_ref)
+    assert_same(p.dilate(scalar), p_ref.dilate(scalar))
+    assert_same(p.dilate(1), p_ref.dilate(1))
+    assert_same(p.dilate(Fraction(1)), p_ref.dilate(Fraction(1)))
+
+
 @given(_terms, st.integers(min_value=0, max_value=3))
 @_settings
 def test_power_matches_reference(terms, power):
@@ -165,6 +224,22 @@ def test_equality_and_hash_match_reference(left, right, scalar):
     assert hash(same) == hash(p)
     if p == r:
         assert hash(p) == hash(r)
+
+
+@given(st.one_of(_terms, st.builds(lambda c: {0: c}, _scalars)), _scalars)
+@_settings
+def test_hash_agrees_with_equality_to_scalars(terms, scalar):
+    p = LaurentPoly(terms)
+    constant = LaurentPoly.constant(scalar)
+    for value in (scalar, Fraction(scalar)):
+        assert constant == value
+        assert hash(constant) == hash(value)
+        assert len({constant, value}) == 1
+        if p == value:
+            assert hash(p) == hash(value)
+    for value in (0, Fraction(0)):
+        assert p - p == value
+        assert hash(p - p) == hash(value)
 
 
 @given(_terms, _terms)

@@ -14,6 +14,7 @@ from family_reference import (
     pastro_coefficient_ratio,
     raise_factor,
 )
+from pastroq import pastro
 from pastroq.pastro import (
     _norm_constants,
     baxter_coefficients,
@@ -137,6 +138,20 @@ def test_baxter_coefficients_raise_the_first_closed_form_error(params):
     with pytest.raises(ResonantParameterError) as error:
         baxter_coefficients(6, params)
     assert str(error.value) == expected
+
+
+def test_baxter_coefficients_builds_each_prefix_once(monkeypatch):
+    # h reads the (b;q) and ((a/b)q;q) prefixes that alpha and beta built
+    built = []
+    prefixes = pastro._pochhammer_prefixes
+    monkeypatch.setattr(
+        pastro, "_pochhammer_prefixes", lambda z, q, n: built.append(z) or prefixes(z, q, n)
+    )
+    params = REFERENCE
+    data = baxter_coefficients(8, params)
+    assert data.h == [norm_constant(n, params) for n in range(9)]
+    q, a, b = params.q, params.a, params.b
+    assert sorted(built) == sorted([b, a / b, a / b * q, b / q, a, q])
 
 
 def test_norm_constant_product_form():
