@@ -294,9 +294,9 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
 
     Raises ResonantParameterError at the first vanishing factor in this
     build order: weights, P_0..P_(N-1), R_0..R_(N-1), h_0..h_N, P_N. The
-    coupled recurrences come last and cannot fail once h_N exists, since
-    their denominators are factors of h_N's. The CLI prints that error's
-    message, so the order is part of the report.
+    coupled recurrences come last, reuse h_0..h_(N-1), and cannot fail once
+    h_N exists, since their denominators are factors of h_N's. The CLI
+    prints that error's message, so the order is part of the report.
     """
     w = grid_weights(N, b, q)
     q, b = Fraction(q), Fraction(b)
@@ -314,7 +314,7 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
     ]
     h = _norm_constants(N, params)
     p_top = pastro_poly(N, params)
-    coupled = baxter_system(N - 1, params)
+    coupled = baxter_system(N - 1, params, h)
     matrices = {"X": X, "Y": Y, "X*": weight_adjoint(X, w), "Y*": weight_adjoint(Y, w)}
     return GridRep(
         N=N,

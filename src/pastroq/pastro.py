@@ -1,19 +1,23 @@
 """The Pastro polynomial family, its partners, and its recurrence data.
 
 Everything in this module is a function of the parameter triple
-(q, a, b). The polynomials P_n are monic of degree n and are built from an
+(q, a, b). The polynomials P_n are monic of degree n, the solutions of an
 exact two-term coefficient recurrence; their biorthogonal partners R_n are
-Laurent polynomials supported on exponents [-n, 0], built from the term
-ratios of a terminating series. Both are built on integers, in one
-ratio-product pass per polynomial. The Baxter-style coupled recurrence
-reconstructs both families from scratch and is used as an independent
-derivation route.
+Laurent polynomials supported on exponents [-n, 0], a terminating series
+times a prefactor. Both are built on integers from closed products: each
+coefficient is a Gaussian binomial [n, k]_q, made by exact int division,
+times factors 1 - c q^m written as int units over monomials of q = p/r.
+The Baxter-style coupled recurrence reconstructs both families from
+scratch and is used as an independent derivation route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
+from math import gcd
+from operator import mul
 from typing import Iterable
 
 from .qcore import (
@@ -21,8 +25,7 @@ from .qcore import (
     QParams,
     ResonantParameterError,
     Scalar,
-    _one_minus,
-    _ratio_poly,
+    _make,
     format_rational,
     phi21_terminating,
     q_pochhammer,
@@ -49,39 +52,70 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"degree must be a nonnegative integer, got {n!r}")
 
 
-def _pair(value: Fraction) -> tuple[int, int]:
-    return value.numerator, value.denominator
+def _powers(base: int, n: int) -> list[int]:
+    """[base^0, base^1, ..., base^n]."""
+    return list(accumulate(repeat(base, n), mul, initial=1))
+
+
+def _binomial_poly(
+    low: int, p_pow: list[int], r_pow: list[int], heads: list[int], tails: list[int], one: int
+) -> LaurentPoly:
+    """sum_i (c_i / c_one) x^(low + i), i = 0..n, from nonzero int heads and tails:
+
+      c_i = G_i * heads[0] ... heads[i-1] * tails[i] ... tails[n-1].
+
+    G_i = r^(i(n-i)) [n, i]_q is the Gaussian binomial of q = p/r made
+    homogeneous (``p_pow`` and ``r_pow`` hold p^0..p^n and r^0..r^n). From
+    G_n = 1, G_(i-1) = G_i (r^i - p^i) / (r^(n-i+1) - p^(n-i+1)) is one exact
+    int division, and G_(n-i) = G_i gives the other half. The one content
+    gcd left divides out only what the units share.
+    """
+    n = len(heads)
+    gauss = [1] * (n + 1)
+    for i in range(n, (n + 1) // 2, -1):
+        j = n - i + 1
+        gauss[i - 1] = gauss[j] = gauss[i] * (r_pow[i] - p_pow[i]) // (r_pow[j] - p_pow[j])
+    suffix = list(accumulate(reversed(tails), mul, initial=1))[::-1]
+    prefix = accumulate(heads, mul, initial=1)
+    nums = [g * head * tail for g, head, tail in zip(gauss, prefix, suffix)]
+    if nums[one] < 0:
+        nums = [-c for c in nums]
+    return _make(low, nums, nums[one], nums[one])
 
 
 def pastro_poly(n: int, params: QParams) -> LaurentPoly:
-    """The monic polynomial P_n(x; a, b) of degree n, by descending recurrence.
+    """The monic polynomial P_n(x; a, b) of degree n, as a closed product.
 
-    Seeded with C_n = 1 and stepped down through
-      (1 - q^(k-n)) (1 - b q^k) C_k = (1 - (b/a) q^(k+1-n)) (1 - q^(k+1)) C_(k+1),
-    with every factor an int pair, so the coefficients are built on
-    integers in one ratio-product pass. The factor 1 - q^(k-n) never
-    vanishes (q is not a root of unity); the other factors are checked and
-    reported exactly when they vanish.
+    The recurrence (1 - q^(k-n)) (1 - b q^k) C_k
+    = (1 - (b/a) q^(k+1-n)) (1 - q^(k+1)) C_(k+1), C_n = 1, multiplies out to
+      C_k = (-1)^(n-k) q^((n-k)(n-k+1)/2) [n, k]_q
+            * prod_{j=k}^{n-1} (1 - (b/a) q^(j+1-n)) / (1 - b q^j).
+    With q = p/r, b = b_num/b_den and b/a = s_num/s_den, that is
+      C_k = (-p b_den / (s_den r))^(n-k) G_k prod_{j=k}^{n-1} U_j / V_j
+    over the int units U_j = s_den p^(n-1-j) - s_num r^(n-1-j) and
+    V_j = b_den r^j - b_num p^j (G_k as in :func:`_binomial_poly`). For
+    k = n-1 down to 0, the shift factor U_k and then the b factor V_k are
+    checked, and reported exactly when they vanish.
     """
     _check_degree(n)
-    q, b_over_a, b = _pair(params.q), _pair(params.b / params.a), _pair(params.b)
-    ratios = []
-    for k in range(n - 1, -1, -1):
-        shift_num, shift_den = _one_minus(b_over_a, q, k + 1 - n)
-        if shift_num == 0:
+    p, r = params.q.as_integer_ratio()
+    b_num, b_den = params.b.as_integer_ratio()
+    s_num, s_den = (params.b / params.a).as_integer_ratio()
+    p_pow, r_pow = _powers(p, n), _powers(r, n)
+    common = gcd(p * b_den, s_den * r)
+    monomial, scale = -p * b_den // common, s_den * r // common
+    heads, tails = [0] * n, [0] * n
+    for m, k in enumerate(range(n - 1, -1, -1)):
+        tails[k] = monomial * (s_den * p_pow[m] - s_num * r_pow[m])
+        if not tails[k]:
             raise ResonantParameterError(
                 f"factor (1 - (b/a)*q^{k + 1 - n}) vanishes: "
                 f"monic family of degree {n} degenerates"
             )
-        b_num, b_den = _one_minus(b, q, k)
-        if b_num == 0:
+        heads[k] = scale * (b_den * r_pow[k] - b_num * p_pow[k])
+        if not heads[k]:
             raise ResonantParameterError(f"factor (1 - b*q^{k}) vanishes")
-        up_num, up_den = _one_minus((1, 1), q, k + 1)
-        down_num, down_den = _one_minus((1, 1), q, k - n)
-        ratios.append(
-            (shift_num * up_num * down_den * b_den, shift_den * up_den * down_num * b_num)
-        )
-    return _ratio_poly(n, (1, 1), ratios)
+    return _binomial_poly(0, p_pow, r_pow, heads, tails, n)
 
 
 def pastro_monic_prefactor(n: int, params: QParams) -> Fraction:
@@ -174,7 +208,7 @@ def _norm_constants(
     ]
 
 
-def baxter_coefficients(n_max: int, params: QParams) -> BaxterData:
+def baxter_coefficients(n_max: int, params: QParams, h: list | None = None) -> BaxterData:
     """The scalar table of ``params`` for n <= n_max.
 
       alpha_n = -((b/a)q)^(n+1) (a/b;q)_(n+1) / (b;q)_(n+1),
@@ -190,7 +224,7 @@ def baxter_coefficients(n_max: int, params: QParams) -> BaxterData:
     beta, then h, so a resonant triple raises the first vanishing
     denominator in that order. The columns after h divide only by b, a and
     factors 1 - b q^n of (b;q)_(n_max+1), which alpha has already divided
-    by, so they raise nothing.
+    by, so they raise nothing. A caller that holds h_0..h_n_max passes ``h``.
     """
     _check_degree(n_max)
     q, a, b = params.q, params.a, params.b
@@ -211,7 +245,7 @@ def baxter_coefficients(n_max: int, params: QParams) -> BaxterData:
         / _divisor(abq_poch[n + 1], f"((a/b)*q;q)_{n + 1} vanishes")
         for n in range(count)
     ]
-    h = _norm_constants(n_max, params, abq_poch, b_poch)
+    h = _norm_constants(n_max, params, abq_poch, b_poch) if h is None else h[:count]
     powers = [q**n for n in range(count)]
     b_factors = [1 - b * power for power in powers]
     mu2 = [Fraction(0)] + [
@@ -239,7 +273,7 @@ def baxter_step(
     return x() * p_poly - alpha_n * reversed_q, x() * q_poly - beta_n * reversed_p
 
 
-def baxter_system(n_max: int, params: QParams) -> BaxterData:
+def baxter_system(n_max: int, params: QParams, h: list | None = None) -> BaxterData:
     """Build both families from the coupled two-term recurrences.
 
     Starting from P_0 = Q_0 = 1, iterates
@@ -250,7 +284,7 @@ def baxter_system(n_max: int, params: QParams) -> BaxterData:
     :func:`pastro_poly` (and of its Q_n(1/x) with the closed-form partner)
     is a genuine cross-method consistency statement.
     """
-    data = baxter_coefficients(n_max, params)
+    data = baxter_coefficients(n_max, params, h)
     p_polys = [LaurentPoly.one()]
     q_polys = [LaurentPoly.one()]
     for n in range(n_max):
@@ -268,47 +302,39 @@ def biorthogonal_partner(n: int, params: QParams) -> LaurentPoly:
     R_n = [(q^-n;q)_n (b/q;q)_n / (((b/a)q^-n;q)_n (q;q)_n)]
           * 2phi1(q^-n, (a/b)q; q^(2-n)/b; q, q^2/(a x)).
 
-    The prefactor is a product of n factor pairs and the series is built
-    from its term ratios times q^2/a, all on integers. The factors of
-    ((b/a)q^-n;q)_n are checked first, then the series factor
-    (1 - lower*q^k) at each k, lower = q^(2-n)/b.
+    The prefactor's (b/q;q)_n cancels the series' lower factors, and
+    ((b/a)q^-n;q)_n is a monomial times ((a/b)q;q)_n; every monomial then
+    cancels but one, and the coefficient of x^-k is
+      (a/b)^(n-k) [n, k]_q ((a/b)q;q)_k (b/q;q)_(n-k) / ((a/b)q;q)_n
+      = (t_num r / c_den)^(n-k) G_k prod_{j<n-k} W_j / prod_{k<i<=n} A_i,
+    with q = p/r, a/b = t_num/t_den, b/q = c_num/c_den, the int units
+    A_i = t_den r^i - t_num p^i and W_j = c_den r^j - c_num p^j, and G_k as
+    in :func:`_binomial_poly`. The factors of ((b/a)q^-n;q)_n, each zero
+    exactly when a unit A_i is, are checked first; then the series factors
+    (1 - lower*q^k), k = 0..n-1, lower = q^(2-n)/b, each zero with W_(n-1-k).
     """
     _check_degree(n)
-    q, a, b = params.q, params.a, params.b
-    q_pair, one, b_over_a, b_over_q = _pair(q), (1, 1), _pair(b / a), _pair(b / q)
-    shifted = [_one_minus(b_over_a, q_pair, j - n) for j in range(n)]
-    if any(num == 0 for num, _ in shifted):
+    q = params.q
+    p, r = q.as_integer_ratio()
+    t_num, t_den = (params.a / params.b).as_integer_ratio()
+    c_num, c_den = (params.b / q).as_integer_ratio()
+    p_pow, r_pow = _powers(p, n), _powers(r, n)
+    common = gcd(t_num * r, c_den)
+    monomial, scale = t_num * r // common, c_den // common
+    tails = [scale * (t_den * r_pow[i] - t_num * p_pow[i]) for i in range(n, 0, -1)]
+    if not all(tails):
         raise ResonantParameterError(
             f"((b/a)*q^{-n};q)_{n} vanishes: partner of degree {n} degenerates"
         )
-    prefactor_num = prefactor_den = 1
-    for j, (shifted_num, shifted_den) in enumerate(shifted):
-        down_num, down_den = _one_minus(one, q_pair, j - n)
-        b_num, b_den = _one_minus(b_over_q, q_pair, j)
-        up_num, up_den = _one_minus(one, q_pair, j + 1)
-        prefactor_num *= down_num * b_num * shifted_den * up_den
-        prefactor_den *= down_den * b_den * shifted_num * up_num
-
-    inverse_b, a_over_b = (b.denominator, b.numerator), _pair(a / b)
-    arg_num, arg_den = q.numerator**2 * a.denominator, q.denominator**2 * a.numerator
-    ratios = []
-    for k in range(n):
-        lower_num, lower_den = _one_minus(inverse_b, q_pair, k + 2 - n)
-        if lower_num == 0:
+    heads = [0] * n
+    for j in range(n - 1, -1, -1):
+        heads[j] = monomial * (c_den * r_pow[j] - c_num * p_pow[j])
+        if not heads[j]:
             raise ResonantParameterError(
-                f"series denominator factor (1 - lower*q^{k}) vanishes "
-                f"(lower = {format_rational(q ** (2 - n) / b)}, q = {format_rational(q)})"
+                f"series denominator factor (1 - lower*q^{n - 1 - j}) vanishes "
+                f"(lower = {format_rational(q ** (2 - n) / params.b)}, q = {format_rational(q)})"
             )
-        down_num, down_den = _one_minus(one, q_pair, k - n)
-        upper_num, upper_den = _one_minus(a_over_b, q_pair, k + 1)
-        up_num, up_den = _one_minus(one, q_pair, k + 1)
-        ratios.append(
-            (
-                down_num * upper_num * lower_den * up_den * arg_num,
-                down_den * upper_den * lower_num * up_num * arg_den,
-            )
-        )
-    return _ratio_poly(0, (prefactor_num, prefactor_den), ratios)
+    return _binomial_poly(-n, p_pow, r_pow, heads, tails, 0)
 
 
 def grid_weights(N: int, b: Scalar, q: Scalar) -> list[Fraction]:

@@ -48,30 +48,52 @@ class ResonantParameterError(ParameterError):
 _RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
 
+def _parse_int(text: str) -> int:
+    """``int(text)`` for a signed decimal literal of any length: past the
+    interpreter's int_max_str_digits limit, it converts the halves."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.lstrip("+-")
+        half = len(digits) // 2
+        value = _parse_int(digits[:-half]) * 10**half + _parse_int(digits[-half:])
+        return -value if text.startswith("-") else value
+
+
+def _int_text(value: int) -> str:
+    """``str(value)`` for an int of any size: past the digit limit, it splits
+    by a power of ten into halves, the lower one padded with zeros."""
+    try:
+        return str(value)
+    except ValueError:
+        half = value.bit_length() * 3 // 20
+        high, low = divmod(abs(value), 10**half)
+        return ("-" if value < 0 else "") + _int_text(high) + _int_text(low).zfill(half)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal ``p`` or ``p/r`` into a reduced fraction.
 
     Only integer and slash-fraction literals are accepted. Decimal points,
     exponents and other float syntax are rejected so exactness cannot be
-    lost at the input boundary.
+    lost at the input boundary. Literals of any length are accepted.
     """
     literal = text.strip()
     if not _RATIONAL_PATTERN.match(literal):
         raise ParameterError(f"not a rational literal: {text!r}")
-    if "/" in literal:
-        num_text, den_text = literal.split("/")
-        if int(den_text) == 0:
-            raise ParameterError(f"zero denominator: {text!r}")
-        return Fraction(int(num_text), int(den_text))
-    return Fraction(int(literal))
+    num_text, _, den_text = literal.partition("/")
+    den = _parse_int(den_text) if den_text else 1
+    if den == 0:
+        raise ParameterError(f"zero denominator: {text!r}")
+    return Fraction(_parse_int(num_text), den)
 
 
 def format_rational(value: Scalar) -> str:
     """Format a rational as ``p`` or ``p/r``; inverse of :func:`parse_rational`."""
     value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _int_text(value.numerator)
+    return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
 
 
 class LaurentPoly:
@@ -440,54 +462,6 @@ def _make(low: int, nums: list[int], den: int, bound: int) -> LaurentPoly:
 def x(power: int = 1) -> LaurentPoly:
     """The monomial x^power (power may be negative)."""
     return LaurentPoly.monomial(1, power)
-
-
-def _one_minus(c: tuple[int, int], q: tuple[int, int], m: int) -> tuple[int, int]:
-    """The factor 1 - c*q^m as an unreduced int pair (numerator, denominator).
-
-    ``c`` and ``q`` are int pairs (numerator, nonzero denominator); the
-    result's denominator is nonzero but may be negative.
-    """
-    if m >= 0:
-        top, bottom = q[0] ** m, q[1] ** m
-    else:
-        top, bottom = q[1] ** -m, q[0] ** -m
-    den = c[1] * bottom
-    return den - c[0] * top, den
-
-
-def _ratio_poly(
-    top: int, first: tuple[int, int], ratios: list[tuple[int, int]]
-) -> LaurentPoly:
-    """The LaurentPoly sum_i c_i x^(top - i) with c_0 = first, c_(i+1) = c_i * ratios[i].
-
-    ``first`` and every ratio are int pairs (numerator, nonzero denominator).
-    Each pair is reduced by its own gcd, then with N_i the product of the
-    first i ratio numerators and S_i the product of the ratio denominators
-    from i on, c_i = first_num * N_i * S_i / (first_den * S_0): O(n) int
-    products, and one content gcd in ``_make`` over the whole denominator,
-    since a product of ratios has no content known in advance.
-    """
-
-    def reduced(num: int, den: int) -> tuple[int, int]:
-        common = gcd(num, den)
-        return (num // common, den // common) if common != 1 else (num, den)
-
-    ratios = [reduced(num, den) for num, den in ratios]
-    prefix, first_den = reduced(*first)
-    suffix = [1] * (len(ratios) + 1)
-    for i in range(len(ratios) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * ratios[i][1]
-    den = first_den * suffix[0]
-    if den < 0:
-        den, prefix = -den, -prefix
-    nums = []
-    for (num, _), tail in zip(ratios, suffix):
-        nums.append(prefix * tail)
-        prefix *= num
-    nums.append(prefix)
-    nums.reverse()
-    return _make(top - len(ratios), nums, den, den)
 
 
 def q_pochhammer(z: Scalar, q: Scalar, n: int) -> Fraction:

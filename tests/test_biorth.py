@@ -16,7 +16,7 @@ from grid_reference import (
     reference_biorthogonality,
     scalar_product,
 )
-from pastroq import biorth
+from pastroq import biorth, pastro
 from pastroq.biorth import (
     Band,
     GridVector,
@@ -36,7 +36,7 @@ from pastroq.biorth import (
     verify_biorthogonality,
     weight_adjoint,
 )
-from pastroq.pastro import biorthogonal_partner, pastro_poly
+from pastroq.pastro import baxter_system, biorthogonal_partner, pastro_poly
 from pastroq.qcore import (
     LaurentPoly,
     ParameterError,
@@ -472,6 +472,24 @@ def test_zero_vector_raises_as_the_fraction_route(field):
         verify_adjoint_gevp(1, rep)
     assert str(raised.value) == str(expected.value)
     assert str(raised.value) == "zero grid vector encountered (degenerate parameters)"
+
+
+def test_grid_build_computes_the_norm_constants_once(monkeypatch):
+    calls = []
+    norm_constants = pastro._norm_constants
+
+    def counted(n_max, *args):
+        calls.append(n_max)
+        return norm_constants(n_max, *args)
+
+    monkeypatch.setattr(pastro, "_norm_constants", counted)
+    monkeypatch.setattr(biorth, "_norm_constants", counted)
+    N = 6
+    rep = make_grid_rep(N, B, Q)
+    assert calls == [N]
+    assert rep.h == [norm_constant(n, rep.params) for n in range(N + 1)]
+    monkeypatch.undo()
+    assert rep.q_polys == baxter_system(N - 1, rep.params).q_polys
 
 
 def test_biorth_samples_p_top_and_its_derivative_once_per_point(monkeypatch):

@@ -26,7 +26,8 @@ from pastroq.cli import (
     run,
     verify_suite,
 )
-from pastroq.qcore import ParameterError, QParams, format_rational
+from pastroq.pastro import baxter_coefficients, biorthogonal_partner, pastro_poly
+from pastroq.qcore import ParameterError, QParams, format_rational, parse_rational
 from pastroq.report import Check, Report
 
 PASTROQ = [sys.executable, "-m", "pastroq"]
@@ -63,6 +64,31 @@ def test_table_text_lists_polynomials():
     assert "P_1 = " in text
     assert "R_1 = " in text
     assert "alpha_0 = 7/12" in text
+
+
+def test_table_prints_coefficients_past_the_digit_limit(capsys):
+    # At q = 997/991 the alpha, beta and h of degree 39 have numerators of
+    # more than 4300 digits, Python's default limit for str(int).
+    argv = ["table", "--q=997/991", "--a=3", "--b=1/5", "--nmax", "39"]
+    params = QParams(Fraction(997, 991), Fraction(3), Fraction(1, 5))
+    data = baxter_coefficients(39, params)
+    out = {}
+    for fmt in ("text", "json"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--format", fmt])
+        assert exit_info.value.code == 0
+        out[fmt] = capsys.readouterr().out
+    assert len(format_rational(data.h[39])) > 4300
+    last = out["text"].splitlines()[-2].split()
+    assert last[0::3] == ["alpha_39", "beta_39", "h_39"]
+    assert [parse_rational(v) for v in last[2::3]] == [data.alpha[39], data.beta[39], data.h[39]]
+    payload = json.loads(out["json"])
+    for name in ("alpha", "beta", "h"):
+        assert [parse_rational(v) for v in payload[name]] == getattr(data, name)
+    for key, build in (("pastro", pastro_poly), ("partners", biorthogonal_partner)):
+        for n, poly in enumerate(payload[key]):
+            coefficients = {int(e): parse_rational(c) for e, c in poly["coefficients"].items()}
+            assert coefficients == dict(build(n, params).items())
 
 
 def test_verify_default_point_all_pass():

@@ -18,7 +18,12 @@ import family_reference
 from pastroq.pastro import biorthogonal_partner, pastro_poly
 from pastroq.qcore import ParameterError, QParams, ResonantParameterError
 
-_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+#: Small rationals, where factors vanish often, and heights up to 1000 (such
+#: as q = 997/991), where the units share few factors; both signs of each.
+_rationals = st.one_of(
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 1000)),
+)
 
 #: How b (or a) is placed relative to q, each with an offset j:
 #: "b*q^j=1" b = q^-j; "(b/a)*q^j=1" b = a q^-j; "(a/b)*q^j=1" a = b q^-j
@@ -61,9 +66,9 @@ def assert_normal_form(poly) -> None:
     _rationals,
     _rationals,
     _rationals,
-    st.integers(0, 9),
+    st.integers(0, 20),
     st.sampled_from(_PLACEMENTS),
-    st.integers(-2, 10),
+    st.integers(-2, 21),
 )
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_builders_match_fraction_routes(q, a, b, n, placement, j):
@@ -89,12 +94,21 @@ def test_builders_match_fraction_routes(q, a, b, n, placement, j):
         (Fraction(-4, 5), Fraction(6), Fraction(-2), 0),
         (Fraction(1, 2), Fraction(3), Fraction(1, 5), 12),
         (Fraction(-7, 5), Fraction(5, 3), Fraction(2, 9), 24),
+        (Fraction(-7, 5), Fraction(5, 3), Fraction(2, 9), 40),
+        (Fraction(-7, 5), Fraction(-3), Fraction(-2, 9), 64),
+        (Fraction(997, 991), Fraction(3), Fraction(1, 5), 40),
+        (Fraction(997, 991), Fraction(-5, 3), Fraction(2, 9), 64),
     ],
 )
 def test_builders_match_at_fixed_points(q, a, b, n):
     params = QParams(q, a, b)
-    assert pastro_poly(n, params) == family_reference.pastro_poly(n, params)
-    assert biorthogonal_partner(n, params) == family_reference.biorthogonal_partner(n, params)
+    for build, reference in (
+        (pastro_poly, family_reference.pastro_poly),
+        (biorthogonal_partner, family_reference.biorthogonal_partner),
+    ):
+        poly = build(n, params)
+        assert poly == reference(n, params)
+        assert_normal_form(poly)
 
 
 @pytest.mark.parametrize(

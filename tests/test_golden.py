@@ -26,7 +26,9 @@ GOLDEN = Path(__file__).parent / "golden"
 #: q < 0. The last two are biorth past N = 16, where the lcm of the grid
 #: denominators grows with N: N = 24 at the default point and N = 32 at q < 0.
 #: The sweep after them is the small-polynomial path at many rational points,
-#: where most products have small denominators that share primes.
+#: where most products have small denominators that share primes. The last
+#: table is at q < 0, where P_n and R_n are built from powers of a negative
+#: numerator of q, so it guards their signs.
 CASES = [
     ("biorth_N8", ["biorth", "--N", "8"], 0),
     ("biorth_q-4_5_b-2_N16", ["biorth", "--q=-4/5", "--b=-2", "--N", "16"], 0),
@@ -51,6 +53,7 @@ CASES = [
     ("biorth_N24", ["biorth", "--N", "24"], 0),
     ("biorth_q-4_5_b-2_N32", ["biorth", "--q=-4/5", "--b=-2", "--N", "32"], 0),
     ("sweep_seed12345_draws4_nmax12", ["sweep", "--seed", "12345", "--draws", "4", "--nmax", "12"], 0),
+    ("table_q-7_5_a5_3_b2_9_nmax12", ["table", "--q=-7/5", "--a=5/3", "--b=2/9", "--nmax", "12"], 0),
 ]
 
 

@@ -104,6 +104,7 @@ def test_baxter_coefficients_match_closed_forms(params):
     assert data.mu1 == [mu1_coefficient(n, params) for n in range(13)]
     assert data.mu2 == [mu2_coefficient(n, params) for n in range(13)]
     assert data.raise_factor == [raise_factor(n, params) for n in range(13)]
+    assert baxter_coefficients(12, params, _norm_constants(14, params)) == data
 
 
 def first_closed_form_error(n_max: int, params: QParams) -> str | None:

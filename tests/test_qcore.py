@@ -1,6 +1,8 @@
 """Exact scalar parsing, Laurent polynomial arithmetic, and q-series."""
 
 import re
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
 
@@ -50,6 +52,45 @@ def test_format_rational():
 @settings(max_examples=60, derandomize=True)
 def test_parse_format_round_trip(value):
     assert parse_rational(format_rational(value)) == value
+
+
+@contextmanager
+def digit_limit(limit: int):
+    """Run with the interpreter's int_max_str_digits set to ``limit``."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+#: Values on both sides of the 4300-digit default limit and of the 640-digit
+#: smallest one: an odd split, a lower half that starts with zeros, signs.
+_LARGE_VALUES = [
+    Fraction(10**4300 - 1),
+    Fraction(10**4300),
+    Fraction(-(10**9000) - 7),
+    Fraction(-(7**20000), 3**9001),
+    Fraction(2**45000 + 1, 10**700 + 3),
+    Fraction(10**640, 11),
+]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no digit limit"
+)
+@pytest.mark.parametrize("limit", [4300, 640])
+@pytest.mark.parametrize("value", _LARGE_VALUES)
+def test_format_rational_has_no_digit_limit(value, limit):
+    with digit_limit(0):
+        expected = f"{value.numerator}/{value.denominator}".removesuffix("/1")
+    with digit_limit(limit):
+        text = format_rational(value)
+        assert parse_rational(text) == value
+        assert parse_rational(f" +{text} " if value > 0 else text) == value
+        assert sys.get_int_max_str_digits() == limit
+    assert text == expected
 
 
 def test_laurent_normal_form_drops_zeros():
