@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple
@@ -267,8 +267,10 @@ def _sweep(config: RunConfig, report: Report, context: dict[str, str]) -> tuple[
             )
             continue
         accepted += 1
-        for check in verify_suite(params, config.n_max):
-            report.checks.append(replace(check, params=check.params | {"draw": label}))
+        report.checks.extend(
+            Check(c.name, c.identity, c.params | {"draw": label}, c.status, c.witness)
+            for c in verify_suite(params, config.n_max)
+        )
         if accepted == config.draws:
             break
     if accepted < config.draws:

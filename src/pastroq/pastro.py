@@ -7,8 +7,10 @@ Laurent polynomials supported on exponents [-n, 0], a terminating series
 times a prefactor. Both are built on integers from closed products: each
 coefficient is a Gaussian binomial [n, k]_q, made by exact int division,
 times factors 1 - c q^m written as int units over monomials of q = p/r.
-The Baxter-style coupled recurrence reconstructs both families from
-scratch and is used as an independent derivation route.
+The per-degree scalar table of a point is built from the same kind of
+units, as int prefix products with one Fraction per entry. The
+Baxter-style coupled recurrence reconstructs both families from scratch
+and is used as an independent derivation route.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd
 from operator import mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .qcore import (
     LaurentPoly,
@@ -149,9 +151,9 @@ class BaxterData:
     the eigenvalue lambda_n = -q^n/b; the three-term recurrence
     coefficients mu1_n, mu2_n; and the degree-raising factor
     q^-n (1 - b q^n) of X and Z. Each column is read off its own closed
-    form, never off another column, so the checks that compare columns
-    compare independent routes. :func:`baxter_system` adds the iterated
-    families.
+    form, written on the int units of :func:`_point_units`, never off
+    another column, so the checks that compare columns compare independent
+    routes. :func:`baxter_system` adds the iterated families.
     """
 
     alpha: list[Fraction]
@@ -165,47 +167,79 @@ class BaxterData:
     q_polys: list[LaurentPoly] = field(default_factory=list)
 
 
-def _pochhammer_prefixes(z: Fraction, q: Fraction, n: int) -> list[Fraction]:
-    """[(z;q)_0, (z;q)_1, ..., (z;q)_n] as running products."""
-    prefixes = [Fraction(1)]
-    power = z
-    for _ in range(n):
-        prefixes.append(prefixes[-1] * (1 - power))
-        power *= q
-    return prefixes
+class _Units(NamedTuple):
+    """The int units of a parameter point, j = 0..size, with q = p/r.
+
+    The fields ``a``, ``b``, ``ab``, ``bq`` and ``one`` hold, for z = a, b,
+    a/b, b/q and 1, the units z_den r^j - z_num p^j, so that
+    1 - z q^j = unit_j / (z_den r^j). ``p_pow`` and ``r_pow`` hold p^j and
+    r^j.
+    """
+
+    p_pow: list[int]
+    r_pow: list[int]
+    a: list[int]
+    b: list[int]
+    ab: list[int]
+    bq: list[int]
+    one: list[int]
 
 
-def _divisor(value: Fraction, message: str) -> Fraction:
-    if value == 0:
-        raise ResonantParameterError(message)
-    return value
+def _point_units(params: QParams, size: int) -> _Units:
+    """The units of ``params`` for j = 0..size, off one power table of p and r."""
+    q, a, b = params.q, params.a, params.b
+    p, r = q.as_integer_ratio()
+    p_pow, r_pow = _powers(p, size), _powers(r, size)
+
+    def units(z: Fraction) -> list[int]:
+        num, den = z.as_integer_ratio()
+        return [den * r_m - num * p_m for p_m, r_m in zip(p_pow, r_pow)]
+
+    return _Units(p_pow, r_pow, units(a), units(b), units(a / b), units(b / q), units(Fraction(1)))
 
 
-def _norm_constants(
-    n_max: int,
-    params: QParams,
-    abq_poch: list[Fraction] | None = None,
-    b_poch: list[Fraction] | None = None,
+def _prefix_ratios(
+    sign: int, scale_num: int, scale_den: int, nums: list[int], dens: list[int], vanishing: str
 ) -> list[Fraction]:
+    """sign (scale_num/scale_den)^m prod_(j<m) nums[j] / prod_(j<m) dens[j], m = 1..len(nums).
+
+    The prefix products run on ints, and each entry is one Fraction (one
+    gcd). Raises ``vanishing.format(m)`` at the first m whose denominator
+    vanishes.
+    """
+    common = gcd(scale_num, scale_den)
+    scale_num, scale_den = scale_num // common, scale_den // common
+    num = den = 1
+    ratios = []
+    for m, (unit_num, unit_den) in enumerate(zip(nums, dens), 1):
+        if not unit_den:
+            raise ResonantParameterError(vanishing.format(m))
+        num *= scale_num * unit_num
+        den *= scale_den * unit_den
+        ratios.append(Fraction(sign * num, den))
+    return ratios
+
+
+def _norm_constants(n_max: int, params: QParams, units: _Units | None = None) -> list[Fraction]:
     """h_n = (a;q)_n (q;q)_n / (((a/b)q;q)_n (b;q)_n) for n <= n_max.
 
-    Read off running q-Pochhammer products; raises at the first n whose
-    denominator vanishes. A caller that already holds the prefixes of
-    ((a/b)q;q) and (b;q), up to n_max or further, passes them in.
+    On the units of :func:`_point_units` (a/b = t_num/t_den), that is
+      h_n = (t_den b_den / a_den)^n prod_(j<n) a[j] one[j+1] / (ab[j+1] b[j]);
+    raises at the first n whose denominator vanishes. A caller that already
+    holds the units of ``params``, up to n_max or further, passes them in.
     """
-    q, a, b = params.q, params.a, params.b
-    a_poch = _pochhammer_prefixes(a, q, n_max)
-    q_poch = _pochhammer_prefixes(q, q, n_max)
-    if abq_poch is None:
-        abq_poch = _pochhammer_prefixes((a / b) * q, q, n_max)
-    if b_poch is None:
-        b_poch = _pochhammer_prefixes(b, q, n_max)
-    return [
-        a_poch[n]
-        * q_poch[n]
-        / _divisor(abq_poch[n] * b_poch[n], f"((a/b)*q;q)_{n} * (b;q)_{n} vanishes")
-        for n in range(n_max + 1)
-    ]
+    if units is None:
+        units = _point_units(params, n_max)
+    a_den, b_den = params.a.denominator, params.b.denominator
+    t_den = (params.a / params.b).denominator
+    return [Fraction(1)] + _prefix_ratios(
+        1,
+        t_den * b_den,
+        a_den,
+        [units.a[j] * units.one[j + 1] for j in range(n_max)],
+        [units.ab[j + 1] * units.b[j] for j in range(n_max)],
+        "((a/b)*q;q)_{0} * (b;q)_{0} vanishes",
+    )
 
 
 def baxter_coefficients(n_max: int, params: QParams, h: list | None = None) -> BaxterData:
@@ -217,50 +251,55 @@ def baxter_coefficients(n_max: int, params: QParams, h: list | None = None) -> B
       mu1_n = -q (b - a q^n) / (a (1 - b q^n)),
       mu2_n = -b q (1 - q^n)(1 - a q^(n-1)) / (a (1 - b q^n)(1 - b q^(n-1))),
     with mu2_0 = 0 (the 1 - q^n factor), the raise factor q^-n (1 - b q^n),
-    and h_n as in :func:`_norm_constants`. alpha, beta and h are read off
-    running q-Pochhammer products, built once and shared by the three
-    columns, so the table costs O(n_max) products rather than O(n_max) per
-    degree. The lists are filled alpha first, then
-    beta, then h, so a resonant triple raises the first vanishing
-    denominator in that order. The columns after h divide only by b, a and
-    factors 1 - b q^n of (b;q)_(n_max+1), which alpha has already divided
-    by, so they raise nothing. A caller that holds h_0..h_n_max passes ``h``.
+    and h_n as in :func:`_norm_constants`. Every factor 1 - z q^j is an int
+    unit of :func:`_point_units`, built once off one power table of p and r
+    (q = p/r), so with a/b = t_num/t_den and b/q = c_num/c_den
+      alpha_n = -(p b_den / (t_num r))^(n+1) prod_(j<=n) ab[j] / b[j],
+      beta_n  = -(t_num r / c_den)^(n+1) prod_(j<=n) bq[j] / ab[j+1]
+    are int prefix products, and every entry is one Fraction. The lists are
+    filled alpha first, then beta, then h, so a resonant triple raises the
+    first vanishing denominator in that order. The columns after h divide
+    only by b, a and units b[n], n <= n_max, which alpha has already
+    divided by, so they raise nothing. A caller that holds h_0..h_n_max
+    passes ``h``.
     """
     _check_degree(n_max)
-    q, a, b = params.q, params.a, params.b
     count = n_max + 1
-    b_poch = _pochhammer_prefixes(b, q, count)
-    ab_poch = _pochhammer_prefixes(a / b, q, count)
-    abq_poch = _pochhammer_prefixes((a / b) * q, q, count)
-    alpha = [
-        -(((b / a) * q) ** (n + 1))
-        * ab_poch[n + 1]
-        / _divisor(b_poch[n + 1], f"(b;q)_{n + 1} vanishes")
-        for n in range(count)
-    ]
-    b_over_q_poch = _pochhammer_prefixes(b / q, q, count)
-    beta = [
-        -((a / b) ** (n + 1))
-        * b_over_q_poch[n + 1]
-        / _divisor(abq_poch[n + 1], f"((a/b)*q;q)_{n + 1} vanishes")
-        for n in range(count)
-    ]
-    h = _norm_constants(n_max, params, abq_poch, b_poch) if h is None else h[:count]
-    powers = [q**n for n in range(count)]
-    b_factors = [1 - b * power for power in powers]
+    units = _point_units(params, count)
+    p, r = params.q.as_integer_ratio()
+    a_num, a_den = params.a.as_integer_ratio()
+    b_num, b_den = params.b.as_integer_ratio()
+    t_num = (params.a / params.b).numerator
+    c_den = (params.b / params.q).denominator
+    alpha = _prefix_ratios(
+        -1, p * b_den, t_num * r, units.ab[:count], units.b[:count], "(b;q)_{0} vanishes"
+    )
+    beta = _prefix_ratios(
+        -1, t_num * r, c_den, units.bq[:count], units.ab[1:], "((a/b)*q;q)_{0} vanishes"
+    )
+    h = _norm_constants(n_max, params, units) if h is None else h[:count]
+    p_pow, r_pow, b_units = units.p_pow, units.r_pow, units.b
     mu2 = [Fraction(0)] + [
-        -b * q * (1 - powers[n]) * (1 - a * powers[n - 1])
-        / (a * b_factors[n] * b_factors[n - 1])
+        Fraction(
+            -b_num * b_den * p * units.one[n] * units.a[n - 1],
+            a_num * r * b_units[n] * b_units[n - 1],
+        )
         for n in range(1, count)
     ]
     return BaxterData(
         alpha=alpha,
         beta=beta,
         h=h,
-        lam=[-power / b for power in powers],
-        mu1=[-q * (b - a * power) / (a * factor) for power, factor in zip(powers, b_factors)],
+        lam=[Fraction(-b_den * p_pow[n], b_num * r_pow[n]) for n in range(count)],
+        mu1=[
+            Fraction(
+                -p * (b_num * a_den * r_pow[n] - a_num * b_den * p_pow[n]),
+                a_num * r * b_units[n],
+            )
+            for n in range(count)
+        ],
         mu2=mu2,
-        raise_factor=[factor / power for power, factor in zip(powers, b_factors)],
+        raise_factor=[Fraction(b_units[n], b_den * p_pow[n]) for n in range(count)],
     )
 
 
@@ -268,9 +307,9 @@ def baxter_step(
     n: int, p_poly: LaurentPoly, q_poly: LaurentPoly, alpha_n: Fraction, beta_n: Fraction
 ) -> tuple[LaurentPoly, LaurentPoly]:
     """One step (P_n, Q_n) -> (P_(n+1), Q_(n+1)) of the coupled recurrences."""
-    reversed_q = q_poly.invert_variable() * x(n)
-    reversed_p = p_poly.invert_variable() * x(n)
-    return x() * p_poly - alpha_n * reversed_q, x() * q_poly - beta_n * reversed_p
+    reversed_q = q_poly.invert_variable().times_x(n)
+    reversed_p = p_poly.invert_variable().times_x(n)
+    return p_poly.times_x(1) - alpha_n * reversed_q, q_poly.times_x(1) - beta_n * reversed_p
 
 
 def baxter_system(n_max: int, params: QParams, h: list | None = None) -> BaxterData:
@@ -445,15 +484,15 @@ def verify_baxter_consistency(
             if mismatch:
                 partner_witness = f"n={n}: {mismatch}"
         if p_witness is None and n < n_max:
-            residual = record.p_next - x() * record.p + data.alpha[n] * (reversed_q * x(n))
+            residual = record.p_next - record.p.times_x(1) + data.alpha[n] * reversed_q.times_x(n)
             if residual:
                 p_witness = f"n={n}: residual {residual}"
         if q_witness is None and previous is not None:
             p_prev, q_prev = previous
             residual = (
                 record.q_coupled
-                - x() * q_prev
-                + data.beta[n - 1] * (p_prev.invert_variable() * x(n - 1))
+                - q_prev.times_x(1)
+                + data.beta[n - 1] * p_prev.invert_variable().times_x(n - 1)
             )
             if residual:
                 q_witness = f"n={n - 1}: residual {residual}"

@@ -115,7 +115,8 @@ class LaurentPoly:
     - a sum's content divides gcd(den_a, den_b), so its one gcd starts from
       that bound and is free when the denominators are coprime;
     - ``dilate(1)`` is the polynomial itself; any other dilation and the
-      derivative take one content gcd over the whole denominator.
+      derivative take one content gcd over the whole denominator;
+    - ``times_x(k)``, the product by x^k, moves only the valuation.
 
     Instances are treated as immutable.
     """
@@ -398,6 +399,12 @@ class LaurentPoly:
         low = self._low
         den = self._den
         return _make(low - 1, [n * (low + i) for i, n in enumerate(self._nums)], den, den)
+
+    def times_x(self, k: int) -> "LaurentPoly":
+        """x^k * self, by moving the valuation: no coefficient is touched."""
+        if not self._nums:
+            return self
+        return _raw(self._low + k, self._nums, self._den)
 
     def invert_variable(self) -> "LaurentPoly":
         """Substitute x -> 1/x, negating every exponent."""

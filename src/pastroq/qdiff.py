@@ -205,15 +205,19 @@ class DegreeRecord(NamedTuple):
     the shifted parameter bq; the images X P_n, Y P_n, Z P_n; the
     coupled-recurrence pair P~_n, Q_n of :func:`pastroq.pastro.baxter_system`;
     the scalar table of ``params``, from which the checks read lambda_n,
-    mu1_n, mu2_n and the raise factor at n; and ``context``, the report
-    parameters ``params.describe()`` plus n that every check of the record
-    carries.
+    mu1_n, mu2_n and the raise factor at n; ``qdiff_coefficients``, the
+    four coefficients x - q/a, q/a - x/b, x - q and q - b x of the
+    q-difference equation; and ``context``, the report parameters
+    ``params.describe()`` plus n that every check of the record carries.
+    The table and the coefficients are built once per parameter point and
+    shared by every record.
     """
 
     n: int
     params: QParams
     context: dict[str, str]
     table: BaxterData
+    qdiff_coefficients: tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]
     p_prev: LaurentPoly
     p: LaurentPoly
     p_next: LaurentPoly
@@ -228,13 +232,22 @@ class DegreeRecord(NamedTuple):
 def degree_records(params: QParams, n_max: int, data: BaxterData) -> Iterator[DegreeRecord]:
     """The records of n = 0..n_max, built in one pass over the degrees.
 
-    X, Y and Z are built once; each P_k is built once and held only while a
-    record still needs it (as P_(n+1), then P_n, then P_(n-1)); the coupled
-    pair advances one :func:`pastroq.pastro.baxter_step` per degree, with
-    the alpha_n, beta_n of ``data``. ``data`` is the scalar table of
-    ``params`` for n <= n_max, and every record carries it.
+    X, Y, Z are built once, and so are the q-difference coefficients,
+    straight from x and the parameters, not from the coefficients of X and
+    Y; each P_k is built once and held only while a record still needs it
+    (as P_(n+1), then P_n, then P_(n-1)); the coupled pair advances one
+    :func:`pastroq.pastro.baxter_step` per degree, with the alpha_n, beta_n
+    of ``data``. ``data`` is the scalar table of ``params`` for n <= n_max,
+    and every record carries it.
     """
     X, Y, Z = make_operators(params)
+    q, a, b = params.q, params.a, params.b
+    qdiff_coefficients = (
+        x() - q / a,
+        LaurentPoly.constant(q / a) - x() / b,
+        x() - q,
+        q - b * x(),
+    )
     described = params.describe()
     shifted = params.with_b(params.b * params.q)
     p_prev, p = LaurentPoly.zero(), pastro_poly(0, params)
@@ -250,6 +263,7 @@ def degree_records(params: QParams, n_max: int, data: BaxterData) -> Iterator[De
             params=params,
             context=described | {"n": str(n)},
             table=data,
+            qdiff_coefficients=qdiff_coefficients,
             p_prev=p_prev,
             p=p,
             p_next=p_next,
@@ -277,15 +291,15 @@ def verify_qdiff_equation(record: DegreeRecord) -> Check:
 
     (x - q/a) P_n(qx) + (q/a - x/b) P_n(x)
         = lambda_n [ (x - q) P_n(x/q) + (q - b x) P_n(x) ].
-    This route reads only P_n from the record and never builds operator
-    objects, so it is independent of the operator calculus exercised by
-    :func:`verify_gevp`.
+    This route reads P_n and the four coefficients from the record, dilates
+    P_n itself and never builds operator objects, so it is independent of
+    the operator calculus exercised by :func:`verify_gevp`.
     """
-    n, params, p = record.n, record.params, record.p
-    q, a, b = params.q, params.a, params.b
-    lam = record.table.lam[n]
-    lhs = (x() - q / a) * p.dilate(q) + (LaurentPoly.constant(q / a) - x() / b) * p
-    rhs = lam * ((x() - q) * p.dilate(1 / q) + (q - b * x()) * p)
+    p, q = record.p, record.params.q
+    lhs_dilated, lhs_fixed, rhs_dilated, rhs_fixed = record.qdiff_coefficients
+    lam = record.table.lam[record.n]
+    lhs = lhs_dilated * p.dilate(q) + lhs_fixed * p
+    rhs = lam * (rhs_dilated * p.dilate(1 / q) + rhs_fixed * p)
     return equality_check(
         "q-difference-equation",
         "(x - q/a) P_n(qx) + (q/a - x/b) P_n(x) = "
@@ -301,23 +315,27 @@ def verify_contiguity(record: DegreeRecord) -> list[Check]:
       X P_n(.; b) = q^-n (1 - b q^n) x P_n(.; bq),
       Y P_n(.; b) = -(1/b) (1 - b q^n) x P_n(.; bq),
       Z P_n(.; b) = q^-n (1 - b q^n) P_n(.; bq).
+    The Y factor is one Fraction of ints: with q = p/r and b = b_num/b_den,
+    -(1/b)(1 - b q^n) = (b_num p^n - b_den r^n) / (b_num r^n).
     """
     n, params, p_shifted = record.n, record.params, record.p_shifted
-    q, b = params.q, params.b
+    p, r = params.q.as_integer_ratio()
+    b_num, b_den = params.b.as_integer_ratio()
     factor = record.table.raise_factor[n]
+    x_p_shifted = p_shifted.times_x(1)
     return [
         equality_check(
             "contiguity-X",
             "X P_n(.; b) = q^-n (1 - b q^n) x P_n(.; bq)",
             record.context,
-            poly_mismatch_witness(record.x_image, factor * x() * p_shifted),
+            poly_mismatch_witness(record.x_image, factor * x_p_shifted),
         ),
         equality_check(
             "contiguity-Y",
             "Y P_n(.; b) = -(1/b) (1 - b q^n) x P_n(.; bq)",
             record.context,
             poly_mismatch_witness(
-                record.y_image, (-1 / b) * (1 - b * q**n) * x() * p_shifted
+                record.y_image, Fraction(b_num * p**n - b_den * r**n, b_num * r**n) * x_p_shifted
             ),
         ),
         equality_check(
@@ -338,22 +356,31 @@ def verify_recurrence(record: DegreeRecord) -> list[Check]:
       P_(n+1) + mu1_n P_n = x (P_n + mu2_n P_(n-1)),
       x (Z P_n) = X P_n.
     The P_(n-1) terms drop at n = 0 through their vanishing 1 - q^-n and
-    1 - q^n factors.
+    1 - q^n factors. The two inline scalars, of P_n in the X action and of
+    P_(n-1) in the Z action, are one Fraction each, built from p^n, r^n
+    (q = p/r) and the int numerators and denominators of a and b.
     """
     n, params = record.n, record.params
     p_prev, p_now, p_next = record.p_prev, record.p, record.p_next
-    q, a, b = params.q, params.a, params.b
+    p, r = params.q.as_integer_ratio()
+    a_num, a_den = params.a.as_integer_ratio()
+    b_num, b_den = params.b.as_integer_ratio()
+    p_n, r_n = p**n, r**n
     table = record.table
     raise_factor = table.raise_factor[n]
-    x_rhs = raise_factor * p_next + q * (1 - (b / a) * q**-n) * p_now
+    x_rhs = raise_factor * p_next + Fraction(
+        p * (b_den * a_num * p_n - b_num * a_den * r_n), r * b_den * a_num * p_n
+    ) * p_now
     z_rhs = raise_factor * p_now
     if n >= 1:
-        z_rhs = z_rhs + (
-            b * q * (1 - q**-n) * (1 - a * q ** (n - 1)) / (a * (1 - b * q ** (n - 1)))
+        p_m, r_m = p ** (n - 1), r ** (n - 1)
+        z_rhs = z_rhs + Fraction(
+            b_num * (p_n - r_n) * (a_den * r_m - a_num * p_m),
+            r * p_m * a_num * (b_den * r_m - b_num * p_m),
         ) * p_prev
 
     three_lhs = p_next + table.mu1[n] * p_now
-    three_rhs = x() * (p_now + table.mu2[n] * p_prev)
+    three_rhs = (p_now + table.mu2[n] * p_prev).times_x(1)
 
     return [
         equality_check(
@@ -379,6 +406,6 @@ def verify_recurrence(record: DegreeRecord) -> list[Check]:
             "recurrence-X-from-Z",
             "x (Z P_n) = X P_n",
             record.context,
-            poly_mismatch_witness(x() * record.z_image, record.x_image),
+            poly_mismatch_witness(record.z_image.times_x(1), record.x_image),
         ),
     ]

@@ -155,3 +155,14 @@ def raise_factor(n: int, params: QParams) -> Fraction:
     """The factor q^-n (1 - b q^n) of the X and Z actions and of the contiguity relations."""
     q, b = params.q, params.b
     return q**-n * (1 - b * q**n)
+
+
+def first_closed_form_error(n_max: int, params: QParams) -> str | None:
+    """The first error of the degree-by-degree closed forms: alpha, beta, then h."""
+    try:
+        for closed_form in (alpha_coefficient, beta_coefficient, norm_constant):
+            for n in range(n_max + 1):
+                closed_form(n, params)
+    except ResonantParameterError as exc:
+        return str(exc)
+    return None

@@ -1,10 +1,12 @@
-"""Differential tests: the integer builders of P_n and R_n against the Fraction routes.
+"""Differential tests: the integer builders against the Fraction routes.
 
 ``family_reference`` holds the recurrence-in-Fractions P_n and the
-``q_pochhammer``/``phi21_terminating`` R_n that the package used before.
-``pastro_poly`` and ``biorthogonal_partner`` must give the same polynomial,
-or raise a ``ResonantParameterError`` with the same text, at admissible
-points and at points placed on the factors that vanish.
+``q_pochhammer``/``phi21_terminating`` R_n that the package used before,
+and the degree-by-degree closed forms of the scalar table.
+``pastro_poly``, ``biorthogonal_partner`` and ``baxter_coefficients`` must
+give the same polynomials and scalars, or raise a
+``ResonantParameterError`` with the same text, at admissible points and at
+points placed on the factors that vanish.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import family_reference
-from pastroq.pastro import biorthogonal_partner, pastro_poly
+from pastroq.pastro import baxter_coefficients, biorthogonal_partner, pastro_poly
 from pastroq.qcore import ParameterError, QParams, ResonantParameterError
 
 #: Small rationals, where factors vanish often, and heights up to 1000 (such
@@ -85,6 +87,44 @@ def test_builders_match_fraction_routes(q, a, b, n, placement, j):
         assert outcome == _outcome(reference, n, params)
         if outcome[0] == "poly":
             assert_normal_form(outcome[1])
+
+
+#: The closed form of each column of the scalar table, by field name.
+_COLUMNS = {
+    "alpha": family_reference.alpha_coefficient,
+    "beta": family_reference.beta_coefficient,
+    "h": family_reference.norm_constant,
+    "lam": family_reference.eigenvalue,
+    "mu1": family_reference.mu1_coefficient,
+    "mu2": family_reference.mu2_coefficient,
+    "raise_factor": family_reference.raise_factor,
+}
+
+
+@given(
+    _rationals,
+    _rationals,
+    _rationals,
+    st.integers(0, 20),
+    st.sampled_from(_PLACEMENTS),
+    st.integers(-2, 21),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_baxter_coefficients_match_closed_forms_at_drawn_points(q, a, b, n_max, placement, j):
+    assume(q not in (0, 1, -1))
+    try:
+        params = QParams(*_place(placement, q, a, b, j))
+    except ParameterError:
+        assume(False)
+    expected = family_reference.first_closed_form_error(n_max, params)
+    if expected is not None:
+        with pytest.raises(ResonantParameterError) as raised:
+            baxter_coefficients(n_max, params)
+        assert str(raised.value) == expected
+        return
+    data = baxter_coefficients(n_max, params)
+    for column, closed_form in _COLUMNS.items():
+        assert getattr(data, column) == [closed_form(n, params) for n in range(n_max + 1)], column
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laurent_reference import LaurentPoly as Reference
-from pastroq.qcore import LaurentPoly, format_rational
+from pastroq.qcore import LaurentPoly, format_rational, x
 from pastroq.report import poly_mismatch_witness
 
 _small = st.fractions(max_denominator=6, min_value=-4, max_value=4)
@@ -192,6 +192,15 @@ def test_substitutions_match_reference(terms, factor):
     assert_same(p.derivative(), p_ref.derivative())
     with pytest.raises(ValueError):
         p.dilate(0)
+
+
+@given(_terms, st.integers(min_value=-6, max_value=6))
+@_settings
+def test_times_x_is_the_product_by_a_monomial(terms, k):
+    p, p_ref = _pair(terms)
+    shifted = p.times_x(k)
+    assert shifted == x(k) * p
+    assert_same(shifted, Reference.monomial(1, k) * p_ref)
 
 
 @given(_terms)

@@ -8,13 +8,13 @@ from family_reference import (
     alpha_coefficient,
     beta_coefficient,
     eigenvalue,
+    first_closed_form_error,
     mu1_coefficient,
     mu2_coefficient,
     norm_constant,
     pastro_coefficient_ratio,
     raise_factor,
 )
-from pastroq import pastro
 from pastroq.pastro import (
     _norm_constants,
     baxter_coefficients,
@@ -107,17 +107,6 @@ def test_baxter_coefficients_match_closed_forms(params):
     assert baxter_coefficients(12, params, _norm_constants(14, params)) == data
 
 
-def first_closed_form_error(n_max: int, params: QParams) -> str | None:
-    """The first error of the degree-by-degree closed forms: alpha, beta, then h."""
-    try:
-        for closed_form in (alpha_coefficient, beta_coefficient, norm_constant):
-            for n in range(n_max + 1):
-                closed_form(n, params)
-    except ResonantParameterError as exc:
-        return str(exc)
-    return None
-
-
 @pytest.mark.parametrize(
     "params",
     [
@@ -139,20 +128,6 @@ def test_baxter_coefficients_raise_the_first_closed_form_error(params):
     with pytest.raises(ResonantParameterError) as error:
         baxter_coefficients(6, params)
     assert str(error.value) == expected
-
-
-def test_baxter_coefficients_builds_each_prefix_once(monkeypatch):
-    # h reads the (b;q) and ((a/b)q;q) prefixes that alpha and beta built
-    built = []
-    prefixes = pastro._pochhammer_prefixes
-    monkeypatch.setattr(
-        pastro, "_pochhammer_prefixes", lambda z, q, n: built.append(z) or prefixes(z, q, n)
-    )
-    params = REFERENCE
-    data = baxter_coefficients(8, params)
-    assert data.h == [norm_constant(n, params) for n in range(9)]
-    q, a, b = params.q, params.a, params.b
-    assert sorted(built) == sorted([b, a / b, a / b * q, b / q, a, q])
 
 
 def test_norm_constant_product_form():
