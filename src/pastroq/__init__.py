@@ -17,7 +17,6 @@ from .qcore import (
     ResonantParameterError,
     format_rational,
     parse_rational,
-    phi21_terminating,
     q_pochhammer,
     x,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "ResonantParameterError",
     "format_rational",
     "parse_rational",
-    "phi21_terminating",
     "q_pochhammer",
     "x",
     "BaxterData",

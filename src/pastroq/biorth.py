@@ -31,6 +31,7 @@ from typing import Callable, Iterator, NamedTuple
 from .qcore import LaurentPoly, QParams, ResonantParameterError, Scalar, format_rational
 from .pastro import (
     _norm_constants,
+    baxter_coefficients,
     baxter_system,
     biorthogonal_partner,
     grid_weights,
@@ -268,10 +269,11 @@ class GridRep:
     ``poly_values`` and ``partner_values`` the grid samples of P_0..P_(N-1)
     and R_0..R_(N-1), each a :class:`GridVector`; ``p_top`` the truncation
     polynomial P_N; ``h`` the norm constants h_0..h_N; and ``q_polys`` and
-    ``lam`` the coupled-recurrence partners Q_0..Q_(N-1) and the eigenvalues
-    lambda_0..lambda_(N-1) of :func:`baxter_system`. Only what a check
-    reads is kept: the families P_n and R_n are dropped once sampled, and
-    of the coupled system only these two columns, which bounds peak memory.
+    ``lam`` the coupled-recurrence partners Q_0..Q_(N-1) of
+    :func:`baxter_system` and the eigenvalues lambda_0..lambda_(N-1) of
+    the scalar table. Only what a check reads is kept: the families P_n and
+    R_n are dropped once sampled, and so are the coupled P~_n and the rest
+    of the table, which bounds peak memory.
     """
 
     N: int
@@ -294,9 +296,10 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
 
     Raises ResonantParameterError at the first vanishing factor in this
     build order: weights, P_0..P_(N-1), R_0..R_(N-1), h_0..h_N, P_N. The
-    coupled recurrences come last, reuse h_0..h_(N-1), and cannot fail once
-    h_N exists, since their denominators are factors of h_N's. The CLI
-    prints that error's message, so the order is part of the report.
+    scalar table (which reuses h_0..h_(N-1)) and the coupled recurrences
+    come last, and cannot fail once h_N exists, since their denominators
+    are factors of h_N's. The CLI prints that error's message, so the order
+    is part of the report.
     """
     w = grid_weights(N, b, q)
     q, b = Fraction(q), Fraction(b)
@@ -314,7 +317,8 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
     ]
     h = _norm_constants(N, params)
     p_top = pastro_poly(N, params)
-    coupled = baxter_system(N - 1, params, h)
+    table = baxter_coefficients(N - 1, params, h)
+    _, q_polys = baxter_system(table)
     matrices = {"X": X, "Y": Y, "X*": weight_adjoint(X, w), "Y*": weight_adjoint(Y, w)}
     return GridRep(
         N=N,
@@ -328,8 +332,8 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
         partner_values=partner_values,
         p_top=p_top,
         h=h,
-        q_polys=coupled.q_polys,
-        lam=coupled.lam,
+        q_polys=q_polys,
+        lam=table.lam,
     )
 
 

@@ -10,12 +10,14 @@ times factors 1 - c q^m written as int units over monomials of q = p/r.
 The per-degree scalar table of a point is built from the same kind of
 units, as int prefix products with one Fraction per entry. The
 Baxter-style coupled recurrence reconstructs both families from scratch
-and is used as an independent derivation route.
+and is used as an independent derivation route. The terminating series
+forms of P_n and R_n are not built here: the test suite keeps them, in
+Fractions, as the reference routes of its differential tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd
@@ -29,16 +31,12 @@ from .qcore import (
     Scalar,
     _make,
     format_rational,
-    phi21_terminating,
     q_pochhammer,
-    x,
 )
 from .report import Check, equality_check, poly_mismatch_witness
 
 __all__ = [
     "pastro_poly",
-    "pastro_poly_series",
-    "pastro_monic_prefactor",
     "BaxterData",
     "baxter_coefficients",
     "baxter_step",
@@ -120,29 +118,6 @@ def pastro_poly(n: int, params: QParams) -> LaurentPoly:
     return _binomial_poly(0, p_pow, r_pow, heads, tails, n)
 
 
-def pastro_monic_prefactor(n: int, params: QParams) -> Fraction:
-    """The constant C_0 = ((b/a)q^(1-n);q)_n (q;q)_n / ((q^-n;q)_n (b;q)_n)."""
-    _check_degree(n)
-    q, a, b = params.q, params.a, params.b
-    denominator = q_pochhammer(q**-n, q, n) * q_pochhammer(b, q, n)
-    if denominator == 0:
-        raise ResonantParameterError(
-            f"(b;q)_{n} vanishes (b = {format_rational(b)}, q = {format_rational(q)})"
-        )
-    return q_pochhammer((b / a) * q ** (1 - n), q, n) * q_pochhammer(q, q, n) / denominator
-
-
-def pastro_poly_series(n: int, params: QParams) -> LaurentPoly:
-    """P_n built from the terminating series (independent of the recurrence).
-
-    P_n = C_0 * 2phi1(q^-n, b; (b/a) q^(1-n); q, x). Used as a cross-check
-    against the recurrence route.
-    """
-    q, a, b = params.q, params.a, params.b
-    prefactor = pastro_monic_prefactor(n, params)
-    return prefactor * phi21_terminating(n, b, (b / a) * q ** (1 - n), q, x())
-
-
 @dataclass
 class BaxterData:
     """The per-degree scalars of one parameter point, n = 0..n_max.
@@ -153,7 +128,7 @@ class BaxterData:
     q^-n (1 - b q^n) of X and Z. Each column is read off its own closed
     form, written on the int units of :func:`_point_units`, never off
     another column, so the checks that compare columns compare independent
-    routes. :func:`baxter_system` adds the iterated families.
+    routes. :func:`baxter_system` steps the coupled families from it.
     """
 
     alpha: list[Fraction]
@@ -163,8 +138,6 @@ class BaxterData:
     mu1: list[Fraction]
     mu2: list[Fraction]
     raise_factor: list[Fraction]
-    p_polys: list[LaurentPoly] = field(default_factory=list)
-    q_polys: list[LaurentPoly] = field(default_factory=list)
 
 
 class _Units(NamedTuple):
@@ -309,30 +282,29 @@ def baxter_step(
     """One step (P_n, Q_n) -> (P_(n+1), Q_(n+1)) of the coupled recurrences."""
     reversed_q = q_poly.invert_variable().times_x(n)
     reversed_p = p_poly.invert_variable().times_x(n)
-    return p_poly.times_x(1) - alpha_n * reversed_q, q_poly.times_x(1) - beta_n * reversed_p
+    return p_poly.times_x(1) - reversed_q * alpha_n, q_poly.times_x(1) - reversed_p * beta_n
 
 
-def baxter_system(n_max: int, params: QParams, h: list | None = None) -> BaxterData:
+def baxter_system(data: BaxterData) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
     """Build both families from the coupled two-term recurrences.
 
     Starting from P_0 = Q_0 = 1, iterates
       P_(n+1)(x) = x P_n(x) - alpha_n x^n Q_n(1/x),
       Q_(n+1)(x) = x Q_n(x) - beta_n x^n P_n(1/x),
-    with the closed-form alpha_n, beta_n. This route never references the
+    with the closed-form alpha_n, beta_n of ``data``, the scalar table of a
+    parameter point for n <= n_max, and returns ``(p_polys, q_polys)``,
+    P_0..P_n_max and Q_0..Q_n_max. This route never references the
     eigenvalue-problem construction, so agreement of its P_n with
     :func:`pastro_poly` (and of its Q_n(1/x) with the closed-form partner)
     is a genuine cross-method consistency statement.
     """
-    data = baxter_coefficients(n_max, params, h)
     p_polys = [LaurentPoly.one()]
     q_polys = [LaurentPoly.one()]
-    for n in range(n_max):
+    for n in range(len(data.alpha) - 1):
         p_next, q_next = baxter_step(n, p_polys[n], q_polys[n], data.alpha[n], data.beta[n])
         p_polys.append(p_next)
         q_polys.append(q_next)
-    data.p_polys = p_polys
-    data.q_polys = q_polys
-    return data
+    return p_polys, q_polys
 
 
 def biorthogonal_partner(n: int, params: QParams) -> LaurentPoly:
@@ -484,7 +456,7 @@ def verify_baxter_consistency(
             if mismatch:
                 partner_witness = f"n={n}: {mismatch}"
         if p_witness is None and n < n_max:
-            residual = record.p_next - record.p.times_x(1) + data.alpha[n] * reversed_q.times_x(n)
+            residual = record.p_next - record.p.times_x(1) + reversed_q.times_x(n) * data.alpha[n]
             if residual:
                 p_witness = f"n={n}: residual {residual}"
         if q_witness is None and previous is not None:
@@ -492,7 +464,7 @@ def verify_baxter_consistency(
             residual = (
                 record.q_coupled
                 - q_prev.times_x(1)
-                + data.beta[n - 1] * p_prev.invert_variable().times_x(n - 1)
+                + p_prev.invert_variable().times_x(n - 1) * data.beta[n - 1]
             )
             if residual:
                 q_witness = f"n={n - 1}: residual {residual}"

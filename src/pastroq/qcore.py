@@ -1,14 +1,13 @@
-"""Exact rational scalars, Laurent polynomials, and terminating q-series.
+"""Exact rational scalars, Laurent polynomials, and the q-Pochhammer symbol.
 
 This module is the arithmetic substrate for the whole package. Scalars are
 arbitrary-precision rationals (``fractions.Fraction``), Laurent polynomials
 are dense lists of int numerators over one common denominator, kept in a
 unique normal form (no zero end terms, content 1), and the q-Pochhammer
-symbol and terminating basic hypergeometric series are evaluated exactly.
-Since the deformation parameter q is a rational outside {0, 1, -1}, it is
-never a root of unity, so denominators of the form 1 - q^m (m != 0) never
-vanish and every identity downstream reduces to literal equality of normal
-forms.
+symbol is evaluated exactly. Since the deformation parameter q is a
+rational outside {0, 1, -1}, it is never a root of unity, so denominators
+of the form 1 - q^m (m != 0) never vanish and every identity downstream
+reduces to literal equality of normal forms.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "LaurentPoly",
     "x",
     "q_pochhammer",
-    "phi21_terminating",
     "QParams",
 ]
 
@@ -300,19 +298,6 @@ class LaurentPoly:
             raise ZeroDivisionError("division of a Laurent polynomial by zero")
         return self * (1 / divisor)
 
-    def __pow__(self, power: int) -> "LaurentPoly":
-        if not isinstance(power, int) or power < 0:
-            raise ValueError(f"power must be a nonnegative integer, got {power!r}")
-        result = LaurentPoly.one()
-        base = self
-        remaining = power
-        while remaining:
-            if remaining & 1:
-                result = result * base
-            base = base * base
-            remaining >>= 1
-        return result
-
     def eval_at(self, point: Scalar) -> Fraction:
         """Evaluate at a rational point (nonzero if negative exponents occur)."""
         point = Fraction(point)
@@ -485,50 +470,6 @@ def q_pochhammer(z: Scalar, q: Scalar, n: int) -> Fraction:
     return product
 
 
-def phi21_terminating(
-    n: int,
-    upper2: Scalar,
-    lower: Scalar,
-    q: Scalar,
-    arg: LaurentPoly | Scalar,
-) -> LaurentPoly:
-    """Terminating series 2phi1(q^-n, upper2; lower; q, arg) of a Laurent argument.
-
-    Evaluates sum_{k=0}^{n} [(q^-n;q)_k (upper2;q)_k / ((lower;q)_k (q;q)_k)]
-    * arg^k exactly. The term ratio is accumulated incrementally so that a
-    vanishing denominator factor is detected at the exact k where it occurs.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"series order must be a nonnegative integer, got {n!r}")
-    upper2 = Fraction(upper2)
-    lower = Fraction(lower)
-    q = Fraction(q)
-    if not isinstance(arg, LaurentPoly):
-        arg = LaurentPoly.constant(arg)
-
-    total = LaurentPoly.one()
-    coefficient = Fraction(1)
-    arg_power = LaurentPoly.one()
-    for k in range(n):
-        lower_factor = 1 - lower * q**k
-        if lower_factor == 0:
-            raise ResonantParameterError(
-                f"series denominator factor (1 - lower*q^{k}) vanishes "
-                f"(lower = {format_rational(lower)}, q = {format_rational(q)})"
-            )
-        base_factor = 1 - q ** (k + 1)
-        if base_factor == 0:
-            raise ResonantParameterError(
-                f"series denominator factor (1 - q^{k + 1}) vanishes "
-                f"(q = {format_rational(q)} is a root of unity)"
-            )
-        coefficient *= (1 - q ** (k - n)) * (1 - upper2 * q**k)
-        coefficient /= lower_factor * base_factor
-        arg_power = arg_power * arg
-        total = total + coefficient * arg_power
-    return total
-
-
 @dataclass(frozen=True)
 class QParams:
     """The parameter triple (q, a, b), all exact rationals.
@@ -565,13 +506,25 @@ class QParams:
         recurrence data, the partner family and the norm constants up to
         degree n_max: b*q^j != 1 for -1 <= j <= n_max + 1 and
         (b/a)*q^j != 1 for -(n_max + 1) <= j <= 0. Empty means admissible.
+        With q = p/r, q^j is p^j / r^j for j >= 0 and r^-j / p^-j for j < 0,
+        so each test is one int cross product, b_num p^j == b_den r^j and
+        b_num a_den p^j == a_num b_den r^j (mirrored for j < 0).
         """
+        p, r = self.q.as_integer_ratio()
+        a_num, a_den = self.a.as_integer_ratio()
+        b_num, b_den = self.b.as_integer_ratio()
+
+        def q_power(j: int) -> tuple[int, int]:
+            return (p**j, r**j) if j >= 0 else (r**-j, p**-j)
+
         offending: list[str] = []
         for j in range(-1, n_max + 2):
-            if self.b * self.q**j == 1:
+            num, den = q_power(j)
+            if b_num * num == b_den * den:
                 offending.append(f"(1 - b*q^{j}) vanishes")
         for j in range(-(n_max + 1), 1):
-            if self.b * self.q**j == self.a:
+            num, den = q_power(j)
+            if b_num * a_den * num == a_num * b_den * den:
                 offending.append(f"(1 - (b/a)*q^{j}) vanishes")
         return offending
 

@@ -186,7 +186,7 @@ def make_operators(params: QParams) -> tuple[QDiffOperator, QDiffOperator, QDiff
       Z = (1 - q/x) T^-1 + (q/x - b) I      preserves degree, Z = (1/x) X.
     """
     q, a, b = params.q, params.a, params.b
-    X = QDiffOperator(q, {-1: x() - q, 0: q - b * x()})
+    X = QDiffOperator(q, {-1: x() - q, 0: q - x() * b})
     Y = QDiffOperator(q, {1: x() - q / a, 0: LaurentPoly.constant(q / a) - x() / b})
     Z = QDiffOperator(
         q,
@@ -203,7 +203,7 @@ class DegreeRecord(NamedTuple):
 
     The eigenvalue-route P_(n-1) (zero at n = 0), P_n and P_(n+1); P_n at
     the shifted parameter bq; the images X P_n, Y P_n, Z P_n; the
-    coupled-recurrence pair P~_n, Q_n of :func:`pastroq.pastro.baxter_system`;
+    coupled-recurrence pair P~_n, Q_n of :func:`pastroq.pastro.baxter_step`;
     the scalar table of ``params``, from which the checks read lambda_n,
     mu1_n, mu2_n and the raise factor at n; ``qdiff_coefficients``, the
     four coefficients x - q/a, q/a - x/b, x - q and q - b x of the
@@ -246,7 +246,7 @@ def degree_records(params: QParams, n_max: int, data: BaxterData) -> Iterator[De
         x() - q / a,
         LaurentPoly.constant(q / a) - x() / b,
         x() - q,
-        q - b * x(),
+        q - x() * b,
     )
     described = params.describe()
     shifted = params.with_b(params.b * params.q)
@@ -280,7 +280,7 @@ def degree_records(params: QParams, n_max: int, data: BaxterData) -> Iterator[De
 def verify_gevp(record: DegreeRecord) -> Check:
     """Check the generalized eigenvalue identity Y P_n = lambda_n X P_n."""
     lam = record.table.lam[record.n]
-    witness = poly_mismatch_witness(record.y_image, lam * record.x_image)
+    witness = poly_mismatch_witness(record.y_image, record.x_image * lam)
     return equality_check(
         "gevp", "Y P_n = lambda_n X P_n, lambda_n = -q^n/b", record.context, witness
     )
@@ -299,7 +299,7 @@ def verify_qdiff_equation(record: DegreeRecord) -> Check:
     lhs_dilated, lhs_fixed, rhs_dilated, rhs_fixed = record.qdiff_coefficients
     lam = record.table.lam[record.n]
     lhs = lhs_dilated * p.dilate(q) + lhs_fixed * p
-    rhs = lam * (rhs_dilated * p.dilate(1 / q) + rhs_fixed * p)
+    rhs = (rhs_dilated * p.dilate(1 / q) + rhs_fixed * p) * lam
     return equality_check(
         "q-difference-equation",
         "(x - q/a) P_n(qx) + (q/a - x/b) P_n(x) = "
@@ -328,21 +328,21 @@ def verify_contiguity(record: DegreeRecord) -> list[Check]:
             "contiguity-X",
             "X P_n(.; b) = q^-n (1 - b q^n) x P_n(.; bq)",
             record.context,
-            poly_mismatch_witness(record.x_image, factor * x_p_shifted),
+            poly_mismatch_witness(record.x_image, x_p_shifted * factor),
         ),
         equality_check(
             "contiguity-Y",
             "Y P_n(.; b) = -(1/b) (1 - b q^n) x P_n(.; bq)",
             record.context,
             poly_mismatch_witness(
-                record.y_image, Fraction(b_num * p**n - b_den * r**n, b_num * r**n) * x_p_shifted
+                record.y_image, x_p_shifted * Fraction(b_num * p**n - b_den * r**n, b_num * r**n)
             ),
         ),
         equality_check(
             "contiguity-Z",
             "Z P_n(.; b) = q^-n (1 - b q^n) P_n(.; bq)",
             record.context,
-            poly_mismatch_witness(record.z_image, factor * p_shifted),
+            poly_mismatch_witness(record.z_image, p_shifted * factor),
         ),
     ]
 
@@ -368,19 +368,19 @@ def verify_recurrence(record: DegreeRecord) -> list[Check]:
     p_n, r_n = p**n, r**n
     table = record.table
     raise_factor = table.raise_factor[n]
-    x_rhs = raise_factor * p_next + Fraction(
+    x_rhs = p_next * raise_factor + p_now * Fraction(
         p * (b_den * a_num * p_n - b_num * a_den * r_n), r * b_den * a_num * p_n
-    ) * p_now
-    z_rhs = raise_factor * p_now
+    )
+    z_rhs = p_now * raise_factor
     if n >= 1:
         p_m, r_m = p ** (n - 1), r ** (n - 1)
-        z_rhs = z_rhs + Fraction(
+        z_rhs = z_rhs + p_prev * Fraction(
             b_num * (p_n - r_n) * (a_den * r_m - a_num * p_m),
             r * p_m * a_num * (b_den * r_m - b_num * p_m),
-        ) * p_prev
+        )
 
-    three_lhs = p_next + table.mu1[n] * p_now
-    three_rhs = (p_now + table.mu2[n] * p_prev).times_x(1)
+    three_lhs = p_next + p_now * table.mu1[n]
+    three_rhs = (p_now + p_prev * table.mu2[n]).times_x(1)
 
     return [
         equality_check(

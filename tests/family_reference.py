@@ -1,12 +1,15 @@
-"""The Fraction routes that ``pastroq.pastro`` used to build P_n and R_n
-before it built them on integers, kept as the reference of the differential
-tests.
+"""The Fraction routes of P_n and R_n, kept as the reference of the
+differential tests.
 
-P_n steps the descending coefficient recurrence in reduced Fractions and
-hands the coefficients to the ``LaurentPoly`` constructor. R_n multiplies
-four ``q_pochhammer`` products into a prefactor and expands the series with
-``phi21_terminating``. Both raise the same ``ResonantParameterError`` texts,
-in the same order, as the package's builders.
+P_n is built two ways. ``pastro_poly`` steps the descending coefficient
+recurrence in reduced Fractions and hands the coefficients to the
+``LaurentPoly`` constructor. ``pastro_poly_series`` sums the terminating
+basic hypergeometric series 2phi1(q^-n, b; (b/a) q^(1-n); q, x) with
+``phi21_terminating`` and scales it by ``pastro_monic_prefactor``. R_n
+multiplies four ``q_pochhammer`` products into a prefactor and expands
+its series with ``phi21_terminating``. The recurrence P_n and R_n raise the
+same ``ResonantParameterError`` texts, in the same order, as the package's
+builders; the series P_n checks (b;q)_n first, so its texts can differ.
 
 The degree-by-degree closed forms of the coefficient ratio C_k / C_0, of
 the coupled-recurrence coefficients alpha_n and beta_n, of the norm
@@ -21,12 +24,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from pastroq.pastro import _check_degree
 from pastroq.qcore import (
     LaurentPoly,
     QParams,
     ResonantParameterError,
-    phi21_terminating,
+    Scalar,
+    format_rational,
     q_pochhammer,
+    x,
 )
 
 
@@ -61,6 +67,73 @@ def pastro_coefficients(n: int, params: QParams) -> list[Fraction]:
 def pastro_poly(n: int, params: QParams) -> LaurentPoly:
     """The monic P_n from the Fraction recurrence."""
     return LaurentPoly(enumerate(pastro_coefficients(n, params)))
+
+
+def pastro_monic_prefactor(n: int, params: QParams) -> Fraction:
+    """The constant C_0 = ((b/a)q^(1-n);q)_n (q;q)_n / ((q^-n;q)_n (b;q)_n)."""
+    _check_degree(n)
+    q, a, b = params.q, params.a, params.b
+    denominator = q_pochhammer(q**-n, q, n) * q_pochhammer(b, q, n)
+    if denominator == 0:
+        raise ResonantParameterError(
+            f"(b;q)_{n} vanishes (b = {format_rational(b)}, q = {format_rational(q)})"
+        )
+    return q_pochhammer((b / a) * q ** (1 - n), q, n) * q_pochhammer(q, q, n) / denominator
+
+
+def pastro_poly_series(n: int, params: QParams) -> LaurentPoly:
+    """P_n built from the terminating series (independent of the recurrence).
+
+    P_n = C_0 * 2phi1(q^-n, b; (b/a) q^(1-n); q, x). Used as a cross-check
+    against the recurrence route.
+    """
+    q, a, b = params.q, params.a, params.b
+    prefactor = pastro_monic_prefactor(n, params)
+    return prefactor * phi21_terminating(n, b, (b / a) * q ** (1 - n), q, x())
+
+
+def phi21_terminating(
+    n: int,
+    upper2: Scalar,
+    lower: Scalar,
+    q: Scalar,
+    arg: LaurentPoly | Scalar,
+) -> LaurentPoly:
+    """Terminating series 2phi1(q^-n, upper2; lower; q, arg) of a Laurent argument.
+
+    Evaluates sum_{k=0}^{n} [(q^-n;q)_k (upper2;q)_k / ((lower;q)_k (q;q)_k)]
+    * arg^k exactly. The term ratio is accumulated incrementally so that a
+    vanishing denominator factor is detected at the exact k where it occurs.
+    """
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"series order must be a nonnegative integer, got {n!r}")
+    upper2 = Fraction(upper2)
+    lower = Fraction(lower)
+    q = Fraction(q)
+    if not isinstance(arg, LaurentPoly):
+        arg = LaurentPoly.constant(arg)
+
+    total = LaurentPoly.one()
+    coefficient = Fraction(1)
+    arg_power = LaurentPoly.one()
+    for k in range(n):
+        lower_factor = 1 - lower * q**k
+        if lower_factor == 0:
+            raise ResonantParameterError(
+                f"series denominator factor (1 - lower*q^{k}) vanishes "
+                f"(lower = {format_rational(lower)}, q = {format_rational(q)})"
+            )
+        base_factor = 1 - q ** (k + 1)
+        if base_factor == 0:
+            raise ResonantParameterError(
+                f"series denominator factor (1 - q^{k + 1}) vanishes "
+                f"(q = {format_rational(q)} is a root of unity)"
+            )
+        coefficient *= (1 - q ** (k - n)) * (1 - upper2 * q**k)
+        coefficient /= lower_factor * base_factor
+        arg_power = arg_power * arg
+        total = total + coefficient * arg_power
+    return total
 
 
 def biorthogonal_partner(n: int, params: QParams) -> LaurentPoly:

@@ -161,19 +161,6 @@ class LaurentPoly:
             raise ZeroDivisionError("division of a Laurent polynomial by zero")
         return self * (1 / divisor)
 
-    def __pow__(self, power: int) -> "LaurentPoly":
-        if not isinstance(power, int) or power < 0:
-            raise ValueError(f"power must be a nonnegative integer, got {power!r}")
-        result = LaurentPoly.one()
-        base = self
-        remaining = power
-        while remaining:
-            if remaining & 1:
-                result = result * base
-            base = base * base
-            remaining >>= 1
-        return result
-
     def eval_at(self, point: Scalar) -> Fraction:
         """Evaluate at a rational point (nonzero if negative exponents occur)."""
         point = Fraction(point)

@@ -36,7 +36,12 @@ from pastroq.biorth import (
     verify_biorthogonality,
     weight_adjoint,
 )
-from pastroq.pastro import baxter_system, biorthogonal_partner, pastro_poly
+from pastroq.pastro import (
+    baxter_coefficients,
+    baxter_system,
+    biorthogonal_partner,
+    pastro_poly,
+)
 from pastroq.qcore import (
     LaurentPoly,
     ParameterError,
@@ -489,7 +494,7 @@ def test_grid_build_computes_the_norm_constants_once(monkeypatch):
     assert calls == [N]
     assert rep.h == [norm_constant(n, rep.params) for n in range(N + 1)]
     monkeypatch.undo()
-    assert rep.q_polys == baxter_system(N - 1, rep.params).q_polys
+    assert rep.q_polys == baxter_system(baxter_coefficients(N - 1, rep.params))[1]
 
 
 def test_biorth_samples_p_top_and_its_derivative_once_per_point(monkeypatch):

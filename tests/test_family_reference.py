@@ -1,12 +1,14 @@
 """Differential tests: the integer builders against the Fraction routes.
 
-``family_reference`` holds the recurrence-in-Fractions P_n and the
-``q_pochhammer``/``phi21_terminating`` R_n that the package used before,
-and the degree-by-degree closed forms of the scalar table.
+``family_reference`` holds the recurrence-in-Fractions P_n, the series
+P_n (``pastro_poly_series``), the ``q_pochhammer``/``phi21_terminating``
+R_n, and the degree-by-degree closed forms of the scalar table.
 ``pastro_poly``, ``biorthogonal_partner`` and ``baxter_coefficients`` must
 give the same polynomials and scalars, or raise a
 ``ResonantParameterError`` with the same text, at admissible points and at
-points placed on the factors that vanish.
+points placed on the factors that vanish. Against the series P_n, which
+checks (b;q)_n before the series factors, only the error's class must
+agree.
 """
 
 from fractions import Fraction
@@ -87,6 +89,11 @@ def test_builders_match_fraction_routes(q, a, b, n, placement, j):
         assert outcome == _outcome(reference, n, params)
         if outcome[0] == "poly":
             assert_normal_form(outcome[1])
+    kind, built = _outcome(pastro_poly, n, params)
+    series = _outcome(family_reference.pastro_poly_series, n, params)
+    assert series[0] == kind
+    if kind == "poly":
+        assert series[1] == built
 
 
 #: The closed form of each column of the scalar table, by field name.

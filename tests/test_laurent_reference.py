@@ -161,13 +161,6 @@ def test_content_rules_match_reference(left, right, scalar):
     assert_same(p.dilate(Fraction(1)), p_ref.dilate(Fraction(1)))
 
 
-@given(_terms, st.integers(min_value=0, max_value=3))
-@_settings
-def test_power_matches_reference(terms, power):
-    p, p_ref = _pair(terms)
-    assert_same(p**power, p_ref**power)
-
-
 @given(_terms, _points)
 @_settings
 def test_eval_at_matches_reference(terms, point):

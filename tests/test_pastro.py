@@ -13,6 +13,8 @@ from family_reference import (
     mu2_coefficient,
     norm_constant,
     pastro_coefficient_ratio,
+    pastro_monic_prefactor,
+    pastro_poly_series,
     raise_factor,
 )
 from pastroq.pastro import (
@@ -21,9 +23,7 @@ from pastroq.pastro import (
     baxter_system,
     biorthogonal_partner,
     grid_weights,
-    pastro_monic_prefactor,
     pastro_poly,
-    pastro_poly_series,
     verify_baxter_consistency,
 )
 from pastroq.qcore import LaurentPoly, QParams, ResonantParameterError, x
@@ -173,14 +173,16 @@ def test_norm_prefixes_match_the_closed_form_on_grid_inputs():
 
 
 def test_baxter_system_first_steps():
-    data = baxter_system(2, REFERENCE)
-    assert data.p_polys[0] == 1
-    assert data.q_polys[0] == 1
-    assert data.p_polys[1] == x() - data.alpha[0]
-    assert data.q_polys[1] == x() - data.beta[0]
+    data = baxter_coefficients(2, REFERENCE)
+    p_polys, q_polys = baxter_system(data)
+    assert len(p_polys) == len(q_polys) == 3
+    assert p_polys[0] == 1
+    assert q_polys[0] == 1
+    assert p_polys[1] == x() - data.alpha[0]
+    assert q_polys[1] == x() - data.beta[0]
     # mixed-route restatement of the P recurrence at n = 1
     p1, p2 = pastro_poly(1, REFERENCE), pastro_poly(2, REFERENCE)
-    assert x() * p1 - p2 == data.alpha[1] * (data.q_polys[1].invert_variable() * x(1))
+    assert x() * p1 - p2 == data.alpha[1] * (q_polys[1].invert_variable() * x(1))
 
 
 def baxter_checks(n_max: int, params: QParams, corrupt=None):
@@ -239,9 +241,7 @@ def test_streamed_baxter_witnesses_match_list_loops(bad_degrees):
     # corrupt P~_n and Q_n at the given degrees; each streamed check must
     # report the witness of its first failing n, as the whole-family loops do
     n_max = 5
-    data = baxter_system(n_max, SECOND)
-    p_coupled = list(data.p_polys)
-    q_coupled = list(data.q_polys)
+    p_coupled, q_coupled = baxter_system(baxter_coefficients(n_max, SECOND))
     for n in bad_degrees:
         p_coupled[n] = p_coupled[n] + x(n + 1)
         q_coupled[n] = q_coupled[n] - Fraction(1, 3)
@@ -275,9 +275,9 @@ def test_partner_frozen_value():
 
 
 def test_partner_equals_reversed_baxter_polynomial():
-    data = baxter_system(8, SECOND)
+    _, q_polys = baxter_system(baxter_coefficients(8, SECOND))
     for n in range(9):
-        assert data.q_polys[n].invert_variable() == biorthogonal_partner(n, SECOND)
+        assert q_polys[n].invert_variable() == biorthogonal_partner(n, SECOND)
 
 
 def test_alpha_beta_resonance():

@@ -1,4 +1,9 @@
-"""Exact scalar parsing, Laurent polynomial arithmetic, and q-series."""
+"""Exact scalar parsing, Laurent polynomial arithmetic, and q-series.
+
+The terminating 2phi1 series is the test suite's own reference route
+(``family_reference.phi21_terminating``); its tests live here with the
+q-Pochhammer symbol it is built from.
+"""
 
 import re
 import sys
@@ -10,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from family_reference import phi21_terminating
 from pastroq.qcore import (
     LaurentPoly,
     ParameterError,
@@ -17,7 +23,6 @@ from pastroq.qcore import (
     ResonantParameterError,
     format_rational,
     parse_rational,
-    phi21_terminating,
     q_pochhammer,
     x,
 )
@@ -141,12 +146,8 @@ def test_laurent_invert_variable():
     assert p.invert_variable().invert_variable() == p
 
 
-def test_laurent_pow_and_div():
-    assert (x() + 1) ** 2 == LaurentPoly({2: 1, 1: 2, 0: 1})
-    assert (x() + 1) ** 0 == 1
+def test_laurent_div():
     assert (2 * x()) / 2 == x()
-    with pytest.raises(ValueError):
-        _ = x() ** -1
     with pytest.raises(ZeroDivisionError):
         _ = x() / 0
 
@@ -323,22 +324,27 @@ def test_qparams_with_b():
 
 
 _FACTOR_NAME = re.compile(r"\(1 - (b|\(b/a\))\*q\^(-?\d+)\) vanishes\Z")
-_unit_fractions = st.fractions(max_denominator=5, min_value=-5, max_value=5)
+#: Small rationals, where factors vanish often, and heights up to 1000, where
+#: p^j and r^j grow large; both signs of each.
+_parameter_values = st.one_of(
+    st.fractions(max_denominator=5, min_value=-5, max_value=5),
+    st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 1000)),
+)
 
 
 @st.composite
 def _maybe_resonant_params(draw):
-    """Small (q, a, b), with b often placed on b*q^j = 1 or (b/a)*q^j = 1."""
-    q = draw(_unit_fractions.filter(lambda v: v not in (0, 1, -1)))
-    a = draw(_unit_fractions.filter(bool))
-    j = draw(st.integers(min_value=-8, max_value=8))
+    """(q, a, b), with b often placed on b*q^j = 1 or (b/a)*q^j = 1."""
+    q = draw(_parameter_values.filter(lambda v: v not in (0, 1, -1)))
+    a = draw(_parameter_values.filter(bool))
+    j = draw(st.integers(min_value=-16, max_value=16))
     b = draw(st.sampled_from([None, q**-j, a * q**-j]))
     if b is None:
-        b = draw(_unit_fractions.filter(bool))
+        b = draw(_parameter_values.filter(bool))
     return QParams(q, a, b)
 
 
-@given(_maybe_resonant_params(), st.integers(min_value=0, max_value=6))
+@given(_maybe_resonant_params(), st.integers(min_value=0, max_value=14))
 @settings(max_examples=200, derandomize=True)
 def test_vanishing_factors_are_exact(params, n_max):
     q, a, b = params.q, params.a, params.b
