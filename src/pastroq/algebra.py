@@ -244,7 +244,8 @@ def qhahn_embedding(
 
     L = Xp + mu * Yp
     gamma1 = mu * a2 + 1
-    M = q * (L @ Zp) - Zp @ L - gamma1 * I
+    lz = q * (L @ Zp) - Zp @ L
+    M = lz - gamma1 * I
     gamma2 = mu * a1
     gamma3 = mu * (q + 1) ** 2 * (q - 1) / q
     gamma4 = (-mu * q**2 * (q - 1)) * rep.casimir + (mu**2 * a1) * I
@@ -257,7 +258,7 @@ def qhahn_embedding(
             "qhahn-LZ",
             "q L Z' - Z' L = M + (mu alpha2 + 1) I",
             context,
-            operator_mismatch_witness(q * (L @ Zp) - Zp @ L, M + gamma1 * I),
+            operator_mismatch_witness(lz, M + gamma1 * I),
         ),
         equality_check(
             "qhahn-ZM",

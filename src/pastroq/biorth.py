@@ -13,22 +13,29 @@ Every grid operator here (T^+, T^-, X, Y, their adjoints and tau flips)
 is bidiagonal, so each is stored as a :class:`Band` of three diagonals
 rather than as a dense N x N matrix.
 
-The sums the checks run over whole grid vectors (the Gram matrix, the
-adjoint eigenvalue problem and the proportionality tests) run on a
-:class:`GridVector`, the ``LaurentPoly`` layout applied to vectors: int
-numerators over one positive denominator. A Gram entry is then one int
-dot product, and a ``Fraction`` is built only for what a report prints.
+Grid values come from ``LaurentPoly.sample_at_powers`` as a
+:class:`GridVector`: int numerators over one positive denominator. Every
+check over whole grid vectors (the Gram matrix, the adjoint eigenvalue
+problem, the proportionality tests and the roots of P_N) decides on the
+numerators. A Gram entry is one int dot product, and a ``Fraction`` is
+built only for what a report prints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Callable, Iterator, NamedTuple
 
-from .qcore import LaurentPoly, QParams, ResonantParameterError, Scalar, format_rational
+from .qcore import (
+    GridVector,
+    LaurentPoly,
+    QParams,
+    ResonantParameterError,
+    Scalar,
+    format_rational,
+)
 from .pastro import (
     _norm_constants,
     baxter_coefficients,
@@ -63,7 +70,6 @@ __all__ = [
     "grid_vector",
     "GridRep",
     "make_grid_rep",
-    "grid_samples",
     "proportionality_witness",
     "verify_adjoint_structure",
     "verify_adjoint_gevp",
@@ -85,23 +91,6 @@ class Band(NamedTuple):
     lower: list[Fraction]
     main: list[Fraction]
     upper: list[Fraction]
-
-
-class GridVector(NamedTuple):
-    """A grid vector held as int numerators over one positive denominator.
-
-    Entry s is ``nums[s] / den``. The numerators and the denominator need
-    not be coprime: two vectors are proportional, or a dot product vanishes,
-    whatever common factor they carry.
-    """
-
-    nums: list[int]
-    den: int
-
-    def values(self) -> list[Fraction]:
-        """The entries as reduced Fractions."""
-        den = self.den
-        return [Fraction(num, den) for num in self.nums]
 
 
 def grid_vector(values: list[Fraction]) -> GridVector:
@@ -148,8 +137,8 @@ def band_mismatch_witness(lhs: Band, rhs: Band) -> str | None:
     return None
 
 
-def mat_vec(band: Band, vector: list[Fraction]) -> list[Fraction]:
-    """The image W v of a grid vector under a band W (of ints or of Fractions)."""
+def mat_vec(band: Band, vector: list[int]) -> list[int]:
+    """The image W v of a grid vector's int numerators under an int band W."""
     lower, main, upper = band
     image = [entry * value for entry, value in zip(main, vector)]
     for s, entry in enumerate(lower, 1):
@@ -258,8 +247,7 @@ def _adjoint_y_closed_form(N: int, b: Fraction, q: Fraction) -> Band:
     )
 
 
-@dataclass
-class GridRep:
+class GridRep(NamedTuple):
     """Everything the grid checks read, built once per (N, b, q).
 
     ``params`` is (q, q^(1-N), b); ``context`` the report parameters N, b
@@ -308,12 +296,9 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
     Y = restricted_y_matrix(N, b, q)
     grid = [q ** (s + 1) for s in range(N)]
     exponents = range(1, N + 1)
-    poly_values = [
-        GridVector(*pastro_poly(n, params).sample_at_powers(q, exponents)) for n in range(N)
-    ]
+    poly_values = [pastro_poly(n, params).sample_at_powers(q, exponents) for n in range(N)]
     partner_values = [
-        GridVector(*biorthogonal_partner(m, params).sample_at_powers(q, exponents))
-        for m in range(N)
+        biorthogonal_partner(m, params).sample_at_powers(q, exponents) for m in range(N)
     ]
     h = _norm_constants(N, params)
     p_top = pastro_poly(N, params)
@@ -337,55 +322,35 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
     )
 
 
-def grid_samples(poly: LaurentPoly, grid: list[Fraction]) -> list[Fraction]:
-    """Evaluate a Laurent polynomial at every grid point."""
-    return [poly.eval_at(point) for point in grid]
-
-
-def _proportional(u: list, v: list) -> bool:
-    """Whether v is a multiple of u, on ints or on Fractions alike.
-
-    Zero vectors are degenerate rather than proportional and raise, since
-    every comparison downstream expects genuine eigenvectors. With u_k the
-    first nonzero entry, u_j v_k = u_k v_j for every j makes v a multiple
-    of u. Scaling u or v by a nonzero constant changes no verdict.
-    """
-    if not any(u) or not any(v):
-        raise ResonantParameterError("zero grid vector encountered (degenerate parameters)")
-    k = next(i for i, value in enumerate(u) if value)
-    return all(u_j * v[k] == u[k] * v_j for u_j, v_j in zip(u, v))
-
-
-def proportionality_witness(u: list[Fraction], v: list[Fraction]) -> str | None:
+def proportionality_witness(u: GridVector, v: GridVector) -> str | None:
     """Witness that u and v are NOT proportional by a nonzero scalar.
 
     Uses the cross-product criterion u_i v_j = u_j v_i for all pairs, which
-    needs no division. The O(N) pass of :func:`_proportional` decides the
-    proportional case; the pair scan runs only to find the witness, the
-    first failing (i, j) in row-major order.
+    needs no division, on the int numerators: scaling a vector changes no
+    verdict. With u_k the first nonzero entry, u_j v_k = u_k v_j for every
+    j decides the proportional case in one O(N) pass; the pair scan runs
+    only to find the witness, the first failing (i, j) in row-major order,
+    worded with the Fraction values. Zero vectors are degenerate rather
+    than proportional and raise, since every comparison downstream expects
+    genuine eigenvectors.
     """
-    if _proportional(u, v):
+    a, c = u.nums, v.nums
+    if not any(a) or not any(c):
+        raise ResonantParameterError("zero grid vector encountered (degenerate parameters)")
+    k = next(i for i, value in enumerate(a) if value)
+    if all(a_j * c[k] == a[k] * c_j for a_j, c_j in zip(a, c)):
         return None
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if u[i] * v[j] != u[j] * v[i]:
+    den = u.den * v.den
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            left, right = a[i] * c[j], a[j] * c[i]
+            if left != right:
                 return (
                     f"cross product at ({i},{j}): u_{i} v_{j} = "
-                    f"{format_rational(u[i] * v[j])}, u_{j} v_{i} = "
-                    f"{format_rational(u[j] * v[i])}"
+                    f"{format_rational(Fraction(left, den))}, u_{j} v_{i} = "
+                    f"{format_rational(Fraction(right, den))}"
                 )
     return None
-
-
-def _vector_witness(u: GridVector, v: GridVector) -> str | None:
-    """:func:`proportionality_witness` of two int vectors.
-
-    The verdict is taken on the numerators; the Fractions are built only
-    to word a witness, so its text is the Fraction route's.
-    """
-    if _proportional(u.nums, v.nums):
-        return None
-    return proportionality_witness(u.values(), v.values())
 
 
 def verify_adjoint_structure(rep: GridRep) -> list[Check]:
@@ -540,7 +505,7 @@ def verify_adjoint_gevp(n: int, rep: GridRep) -> list[Check]:
     flip_exponents = range(N, 0, -1)  # the points q^(N-s), s = 0..N-1
 
     flipped = QParams(q, rep.params.a, tau_parameter(b, q, N))
-    p_star = GridVector(*pastro_poly(n, flipped).sample_at_powers(q, flip_exponents))
+    p_star = pastro_poly(n, flipped).sample_at_powers(q, flip_exponents)
 
     lam = rep.lam[n]
     (x_band, x_den), (y_band, y_den) = rep.int_bands["X*"], rep.int_bands["Y*"]
@@ -568,29 +533,29 @@ def verify_adjoint_gevp(n: int, rep: GridRep) -> list[Check]:
             "adjoint-partner-closed-form",
             "X* P*_n prop R_n(x_s)",
             context,
-            _vector_witness(image, rep.partner_values[n]),
+            proportionality_witness(image, rep.partner_values[n]),
         )
     )
 
     reflected = QParams(q, rep.params.a, q ** (2 - N) / b)
-    flip_samples = GridVector(*pastro_poly(n, reflected).sample_at_powers(q, flip_exponents))
+    flip_samples = pastro_poly(n, reflected).sample_at_powers(q, flip_exponents)
     checks.append(
         equality_check(
             "adjoint-partner-parameter-flip",
             "X* P*_n prop P_n(q^(N-s); q^(1-N), q^(2-N)/b)",
             context,
-            _vector_witness(image, flip_samples),
+            proportionality_witness(image, flip_samples),
         )
     )
 
     baxter = rep.q_polys[n].invert_variable()
-    baxter_samples = GridVector(*baxter.sample_at_powers(q, range(1, N + 1)))
+    baxter_samples = baxter.sample_at_powers(q, range(1, N + 1))
     checks.append(
         equality_check(
             "adjoint-partner-baxter",
             "X* P*_n prop Q_n(1/x_s)",
             context,
-            _vector_witness(image, baxter_samples),
+            proportionality_witness(image, baxter_samples),
         )
     )
     return checks
@@ -676,13 +641,15 @@ def verify_biorthogonality(rep: GridRep) -> tuple[Matrix, list[Check]]:
         )
     )
 
-    slopes = grid_samples(p_top.derivative(), grid)
+    exponents = range(1, N + 1)
+    values = p_top.sample_at_powers(rep.params.q, exponents)
+    slopes = p_top.derivative().sample_at_powers(rep.params.q, exponents)
     witness = None
-    for s, (value, slope) in enumerate(zip(grid_samples(p_top, grid), slopes)):
-        if value != 0:
-            witness = f"P_N(x_{s}) = {format_rational(value)}"
+    for s, (value, slope) in enumerate(zip(values.nums, slopes.nums)):
+        if value:
+            witness = f"P_N(x_{s}) = {format_rational(Fraction(value, values.den))}"
             break
-        if slope == 0:
+        if not slope:
             witness = f"P'_N(x_{s}) = 0 (multiple root)"
             break
     checks.append(
@@ -695,7 +662,9 @@ def verify_biorthogonality(rep: GridRep) -> tuple[Matrix, list[Check]]:
     )
 
     witness = None
-    for s, (slope, partner) in enumerate(zip(slopes, rep.partner_values[N - 1].values())):
+    for s, (slope, partner) in enumerate(
+        zip(slopes.values(), rep.partner_values[N - 1].values())
+    ):
         denominator = slope * partner
         if denominator == 0:
             witness = f"s={s}: P'_N(x_s) R_(N-1)(x_s) = 0"

@@ -368,15 +368,15 @@ def _int_at_least(minimum: int):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--q", type=parse_rational, default=Fraction(1, 2), help="deformation parameter (rational literal)")
-    common.add_argument("--a", type=parse_rational, default=Fraction(3), help="first family parameter (rational literal)")
-    common.add_argument("--b", type=parse_rational, default=Fraction(1, 5), help="second family parameter (rational literal)")
-    common.add_argument("--mu", type=parse_rational, default=Fraction(2, 3), help="pencil parameter (rational literal)")
-    common.add_argument("--nmax", dest="n_max", type=_int_at_least(_MINIMUM_SIZE["n_max"]), default=8, help="largest degree to cover")
-    common.add_argument("--N", dest="N", type=_int_at_least(_MINIMUM_SIZE["N"]), default=4, help="grid size for the truncated representation")
-    common.add_argument("--seed", type=int, default=1, help="seed for the sweep draws")
-    common.add_argument("--draws", type=_int_at_least(_MINIMUM_SIZE["draws"]), default=5, help="number of admissible sweep points")
-    common.add_argument("--format", dest="fmt", choices=("text", "json"), default="text", help="output format")
+    common.add_argument("--q", type=parse_rational, default=RunConfig.q, help="deformation parameter (rational literal)")
+    common.add_argument("--a", type=parse_rational, default=RunConfig.a, help="first family parameter (rational literal)")
+    common.add_argument("--b", type=parse_rational, default=RunConfig.b, help="second family parameter (rational literal)")
+    common.add_argument("--mu", type=parse_rational, default=RunConfig.mu, help="pencil parameter (rational literal)")
+    common.add_argument("--nmax", dest="n_max", type=_int_at_least(_MINIMUM_SIZE["n_max"]), default=RunConfig.n_max, help="largest degree to cover")
+    common.add_argument("--N", dest="N", type=_int_at_least(_MINIMUM_SIZE["N"]), default=RunConfig.N, help="grid size for the truncated representation")
+    common.add_argument("--seed", type=int, default=RunConfig.seed, help="seed for the sweep draws")
+    common.add_argument("--draws", type=_int_at_least(_MINIMUM_SIZE["draws"]), default=RunConfig.draws, help="number of admissible sweep points")
+    common.add_argument("--format", dest="fmt", choices=("text", "json"), default=RunConfig.fmt, help="output format")
 
     parser = argparse.ArgumentParser(
         prog="pastroq",

@@ -3,11 +3,12 @@
 This module is the arithmetic substrate for the whole package. Scalars are
 arbitrary-precision rationals (``fractions.Fraction``), Laurent polynomials
 are dense lists of int numerators over one common denominator, kept in a
-unique normal form (no zero end terms, content 1), and the q-Pochhammer
-symbol is evaluated exactly. Since the deformation parameter q is a
-rational outside {0, 1, -1}, it is never a root of unity, so denominators
-of the form 1 - q^m (m != 0) never vanish and every identity downstream
-reduces to literal equality of normal forms.
+unique normal form (no zero end terms, content 1), and their values at the
+points q^k come back in the same layout, as a :class:`GridVector`. The
+q-Pochhammer symbol is evaluated exactly. Since the deformation parameter
+q is a rational outside {0, 1, -1}, it is never a root of unity, so
+denominators of the form 1 - q^m (m != 0) never vanish and every identity
+downstream reduces to literal equality of normal forms.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 __all__ = [
     "Scalar",
@@ -25,6 +26,7 @@ __all__ = [
     "ResonantParameterError",
     "parse_rational",
     "format_rational",
+    "GridVector",
     "LaurentPoly",
     "x",
     "q_pochhammer",
@@ -92,6 +94,23 @@ def format_rational(value: Scalar) -> str:
     if value.denominator == 1:
         return _int_text(value.numerator)
     return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
+
+
+class GridVector(NamedTuple):
+    """Values at a list of points as int numerators over one positive
+    denominator: the :class:`LaurentPoly` layout applied to vectors.
+
+    Entry s is ``nums[s] / den``. The numerators and the denominator need
+    not be coprime: two vectors are proportional, or a dot product vanishes,
+    whatever common factor they carry.
+    """
+
+    nums: list[int]
+    den: int
+
+    def values(self) -> list[Fraction]:
+        """The entries as reduced Fractions."""
+        return [Fraction(num, self.den) for num in self.nums]
 
 
 class LaurentPoly:
@@ -299,53 +318,39 @@ class LaurentPoly:
         return self * (1 / divisor)
 
     def eval_at(self, point: Scalar) -> Fraction:
-        """Evaluate at a rational point (nonzero if negative exponents occur)."""
-        point = Fraction(point)
-        nums, low = self._nums, self._low
-        if not nums:
-            return Fraction(0)
-        if not point and low < 0:
-            raise ZeroDivisionError("negative exponents cannot be evaluated at 0")
-        # With point = p/r, Horner's rule on ints gives sum_i nums[i] p^i r^(top-i);
-        # the value is that sum times p^low / r^high, high = low + top.
-        p, r = point.numerator, point.denominator
-        value = 0
-        r_power = 1
-        for n in reversed(nums):
-            value = value * p + n * r_power
-            r_power *= r
-        denominator = self._den
-        high = low + len(nums) - 1
-        if low >= 0:
-            value *= p**low
-        else:
-            denominator *= p**-low
-        if high >= 0:
-            denominator *= r**high
-        else:
-            value *= r**-high
-        return Fraction(value, denominator)
+        """Evaluate at a rational point (nonzero if negative exponents occur).
 
-    def sample_at_powers(self, q: Scalar, exponents: Sequence[int]) -> tuple[list[int], int]:
+        A nonzero point is the one-point :meth:`sample_at_powers` at q^1.
+        """
+        point = Fraction(point)
+        if not point:
+            if self._nums and self._low < 0:
+                raise ZeroDivisionError("negative exponents cannot be evaluated at 0")
+            return self.coefficient(0)
+        (value,), den = self.sample_at_powers(point, (1,))
+        return Fraction(value, den)
+
+    def sample_at_powers(self, q: Scalar, exponents: Sequence[int]) -> GridVector:
         """Values at the points q^k, k in ``exponents``, over one denominator.
 
-        Returns ``(values, den)``: the value at q^k is ``values[i] / den``,
-        and ``den`` is positive and the lcm of the values' reduced
-        denominators. That is ``eval_at`` at every point followed by an lcm,
-        without a Fraction per point. q must be nonzero and every k >= 1.
+        The value at q^k is ``nums[i] / den``, and ``den`` is positive and
+        the lcm of the values' reduced denominators: no Fraction is built
+        per point. q must be nonzero and every k >= 1.
         """
         q = Fraction(q)
         if not q or min(exponents, default=1) < 1:
             raise ValueError("sample points must be q^k with q nonzero and k >= 1")
         nums, low = self._nums, self._low
         if not nums:
-            return [0] * len(exponents), 1
+            return GridVector([0] * len(exponents), 1)
         p, r = q.numerator, q.denominator
         size, high = abs(p), low + len(nums) - 1
         K = max(exponents, default=0)
-        # Horner's rule at q^k = p^k / r^k as in eval_at, times the common
-        # denominator den r^(K max(high, 0)) |p|^(K max(-low, 0)): the sum
-        # is then scaled by sgn(p)^(k low) |p|^a r^c, both exponents >= 0.
+        # With q^k = p^k / r^k, Horner's rule on ints gives
+        # sum_i nums[i] p^(ki) r^(k(top-i)); the value is that sum times
+        # p^(k low) / (den r^(k high)), high = low + top. Over the common
+        # denominator den r^(K max(high, 0)) |p|^(K max(-low, 0)) the sum is
+        # scaled by sgn(p)^(k low) |p|^a r^c, both exponents >= 0.
         values = []
         for k in exponents:
             pk, rk = p**k, r**k
@@ -360,7 +365,7 @@ class LaurentPoly:
             values.append(sign * value * size**a * r**c)
         den = self._den * r ** (K * max(high, 0)) * size ** (K * max(-low, 0))
         common = gcd(den, *values)
-        return [value // common for value in values], den // common
+        return GridVector([value // common for value in values], den // common)
 
     def dilate(self, factor: Scalar) -> "LaurentPoly":
         """Substitute x -> factor*x, i.e. scale the exponent-k term by factor^k."""

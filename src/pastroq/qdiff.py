@@ -19,7 +19,8 @@ single pass over the degrees.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple
+from itertools import chain, product
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .qcore import LaurentPoly, QParams, Scalar, format_rational, x
 from .pastro import BaxterData, baxter_step, pastro_poly
@@ -85,24 +86,10 @@ class QDiffOperator:
         if not isinstance(other, QDiffOperator):
             return NotImplemented
         self._require_same_ambient(other)
-        merged = dict(self._terms)
-        for shift, coefficient in other._terms.items():
-            existing = merged.get(shift)
-            total = coefficient if existing is None else existing + coefficient
-            if total:
-                merged[shift] = total
-            elif shift in merged:
-                del merged[shift]
-        result = QDiffOperator.__new__(QDiffOperator)
-        result.q = self.q
-        result._terms = merged
-        return result
+        return _operator(self.q, chain(self._terms.items(), other._terms.items()))
 
     def __neg__(self) -> "QDiffOperator":
-        result = QDiffOperator.__new__(QDiffOperator)
-        result.q = self.q
-        result._terms = {k: -c for k, c in self._terms.items()}
-        return result
+        return _operator(self.q, ((k, -c) for k, c in self._terms.items()))
 
     def __sub__(self, other: "QDiffOperator") -> "QDiffOperator":
         if not isinstance(other, QDiffOperator):
@@ -112,13 +99,7 @@ class QDiffOperator:
     def __mul__(self, factor: Scalar) -> "QDiffOperator":
         if not isinstance(factor, (int, Fraction)):
             return NotImplemented
-        factor = Fraction(factor)
-        result = QDiffOperator.__new__(QDiffOperator)
-        result.q = self.q
-        result._terms = (
-            {k: c * factor for k, c in self._terms.items()} if factor else {}
-        )
-        return result
+        return _operator(self.q, ((k, c * factor) for k, c in self._terms.items()))
 
     __rmul__ = __mul__
 
@@ -127,22 +108,8 @@ class QDiffOperator:
         if not isinstance(other, QDiffOperator):
             return NotImplemented
         self._require_same_ambient(other)
-        product: dict[int, LaurentPoly] = {}
-        for j, c1 in self._terms.items():
-            dilation = self.q**j
-            for k, c2 in other._terms.items():
-                term = c1 * c2.dilate(dilation)
-                shift = j + k
-                existing = product.get(shift)
-                total = term if existing is None else existing + term
-                if total:
-                    product[shift] = total
-                elif shift in product:
-                    del product[shift]
-        result = QDiffOperator.__new__(QDiffOperator)
-        result.q = self.q
-        result._terms = product
-        return result
+        pairs = product(self._terms.items(), other._terms.items())
+        return _operator(self.q, ((j + k, c1 * c2.dilate(self.q**j)) for (j, c1), (k, c2) in pairs))
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         """Apply to a Laurent polynomial: sum_k c_k(x) f(q^k x)."""
@@ -167,6 +134,22 @@ class QDiffOperator:
 
     def __repr__(self) -> str:
         return f"QDiffOperator(q={format_rational(self.q)}, {dict(sorted(self._terms.items()))!r})"
+
+
+def _operator(q: Fraction, terms: Iterable[tuple[int, LaurentPoly]]) -> QDiffOperator:
+    """The operator sum_k c_k T^k over q from (shift, coefficient) pairs.
+
+    Coefficients of equal shifts are summed, and a shift whose sum is zero
+    is dropped, so the result is in normal form.
+    """
+    merged: dict[int, LaurentPoly] = {}
+    for shift, coefficient in terms:
+        existing = merged.get(shift)
+        merged[shift] = coefficient if existing is None else existing + coefficient
+    result = QDiffOperator.__new__(QDiffOperator)
+    result.q = q
+    result._terms = {shift: coefficient for shift, coefficient in merged.items() if coefficient}
+    return result
 
 
 def operator_mismatch_witness(lhs: QDiffOperator, rhs: QDiffOperator) -> str | None:

@@ -1,35 +1,53 @@
-"""The Fraction routes that ``pastroq.biorth`` used for the Gram matrix and
-the adjoint eigenvalue checks before it ran them on int grid vectors, kept
-as the reference of the differential tests.
+"""The Fraction routes that ``pastroq.biorth`` used for the grid checks
+before it ran them on int grid vectors, kept as the reference of the
+differential tests.
 
-Every sum here runs on reduced Fractions: a Gram entry is a
-:func:`scalar_product`, and the adjoint eigenvalue problem applies the
-Fraction form of the int X* and Y* bands to P*_n sampled with
-``eval_at``. The two references read the same ``GridRep`` fields as the
-package's checks (the int vectors through ``GridVector.values()``), so a
-corrupted field reaches both routes the same way.
+Every sum here runs on reduced Fractions: a grid sample is one
+``eval_at`` per point (:func:`grid_samples`), a Gram entry is a
+:func:`scalar_product`, the adjoint eigenvalue problem applies the
+Fraction form of the int X* and Y* bands to P*_n, and the partner checks
+scan every pair of entries (:func:`proportionality_witness`). The two
+references read the same ``GridRep`` fields as the package's checks (the
+int vectors through ``GridVector.values()``), so a corrupted field
+reaches both routes the same way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from pastroq.biorth import (
-    Band,
-    GridRep,
-    grid_samples,
-    mat_vec,
-    proportionality_witness,
-    tau_parameter,
-)
+from pastroq.biorth import Band, GridRep, mat_vec, tau_parameter
 from pastroq.pastro import pastro_poly
-from pastroq.qcore import LaurentPoly, QParams, format_rational
+from pastroq.qcore import LaurentPoly, QParams, ResonantParameterError, format_rational
 from pastroq.report import (
     Check,
     equality_check,
     matrix_mismatch_witness,
     vector_mismatch_witness,
 )
+
+
+def grid_samples(poly: LaurentPoly, grid: list[Fraction]) -> list[Fraction]:
+    """A Laurent polynomial evaluated at every grid point."""
+    return [poly.eval_at(point) for point in grid]
+
+
+def proportionality_witness(u: list[Fraction], v: list[Fraction]) -> str | None:
+    """The first pair (i, j), i < j, with u_i v_j != u_j v_i, worded, or None.
+
+    The all-pairs cross-product scan. Zero vectors raise, as in the package.
+    """
+    if all(value == 0 for value in u) or all(value == 0 for value in v):
+        raise ResonantParameterError("zero grid vector encountered (degenerate parameters)")
+    for i in range(len(u)):
+        for j in range(i + 1, len(u)):
+            if u[i] * v[j] != u[j] * v[i]:
+                return (
+                    f"cross product at ({i},{j}): u_{i} v_{j} = "
+                    f"{format_rational(u[i] * v[j])}, u_{j} v_{i} = "
+                    f"{format_rational(u[j] * v[i])}"
+                )
+    return None
 
 
 def scalar_product(

@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction
 
 from family_reference import norm_constant
+from grid_reference import grid_samples, proportionality_witness
 from pastroq.algebra import (
     casimir_centrality,
     make_algebra_rep,
@@ -19,10 +20,8 @@ from pastroq.algebra import (
     verify_raw_relations,
 )
 from pastroq.biorth import (
-    grid_samples,
     make_grid_rep,
     mat_vec,
-    proportionality_witness,
     tau_parameter,
     verify_adjoint_gevp,
     verify_adjoint_structure,

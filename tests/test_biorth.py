@@ -1,6 +1,5 @@
 """Grid representation, adjoints, the tau flip, and biorthogonality."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -12,6 +11,7 @@ from family_reference import norm_constant
 import grid_reference
 from grid_reference import (
     fraction_band,
+    grid_samples,
     reference_adjoint_gevp,
     reference_biorthogonality,
     scalar_product,
@@ -21,7 +21,6 @@ from pastroq.biorth import (
     Band,
     GridVector,
     band_mismatch_witness,
-    grid_samples,
     grid_vector,
     make_grid_rep,
     mat_vec,
@@ -47,7 +46,6 @@ from pastroq.qcore import (
     ParameterError,
     QParams,
     ResonantParameterError,
-    format_rational,
 )
 from pastroq.report import matrix_mismatch_witness
 
@@ -267,7 +265,7 @@ def test_corrupted_lam_fails_only_the_adjoint_gevp_at_that_degree():
     rep = make_grid_rep(5, B, Q)
     lam = list(rep.lam)
     lam[2] += 1
-    corrupted = dataclasses.replace(rep, lam=lam)
+    corrupted = rep._replace(lam=lam)
     for n in range(5):
         for check in verify_adjoint_gevp(n, corrupted):
             if (check.name, n) == ("adjoint-gevp", 2):
@@ -283,29 +281,15 @@ def test_adjoint_gevp_rejects_out_of_range_degree():
 
 
 def test_proportionality_witness():
-    u = [Fraction(1), Fraction(2), Fraction(-3)]
-    assert proportionality_witness(u, [Fraction(-2), Fraction(-4), Fraction(6)]) is None
-    witness = proportionality_witness(u, [Fraction(1), Fraction(2), Fraction(3)])
-    assert witness is not None and "cross product" in witness
+    u = grid_vector([Fraction(1), Fraction(2), Fraction(-3)])
+    assert proportionality_witness(u, GridVector([-2, -4, 6], 1)) is None
+    assert proportionality_witness(u, GridVector([-2, -4, 6], 7)) is None
+    witness = proportionality_witness(u, GridVector([1, 2, 3], 2))
+    assert witness == "cross product at (0,2): u_0 v_2 = 3/2, u_2 v_0 = -3/2"
     with pytest.raises(ResonantParameterError):
-        proportionality_witness(u, [Fraction(0)] * 3)
+        proportionality_witness(u, GridVector([0] * 3, 1))
     with pytest.raises(ResonantParameterError):
-        proportionality_witness([Fraction(0)] * 3, u)
-
-
-def pairwise_proportionality_witness(u, v):
-    """The all-pairs cross-product scan, kept as the reference."""
-    if all(value == 0 for value in u) or all(value == 0 for value in v):
-        raise ResonantParameterError("zero grid vector encountered (degenerate parameters)")
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if u[i] * v[j] != u[j] * v[i]:
-                return (
-                    f"cross product at ({i},{j}): u_{i} v_{j} = "
-                    f"{format_rational(u[i] * v[j])}, u_{j} v_{i} = "
-                    f"{format_rational(u[j] * v[i])}"
-                )
-    return None
+        proportionality_witness(GridVector([0] * 3, 5), u)
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -326,24 +310,27 @@ def vector_pairs(draw):
     return u, v
 
 
-@given(vector_pairs())
+def _scaled(vector: GridVector, k: int) -> GridVector:
+    """The same values over a denominator k times larger: not reduced."""
+    return GridVector([k * num for num in vector.nums], k * vector.den)
+
+
+@given(vector_pairs(), st.integers(2, 6), st.integers(2, 6))
 @settings(max_examples=300, derandomize=True)
-def test_proportionality_witness_matches_pairwise_scan(pair):
+def test_proportionality_witness_matches_pairwise_scan(pair, k, m):
     u, v = pair
+    int_u, int_v = grid_vector(u), grid_vector(v)
+    inputs = [(int_u, int_v), (_scaled(int_u, k), _scaled(int_v, m)), (int_u, _scaled(int_v, m))]
     try:
-        expected = pairwise_proportionality_witness(u, v)
-    except ResonantParameterError:
-        with pytest.raises(ResonantParameterError):
-            proportionality_witness(u, v)
+        expected = grid_reference.proportionality_witness(u, v)
+    except ResonantParameterError as error:
+        for vectors in inputs:
+            with pytest.raises(ResonantParameterError) as raised:
+                proportionality_witness(*vectors)
+            assert str(raised.value) == str(error)
         return
-    assert proportionality_witness(u, v) == expected
-
-
-def test_grid_samples():
-    rep = make_grid_rep(3, B, Q)
-    poly = pastro_poly(1, rep.params)
-    values = grid_samples(poly, rep.grid)
-    assert values == [poly.eval_at(point) for point in rep.grid]
+    for vectors in inputs:
+        assert proportionality_witness(*vectors) == expected
 
 
 def test_grid_vector_round_trip():
@@ -410,20 +397,21 @@ def _bumped(vector: GridVector, index: int) -> GridVector:
     return vector._replace(nums=nums)
 
 
-def _corrupt(rep, field: str) -> None:
-    """Move one entry of one field of a 5-point rep."""
+def _corrupt(rep, field: str):
+    """A 5-point rep with one entry of one field moved."""
     if field == "partner R_2":
         rep.partner_values[2] = _bumped(rep.partner_values[2], 1)
     elif field == "partner R_(N-1)":
         rep.partner_values[4] = _bumped(rep.partner_values[4], 3)
     elif field == "lambda_3":
-        rep.lam = rep.lam[:3] + [rep.lam[3] + Fraction(1, 7)] + rep.lam[4:]
+        rep = rep._replace(lam=rep.lam[:3] + [rep.lam[3] + Fraction(1, 7)] + rep.lam[4:])
     else:
         band, den = rep.int_bands["X*"]
         diagonal = field.split()[-1]
         entries = list(getattr(band, diagonal))
         entries[0] -= 5
         rep.int_bands["X*"] = (band._replace(**{diagonal: entries}), den)
+    return rep
 
 
 @pytest.mark.parametrize(
@@ -431,8 +419,7 @@ def _corrupt(rep, field: str) -> None:
 )
 @pytest.mark.parametrize("q, b", [(Q, B), (Fraction(-4, 5), Fraction(-2))])
 def test_corrupted_rep_fails_as_the_fraction_route(field, q, b):
-    rep = make_grid_rep(5, b, q)
-    _corrupt(rep, field)
+    rep = _corrupt(make_grid_rep(5, b, q), field)
     checks = _grid_suite(rep, verify_adjoint_gevp, verify_biorthogonality)
     expected = _grid_suite(rep, reference_adjoint_gevp, reference_biorthogonality)
     assert _failures(checks)
@@ -499,19 +486,24 @@ def test_grid_build_computes_the_norm_constants_once(monkeypatch):
 
 def test_biorth_samples_p_top_and_its_derivative_once_per_point(monkeypatch):
     calls = []
-    eval_at = LaurentPoly.eval_at
+    sample_at_powers = LaurentPoly.sample_at_powers
 
-    def counted(self, point):
-        calls.append(point)
-        return eval_at(self, point)
+    def counted(self, q, exponents):
+        calls.append((self, list(exponents)))
+        return sample_at_powers(self, q, exponents)
+
+    def unexpected(*args):
+        raise AssertionError("a grid point evaluated on its own")
 
     N = 5
     rep = make_grid_rep(N, B, Q)
-    monkeypatch.setattr(LaurentPoly, "eval_at", counted)
+    monkeypatch.setattr(LaurentPoly, "eval_at", unexpected)
     for n in range(N):
         verify_adjoint_gevp(n, rep)
+    monkeypatch.setattr(LaurentPoly, "sample_at_powers", counted)
     verify_biorthogonality(rep)
-    assert sorted(calls) == sorted(rep.grid * 2)
+    grid_exponents = list(range(1, N + 1))
+    assert calls == [(rep.p_top, grid_exponents), (rep.p_top.derivative(), grid_exponents)]
 
 
 @pytest.mark.parametrize("q, b", [(Q, B), (Fraction(-4, 5), Fraction(-2))])
@@ -523,6 +515,6 @@ def test_passing_gevp_words_no_witness(q, b, monkeypatch):
 
     rep = make_grid_rep(6, b, q)
     monkeypatch.setattr(biorth, "vector_mismatch_witness", unexpected)
-    monkeypatch.setattr(biorth, "proportionality_witness", unexpected)
+    monkeypatch.setattr(biorth, "format_rational", unexpected)
     for n in range(6):
         assert all(check.status == "PASS" for check in verify_adjoint_gevp(n, rep))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from family_reference import phi21_terminating
 from pastroq.qcore import (
+    GridVector,
     LaurentPoly,
     ParameterError,
     QParams,
@@ -215,7 +216,9 @@ def test_sample_at_powers_is_eval_at_over_the_lcm(p, q, exponents):
     values = [p.eval_at(q**k) for k in exponents]
     den = lcm(*(value.denominator for value in values))
     expected = [value.numerator * (den // value.denominator) for value in values]
-    assert p.sample_at_powers(q, exponents) == (expected, den)
+    samples = p.sample_at_powers(q, exponents)
+    assert type(samples) is GridVector
+    assert samples == GridVector(expected, den) == (expected, den)
 
 
 def test_sample_at_powers_rejects_points_off_the_powers():
