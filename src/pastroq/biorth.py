@@ -661,19 +661,22 @@ def verify_biorthogonality(rep: GridRep) -> tuple[Matrix, list[Check]]:
         )
     )
 
+    # w_s P'_N(x_s) R_(N-1)(x_s) = h_(N-1), cross-multiplied over the three
+    # vector denominators and h_(N-1)'s.
+    partner, norm = rep.partner_values[N - 1], h[N - 1]
+    target = norm.numerator * int_w.den * slopes.den * partner.den
     witness = None
-    for s, (slope, partner) in enumerate(
-        zip(slopes.values(), rep.partner_values[N - 1].values())
-    ):
-        denominator = slope * partner
-        if denominator == 0:
+    for s, (weight, slope, value) in enumerate(zip(int_w.nums, slopes.nums, partner.nums)):
+        product = slope * value
+        if not product:
             witness = f"s={s}: P'_N(x_s) R_(N-1)(x_s) = 0"
             break
-        if w[s] != h[N - 1] / denominator:
+        if weight * product * norm.denominator != target:
+            denominator = Fraction(product, slopes.den * partner.den)
             witness = (
                 f"s={s}: w_s = {format_rational(w[s])}, "
                 f"h_(N-1)/(P'_N(x_s) R_(N-1)(x_s)) = "
-                f"{format_rational(h[N - 1] / denominator)}"
+                f"{format_rational(norm / denominator)}"
             )
             break
     checks.append(

@@ -59,7 +59,11 @@ __all__ = ["RunConfig", "run", "emit", "main", "admissible_draws", "verify_suite
 
 @dataclass
 class RunConfig:
-    """One CLI invocation: the subcommand plus every knob it may read."""
+    """One invocation: the subcommand plus every field some command reads.
+
+    A command reads only the fields of its ``_COMMANDS`` entry, its only
+    flags beside ``--format``; the other fields keep these defaults.
+    """
 
     command: str
     q: Fraction = Fraction(1, 2)
@@ -250,12 +254,7 @@ def _sweep(config: RunConfig, report: Report, context: dict[str, str]) -> tuple[
     for attempts, (q, a, b), params, problem in _draws(config.seed, config.n_max):
         label = f"draw-{attempts}"
         if problem is not None:
-            drawn = {
-                "draw": label,
-                "q": format_rational(q),
-                "a": format_rational(a),
-                "b": format_rational(b),
-            }
+            drawn = {"draw": label, "q": format_rational(q), "a": format_rational(a), "b": format_rational(b)}
             report.checks.append(
                 Check(
                     name="sweep-draw",
@@ -278,11 +277,7 @@ def _sweep(config: RunConfig, report: Report, context: dict[str, str]) -> tuple[
             Check(
                 name="sweep-draws",
                 identity="admissible draws run = draws requested",
-                params={
-                    "seed": str(config.seed),
-                    "draws": str(config.draws),
-                    "n_max": str(config.n_max),
-                },
+                params=context,
                 status=ERROR,
                 witness=f"{accepted} of {config.draws} draws admissible "
                 f"within {attempts} attempts",
@@ -294,22 +289,23 @@ def _sweep(config: RunConfig, report: Report, context: dict[str, str]) -> tuple[
 class _Command(NamedTuple):
     """One subcommand of the command table.
 
-    ``fields`` are the config fields its ERROR context names, ``sizes`` the
-    size fields ``run`` bounds, and ``body`` appends checks to the report
-    and returns the JSON extras and text lines.
+    ``fields`` are the config fields it reads: its flags, in this order,
+    and its ERROR context. ``run`` bounds the size fields among them
+    (those in ``_MINIMUM_SIZE``) in the same order. ``body`` appends checks
+    to the report and returns the JSON extras and text lines.
     """
 
+    help: str
     fields: tuple[str, ...]
-    sizes: tuple[str, ...]
     body: Callable[[RunConfig, Report, dict[str, str]], tuple[dict, list[str]]]
 
 
 _COMMANDS = {
-    "table": _Command(("q", "a", "b", "n_max"), ("n_max",), _table),
-    "verify": _Command(("q", "a", "b", "n_max"), ("n_max",), _verify),
-    "biorth": _Command(("q", "b", "N"), ("N",), _biorth),
-    "algebra": _Command(("q", "a", "b", "mu"), (), _algebra),
-    "sweep": _Command((), ("n_max", "draws"), _sweep),
+    "table": _Command("emit P_n, R_n and the recurrence data", ("q", "a", "b", "n_max"), _table),
+    "verify": _Command("run every polynomial/operator identity check", ("q", "a", "b", "n_max"), _verify),
+    "biorth": _Command("run the grid, adjoint and biorthogonality checks", ("q", "b", "N"), _biorth),
+    "algebra": _Command("run the algebra relation checks", ("q", "a", "b", "mu"), _algebra),
+    "sweep": _Command("run the verify suite at seeded random points", ("n_max", "draws", "seed"), _sweep),
 }
 
 
@@ -325,9 +321,9 @@ def run(config: RunConfig) -> tuple[Report, dict, list[str]]:
         command = _COMMANDS[config.command]
     except KeyError:
         raise ValueError(f"unknown command {config.command!r}") from None
-    for name in command.sizes:
-        value, minimum = getattr(config, name), _MINIMUM_SIZE[name]
-        if value < minimum:
+    for name in command.fields:
+        value, minimum = getattr(config, name), _MINIMUM_SIZE.get(name)
+        if minimum is not None and value < minimum:
             message = f"{name} must be at least {minimum}, got {value}"
             return Report([_error_check({name: str(value)}, message)]), {}, []
     context = {name: format_rational(getattr(config, name)) for name in command.fields}
@@ -366,29 +362,33 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--q", type=parse_rational, default=RunConfig.q, help="deformation parameter (rational literal)")
-    common.add_argument("--a", type=parse_rational, default=RunConfig.a, help="first family parameter (rational literal)")
-    common.add_argument("--b", type=parse_rational, default=RunConfig.b, help="second family parameter (rational literal)")
-    common.add_argument("--mu", type=parse_rational, default=RunConfig.mu, help="pencil parameter (rational literal)")
-    common.add_argument("--nmax", dest="n_max", type=_int_at_least(_MINIMUM_SIZE["n_max"]), default=RunConfig.n_max, help="largest degree to cover")
-    common.add_argument("--N", dest="N", type=_int_at_least(_MINIMUM_SIZE["N"]), default=RunConfig.N, help="grid size for the truncated representation")
-    common.add_argument("--seed", type=int, default=RunConfig.seed, help="seed for the sweep draws")
-    common.add_argument("--draws", type=_int_at_least(_MINIMUM_SIZE["draws"]), default=RunConfig.draws, help="number of admissible sweep points")
-    common.add_argument("--format", dest="fmt", choices=("text", "json"), default=RunConfig.fmt, help="output format")
+#: The flag of each config field: (flag, argparse type, help).
+_FLAGS = {
+    "q": ("--q", parse_rational, "deformation parameter (rational literal)"),
+    "a": ("--a", parse_rational, "first family parameter (rational literal)"),
+    "b": ("--b", parse_rational, "second family parameter (rational literal)"),
+    "mu": ("--mu", parse_rational, "pencil parameter (rational literal)"),
+    "n_max": ("--nmax", _int_at_least(_MINIMUM_SIZE["n_max"]), "largest degree to cover"),
+    "N": ("--N", _int_at_least(_MINIMUM_SIZE["N"]), "grid size for the truncated representation"),
+    "seed": ("--seed", int, "seed for the sweep draws"),
+    "draws": ("--draws", _int_at_least(_MINIMUM_SIZE["draws"]), "number of admissible sweep points"),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, taking the flags of its fields and ``--format``."""
     parser = argparse.ArgumentParser(
         prog="pastroq",
         description="Exact construction and verification of a biorthogonal "
         "polynomial family and its q-difference operator triple.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("table", parents=[common], help="emit P_n, R_n and the recurrence data")
-    sub.add_parser("verify", parents=[common], help="run every polynomial/operator identity check")
-    sub.add_parser("biorth", parents=[common], help="run the grid, adjoint and biorthogonality checks")
-    sub.add_parser("algebra", parents=[common], help="run the algebra relation checks")
-    sub.add_parser("sweep", parents=[common], help="run the verify suite at seeded random points")
+    for name, command in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=command.help)
+        for field in command.fields:
+            flag, kind, text = _FLAGS[field]
+            subparser.add_argument(flag, dest=field, type=kind, default=getattr(RunConfig, field), help=text)
+        subparser.add_argument("--format", dest="fmt", choices=("text", "json"), default=RunConfig.fmt, help="output format")
     return parser
 
 

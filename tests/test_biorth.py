@@ -403,6 +403,15 @@ def _corrupt(rep, field: str):
         rep.partner_values[2] = _bumped(rep.partner_values[2], 1)
     elif field == "partner R_(N-1)":
         rep.partner_values[4] = _bumped(rep.partner_values[4], 3)
+    elif field == "partner R_(N-1) zero":
+        # the zero-product witness of weight-origin
+        nums = list(rep.partner_values[4].nums)
+        nums[2] = 0
+        rep.partner_values[4] = rep.partner_values[4]._replace(nums=nums)
+    elif field == "weight w_1":
+        rep = rep._replace(w=rep.w[:1] + [rep.w[1] + Fraction(1, 3)] + rep.w[2:])
+    elif field == "norm h_(N-1)":
+        rep = rep._replace(h=rep.h[:4] + [rep.h[4] * 2] + rep.h[5:])
     elif field == "lambda_3":
         rep = rep._replace(lam=rep.lam[:3] + [rep.lam[3] + Fraction(1, 7)] + rep.lam[4:])
     else:
@@ -415,7 +424,17 @@ def _corrupt(rep, field: str):
 
 
 @pytest.mark.parametrize(
-    "field", ["partner R_2", "partner R_(N-1)", "lambda_3", "int X* main", "int X* upper"]
+    "field",
+    [
+        "partner R_2",
+        "partner R_(N-1)",
+        "partner R_(N-1) zero",
+        "weight w_1",
+        "norm h_(N-1)",
+        "lambda_3",
+        "int X* main",
+        "int X* upper",
+    ],
 )
 @pytest.mark.parametrize("q, b", [(Q, B), (Fraction(-4, 5), Fraction(-2))])
 def test_corrupted_rep_fails_as_the_fraction_route(field, q, b):

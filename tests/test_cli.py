@@ -1,5 +1,6 @@
 """CLI behavior: schemas, exit codes, determinism, error paths."""
 
+import argparse
 import importlib
 import io
 import json
@@ -21,6 +22,7 @@ from pastroq.cli import (
     RunConfig,
     _admissibility_issues,
     admissible_draws,
+    build_parser,
     emit,
     main,
     run,
@@ -31,6 +33,16 @@ from pastroq.qcore import ParameterError, QParams, format_rational, parse_ration
 from pastroq.report import Check, Report
 
 PASTROQ = [sys.executable, "-m", "pastroq"]
+
+#: The flags each subcommand takes besides ``--format``: one per RunConfig
+#: field it reads.
+COMMAND_FLAGS = {
+    "table": ["--q", "--a", "--b", "--nmax"],
+    "verify": ["--q", "--a", "--b", "--nmax"],
+    "biorth": ["--q", "--b", "--N"],
+    "algebra": ["--q", "--a", "--b", "--mu"],
+    "sweep": ["--nmax", "--draws", "--seed"],
+}
 
 
 def invoke(*argv: str) -> subprocess.CompletedProcess:
@@ -230,6 +242,8 @@ def test_out_of_range_sizes_are_usage_errors(argv, flag, minimum, capsys):
         (RunConfig("verify", n_max=-1), "n_max", "n_max must be at least 0, got -1"),
         (RunConfig("table", n_max=-2), "n_max", "n_max must be at least 0, got -2"),
         (RunConfig("sweep", draws=-1), "draws", "draws must be at least 1, got -1"),
+        # both sizes out of range: sweep bounds n_max first
+        (RunConfig("sweep", n_max=-1, draws=0), "n_max", "n_max must be at least 0, got -1"),
     ],
 )
 def test_out_of_range_sizes_are_errors_in_process(config, field, message):
@@ -240,6 +254,27 @@ def test_out_of_range_sizes_are_errors_in_process(config, field, message):
     assert check.params == {field: str(getattr(config, field))}
     assert check.witness == message
     assert (extra, lines) == ({}, [])
+
+
+@pytest.mark.parametrize("command, flags", COMMAND_FLAGS.items())
+def test_each_command_takes_only_the_flags_it_reads(command, flags):
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = [string for action in commands.choices[command]._actions for string in action.option_strings]
+    assert sorted(options) == sorted(flags + ["--format", "-h", "--help"])
+
+
+@pytest.mark.parametrize("argv", [["biorth", "--a", "2"], ["verify", "--N", "3"]])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_parameter_error_after_checks_keeps_them(monkeypatch):
@@ -283,41 +318,74 @@ def _mostly(good, bad):
     return st.integers(0, 5).flatmap(lambda k: bad if k == 0 else good)
 
 
+_rationals = st.one_of(
+    st.builds(lambda p, r: f"{p}/{r}", st.integers(-4, 4), st.integers(1, 4)),
+    st.integers(-3, 3).map(str),
+    # large heights, whose units share few factors
+    st.sampled_from(["997/991", "-9973/9967", "991/997", "-997/991", "9967/9973"]),
+)
 _rational_literals = _mostly(
-    st.one_of(
-        st.builds(lambda p, r: f"{p}/{r}", st.integers(-4, 4), st.integers(1, 4)),
-        st.integers(-3, 3).map(str),
-        # large heights, whose units share few factors
-        st.sampled_from(["997/991", "-9973/9967", "991/997", "-997/991", "9967/9973"]),
-    ),
-    st.sampled_from(["1.5", "1e3", "nan", "x", "", "1/0", "1/-2", "--3", "2/3/4"]),
+    _rationals, st.sampled_from(["1.5", "1e3", "nan", "x", "", "1/0", "1/-2", "--3", "2/3/4"])
 )
 #: Size flags stay at or below 4 (so every run is quick) but go below their
 #: minimums, and sometimes are not integers at all.
 _size_literals = _mostly(st.integers(-2, 4).map(str), st.sampled_from(["1.5", "x", "", "2/3"]))
-_options = st.one_of(
-    st.tuples(st.sampled_from(["--q", "--a", "--b", "--mu"]), _rational_literals),
-    st.tuples(st.sampled_from(["--nmax", "--N", "--draws"]), _size_literals),
-    st.tuples(st.just("--seed"), _mostly(st.integers(-9, 9).map(str), st.just("seven"))),
-)
+#: The literals the fuzzer gives each flag, refused ones among them.
+_literals = dict.fromkeys(["--q", "--a", "--b", "--mu"], _rational_literals) | {
+    "--nmax": _size_literals,
+    "--N": _size_literals,
+    "--draws": _size_literals,
+    "--seed": _mostly(st.integers(-9, 9).map(str), st.just("seven")),
+}
+#: Literals each flag accepts. A negative one is accepted only joined to its
+#: flag, as ``_argvs`` writes them.
+_accepted_literals = dict.fromkeys(["--q", "--a", "--b", "--mu"], _rationals) | {
+    "--nmax": st.integers(0, 4).map(str),
+    "--N": st.integers(1, 4).map(str),
+    "--draws": st.integers(1, 4).map(str),
+    "--seed": st.integers(-9, 9).map(str),
+}
 
 
 @st.composite
 def _argvs(draw):
-    argv = [draw(st.sampled_from(["table", "verify", "biorth", "algebra", "sweep"]))]
-    for flag, value in draw(st.lists(_options, max_size=5)):
-        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
-    return argv + ["--format", draw(st.sampled_from(["text", "json"]))]
+    """``(argv, foreign)``: a command with up to two of its own flags.
+
+    The flags are distinct, and drawn from the command's own, so that most
+    argvs reach ``run`` (as many as when every command took every flag).
+    One argv in six also carries ``foreign``, a flag its command does not
+    read (otherwise None). Its own flags then take accepted literals, joined
+    to the flag, so that the foreign flag is the one usage error.
+    """
+    command = draw(st.sampled_from(list(COMMAND_FLAGS)))
+    own = COMMAND_FLAGS[command]
+    foreign = draw(_mostly(st.none(), st.sampled_from([flag for flag in _literals if flag not in own])))
+    literals = _accepted_literals if foreign else _literals
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(own), max_size=2, unique=True)):
+        value = draw(literals[flag])
+        argv += [f"{flag}={value}"] if foreign or draw(st.booleans()) else [flag, value]
+    if foreign:
+        value = draw(_literals[foreign])
+        extra = [f"{foreign}={value}"] if draw(st.booleans()) else [foreign, value]
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = extra
+    return argv + ["--format", draw(st.sampled_from(["text", "json"]))], foreign
 
 
 @given(_argvs())
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_argv_fuzz_exits_0_or_2_without_traceback(argv):
+def test_argv_fuzz_exits_0_or_2_without_traceback(case):
+    argv, foreign = case
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code in (0, 2), (argv, out.getvalue()[-500:])
     assert "Traceback" not in err.getvalue()
+    if foreign:
+        assert exit_info.value.code == 2
+        assert out.getvalue() == ""
+        assert "unrecognized arguments" in err.getvalue()
     if not out.getvalue():
         # argparse refused the argv: a usage error naming the problem
         assert exit_info.value.code == 2
