@@ -19,11 +19,15 @@ check over whole grid vectors (the Gram matrix, the adjoint eigenvalue
 problem, the proportionality tests and the roots of P_N) decides on the
 numerators. A Gram entry is one int dot product, and a ``Fraction`` is
 built only for what a report prints.
+
+Every failing check here is worded by :func:`pastroq.report.first_mismatch`,
+at the first differing band entry, basis pair, Gram entry or cross product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import mul
 from typing import Callable, Iterator, NamedTuple
@@ -44,12 +48,7 @@ from .pastro import (
     grid_weights,
     pastro_poly,
 )
-from .report import (
-    Check,
-    equality_check,
-    matrix_mismatch_witness,
-    vector_mismatch_witness,
-)
+from .report import Check, equality_check, first_mismatch, vector_mismatch_witness
 
 __all__ = [
     "Matrix",
@@ -128,13 +127,11 @@ def band_entries(band: Band) -> Iterator[tuple[int, int, Fraction]]:
 
 def band_mismatch_witness(lhs: Band, rhs: Band) -> str | None:
     """First entry, in row-major order, where two bands differ, or None."""
-    for (s, t, left), (_, _, right) in zip(band_entries(lhs), band_entries(rhs)):
-        if left != right:
-            return (
-                f"entry ({s},{t}): lhs {format_rational(left)}, "
-                f"rhs {format_rational(right)}"
-            )
-    return None
+    entries = zip(band_entries(lhs), band_entries(rhs))
+    return first_mismatch(
+        "entry ({},{}): lhs {}, rhs {}",
+        ((s, t, left, right) for (s, t, left), (_, _, right) in entries),
+    )
 
 
 def mat_vec(band: Band, vector: list[int]) -> list[int]:
@@ -341,16 +338,13 @@ def proportionality_witness(u: GridVector, v: GridVector) -> str | None:
     if all(a_j * c[k] == a[k] * c_j for a_j, c_j in zip(a, c)):
         return None
     den = u.den * v.den
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            left, right = a[i] * c[j], a[j] * c[i]
-            if left != right:
-                return (
-                    f"cross product at ({i},{j}): u_{i} v_{j} = "
-                    f"{format_rational(Fraction(left, den))}, u_{j} v_{i} = "
-                    f"{format_rational(Fraction(right, den))}"
-                )
-    return None
+    return first_mismatch(
+        "cross product at ({0},{1}): u_{0} v_{1} = {2}, u_{1} v_{0} = {3}",
+        (
+            (i, j, Fraction(a[i] * c[j], den), Fraction(a[j] * c[i], den))
+            for i, j in combinations(range(len(a)), 2)
+        ),
+    )
 
 
 def verify_adjoint_structure(rep: GridRep) -> list[Check]:
@@ -416,18 +410,11 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
         # vanish off the band, so the pairs scanned in row-major order are
         # the band entries (i, j) of W^T and of W*.
         transpose = Band(matrix.upper, matrix.main, matrix.lower)
-        witness = None
-        for (i, j, entry), (_, _, adjoint_entry) in zip(
-            band_entries(transpose), band_entries(adjoint)
-        ):
-            left, right = w[j] * entry, w[i] * adjoint_entry
-            if left != right:
-                witness = (
-                    f"basis pair ({i},{j}): <W e_{i}, e_{j}> = "
-                    f"{format_rational(left)}, <e_{i}, W* e_{j}> = "
-                    f"{format_rational(right)}"
-                )
-                break
+        entries = zip(band_entries(transpose), band_entries(adjoint))
+        witness = first_mismatch(
+            "basis pair ({0},{1}): <W e_{0}, e_{1}> = {2}, <e_{0}, W* e_{1}> = {3}",
+            ((i, j, w[j] * left, w[i] * right) for (i, j, left), (_, _, right) in entries),
+        )
         checks.append(
             equality_check(
                 f"adjoint-pairing-{name}",
@@ -585,15 +572,15 @@ def verify_biorthogonality(rep: GridRep) -> tuple[Matrix, list[Check]]:
                 for partner in rep.partner_values
             ]
         )
-    expected = [
-        [h[n] if n == m else Fraction(0) for m in range(N)] for n in range(N)
-    ]
+    entries = (
+        (n, m, g, h[n] if n == m else 0) for n, row in enumerate(gram) for m, g in enumerate(row)
+    )
     checks = [
         equality_check(
             "gram-diagonal",
             "sum_s w_s P_n(x_s) R_m(x_s) = h_n delta_nm",
             context,
-            matrix_mismatch_witness(gram, expected),
+            first_mismatch("entry ({},{}): lhs {}, rhs {}", entries),
         )
     ]
 

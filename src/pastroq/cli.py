@@ -389,11 +389,17 @@ def build_parser() -> argparse.ArgumentParser:
             flag, kind, text = _FLAGS[field]
             subparser.add_argument(flag, dest=field, type=kind, default=getattr(RunConfig, field), help=text)
         subparser.add_argument("--format", dest="fmt", choices=("text", "json"), default=RunConfig.fmt, help="output format")
+        subparser.set_defaults(error=subparser.error)
     return parser
 
 
 def main(argv: list[str] | None = None) -> None:
-    config = RunConfig(**vars(build_parser().parse_args(argv)))
+    options, extras = build_parser().parse_known_args(argv)
+    fields = vars(options)
+    error = fields.pop("error")  # the subparser's, whose usage line lists the command's flags
+    if extras:
+        error(f"unrecognized arguments: {' '.join(extras)}")
+    config = RunConfig(**fields)
     report, extra, lines = run(config)
     print(emit(report, extra, lines, config.fmt))
     sys.exit(report.exit_code)

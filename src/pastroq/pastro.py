@@ -33,7 +33,7 @@ from .qcore import (
     format_rational,
     q_pochhammer,
 )
-from .report import Check, equality_check, poly_mismatch_witness
+from .report import Check, equality_check, first_mismatch, poly_mismatch_witness
 
 __all__ = [
     "pastro_poly",
@@ -403,44 +403,30 @@ def verify_baxter_consistency(
     :func:`pastroq.qdiff.degree_records` builds them. Every record is
     consumed; the four polynomial checks are evaluated as the records
     stream past, and each keeps the witness of the first n that fails.
+    The three scalar checks read ``data`` and word their first differing
+    degree through :func:`pastroq.report.first_mismatch`. The beta ratio is
+    undefined from the first alpha_(n+1) = 0 on, so its scan stops there,
+    and that degree is the witness when no earlier one differs.
     """
     _check_degree(n_max)
     context = params.describe() | {"n_max": str(n_max)}
 
-    alpha_witness = None
-    for n in range(1, n_max + 1):
-        expected = -data.alpha[n - 1] * data.mu1[n]
-        if data.alpha[n] != expected:
-            alpha_witness = (
-                f"n={n}: alpha_n {format_rational(data.alpha[n])}, "
-                f"-alpha_(n-1)*mu1_n {format_rational(expected)}"
-            )
-            break
+    alpha, beta, mu1, mu2 = data.alpha, data.beta, data.mu1, data.mu2
+    alpha_witness = first_mismatch(
+        "n={}: alpha_n {}, -alpha_(n-1)*mu1_n {}",
+        ((n, alpha[n], -alpha[n - 1] * mu1[n]) for n in range(1, n_max + 1)),
+    )
 
-    beta_witness = None
-    for n in range(n_max):
-        alpha_next = data.alpha[n + 1]
-        if alpha_next == 0:
-            beta_witness = f"n={n}: alpha_(n+1) = 0, ratio undefined"
-            break
-        expected = (data.mu2[n + 1] - data.mu1[n + 1]) / alpha_next
-        if data.beta[n] != expected:
-            beta_witness = (
-                f"n={n}: beta_n {format_rational(data.beta[n])}, "
-                f"(mu2_(n+1) - mu1_(n+1))/alpha_(n+1) {format_rational(expected)}"
-            )
-            break
+    first_zero = next((n for n in range(n_max) if alpha[n + 1] == 0), n_max)
+    beta_witness = first_mismatch(
+        "n={}: beta_n {}, (mu2_(n+1) - mu1_(n+1))/alpha_(n+1) {}",
+        ((n, beta[n], (mu2[n + 1] - mu1[n + 1]) / alpha[n + 1]) for n in range(first_zero)),
+    )
+    if beta_witness is None and first_zero < n_max:
+        beta_witness = f"n={first_zero}: alpha_(n+1) = 0, ratio undefined"
 
-    norm_witness = None
-    product = Fraction(1)
-    for n in range(n_max + 1):
-        if data.h[n] != product:
-            norm_witness = (
-                f"n={n}: h_n {format_rational(data.h[n])}, "
-                f"prod {format_rational(product)}"
-            )
-            break
-        product *= 1 - data.alpha[n] * data.beta[n]
+    products = accumulate((1 - a * b for a, b in zip(alpha, beta)), mul, initial=Fraction(1))
+    norm_witness = first_mismatch("n={}: h_n {}, prod {}", zip(range(n_max + 1), data.h, products))
 
     pastro_witness = partner_witness = p_witness = q_witness = None
     previous = None  # (P_(n-1), Q_(n-1)), for the Q recurrence at n - 1

@@ -3,7 +3,8 @@
 Every verification function in this package returns Check records rather
 than booleans, so that failures carry a witness (the first exponent, entry
 or shift where two exact values differ) and so the CLI can render a stable
-report. Rendering is deterministic: checks keep their declaration order,
+report. One loop, :func:`first_mismatch`, finds and words every failed
+comparison. Rendering is deterministic: checks keep their declaration order,
 JSON map keys are sorted, and no floats ever appear.
 """
 
@@ -12,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
+from typing import Iterable
 
 from .qcore import LaurentPoly, format_rational
 
@@ -23,6 +26,7 @@ __all__ = [
     "Check",
     "Report",
     "equality_check",
+    "first_mismatch",
     "poly_mismatch_witness",
     "matrix_mismatch_witness",
     "vector_mismatch_witness",
@@ -113,43 +117,43 @@ class Report:
         return "\n".join(lines)
 
 
+def first_mismatch(template: str, rows: Iterable[tuple]) -> str | None:
+    """The first row ``(*where, lhs, rhs)`` with lhs != rhs, or None.
+
+    That row is worded by filling ``template`` with its ``where`` fields,
+    then with lhs and rhs through :func:`format_rational`.
+    """
+    for row in rows:
+        if row[-2] != row[-1]:
+            *where, lhs, rhs = row
+            return template.format(*where, format_rational(lhs), format_rational(rhs))
+    return None
+
+
 def poly_mismatch_witness(lhs: LaurentPoly, rhs: LaurentPoly) -> str | None:
     """First exponent where two Laurent polynomials differ, or None."""
     if lhs == rhs:
         return None
-    for exponent in sorted(set(lhs.support) | set(rhs.support)):
-        left, right = lhs.coefficient(exponent), rhs.coefficient(exponent)
-        if left != right:
-            return (
-                f"exponent {exponent}: lhs {format_rational(left)}, "
-                f"rhs {format_rational(right)}"
-            )
-    return None
+    exponents = sorted(set(lhs.support) | set(rhs.support))
+    return first_mismatch(
+        "exponent {}: lhs {}, rhs {}",
+        ((e, lhs.coefficient(e), rhs.coefficient(e)) for e in exponents),
+    )
 
 
-def matrix_mismatch_witness(
-    lhs: list[list[Fraction]], rhs: list[list[Fraction]]
-) -> str | None:
+def matrix_mismatch_witness(lhs: list[list[Fraction]], rhs: list[list[Fraction]]) -> str | None:
     """First entry where two matrices differ, or None."""
-    for s, (row_l, row_r) in enumerate(zip(lhs, rhs)):
-        for t, (left, right) in enumerate(zip(row_l, row_r)):
-            if left != right:
-                return (
-                    f"entry ({s},{t}): lhs {format_rational(left)}, "
-                    f"rhs {format_rational(right)}"
-                )
-    return None
+    entries = (
+        (s, t, left, right)
+        for s, (row_l, row_r) in enumerate(zip(lhs, rhs))
+        for t, left, right in zip(count(), row_l, row_r)
+    )
+    return first_mismatch("entry ({},{}): lhs {}, rhs {}", entries)
 
 
 def vector_mismatch_witness(lhs: list[Fraction], rhs: list[Fraction]) -> str | None:
     """First index where two vectors differ, or None."""
-    for s, (left, right) in enumerate(zip(lhs, rhs)):
-        if left != right:
-            return (
-                f"index {s}: lhs {format_rational(left)}, "
-                f"rhs {format_rational(right)}"
-            )
-    return None
+    return first_mismatch("index {}: lhs {}, rhs {}", zip(count(), lhs, rhs))
 
 
 def equality_check(

@@ -412,6 +412,8 @@ def _corrupt(rep, field: str):
         rep = rep._replace(w=rep.w[:1] + [rep.w[1] + Fraction(1, 3)] + rep.w[2:])
     elif field == "norm h_(N-1)":
         rep = rep._replace(h=rep.h[:4] + [rep.h[4] * 2] + rep.h[5:])
+    elif field == "top P_N":
+        rep = rep._replace(p_top=rep.p_top + LaurentPoly({2: Fraction(1, 3)}))
     elif field == "lambda_3":
         rep = rep._replace(lam=rep.lam[:3] + [rep.lam[3] + Fraction(1, 7)] + rep.lam[4:])
     else:
@@ -431,6 +433,7 @@ def _corrupt(rep, field: str):
         "partner R_(N-1) zero",
         "weight w_1",
         "norm h_(N-1)",
+        "top P_N",
         "lambda_3",
         "int X* main",
         "int X* upper",

@@ -275,6 +275,12 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
     assert captured.out == ""
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in captured.err
     assert "Traceback" not in captured.err
+    # the command's own usage line, which names the flags it does read
+    (usage,) = [line for line in captured.err.splitlines() if line.startswith("usage:")]
+    assert usage.startswith(f"usage: pastroq {argv[0]} [-h]")
+    usage_text = captured.err.split(f"pastroq {argv[0]}: error:")[0]
+    for flag in COMMAND_FLAGS[argv[0]]:
+        assert f"[{flag} " in usage_text
 
 
 def test_parameter_error_after_checks_keeps_them(monkeypatch):

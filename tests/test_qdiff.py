@@ -250,10 +250,31 @@ def test_witness_pinpoints_first_mismatch():
 #: For each column of the scalar table, the checks that read it at degree
 #: N_BAD: (name, n) for a per-degree check, (name, first witness degree)
 #: for a Baxter check, which scans the degrees and names the first failing
-#: one. The beta recurrence reads mu1_(n+1) and mu2_(n+1), so it fails one
-#: degree lower.
+#: one. The beta recurrence reads mu1_(n+1), mu2_(n+1) and alpha_(n+1), so
+#: it fails one degree lower. alpha_n and beta_n first enter h_(n+1) and
+#: the coupled step to degree n+1. The coupled families then carry a
+#: corrupted entry on (alpha_n: P~_(n+1), then Q_(n+2); beta_n: Q_(n+1),
+#: then P~_(n+2)), so the coupled matches and the restated recurrences fail
+#: at the first degree whose comparison takes it in on one side only.
 N_BAD = 3
 COLUMN_READERS = {
+    "alpha": {
+        ("baxter-alpha-recurrence", N_BAD),
+        ("baxter-beta-recurrence", N_BAD - 1),
+        ("baxter-norm-product", N_BAD + 1),
+        ("baxter-pastro-match", N_BAD + 1),
+        ("baxter-partner-match", N_BAD + 2),
+        ("baxter-recurrence-P", N_BAD),
+        ("baxter-recurrence-Q", N_BAD + 1),
+    },
+    "beta": {
+        ("baxter-beta-recurrence", N_BAD),
+        ("baxter-norm-product", N_BAD + 1),
+        ("baxter-pastro-match", N_BAD + 2),
+        ("baxter-partner-match", N_BAD + 1),
+        ("baxter-recurrence-P", N_BAD + 1),
+    },
+    "h": {("baxter-norm-product", N_BAD)},
     "lam": {("gevp", N_BAD), ("q-difference-equation", N_BAD)},
     "mu1": {
         ("recurrence-three-term", N_BAD),
