@@ -104,9 +104,9 @@ def verify_suite(params: QParams, n_max: int) -> list[Check]:
     """Every polynomial/operator identity at one parameter triple, n <= n_max.
 
     One pass over n = 0..n_max: each degree's record is built once, read by
-    the per-degree groups, then streamed into the Baxter checks. The groups
-    are reported in the order gevp, q-difference, recurrence, contiguity,
-    baxter.
+    the per-degree groups, then streamed into the Baxter checks, and no
+    reference to it outlives that degree. The groups are reported in the
+    order gevp, q-difference, recurrence, contiguity, baxter.
     """
     data = baxter_coefficients(n_max, params)
     gevp: list[Check] = []
@@ -114,16 +114,15 @@ def verify_suite(params: QParams, n_max: int) -> list[Check]:
     recurrence: list[Check] = []
     contiguity: list[Check] = []
 
-    def checked(records):
-        for record in records:
-            gevp.append(verify_gevp(record))
-            qdiff_equation.append(verify_qdiff_equation(record))
-            recurrence.extend(verify_recurrence(record))
-            contiguity.extend(verify_contiguity(record))
-            yield record
+    def checked(record):
+        gevp.append(verify_gevp(record))
+        qdiff_equation.append(verify_qdiff_equation(record))
+        recurrence.extend(verify_recurrence(record))
+        contiguity.extend(verify_contiguity(record))
+        return record
 
     baxter = verify_baxter_consistency(
-        n_max, params, data, checked(degree_records(params, n_max, data))
+        n_max, params, data, map(checked, degree_records(params, n_max, data))
     )
     return gevp + qdiff_equation + recurrence + contiguity + baxter
 

@@ -455,6 +455,7 @@ def verify_baxter_consistency(
             if residual:
                 q_witness = f"n={n - 1}: residual {residual}"
         previous = record.p, record.q_coupled
+        del record  # not held while the next record is built
 
     return [
         equality_check(

@@ -376,12 +376,26 @@ class LaurentPoly:
         if not nums or factor == 1:
             return self
         # With factor = p/r, the exponent-(low+i) term is scaled by
-        # p^i r^(top-i) times the common factor p^low / r^high, high = low + top.
+        # p^i r^(top-i) times the common factor p^low / r^high, high = low + top,
+        # kept as two ints: for low < 0 it is r^-low / (p^-low r^top), with the
+        # sign of p^-low moved to the numerator. The one content gcd below
+        # divides out the powers of r the two share.
         p, r = factor.numerator, factor.denominator
         top = len(nums) - 1
-        scale = factor**low / r**top
-        scaled = [n * p**i * r ** (top - i) * scale.numerator for i, n in enumerate(nums)]
-        den = self._den * scale.denominator
+        if low >= 0:
+            scale_num, scale_den = p**low, r ** (low + top)
+        else:
+            scale_num = -(r**-low) if p < 0 and low % 2 else r**-low
+            scale_den = abs(p) ** -low * r**top
+        r_powers = [1]
+        for _ in range(top):
+            r_powers.append(r_powers[-1] * r)
+        scaled = []
+        p_power = scale_num
+        for n, r_power in zip(nums, reversed(r_powers)):
+            scaled.append(n * (p_power * r_power))
+            p_power *= p
+        den = self._den * scale_den
         return _make(low, scaled, den, den)
 
     def derivative(self) -> "LaurentPoly":

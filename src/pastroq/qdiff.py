@@ -108,16 +108,25 @@ class QDiffOperator:
         if not isinstance(other, QDiffOperator):
             return NotImplemented
         self._require_same_ambient(other)
+        powers = {j: self.q**j for j in self._terms}
         pairs = product(self._terms.items(), other._terms.items())
-        return _operator(self.q, ((j + k, c1 * c2.dilate(self.q**j)) for (j, c1), (k, c2) in pairs))
+        return _operator(self.q, ((j + k, c1 * c2.dilate(powers[j])) for (j, c1), (k, c2) in pairs))
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         """Apply to a Laurent polynomial: sum_k c_k(x) f(q^k x)."""
         if not isinstance(f, LaurentPoly):
             raise TypeError(f"operand must be a LaurentPoly, got {f!r}")
+        return self.combine({k: f.dilate(self.q**k) for k in self._terms})
+
+    def combine(self, dilations: Mapping[int, LaurentPoly]) -> LaurentPoly:
+        """sum_k c_k(x) dilations[k]: the image of f when dilations[k] is f(q^k x).
+
+        ``dilations`` needs an entry for every shift of the operator, so
+        operators that share shifts can share the dilations of one f.
+        """
         total = LaurentPoly.zero()
         for k, coefficient in self._terms.items():
-            total = total + coefficient * f.dilate(self.q**k)
+            total = total + coefficient * dilations[k]
         return total
 
     def _require_same_ambient(self, other: "QDiffOperator") -> None:
@@ -184,14 +193,16 @@ def make_operators(params: QParams) -> tuple[QDiffOperator, QDiffOperator, QDiff
 class DegreeRecord(NamedTuple):
     """Everything the per-degree checks read at one degree n.
 
-    The eigenvalue-route P_(n-1) (zero at n = 0), P_n and P_(n+1); P_n at
-    the shifted parameter bq; the images X P_n, Y P_n, Z P_n; the
-    coupled-recurrence pair P~_n, Q_n of :func:`pastroq.pastro.baxter_step`;
-    the scalar table of ``params``, from which the checks read lambda_n,
-    mu1_n, mu2_n and the raise factor at n; ``qdiff_coefficients``, the
-    four coefficients x - q/a, q/a - x/b, x - q and q - b x of the
-    q-difference equation; and ``context``, the report parameters
-    ``params.describe()`` plus n that every check of the record carries.
+    The eigenvalue-route P_(n-1) (zero at n = 0), P_n and P_(n+1); the two
+    dilations P_n(qx) and P_n(x/q), the only ones taken at this degree;
+    P_n at the shifted parameter bq; the images X P_n, Y P_n, Z P_n, summed
+    from P_n and those two dilations; the coupled-recurrence pair P~_n, Q_n
+    of :func:`pastroq.pastro.baxter_step`; the scalar table of ``params``,
+    from which the checks read lambda_n, mu1_n, mu2_n and the raise factor
+    at n; ``qdiff_coefficients``, the four coefficients x - q/a, q/a - x/b,
+    x - q and q - b x of the q-difference equation; and ``context``, the
+    report parameters ``params.describe()`` plus n that every check of the
+    record carries.
     The table and the coefficients are built once per parameter point and
     shared by every record.
     """
@@ -204,6 +215,8 @@ class DegreeRecord(NamedTuple):
     p_prev: LaurentPoly
     p: LaurentPoly
     p_next: LaurentPoly
+    p_qx: LaurentPoly
+    p_x_over_q: LaurentPoly
     p_shifted: LaurentPoly
     x_image: LaurentPoly
     y_image: LaurentPoly
@@ -218,7 +231,10 @@ def degree_records(params: QParams, n_max: int, data: BaxterData) -> Iterator[De
     X, Y, Z are built once, and so are the q-difference coefficients,
     straight from x and the parameters, not from the coefficients of X and
     Y; each P_k is built once and held only while a record still needs it
-    (as P_(n+1), then P_n, then P_(n-1)); the coupled pair advances one
+    (as P_(n+1), then P_n, then P_(n-1)); each P_n is dilated once by q and
+    once by 1/q, and X, Y, Z sum their images from those two results
+    (:meth:`QDiffOperator.combine`), as the q-difference equation reads
+    them from the record; the coupled pair advances one
     :func:`pastroq.pastro.baxter_step` per degree, with the alpha_n, beta_n
     of ``data``. ``data`` is the scalar table of ``params`` for n <= n_max,
     and every record carries it.
@@ -231,6 +247,7 @@ def degree_records(params: QParams, n_max: int, data: BaxterData) -> Iterator[De
         x() - q,
         q - x() * b,
     )
+    q_inv = 1 / q
     described = params.describe()
     shifted = params.with_b(params.b * params.q)
     p_prev, p = LaurentPoly.zero(), pastro_poly(0, params)
@@ -241,6 +258,7 @@ def degree_records(params: QParams, n_max: int, data: BaxterData) -> Iterator[De
                 n - 1, p_coupled, q_coupled, data.alpha[n - 1], data.beta[n - 1]
             )
         p_next = pastro_poly(n + 1, params)
+        dilations = {-1: p.dilate(q_inv), 0: p, 1: p.dilate(q)}
         yield DegreeRecord(
             n=n,
             params=params,
@@ -250,10 +268,12 @@ def degree_records(params: QParams, n_max: int, data: BaxterData) -> Iterator[De
             p_prev=p_prev,
             p=p,
             p_next=p_next,
+            p_qx=dilations[1],
+            p_x_over_q=dilations[-1],
             p_shifted=pastro_poly(n, shifted),
-            x_image=X.apply(p),
-            y_image=Y.apply(p),
-            z_image=Z.apply(p),
+            x_image=X.combine(dilations),
+            y_image=Y.combine(dilations),
+            z_image=Z.combine(dilations),
             p_coupled=p_coupled,
             q_coupled=q_coupled,
         )
@@ -274,15 +294,18 @@ def verify_qdiff_equation(record: DegreeRecord) -> Check:
 
     (x - q/a) P_n(qx) + (q/a - x/b) P_n(x)
         = lambda_n [ (x - q) P_n(x/q) + (q - b x) P_n(x) ].
-    This route reads P_n and the four coefficients from the record, dilates
-    P_n itself and never builds operator objects, so it is independent of
-    the operator calculus exercised by :func:`verify_gevp`.
+    This route reads P_n, its dilations P_n(qx) and P_n(x/q) and the four
+    coefficients from the record. The dilations are the ones X, Y, Z sum
+    their images from, so only the substrate call is shared: the
+    coefficients come from x and the parameters, not from X and Y, and no
+    operator object is built, so the route is independent of the operator
+    calculus exercised by :func:`verify_gevp`.
     """
-    p, q = record.p, record.params.q
+    p = record.p
     lhs_dilated, lhs_fixed, rhs_dilated, rhs_fixed = record.qdiff_coefficients
     lam = record.table.lam[record.n]
-    lhs = lhs_dilated * p.dilate(q) + lhs_fixed * p
-    rhs = (rhs_dilated * p.dilate(1 / q) + rhs_fixed * p) * lam
+    lhs = lhs_dilated * record.p_qx + lhs_fixed * p
+    rhs = (rhs_dilated * record.p_x_over_q + rhs_fixed * p) * lam
     return equality_check(
         "q-difference-equation",
         "(x - q/a) P_n(qx) + (q/a - x/b) P_n(x) = "

@@ -28,7 +28,6 @@ __all__ = [
     "equality_check",
     "first_mismatch",
     "poly_mismatch_witness",
-    "matrix_mismatch_witness",
     "vector_mismatch_witness",
     "poly_to_json",
     "matrix_to_json",
@@ -139,16 +138,6 @@ def poly_mismatch_witness(lhs: LaurentPoly, rhs: LaurentPoly) -> str | None:
         "exponent {}: lhs {}, rhs {}",
         ((e, lhs.coefficient(e), rhs.coefficient(e)) for e in exponents),
     )
-
-
-def matrix_mismatch_witness(lhs: list[list[Fraction]], rhs: list[list[Fraction]]) -> str | None:
-    """First entry where two matrices differ, or None."""
-    entries = (
-        (s, t, left, right)
-        for s, (row_l, row_r) in enumerate(zip(lhs, rhs))
-        for t, left, right in zip(count(), row_l, row_r)
-    )
-    return first_mismatch("entry ({},{}): lhs {}, rhs {}", entries)
 
 
 def vector_mismatch_witness(lhs: list[Fraction], rhs: list[Fraction]) -> str | None:

@@ -9,12 +9,14 @@ Fraction form of the int X* and Y* bands to P*_n, and the partner checks
 scan every pair of entries (:func:`proportionality_witness`). The two
 references read the same ``GridRep`` fields as the package's checks (the
 int vectors through ``GridVector.values()``), so a corrupted field
-reaches both routes the same way.
+reaches both routes the same way. Only these references compare dense
+matrices, so :func:`matrix_mismatch_witness` lives here too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 
 from pastroq.biorth import Band, GridRep, mat_vec, tau_parameter
 from pastroq.pastro import pastro_poly
@@ -22,9 +24,19 @@ from pastroq.qcore import LaurentPoly, QParams, ResonantParameterError, format_r
 from pastroq.report import (
     Check,
     equality_check,
-    matrix_mismatch_witness,
+    first_mismatch,
     vector_mismatch_witness,
 )
+
+
+def matrix_mismatch_witness(lhs: list[list[Fraction]], rhs: list[list[Fraction]]) -> str | None:
+    """First entry where two matrices differ, or None."""
+    entries = (
+        (s, t, left, right)
+        for s, (row_l, row_r) in enumerate(zip(lhs, rhs))
+        for t, left, right in zip(count(), row_l, row_r)
+    )
+    return first_mismatch("entry ({},{}): lhs {}, rhs {}", entries)
 
 
 def grid_samples(poly: LaurentPoly, grid: list[Fraction]) -> list[Fraction]:

@@ -12,6 +12,7 @@ import grid_reference
 from grid_reference import (
     fraction_band,
     grid_samples,
+    matrix_mismatch_witness,
     reference_adjoint_gevp,
     reference_biorthogonality,
     scalar_product,
@@ -47,7 +48,6 @@ from pastroq.qcore import (
     QParams,
     ResonantParameterError,
 )
-from pastroq.report import matrix_mismatch_witness
 
 Q = Fraction(1, 2)
 B = Fraction(1, 5)

@@ -214,6 +214,8 @@ def test_degree_records_match_direct_constructions(params):
         assert record.p_prev == (pastro_poly(n - 1, params) if n else LaurentPoly.zero())
         assert record.p == p
         assert record.p_next == pastro_poly(n + 1, params)
+        assert record.p_qx == p.dilate(params.q)
+        assert record.p_x_over_q == p.dilate(1 / params.q)
         assert record.p_shifted == pastro_poly(n, shifted)
         assert record.x_image == X.apply(p)
         assert record.y_image == Y.apply(p)
@@ -231,6 +233,50 @@ def test_corrupted_record_fails_with_witness():
     )
     statuses = {check.name: check.status for check in verify_contiguity(corrupted)}
     assert statuses == {"contiguity-X": "FAIL", "contiguity-Y": "PASS", "contiguity-Z": "PASS"}
+
+
+def _failed_names(record) -> set[str]:
+    """Names of the per-degree checks that FAIL on ``record``."""
+    checks = [verify_gevp(record), verify_qdiff_equation(record)]
+    checks += verify_recurrence(record) + verify_contiguity(record)
+    return {check.name for check in checks if check.status == "FAIL"}
+
+
+#: For each record field below, the exact per-degree checks that read it.
+FIELD_READERS = {
+    "x_image": {"gevp", "contiguity-X", "recurrence-X-action", "recurrence-X-from-Z"},
+    "y_image": {"gevp", "contiguity-Y"},
+    "z_image": {"contiguity-Z", "recurrence-X-from-Z", "recurrence-Z-action"},
+    "p_qx": {"q-difference-equation"},
+    "p_x_over_q": {"q-difference-equation"},
+}
+
+
+@pytest.mark.parametrize("field", sorted(FIELD_READERS))
+def test_corrupted_field_fails_exactly_its_readers(field):
+    record = records(REFERENCE, 3)[3]
+    assert _failed_names(record) == set()
+    corrupted = record._replace(**{field: getattr(record, field) + x(2)})
+    assert _failed_names(corrupted) == FIELD_READERS[field]
+
+
+@pytest.mark.parametrize("params", [REFERENCE, SECOND])
+def test_each_degree_dilates_p_n_twice(params, monkeypatch):
+    calls = 0
+    dilate = LaurentPoly.dilate
+
+    def counted(self, factor):
+        nonlocal calls
+        calls += 1
+        return dilate(self, factor)
+
+    monkeypatch.setattr(LaurentPoly, "dilate", counted)
+    n_max = 5
+    records(params, n_max)
+    assert calls == 2 * (n_max + 1)
+    calls = 0
+    cli.verify_suite(params, n_max)
+    assert calls == 2 * (n_max + 1)
 
 
 def test_witness_pinpoints_first_mismatch():

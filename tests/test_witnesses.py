@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grid_reference import matrix_mismatch_witness
 from pastroq import cli
 from pastroq.biorth import (
     Band,
@@ -24,7 +25,7 @@ from pastroq.biorth import (
 )
 from pastroq.pastro import baxter_coefficients, verify_baxter_consistency
 from pastroq.qcore import QParams, format_rational
-from pastroq.report import first_mismatch, matrix_mismatch_witness, vector_mismatch_witness
+from pastroq.report import first_mismatch, vector_mismatch_witness
 
 REFERENCE = QParams(Fraction(1, 2), Fraction(3), Fraction(1, 5))
 SECOND = QParams(Fraction(-4, 5), Fraction(6), Fraction(-2))
