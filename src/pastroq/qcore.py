@@ -387,14 +387,7 @@ class LaurentPoly:
         else:
             scale_num = -(r**-low) if p < 0 and low % 2 else r**-low
             scale_den = abs(p) ** -low * r**top
-        r_powers = [1]
-        for _ in range(top):
-            r_powers.append(r_powers[-1] * r)
-        scaled = []
-        p_power = scale_num
-        for n, r_power in zip(nums, reversed(r_powers)):
-            scaled.append(n * (p_power * r_power))
-            p_power *= p
+        scaled = [n * p**i * r ** (top - i) * scale_num for i, n in enumerate(nums)]
         den = self._den * scale_den
         return _make(low, scaled, den, den)
 

@@ -112,18 +112,19 @@ class QDiffOperator:
         pairs = product(self._terms.items(), other._terms.items())
         return _operator(self.q, ((j + k, c1 * c2.dilate(powers[j])) for (j, c1), (k, c2) in pairs))
 
-    def apply(self, f: LaurentPoly) -> LaurentPoly:
-        """Apply to a Laurent polynomial: sum_k c_k(x) f(q^k x)."""
+    def apply(
+        self, f: LaurentPoly, dilations: Mapping[int, LaurentPoly] | None = None
+    ) -> LaurentPoly:
+        """Apply to a Laurent polynomial: sum_k c_k(x) f(q^k x).
+
+        ``dilations``, if given, maps every shift k of the operator to
+        f(q^k x) already built, so operators that share shifts can share
+        the dilations of one f; otherwise f is dilated here.
+        """
         if not isinstance(f, LaurentPoly):
             raise TypeError(f"operand must be a LaurentPoly, got {f!r}")
-        return self.combine({k: f.dilate(self.q**k) for k in self._terms})
-
-    def combine(self, dilations: Mapping[int, LaurentPoly]) -> LaurentPoly:
-        """sum_k c_k(x) dilations[k]: the image of f when dilations[k] is f(q^k x).
-
-        ``dilations`` needs an entry for every shift of the operator, so
-        operators that share shifts can share the dilations of one f.
-        """
+        if dilations is None:
+            dilations = {k: f.dilate(self.q**k) for k in self._terms}
         total = LaurentPoly.zero()
         for k, coefficient in self._terms.items():
             total = total + coefficient * dilations[k]
@@ -233,7 +234,7 @@ def degree_records(params: QParams, n_max: int, data: BaxterData) -> Iterator[De
     Y; each P_k is built once and held only while a record still needs it
     (as P_(n+1), then P_n, then P_(n-1)); each P_n is dilated once by q and
     once by 1/q, and X, Y, Z sum their images from those two results
-    (:meth:`QDiffOperator.combine`), as the q-difference equation reads
+    (through :meth:`QDiffOperator.apply`), as the q-difference equation reads
     them from the record; the coupled pair advances one
     :func:`pastroq.pastro.baxter_step` per degree, with the alpha_n, beta_n
     of ``data``. ``data`` is the scalar table of ``params`` for n <= n_max,
@@ -271,9 +272,9 @@ def degree_records(params: QParams, n_max: int, data: BaxterData) -> Iterator[De
             p_qx=dilations[1],
             p_x_over_q=dilations[-1],
             p_shifted=pastro_poly(n, shifted),
-            x_image=X.combine(dilations),
-            y_image=Y.combine(dilations),
-            z_image=Z.combine(dilations),
+            x_image=X.apply(p, dilations),
+            y_image=Y.apply(p, dilations),
+            z_image=Z.apply(p, dilations),
             p_coupled=p_coupled,
             q_coupled=q_coupled,
         )
