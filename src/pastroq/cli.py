@@ -100,13 +100,17 @@ def _admissible(config: RunConfig) -> QParams:
     return params
 
 
-def verify_suite(params: QParams, n_max: int) -> list[Check]:
+def verify_suite(
+    params: QParams, n_max: int, context: dict[str, str] | None = None
+) -> list[Check]:
     """Every polynomial/operator identity at one parameter triple, n <= n_max.
 
     One pass over n = 0..n_max: each degree's record is built once, read by
     the per-degree groups, then streamed into the Baxter checks, and no
     reference to it outlives that degree. The groups are reported in the
-    order gevp, q-difference, recurrence, contiguity, baxter.
+    order gevp, q-difference, recurrence, contiguity, baxter. The keys of
+    ``context`` join the one params dict of each record and the one of the
+    Baxter checks.
     """
     data = baxter_coefficients(n_max, params)
     gevp: list[Check] = []
@@ -121,9 +125,8 @@ def verify_suite(params: QParams, n_max: int) -> list[Check]:
         contiguity.extend(verify_contiguity(record))
         return record
 
-    baxter = verify_baxter_consistency(
-        n_max, params, data, map(checked, degree_records(params, n_max, data))
-    )
+    records = degree_records(params, n_max, data, context)
+    baxter = verify_baxter_consistency(n_max, params, data, map(checked, records), context)
     return gevp + qdiff_equation + recurrence + contiguity + baxter
 
 
@@ -265,10 +268,7 @@ def _sweep(config: RunConfig, report: Report, context: dict[str, str]) -> tuple[
             )
             continue
         accepted += 1
-        report.checks.extend(
-            Check(c.name, c.identity, c.params | {"draw": label}, c.status, c.witness)
-            for c in verify_suite(params, config.n_max)
-        )
+        report.extend(verify_suite(params, config.n_max, {"draw": label}))
         if accepted == config.draws:
             break
     if accepted < config.draws:

@@ -386,7 +386,11 @@ def grid_weights(N: int, b: Scalar, q: Scalar) -> list[Fraction]:
 
 
 def verify_baxter_consistency(
-    n_max: int, params: QParams, data: BaxterData, records: Iterable
+    n_max: int,
+    params: QParams,
+    data: BaxterData,
+    records: Iterable,
+    context: dict[str, str] | None = None,
 ) -> list[Check]:
     """Cross-check the coupled-recurrence route against every closed form.
 
@@ -406,10 +410,12 @@ def verify_baxter_consistency(
     The three scalar checks read ``data`` and word their first differing
     degree through :func:`pastroq.report.first_mismatch`. The beta ratio is
     undefined from the first alpha_(n+1) = 0 on, so its scan stops there,
-    and that degree is the witness when no earlier one differs.
+    and that degree is the witness when no earlier one differs. The seven
+    checks share one context: ``params.describe()``, n_max and the keys of
+    ``context``.
     """
     _check_degree(n_max)
-    context = params.describe() | {"n_max": str(n_max)}
+    context = params.describe() | {"n_max": str(n_max)} | (context or {})
 
     alpha, beta, mu1, mu2 = data.alpha, data.beta, data.mu1, data.mu2
     alpha_witness = first_mismatch(

@@ -202,8 +202,8 @@ class DegreeRecord(NamedTuple):
     from which the checks read lambda_n, mu1_n, mu2_n and the raise factor
     at n; ``qdiff_coefficients``, the four coefficients x - q/a, q/a - x/b,
     x - q and q - b x of the q-difference equation; and ``context``, the
-    report parameters ``params.describe()`` plus n that every check of the
-    record carries.
+    report parameters ``params.describe()`` plus n and the caller's keys,
+    one dict that every check of the record carries.
     The table and the coefficients are built once per parameter point and
     shared by every record.
     """
@@ -226,7 +226,9 @@ class DegreeRecord(NamedTuple):
     q_coupled: LaurentPoly
 
 
-def degree_records(params: QParams, n_max: int, data: BaxterData) -> Iterator[DegreeRecord]:
+def degree_records(
+    params: QParams, n_max: int, data: BaxterData, context: dict[str, str] | None = None
+) -> Iterator[DegreeRecord]:
     """The records of n = 0..n_max, built in one pass over the degrees.
 
     X, Y, Z are built once, and so are the q-difference coefficients,
@@ -238,7 +240,8 @@ def degree_records(params: QParams, n_max: int, data: BaxterData) -> Iterator[De
     them from the record; the coupled pair advances one
     :func:`pastroq.pastro.baxter_step` per degree, with the alpha_n, beta_n
     of ``data``. ``data`` is the scalar table of ``params`` for n <= n_max,
-    and every record carries it.
+    and every record carries it. The keys of ``context`` (a sweep's draw
+    label, say) join each record's context.
     """
     X, Y, Z = make_operators(params)
     q, a, b = params.q, params.a, params.b
@@ -249,7 +252,7 @@ def degree_records(params: QParams, n_max: int, data: BaxterData) -> Iterator[De
         q - x() * b,
     )
     q_inv = 1 / q
-    described = params.describe()
+    described = params.describe() | (context or {})
     shifted = params.with_b(params.b * params.q)
     p_prev, p = LaurentPoly.zero(), pastro_poly(0, params)
     p_coupled = q_coupled = LaurentPoly.one()

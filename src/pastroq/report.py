@@ -5,7 +5,9 @@ than booleans, so that failures carry a witness (the first exponent, entry
 or shift where two exact values differ) and so the CLI can render a stable
 report. One loop, :func:`first_mismatch`, finds and words every failed
 comparison. Rendering is deterministic: checks keep their declaration order,
-JSON map keys are sorted, and no floats ever appear.
+JSON map keys are sorted, and no floats ever appear. JSON is written one
+string per check, with each shared identity, name or params object encoded
+once, so no document dict of the whole report is built.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ FAIL = "FAIL"
 ERROR = "ERROR"
 SKIP = "SKIP"
 
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``: the one
+#: encoder every JSON value of a report goes through.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 @dataclass(frozen=True)
 class Check:
@@ -46,7 +52,9 @@ class Check:
 
     ``identity`` is an ASCII rendering of the mathematical statement being
     checked, so a report line is meaningful on its own. ``witness`` holds
-    the first concrete discrepancy when the check does not pass.
+    the first concrete discrepancy when the check does not pass. ``params``
+    may be shared by several checks (every check of one degree record
+    carries the record's context dict), so it is never mutated.
     """
 
     name: str
@@ -54,15 +62,6 @@ class Check:
     params: dict[str, str] = field(default_factory=dict)
     status: str = PASS
     witness: str | None = None
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "identity": self.identity,
-            "params": dict(self.params),
-            "status": self.status,
-            "witness": self.witness,
-        }
 
 
 @dataclass
@@ -90,14 +89,45 @@ class Report:
             return 1
         return 0
 
-    def to_dict(self) -> dict[str, object]:
-        return {"checks": [check.to_dict() for check in self.checks]}
-
     def render_json(self, extra: dict[str, object] | None = None) -> str:
-        document = self.to_dict()
-        if extra:
-            document.update(extra)
-        return json.dumps(document, sort_keys=True, separators=(",", ":"))
+        """The document ``{"checks": [...]}`` plus the keys of ``extra``.
+
+        The bytes are those of ``json.dumps(document, sort_keys=True,
+        separators=(",", ":"))``, but no document is built: each check is
+        written as one string with its keys in sorted order, and each
+        distinct identity, name, params, status or witness object is encoded
+        once, memoised by ``id`` (the checks keep those objects alive for
+        the whole render). The other values go through the same encoder.
+        ``extra`` holds the top-level keys other than "checks".
+        """
+        extra = extra or {}
+        memo: dict[int, str] = {}
+
+        def shared(value: object) -> str:
+            text = memo.get(id(value))
+            if text is None:
+                text = memo[id(value)] = _encode(value)
+            return text
+
+        def pieces():
+            for i, key in enumerate(sorted(["checks", *extra])):
+                yield f'{"," if i else "{"}{_encode(key)}:'
+                if key != "checks":
+                    yield _encode(extra[key])
+                    continue
+                yield "["
+                for j, c in enumerate(self.checks):
+                    if j:
+                        yield ","
+                    yield (
+                        f'{{"identity":{shared(c.identity)},"name":{shared(c.name)},'
+                        f'"params":{shared(c.params)},"status":{shared(c.status)},'
+                        f'"witness":{shared(c.witness)}}}'
+                    )
+                yield "]"
+            yield "}"
+
+        return "".join(pieces())
 
     def render_text(self) -> str:
         lines = []

@@ -412,6 +412,10 @@ def _corrupt(rep, field: str):
         rep = rep._replace(w=rep.w[:1] + [rep.w[1] + Fraction(1, 3)] + rep.w[2:])
     elif field == "norm h_(N-1)":
         rep = rep._replace(h=rep.h[:4] + [rep.h[4] * 2] + rep.h[5:])
+    elif field == "norm h_N + 1":
+        rep = rep._replace(h=rep.h[:5] + [rep.h[5] + 1])
+    elif field == "norm h_2 = 0":
+        rep = rep._replace(h=rep.h[:2] + [Fraction(0)] + rep.h[3:])
     elif field == "top P_N":
         rep = rep._replace(p_top=rep.p_top + LaurentPoly({2: Fraction(1, 3)}))
     elif field == "lambda_3":
@@ -425,6 +429,14 @@ def _corrupt(rep, field: str):
     return rep
 
 
+#: Corruptions whose FAILed check names are pinned exactly, with the
+#: witness of the norm check among them.
+EXACT_FAILURES = {
+    "norm h_N + 1": ({"norm-truncation"}, "h_N = 1"),
+    "norm h_2 = 0": ({"gram-diagonal", "norm-nonzero"}, "h_2 = 0"),
+}
+
+
 @pytest.mark.parametrize(
     "field",
     [
@@ -433,6 +445,8 @@ def _corrupt(rep, field: str):
         "partner R_(N-1) zero",
         "weight w_1",
         "norm h_(N-1)",
+        "norm h_N + 1",
+        "norm h_2 = 0",
         "top P_N",
         "lambda_3",
         "int X* main",
@@ -444,8 +458,13 @@ def test_corrupted_rep_fails_as_the_fraction_route(field, q, b):
     rep = _corrupt(make_grid_rep(5, b, q), field)
     checks = _grid_suite(rep, verify_adjoint_gevp, verify_biorthogonality)
     expected = _grid_suite(rep, reference_adjoint_gevp, reference_biorthogonality)
-    assert _failures(checks)
+    failures = _failures(checks)
+    assert failures
     assert checks == expected
+    if field in EXACT_FAILURES:
+        names, witness = EXACT_FAILURES[field]
+        assert {name for name, _, _ in failures} == names
+        assert witness in {text for _, _, text in failures}
 
 
 @pytest.mark.parametrize("q, b", [(Q, B), (Fraction(-4, 5), Fraction(-2))])

@@ -160,6 +160,20 @@ def test_verify_suite_holds_one_context_per_degree():
     assert len({id(check.params) for check in checks}) == 42
 
 
+def test_sweep_degree_checks_share_one_context_with_the_draw():
+    report, _, _ = run(RunConfig("sweep", seed=9, draws=3, n_max=3))
+    contexts = {}
+    for check in report.checks:
+        if check.status != "SKIP":
+            key = (check.params["draw"], check.params.get("n", "baxter"))
+            contexts.setdefault(key, []).append(check.params)
+    assert len(contexts) == 3 * (4 + 1)
+    for (draw, n), shared in contexts.items():
+        assert len(shared) == (9 if n != "baxter" else 7)
+        assert all(params is shared[0] for params in shared), (draw, n)
+        assert shared[0]["draw"] == draw
+
+
 def test_grid_checks_share_the_rep_context():
     rep = make_grid_rep(4, Fraction(1, 5), Fraction(1, 2))
     assert rep.context == {"N": "4", "b": "1/5", "q": "1/2"}
