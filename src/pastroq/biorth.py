@@ -11,7 +11,9 @@ matrix identity.
 
 Every grid operator here (T^+, T^-, X, Y, their adjoints and tau flips)
 is bidiagonal, so each is stored as a :class:`Band` of three diagonals
-rather than as a dense N x N matrix.
+rather than as a dense N x N matrix. X, Y and the closed forms of X*, Y*
+are q-difference operators restricted by :func:`restrict`, X and Y those of
+:func:`pastroq.qdiff.make_operators`; tau-involution reads the rep's bands.
 
 Grid values come from ``LaurentPoly.sample_at_powers`` as a
 :class:`GridVector`: int numerators over one positive denominator. Every
@@ -39,6 +41,7 @@ from .qcore import (
     ResonantParameterError,
     Scalar,
     format_rational,
+    x,
 )
 from .pastro import (
     _norm_constants,
@@ -48,6 +51,7 @@ from .pastro import (
     grid_weights,
     pastro_poly,
 )
+from .qdiff import QDiffOperator, make_operators
 from .report import Check, equality_check, first_mismatch, vector_mismatch_witness
 
 __all__ = [
@@ -63,6 +67,7 @@ __all__ = [
     "tau_transform",
     "shift_plus_matrix",
     "shift_minus_matrix",
+    "restrict",
     "restricted_x_matrix",
     "restricted_y_matrix",
     "GridVector",
@@ -198,50 +203,34 @@ def shift_minus_matrix(N: int) -> Band:
     return Band([Fraction(1)] * (N - 1), _zeros(N), _zeros(N - 1))
 
 
-def restricted_x_matrix(N: int, b: Scalar, q: Scalar) -> Band:
-    """X on the grid: q(q^s - 1) T^- + q(1 - b q^s) I.
+def restrict(operator: QDiffOperator, N: int) -> Band:
+    """c_(-1) T^- + c_0 I + c_1 T^+ on grid values: c_k(x_s) at entry (s, s+k).
 
-    The s = 0 subdiagonal coefficient q(q^0 - 1) vanishes, so the lower
-    boundary condition is automatic.
+    (T^k f)(x_s) = f(x_(s+k)) with x_s = q^(s+1). c_(-1)(x_0) and
+    c_1(x_(N-1)) fall off the grid and are not sampled; they vanish for every
+    operator restricted here, so the boundary conditions are automatic. A
+    shift the operator lacks gives a zero diagonal.
     """
-    b, q = Fraction(b), Fraction(q)
-    return Band(
-        [q * (q**s - 1) for s in range(1, N)],
-        [q * (1 - b * q**s) for s in range(N)],
-        _zeros(N - 1),
-    )
+    if not set(operator.shifts) <= {-1, 0, 1}:
+        raise ValueError(f"shifts {operator.shifts} do not fit a band")
+    rows = range(1, N + 1)  # x_s = q^(s+1)
+
+    def diagonal(shift: int, exponents: range) -> list[Fraction]:
+        if shift not in operator.shifts:
+            return _zeros(len(exponents))
+        return operator.coefficient(shift).sample_at_powers(operator.q, exponents).values()
+
+    return Band(diagonal(-1, rows[1:]), diagonal(0, rows), diagonal(1, rows[:-1]))
+
+
+def restricted_x_matrix(N: int, b: Scalar, q: Scalar) -> Band:
+    """X of :func:`make_operators` at a = q^(1-N), restricted to the grid."""
+    return restrict(make_operators(QParams(q, Fraction(q) ** (1 - N), b))[0], N)
 
 
 def restricted_y_matrix(N: int, b: Scalar, q: Scalar) -> Band:
-    """Y on the grid: (q^(s+1) - q^N) T^+ + (q^N - q^(s+1)/b) I.
-
-    The s = N-1 superdiagonal coefficient q^N - q^N vanishes, so the upper
-    boundary condition is automatic.
-    """
-    b, q = Fraction(b), Fraction(q)
-    return Band(
-        _zeros(N - 1),
-        [q**N - q ** (s + 1) / b for s in range(N)],
-        [q ** (s + 1) - q**N for s in range(N - 1)],
-    )
-
-
-def _adjoint_x_closed_form(N: int, b: Fraction, q: Fraction) -> Band:
-    """X* = b (q^(s+1) - q^N) T^+ + q (1 - b q^s) I."""
-    return Band(
-        _zeros(N - 1),
-        [q * (1 - b * q**s) for s in range(N)],
-        [b * (q ** (s + 1) - q**N) for s in range(N - 1)],
-    )
-
-
-def _adjoint_y_closed_form(N: int, b: Fraction, q: Fraction) -> Band:
-    """Y* = (q/b)(q^s - 1) T^- + (q^N - q^(s+1)/b) I."""
-    return Band(
-        [(q / b) * (q**s - 1) for s in range(1, N)],
-        [q**N - q ** (s + 1) / b for s in range(N)],
-        _zeros(N - 1),
-    )
+    """Y of :func:`make_operators` at a = q^(1-N), restricted to the grid."""
+    return restrict(make_operators(QParams(q, Fraction(q) ** (1 - N), b))[1], N)
 
 
 class GridRep(NamedTuple):
@@ -289,8 +278,8 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
     w = grid_weights(N, b, q)
     q, b = Fraction(q), Fraction(b)
     params = QParams(q, q ** (1 - N), b)
-    X = restricted_x_matrix(N, b, q)
-    Y = restricted_y_matrix(N, b, q)
+    X, Y, _ = make_operators(params)
+    X, Y = restrict(X, N), restrict(Y, N)
     grid = [q ** (s + 1) for s in range(N)]
     exponents = range(1, N + 1)
     poly_values = [pastro_poly(n, params).sample_at_powers(q, exponents) for n in range(N)]
@@ -392,7 +381,10 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
             "adjoint-X-closed-form",
             "X* = b (q^(s+1) - q^N) T^+ + q (1 - b q^s) I",
             context,
-            band_mismatch_witness(rep.matrices["X*"], _adjoint_x_closed_form(N, b, q)),
+            band_mismatch_witness(
+                rep.matrices["X*"],
+                restrict(QDiffOperator(q, {1: (x() - q**N) * b, 0: q - x() * b}), N),
+            ),
         )
     )
     checks.append(
@@ -400,7 +392,10 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
             "adjoint-Y-closed-form",
             "Y* = (q/b)(q^s - 1) T^- + (q^N - q^(s+1)/b) I",
             context,
-            band_mismatch_witness(rep.matrices["Y*"], _adjoint_y_closed_form(N, b, q)),
+            band_mismatch_witness(
+                rep.matrices["Y*"],
+                restrict(QDiffOperator(q, {-1: (x() - q) / b, 0: q**N - x() / b}), N),
+            ),
         )
     )
 
@@ -464,7 +459,7 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
                 f"tau-involution-{name}",
                 f"tau(tau({name})) = {name}",
                 context,
-                band_mismatch_witness(double_flip, build(N, b, q)),
+                band_mismatch_witness(double_flip, rep.matrices[name]),
             )
         )
     return checks
@@ -616,14 +611,15 @@ def verify_biorthogonality(rep: GridRep) -> tuple[Matrix, list[Check]]:
     target = LaurentPoly.one()
     for point in grid:
         target = target * LaurentPoly({1: 1, 0: -point})
+    support = sorted(set(p_top.support).union(range(N + 1)))
     checks.append(
         equality_check(
             "truncation-polynomial",
             "P_N = prod_s (x - q^(s+1))",
             context,
-            vector_mismatch_witness(
-                [p_top.coefficient(k) for k in range(N + 1)],
-                [target.coefficient(k) for k in range(N + 1)],
+            first_mismatch(
+                "index {}: lhs {}, rhs {}",
+                ((k, p_top.coefficient(k), target.coefficient(k)) for k in support),
             ),
         )
     )

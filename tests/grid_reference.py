@@ -172,9 +172,12 @@ def reference_biorthogonality(rep: GridRep) -> tuple[list[list[Fraction]], list[
             "truncation-polynomial",
             "P_N = prod_s (x - q^(s+1))",
             context,
-            vector_mismatch_witness(
-                [p_top.coefficient(k) for k in range(N + 1)],
-                [target.coefficient(k) for k in range(N + 1)],
+            first_mismatch(
+                "index {}: lhs {}, rhs {}",
+                (
+                    (k, p_top.coefficient(k), target.coefficient(k))
+                    for k in range(min(0, p_top.valuation or 0), max(N, p_top.degree or 0) + 1)
+                ),
             ),
         )
     )

@@ -124,3 +124,43 @@ def test_gamma4_is_central():
     constants, _ = qhahn_embedding(rep, Fraction(2, 3))
     for generator in (rep.Xp, rep.Yp, rep.Zp):
         assert constants.gamma4 @ generator == generator @ constants.gamma4
+
+
+def _algebra_suite(rep):
+    """Every algebra check of a rep, the pencil at mu = 2/3."""
+    checks = verify_raw_relations(rep) + verify_affine_relations(rep) + casimir_centrality(rep)
+    return checks + qhahn_embedding(rep, Fraction(2, 3))[1]
+
+
+def _identity(rep):
+    return QDiffOperator.identity(rep.params.q)
+
+
+#: One field of an AlgebraRep moved, and the exact set of checks it FAILs.
+ALGEBRA_FAULTS = {
+    "Z + I": (
+        lambda rep: rep._replace(Z=rep.Z + _identity(rep)),
+        {"raw-relation-YZ", "raw-relation-ZX"},
+    ),
+    "casimir + Y'": (
+        lambda rep: rep._replace(casimir=rep.casimir + rep.Yp),
+        {"casimir-central-X", "casimir-central-Z", "qhahn-ML"},
+    ),
+    "casimir + I": (
+        lambda rep: rep._replace(casimir=rep.casimir + _identity(rep)),
+        {"qhahn-ML"},
+    ),
+    "alpha1 + 1": (
+        lambda rep: rep._replace(alpha1=rep.alpha1 + 1),
+        {"affine-relation-YZ", "askey-wilson-cyclic-presentation", "qhahn-ML", "qhahn-ZM"},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(ALGEBRA_FAULTS))
+@pytest.mark.parametrize("params", POINTS)
+def test_algebra_fault_fails_exactly_its_checks(fault, params):
+    corrupt, names = ALGEBRA_FAULTS[fault]
+    failed = [c for c in _algebra_suite(corrupt(make_algebra_rep(params))) if c.status != "PASS"]
+    assert {check.name for check in failed} == names
+    assert all(check.witness for check in failed)

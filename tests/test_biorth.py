@@ -26,6 +26,7 @@ from pastroq.biorth import (
     make_grid_rep,
     mat_vec,
     proportionality_witness,
+    restrict,
     restricted_x_matrix,
     restricted_y_matrix,
     tau_conjugate,
@@ -47,7 +48,9 @@ from pastroq.qcore import (
     ParameterError,
     QParams,
     ResonantParameterError,
+    x,
 )
+from pastroq.qdiff import QDiffOperator, make_operators
 
 Q = Fraction(1, 2)
 B = Fraction(1, 5)
@@ -418,6 +421,8 @@ def _corrupt(rep, field: str):
         rep = rep._replace(h=rep.h[:2] + [Fraction(0)] + rep.h[3:])
     elif field == "top P_N":
         rep = rep._replace(p_top=rep.p_top + LaurentPoly({2: Fraction(1, 3)}))
+    elif field == "top P_N + x^(N+1)":
+        rep = rep._replace(p_top=rep.p_top + LaurentPoly({6: 1}))
     elif field == "lambda_3":
         rep = rep._replace(lam=rep.lam[:3] + [rep.lam[3] + Fraction(1, 7)] + rep.lam[4:])
     else:
@@ -434,6 +439,10 @@ def _corrupt(rep, field: str):
 EXACT_FAILURES = {
     "norm h_N + 1": ({"norm-truncation"}, "h_N = 1"),
     "norm h_2 = 0": ({"gram-diagonal", "norm-nonzero"}, "h_2 = 0"),
+    "top P_N + x^(N+1)": (
+        {"truncation-polynomial", "truncation-simple-roots", "weight-origin"},
+        "index 6: lhs 1, rhs 0",
+    ),
 }
 
 
@@ -448,6 +457,7 @@ EXACT_FAILURES = {
         "norm h_N + 1",
         "norm h_2 = 0",
         "top P_N",
+        "top P_N + x^(N+1)",
         "lambda_3",
         "int X* main",
         "int X* upper",
@@ -465,6 +475,110 @@ def test_corrupted_rep_fails_as_the_fraction_route(field, q, b):
         names, witness = EXACT_FAILURES[field]
         assert {name for name, _, _ in failures} == names
         assert witness in {text for _, _, text in failures}
+
+
+def _plus_third(index: int):
+    """make_operators with I/3 added to X (index 0) or to Y (index 1)."""
+
+    def corrupted(params):
+        triple = list(make_operators(params))
+        triple[index] += Fraction(1, 3) * QDiffOperator.identity(params.q)
+        return tuple(triple)
+
+    return corrupted
+
+
+def _off_the_rep_tau(b):
+    """tau_parameter, exact at b and off by one at every other parameter."""
+
+    def corrupted(b_value, q, N):
+        flipped = tau_parameter(b_value, q, N)
+        return flipped if Fraction(b_value) == b else flipped + 1
+
+    return corrupted
+
+
+def _bumped_x_main(rep):
+    main = list(rep.matrices["X"].main)
+    main[0] += 1
+    rep.matrices["X"] = rep.matrices["X"]._replace(main=main)
+    return rep
+
+
+#: A fault in the operator triple or the tau flip, applied before (a
+#: monkeypatched builder) or after (a moved band) the rep is built, and the
+#: exact set of grid checks it FAILs.
+OPERATOR_FAULTS = {
+    "X + I/3": (
+        ("make_operators", lambda b: _plus_third(0)),
+        {
+            "adjoint-X-closed-form",
+            "adjoint-X-tau",
+            "adjoint-gevp",
+            "adjoint-partner-baxter",
+            "adjoint-partner-closed-form",
+            "adjoint-partner-parameter-flip",
+        },
+    ),
+    "Y + I/3": (
+        ("make_operators", lambda b: _plus_third(1)),
+        {"adjoint-Y-closed-form", "adjoint-Y-tau", "adjoint-gevp"},
+    ),
+    "tau off the rep's b": (
+        ("tau_parameter", _off_the_rep_tau),
+        {"tau-involution-X", "tau-involution-Y"},
+    ),
+    "rep X main[0] + 1": (
+        None,
+        {"adjoint-pairing-X", "adjoint-involution-X", "tau-involution-X"},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(OPERATOR_FAULTS))
+@pytest.mark.parametrize("q, b", [(Q, B), (Fraction(-4, 5), Fraction(-2))])
+def test_operator_fault_fails_exactly_its_grid_checks(fault, q, b, monkeypatch):
+    patch, names = OPERATOR_FAULTS[fault]
+    if patch is None:
+        rep = _bumped_x_main(make_grid_rep(5, b, q))
+    else:
+        attribute, corrupted = patch
+        monkeypatch.setattr(biorth, attribute, corrupted(b))
+        rep = make_grid_rep(5, b, q)
+    failures = _failures(_grid_suite(rep, verify_adjoint_gevp, verify_biorthogonality))
+    assert {name for name, _, _ in failures} == names
+    assert all(witness for _, _, witness in failures)
+
+
+nonzero_rationals = draw_rationals.filter(bool)
+
+
+@given(
+    nonzero_rationals.filter(lambda v: v not in (1, -1)),
+    nonzero_rationals,
+    st.integers(1, 7),
+    st.integers(-2, 2),
+    st.lists(draw_rationals, max_size=5),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_restrict_matches_apply_on_grid_samples(q, b, N, low, coefficients):
+    # On the grid, the restricted band maps the samples of f to those of
+    # the operator applied to f: the dropped corner coefficients vanish.
+    params = QParams(q, q ** (1 - N), b)
+    X, Y, _ = make_operators(params)
+    x_star = QDiffOperator(q, {1: (x() - q**N) * b, 0: q - x() * b})
+    y_star = QDiffOperator(q, {-1: (x() - q) / b, 0: q**N - x() / b})
+    f = LaurentPoly({low + k: c for k, c in enumerate(coefficients)})
+    grid = range(1, N + 1)
+    samples = f.sample_at_powers(q, grid).values()
+    for operator in (X, Y, x_star, y_star):
+        image = operator.apply(f).sample_at_powers(q, grid).values()
+        assert mat_vec(restrict(operator, N), samples) == image
+
+
+def test_restrict_refuses_a_shift_off_the_band():
+    with pytest.raises(ValueError):
+        restrict(QDiffOperator(Q, {2: 1}), 3)
 
 
 @pytest.mark.parametrize("q, b", [(Q, B), (Fraction(-4, 5), Fraction(-2))])
