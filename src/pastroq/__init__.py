@@ -44,7 +44,6 @@ from .biorth import (
     make_grid_rep,
     tau_conjugate,
     tau_parameter,
-    tau_transform,
     verify_adjoint_gevp,
     verify_adjoint_structure,
     verify_biorthogonality,
@@ -91,7 +90,6 @@ __all__ = [
     "make_grid_rep",
     "tau_conjugate",
     "tau_parameter",
-    "tau_transform",
     "verify_adjoint_gevp",
     "verify_adjoint_structure",
     "verify_biorthogonality",

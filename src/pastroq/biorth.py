@@ -12,8 +12,10 @@ matrix identity.
 Every grid operator here (T^+, T^-, X, Y, their adjoints and tau flips)
 is bidiagonal, so each is stored as a :class:`Band` of three diagonals
 rather than as a dense N x N matrix. X, Y and the closed forms of X*, Y*
-are q-difference operators restricted by :func:`restrict`, X and Y those of
-:func:`pastroq.qdiff.make_operators`; tau-involution reads the rep's bands.
+are q-difference operators restricted by :func:`restrict`. X and Y come
+from one :func:`pastroq.qdiff.make_operators` call per parameter: b for the
+rep, tau(b) for the tau flips and tau(tau(b)) for tau-involution, which is
+compared with the rep's bands.
 
 Grid values come from ``LaurentPoly.sample_at_powers`` as a
 :class:`GridVector`: int numerators over one positive denominator. Every
@@ -32,7 +34,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import mul
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .qcore import (
     GridVector,
@@ -64,12 +66,9 @@ __all__ = [
     "weight_adjoint",
     "tau_parameter",
     "tau_conjugate",
-    "tau_transform",
     "shift_plus_matrix",
     "shift_minus_matrix",
     "restrict",
-    "restricted_x_matrix",
-    "restricted_y_matrix",
     "GridVector",
     "grid_vector",
     "GridRep",
@@ -110,9 +109,6 @@ def _int_band(band: Band) -> tuple[Band, int]:
         [entry.numerator * (den // entry.denominator) for entry in diagonal] for diagonal in band
     )
     return Band(*scaled), den
-
-
-MatrixBuilder = Callable[[int, Fraction, Fraction], Band]
 
 
 def _zeros(length: int) -> list[Fraction]:
@@ -183,16 +179,6 @@ def tau_conjugate(band: Band) -> Band:
     return Band(upper[::-1], main[::-1], lower[::-1])
 
 
-def tau_transform(build: MatrixBuilder, N: int, b: Scalar, q: Scalar) -> Band:
-    """The flip tau applied to a b-dependent matrix family.
-
-    Rebuilds the matrix at the flipped parameter q^(1-N)/b and reverses
-    both grid indices. Applying it twice returns the original matrix.
-    """
-    b, q = Fraction(b), Fraction(q)
-    return tau_conjugate(build(N, tau_parameter(b, q, N), q))
-
-
 def shift_plus_matrix(N: int) -> Band:
     """T^+ on grid values: (T^+ f)_s = f_(s+1), with f_N = 0."""
     return Band(_zeros(N - 1), _zeros(N), [Fraction(1)] * (N - 1))
@@ -223,14 +209,10 @@ def restrict(operator: QDiffOperator, N: int) -> Band:
     return Band(diagonal(-1, rows[1:]), diagonal(0, rows), diagonal(1, rows[:-1]))
 
 
-def restricted_x_matrix(N: int, b: Scalar, q: Scalar) -> Band:
-    """X of :func:`make_operators` at a = q^(1-N), restricted to the grid."""
-    return restrict(make_operators(QParams(q, Fraction(q) ** (1 - N), b))[0], N)
-
-
-def restricted_y_matrix(N: int, b: Scalar, q: Scalar) -> Band:
-    """Y of :func:`make_operators` at a = q^(1-N), restricted to the grid."""
-    return restrict(make_operators(QParams(q, Fraction(q) ** (1 - N), b))[1], N)
+def _restricted_pair(params: QParams, N: int) -> tuple[Band, Band]:
+    """X and Y of one :func:`make_operators` call, restricted to the grid."""
+    X, Y, _ = make_operators(params)
+    return restrict(X, N), restrict(Y, N)
 
 
 class GridRep(NamedTuple):
@@ -278,8 +260,7 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
     w = grid_weights(N, b, q)
     q, b = Fraction(q), Fraction(b)
     params = QParams(q, q ** (1 - N), b)
-    X, Y, _ = make_operators(params)
-    X, Y = restrict(X, N), restrict(Y, N)
+    X, Y = _restricted_pair(params, N)
     grid = [q ** (s + 1) for s in range(N)]
     exponents = range(1, N + 1)
     poly_values = [pastro_poly(n, params).sample_at_powers(q, exponents) for n in range(N)]
@@ -427,7 +408,8 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
             )
         )
 
-    tau_x = tau_transform(restricted_x_matrix, N, b, q)
+    flipped = tau_parameter(b, q, N)
+    tau_x, tau_y = map(tau_conjugate, _restricted_pair(rep.params.with_b(flipped), N))
     checks.append(
         equality_check(
             "adjoint-X-tau",
@@ -438,7 +420,6 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
             ),
         )
     )
-    tau_y = tau_transform(restricted_y_matrix, N, b, q)
     checks.append(
         equality_check(
             "adjoint-Y-tau",
@@ -451,15 +432,15 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
         )
     )
 
-    for name, build in (("X", restricted_x_matrix), ("Y", restricted_y_matrix)):
-        # rebuilt at tau(tau(b)), not one band reversed twice: not a tautology
-        double_flip = tau_conjugate(tau_transform(build, N, tau_parameter(b, q, N), q))
+    # rebuilt at tau(tau(b)) rather than taken from the rep: not a tautology
+    double_flip = _restricted_pair(rep.params.with_b(tau_parameter(flipped, q, N)), N)
+    for name, band in zip("XY", double_flip):
         checks.append(
             equality_check(
                 f"tau-involution-{name}",
                 f"tau(tau({name})) = {name}",
                 context,
-                band_mismatch_witness(double_flip, rep.matrices[name]),
+                band_mismatch_witness(band, rep.matrices[name]),
             )
         )
     return checks

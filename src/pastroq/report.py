@@ -130,12 +130,19 @@ class Report:
         return "".join(pieces())
 
     def render_text(self) -> str:
+        """One line per check and a tally line.
+
+        Each distinct params dict's `` [k=v ...]`` text is built once,
+        memoised by ``id`` as in :meth:`render_json`.
+        """
         lines = []
+        contexts: dict[int, str] = {}
         for check in self.checks:
-            context = " ".join(f"{k}={v}" for k, v in sorted(check.params.items()))
-            line = f"{check.status:5s} {check.name}"
-            if context:
-                line += f" [{context}]"
+            context = contexts.get(id(check.params))
+            if context is None:
+                pairs = " ".join(f"{k}={v}" for k, v in sorted(check.params.items()))
+                context = contexts[id(check.params)] = f" [{pairs}]" if pairs else ""
+            line = f"{check.status:5s} {check.name}{context}"
             line += f"  ::  {check.identity}"
             if check.witness:
                 line += f"  witness: {check.witness}"

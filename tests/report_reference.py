@@ -1,16 +1,18 @@
-"""The dict route that ``Report.render_json`` took before it wrote one string
-per check, kept as the reference encoder of the rendering tests.
+"""The routes that ``Report.render_json`` and ``Report.render_text`` took
+before they shared work between checks, kept as the reference renderers of
+the rendering tests.
 
 A report became one document dict, ``{"checks": [...]}`` updated with the
 extras, with a fresh dict per check, and the whole document went through
-one ``json.dumps`` call.
+one ``json.dumps`` call. As text, every check's params were sorted and
+formatted again.
 """
 
 from __future__ import annotations
 
 import json
 
-from pastroq.report import Check, Report
+from pastroq.report import ERROR, FAIL, PASS, SKIP, Check, Report
 
 
 def check_to_dict(check: Check) -> dict[str, object]:
@@ -32,3 +34,20 @@ def render_json(report: Report, extra: dict[str, object] | None = None) -> str:
     if extra:
         document.update(extra)
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
+def render_text(report: Report) -> str:
+    lines = []
+    for check in report.checks:
+        context = " ".join(f"{k}={v}" for k, v in sorted(check.params.items()))
+        line = f"{check.status:5s} {check.name}"
+        if context:
+            line += f" [{context}]"
+        line += f"  ::  {check.identity}"
+        if check.witness:
+            line += f"  witness: {check.witness}"
+        lines.append(line)
+    tally = report.counts()
+    summary = ", ".join(f"{tally[s]} {s}" for s in (PASS, FAIL, ERROR, SKIP) if tally[s])
+    lines.append(f"checks: {len(report.checks)} ({summary})" if report.checks else "checks: 0")
+    return "\n".join(lines)

@@ -27,11 +27,10 @@ from pastroq.biorth import (
     mat_vec,
     proportionality_witness,
     restrict,
-    restricted_x_matrix,
-    restricted_y_matrix,
+    shift_minus_matrix,
+    shift_plus_matrix,
     tau_conjugate,
     tau_parameter,
-    tau_transform,
     verify_adjoint_gevp,
     verify_adjoint_structure,
     verify_biorthogonality,
@@ -219,20 +218,31 @@ def test_tau_conjugate_reverses_indices():
 
 
 def test_tau_naturality():
-    # tau(W f) = tau(W) tau(f) for b-dependent grid functions
+    # tau(W f) = tau(W) tau(f) for b-dependent grid functions, W = X and Y
     N = 4
-    a = Q ** (1 - N)
-    b_flip = tau_parameter(B, Q, N)
-
-    def samples(b_val: Fraction) -> list[Fraction]:
-        poly = pastro_poly(2, QParams(Q, a, b_val))
-        return [poly.eval_at(Q ** (s + 1)) for s in range(N)]
-
-    for build in (restricted_x_matrix, restricted_y_matrix):
-        image_flipped = mat_vec(build(N, b_flip, Q), samples(b_flip))
-        lhs = image_flipped[::-1]
-        rhs = mat_vec(tau_transform(build, N, B, Q), samples(b_flip)[::-1])
+    flipped = QParams(Q, Q ** (1 - N), tau_parameter(B, Q, N))
+    poly = pastro_poly(2, flipped)
+    samples = [poly.eval_at(Q ** (s + 1)) for s in range(N)]
+    for operator in make_operators(flipped)[:2]:
+        band = restrict(operator, N)
+        lhs = mat_vec(band, samples)[::-1]
+        rhs = mat_vec(tau_conjugate(band), samples[::-1])
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("q, b", [(Q, B), (Fraction(-4, 5), Fraction(-2))])
+def test_grid_build_and_adjoint_checks_make_three_operator_triples(q, b, monkeypatch):
+    # one make_operators call at b for the rep, at tau(b) for the tau flips
+    # and at tau(tau(b)) for tau-involution
+    calls = []
+
+    def counted(params):
+        calls.append(params.b)
+        return make_operators(params)
+
+    monkeypatch.setattr(biorth, "make_operators", counted)
+    verify_adjoint_structure(make_grid_rep(5, b, q))
+    assert calls == [b, tau_parameter(b, q, 5), b]
 
 
 @pytest.mark.parametrize("b", [B, Fraction(-3, 4), Fraction(7, 3)])
@@ -434,9 +444,23 @@ def _corrupt(rep, field: str):
     return rep
 
 
-#: Corruptions whose FAILed check names are pinned exactly, with the
-#: witness of the norm check among them.
+#: Corruptions whose FAILed check names are pinned exactly, with one
+#: witness among them.
 EXACT_FAILURES = {
+    "weight w_1": (
+        {
+            "adjoint-shift-plus",
+            "adjoint-shift-minus",
+            "adjoint-pairing-X",
+            "adjoint-pairing-Y",
+            "adjoint-involution-X",
+            "adjoint-involution-Y",
+            "gram-diagonal",
+            "weights-normalized",
+            "weight-origin",
+        },
+        "sum = 4/3",
+    ),
     "norm h_N + 1": ({"norm-truncation"}, "h_N = 1"),
     "norm h_2 = 0": ({"gram-diagonal", "norm-nonzero"}, "h_2 = 0"),
     "top P_N + x^(N+1)": (
@@ -498,19 +522,34 @@ def _off_the_rep_tau(b):
     return corrupted
 
 
-def _bumped_x_main(rep):
-    main = list(rep.matrices["X"].main)
-    main[0] += 1
-    rep.matrices["X"] = rep.matrices["X"]._replace(main=main)
-    return rep
+def _bumped_main(band: Band) -> Band:
+    """The band with entry (0,0) moved by one."""
+    return band._replace(main=[band.main[0] + 1, *band.main[1:]])
 
 
-#: A fault in the operator triple or the tau flip, applied before (a
-#: monkeypatched builder) or after (a moved band) the rep is built, and the
-#: exact set of grid checks it FAILs.
+def _bumped_rep_main(name: str):
+    """A corruption moving entry (0,0) of the rep's band ``name``."""
+
+    def corrupted(rep):
+        rep.matrices[name] = _bumped_main(rep.matrices[name])
+        return rep
+
+    return corrupted
+
+
+def _bumped_shift(build):
+    """A shift-matrix builder whose entry (0,0) is moved by one."""
+    return lambda N: _bumped_main(build(N))
+
+
+#: A fault in the operator triple, the shift matrices or the tau flip,
+#: applied before (a monkeypatched ``biorth`` attribute, built for the rep's
+#: b) or after (``None``: a corruption of the built rep) the rep is built,
+#: and the exact set of grid checks it FAILs.
 OPERATOR_FAULTS = {
     "X + I/3": (
-        ("make_operators", lambda b: _plus_third(0)),
+        "make_operators",
+        lambda b: _plus_third(0),
         {
             "adjoint-X-closed-form",
             "adjoint-X-tau",
@@ -521,33 +560,69 @@ OPERATOR_FAULTS = {
         },
     ),
     "Y + I/3": (
-        ("make_operators", lambda b: _plus_third(1)),
+        "make_operators",
+        lambda b: _plus_third(1),
         {"adjoint-Y-closed-form", "adjoint-Y-tau", "adjoint-gevp"},
     ),
     "tau off the rep's b": (
-        ("tau_parameter", _off_the_rep_tau),
+        "tau_parameter",
+        _off_the_rep_tau,
         {"tau-involution-X", "tau-involution-Y"},
     ),
     "rep X main[0] + 1": (
         None,
+        _bumped_rep_main("X"),
         {"adjoint-pairing-X", "adjoint-involution-X", "tau-involution-X"},
     ),
+    "rep Y main[0] + 1": (
+        None,
+        _bumped_rep_main("Y"),
+        {"adjoint-pairing-Y", "adjoint-involution-Y", "tau-involution-Y"},
+    ),
+    "T^+ main[0] + 1": (
+        "shift_plus_matrix",
+        lambda b: _bumped_shift(shift_plus_matrix),
+        {"adjoint-shift-plus"},
+    ),
+    "T^- main[0] + 1": (
+        "shift_minus_matrix",
+        lambda b: _bumped_shift(shift_minus_matrix),
+        {"adjoint-shift-minus"},
+    ),
+}
+
+#: The witnesses pinned among an operator fault's failures.
+OPERATOR_WITNESSES = {
+    "T^+ main[0] + 1": "entry (0,0): lhs 1, rhs 0",
+    "T^- main[0] + 1": "entry (0,0): lhs 1, rhs 0",
 }
 
 
 @pytest.mark.parametrize("fault", list(OPERATOR_FAULTS))
 @pytest.mark.parametrize("q, b", [(Q, B), (Fraction(-4, 5), Fraction(-2))])
 def test_operator_fault_fails_exactly_its_grid_checks(fault, q, b, monkeypatch):
-    patch, names = OPERATOR_FAULTS[fault]
-    if patch is None:
-        rep = _bumped_x_main(make_grid_rep(5, b, q))
+    attribute, corruption, names = OPERATOR_FAULTS[fault]
+    if attribute is None:
+        rep = corruption(make_grid_rep(5, b, q))
     else:
-        attribute, corrupted = patch
-        monkeypatch.setattr(biorth, attribute, corrupted(b))
+        monkeypatch.setattr(biorth, attribute, corruption(b))
         rep = make_grid_rep(5, b, q)
     failures = _failures(_grid_suite(rep, verify_adjoint_gevp, verify_biorthogonality))
     assert {name for name, _, _ in failures} == names
     assert all(witness for _, _, witness in failures)
+    if fault in OPERATOR_WITNESSES:
+        assert OPERATOR_WITNESSES[fault] in {witness for _, _, witness in failures}
+
+
+def test_every_grid_check_fails_under_a_pinned_corruption():
+    rep = make_grid_rep(5, B, Q)
+    names = {check.name for check in _grid_suite(rep, verify_adjoint_gevp, verify_biorthogonality)}
+    pinned = set()
+    for failed, _ in EXACT_FAILURES.values():
+        pinned |= failed
+    for _, _, failed in OPERATOR_FAULTS.values():
+        pinned |= failed
+    assert pinned == names
 
 
 nonzero_rationals = draw_rationals.filter(bool)

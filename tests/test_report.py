@@ -1,10 +1,12 @@
-"""``Report.render_json`` against the one-document reference encoder.
+"""``Report.render_json`` and ``render_text`` against the reference renderers.
 
 ``report_reference.render_json`` builds the whole document as dicts and
 encodes it with one ``json.dumps`` call; the package writes one string per
-check and encodes each shared identity, name and params object once. The
-bytes must agree on every report, whatever its strings, sharing and extras.
-The golden corpus checks the same on the commands' own reports.
+check and encodes each shared identity, name and params object once.
+``report_reference.render_text`` formats every check's params again; the
+package formats each shared params object once. The bytes must agree on
+every report, whatever its strings, sharing and extras. The golden corpus
+checks the same on the commands' own reports.
 """
 
 from hypothesis import given, settings
@@ -58,3 +60,9 @@ def reports(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_render_json_matches_the_reference_encoder(report, extra):
     assert report.render_json(extra) == report_reference.render_json(report, extra)
+
+
+@given(reports())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_render_text_matches_the_reference_renderer(report):
+    assert report.render_text() == report_reference.render_text(report)
