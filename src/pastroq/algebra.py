@@ -234,7 +234,9 @@ def qhahn_embedding(
       q Z' M - M Z' = gamma2 I,                 gamma2 = mu alpha1,
       q M L - L M  = gamma3 Z' + gamma4,        gamma3 = mu (q+1)^2 (q-1) / q,
     where gamma4 = -mu q^2 (q-1) Q + mu^2 alpha1 I is central (Q is the
-    Casimir). mu = 0 collapses the pencil to X' and is flagged degenerate.
+    Casimir). The first relation compares q L Z' - Z' L with the closed form
+    M = q X'Z' - Z'X' + mu alpha1 X' - I, so it FAILs with the affine YZ
+    relation. mu = 0 collapses the pencil to X' and is flagged degenerate.
     """
     mu = Fraction(mu)
     q = rep.params.q
@@ -258,7 +260,9 @@ def qhahn_embedding(
             "qhahn-LZ",
             "q L Z' - Z' L = M + (mu alpha2 + 1) I",
             context,
-            operator_mismatch_witness(lz, M + gamma1 * I),
+            operator_mismatch_witness(
+                lz, (q * (Xp @ Zp) - Zp @ Xp + (mu * a1) * Xp - I) + gamma1 * I
+            ),
         ),
         equality_check(
             "qhahn-ZM",

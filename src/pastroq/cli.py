@@ -106,11 +106,11 @@ def verify_suite(
     """Every polynomial/operator identity at one parameter triple, n <= n_max.
 
     One pass over n = 0..n_max: each degree's record is built once, read by
-    the per-degree groups, then streamed into the Baxter checks, and no
-    reference to it outlives that degree. The groups are reported in the
-    order gevp, q-difference, recurrence, contiguity, baxter. The keys of
-    ``context`` join the one params dict of each record and the one of the
-    Baxter checks.
+    the per-degree groups, then streamed into the Baxter checks, which step
+    the coupled pair beside it; no reference to it outlives that degree.
+    The groups are reported in the order gevp, q-difference, recurrence,
+    contiguity, baxter. The keys of ``context`` join the one params dict of
+    each record and the one of the Baxter checks.
     """
     data = baxter_coefficients(n_max, params)
     gevp: list[Check] = []

@@ -9,8 +9,8 @@ coefficient is a Gaussian binomial [n, k]_q, made by exact int division,
 times factors 1 - c q^m written as int units over monomials of q = p/r.
 The per-degree scalar table of a point is built from the same kind of
 units, as int prefix products with one Fraction per entry. The
-Baxter-style coupled recurrence reconstructs both families from scratch
-and is used as an independent derivation route. The terminating series
+Baxter-style coupled recurrence, stepped by one generator, reconstructs
+both families from scratch as an independent route. The terminating series
 forms of P_n and R_n are not built here: the test suite keeps them, in
 Fractions, as the reference routes of its differential tests.
 """
@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd
 from operator import mul
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .qcore import (
     LaurentPoly,
@@ -39,7 +39,6 @@ __all__ = [
     "pastro_poly",
     "BaxterData",
     "baxter_coefficients",
-    "baxter_step",
     "baxter_system",
     "verify_baxter_consistency",
     "biorthogonal_partner",
@@ -128,7 +127,7 @@ class BaxterData:
     q^-n (1 - b q^n) of X and Z. Each column is read off its own closed
     form, written on the int units of :func:`_point_units`, never off
     another column, so the checks that compare columns compare independent
-    routes. :func:`baxter_system` steps the coupled families from it.
+    routes. :func:`_coupled_pairs` steps the coupled families from it.
     """
 
     alpha: list[Fraction]
@@ -276,35 +275,34 @@ def baxter_coefficients(n_max: int, params: QParams, h: list | None = None) -> B
     )
 
 
-def baxter_step(
-    n: int, p_poly: LaurentPoly, q_poly: LaurentPoly, alpha_n: Fraction, beta_n: Fraction
-) -> tuple[LaurentPoly, LaurentPoly]:
-    """One step (P_n, Q_n) -> (P_(n+1), Q_(n+1)) of the coupled recurrences."""
-    reversed_q = q_poly.invert_variable().times_x(n)
-    reversed_p = p_poly.invert_variable().times_x(n)
-    return p_poly.times_x(1) - reversed_q * alpha_n, q_poly.times_x(1) - reversed_p * beta_n
+def _coupled_pairs(data: BaxterData) -> Iterator[tuple[LaurentPoly, LaurentPoly]]:
+    """(P~_n, Q_n) for n = 0..n_max, from P~_0 = Q_0 = 1 and the coupled recurrences
+
+      P~_(n+1)(x) = x P~_n(x) - alpha_n x^n Q_n(1/x),
+      Q_(n+1)(x) = x Q_n(x) - beta_n x^n P~_n(1/x),
+    with the alpha_n, beta_n of ``data``. A pair is stepped only when it is
+    asked for, so draining the generator takes exactly n_max steps.
+    """
+    p_poly = q_poly = LaurentPoly.one()
+    yield p_poly, q_poly
+    for n in range(len(data.alpha) - 1):
+        p_poly, q_poly = (
+            p_poly.times_x(1) - q_poly.invert_variable().times_x(n) * data.alpha[n],
+            q_poly.times_x(1) - p_poly.invert_variable().times_x(n) * data.beta[n],
+        )
+        yield p_poly, q_poly
 
 
 def baxter_system(data: BaxterData) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
-    """Build both families from the coupled two-term recurrences.
+    """The pairs of :func:`_coupled_pairs` as lists ``(p_polys, q_polys)``.
 
-    Starting from P_0 = Q_0 = 1, iterates
-      P_(n+1)(x) = x P_n(x) - alpha_n x^n Q_n(1/x),
-      Q_(n+1)(x) = x Q_n(x) - beta_n x^n P_n(1/x),
-    with the closed-form alpha_n, beta_n of ``data``, the scalar table of a
-    parameter point for n <= n_max, and returns ``(p_polys, q_polys)``,
-    P_0..P_n_max and Q_0..Q_n_max. This route never references the
-    eigenvalue-problem construction, so agreement of its P_n with
-    :func:`pastro_poly` (and of its Q_n(1/x) with the closed-form partner)
-    is a genuine cross-method consistency statement.
+    ``data`` is the scalar table of a parameter point for n <= n_max. This
+    route never references the eigenvalue problem, so agreement of its P~_n
+    with :func:`pastro_poly` (and of its Q_n(1/x) with the closed-form
+    partner) is a genuine cross-method consistency statement.
     """
-    p_polys = [LaurentPoly.one()]
-    q_polys = [LaurentPoly.one()]
-    for n in range(len(data.alpha) - 1):
-        p_next, q_next = baxter_step(n, p_polys[n], q_polys[n], data.alpha[n], data.beta[n])
-        p_polys.append(p_next)
-        q_polys.append(q_next)
-    return p_polys, q_polys
+    p_polys, q_polys = zip(*_coupled_pairs(data))
+    return list(p_polys), list(q_polys)
 
 
 def biorthogonal_partner(n: int, params: QParams) -> LaurentPoly:
@@ -402,11 +400,12 @@ def verify_baxter_consistency(
 
     ``data`` is the scalar table of ``params`` for n <= n_max.
     ``records`` yields one record per degree n = 0..n_max, in order, with
-    the eigenvalue-route P_n and P_(n+1) (``p``, ``p_next``) and the
-    coupled pair P~_n, Q_n (``p_coupled``, ``q_coupled``), as
-    :func:`pastroq.qdiff.degree_records` builds them. Every record is
-    consumed; the four polynomial checks are evaluated as the records
-    stream past, and each keeps the witness of the first n that fails.
+    the eigenvalue-route P_(n-1), P_n and P_(n+1) (``p_prev``, ``p``,
+    ``p_next``), as :func:`pastroq.qdiff.degree_records` builds them; one
+    pair P~_n, Q_n of :func:`_coupled_pairs` is stepped beside each, and
+    only Q_(n-1) outlives its degree. The four polynomial checks are
+    evaluated as the records stream past, and each keeps the witness of
+    the first n that fails.
     The three scalar checks read ``data`` and word their first differing
     degree through :func:`pastroq.report.first_mismatch`. The beta ratio is
     undefined from the first alpha_(n+1) = 0 on, so its scan stops there,
@@ -435,12 +434,14 @@ def verify_baxter_consistency(
     norm_witness = first_mismatch("n={}: h_n {}, prod {}", zip(range(n_max + 1), data.h, products))
 
     pastro_witness = partner_witness = p_witness = q_witness = None
-    previous = None  # (P_(n-1), Q_(n-1)), for the Q recurrence at n - 1
+    coupled = _coupled_pairs(data)
+    q_prev = None  # Q_(n-1), for the Q recurrence at n - 1
     for record in records:
         n = record.n
-        reversed_q = record.q_coupled.invert_variable()
+        p_coupled, q_coupled = next(coupled)
+        reversed_q = q_coupled.invert_variable()
         if pastro_witness is None:
-            mismatch = poly_mismatch_witness(record.p_coupled, record.p)
+            mismatch = poly_mismatch_witness(p_coupled, record.p)
             if mismatch:
                 pastro_witness = f"n={n}: {mismatch}"
         if partner_witness is None:
@@ -451,16 +452,15 @@ def verify_baxter_consistency(
             residual = record.p_next - record.p.times_x(1) + reversed_q.times_x(n) * data.alpha[n]
             if residual:
                 p_witness = f"n={n}: residual {residual}"
-        if q_witness is None and previous is not None:
-            p_prev, q_prev = previous
+        if q_witness is None and q_prev is not None:
             residual = (
-                record.q_coupled
+                q_coupled
                 - q_prev.times_x(1)
-                + p_prev.invert_variable().times_x(n - 1) * data.beta[n - 1]
+                + record.p_prev.invert_variable().times_x(n - 1) * data.beta[n - 1]
             )
             if residual:
                 q_witness = f"n={n - 1}: residual {residual}"
-        previous = record.p, record.q_coupled
+        q_prev = q_coupled
         del record  # not held while the next record is built
 
     return [

@@ -23,7 +23,7 @@ from itertools import chain, product
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .qcore import LaurentPoly, QParams, Scalar, format_rational, x
-from .pastro import BaxterData, baxter_step, pastro_poly
+from .pastro import BaxterData, pastro_poly
 from .report import Check, equality_check, poly_mismatch_witness
 
 __all__ = [
@@ -197,15 +197,15 @@ class DegreeRecord(NamedTuple):
     The eigenvalue-route P_(n-1) (zero at n = 0), P_n and P_(n+1); the two
     dilations P_n(qx) and P_n(x/q), the only ones taken at this degree;
     P_n at the shifted parameter bq; the images X P_n, Y P_n, Z P_n, summed
-    from P_n and those two dilations; the coupled-recurrence pair P~_n, Q_n
-    of :func:`pastroq.pastro.baxter_step`; the scalar table of ``params``,
+    from P_n and those two dilations; the scalar table of ``params``,
     from which the checks read lambda_n, mu1_n, mu2_n and the raise factor
     at n; ``qdiff_coefficients``, the four coefficients x - q/a, q/a - x/b,
     x - q and q - b x of the q-difference equation; and ``context``, the
     report parameters ``params.describe()`` plus n and the caller's keys,
     one dict that every check of the record carries.
     The table and the coefficients are built once per parameter point and
-    shared by every record.
+    shared by every record. The Baxter checks step the coupled pair P~_n,
+    Q_n themselves; a record holds only eigenvalue-route polynomials.
     """
 
     n: int
@@ -222,8 +222,6 @@ class DegreeRecord(NamedTuple):
     x_image: LaurentPoly
     y_image: LaurentPoly
     z_image: LaurentPoly
-    p_coupled: LaurentPoly
-    q_coupled: LaurentPoly
 
 
 def degree_records(
@@ -237,11 +235,9 @@ def degree_records(
     (as P_(n+1), then P_n, then P_(n-1)); each P_n is dilated once by q and
     once by 1/q, and X, Y, Z sum their images from those two results
     (through :meth:`QDiffOperator.apply`), as the q-difference equation reads
-    them from the record; the coupled pair advances one
-    :func:`pastroq.pastro.baxter_step` per degree, with the alpha_n, beta_n
-    of ``data``. ``data`` is the scalar table of ``params`` for n <= n_max,
-    and every record carries it. The keys of ``context`` (a sweep's draw
-    label, say) join each record's context.
+    them from the record. ``data`` is the scalar table of ``params`` for
+    n <= n_max, and every record carries it. The keys of ``context`` (a
+    sweep's draw label, say) join each record's context.
     """
     X, Y, Z = make_operators(params)
     q, a, b = params.q, params.a, params.b
@@ -255,12 +251,7 @@ def degree_records(
     described = params.describe() | (context or {})
     shifted = params.with_b(params.b * params.q)
     p_prev, p = LaurentPoly.zero(), pastro_poly(0, params)
-    p_coupled = q_coupled = LaurentPoly.one()
     for n in range(n_max + 1):
-        if n:
-            p_coupled, q_coupled = baxter_step(
-                n - 1, p_coupled, q_coupled, data.alpha[n - 1], data.beta[n - 1]
-            )
         p_next = pastro_poly(n + 1, params)
         dilations = {-1: p.dilate(q_inv), 0: p, 1: p.dilate(q)}
         yield DegreeRecord(
@@ -278,8 +269,6 @@ def degree_records(
             x_image=X.apply(p, dilations),
             y_image=Y.apply(p, dilations),
             z_image=Z.apply(p, dilations),
-            p_coupled=p_coupled,
-            q_coupled=q_coupled,
         )
         p_prev, p = p, p_next
 

@@ -138,9 +138,29 @@ def _identity(rep):
 
 #: One field of an AlgebraRep moved, and the exact set of checks it FAILs.
 ALGEBRA_FAULTS = {
+    "Y + I": (
+        lambda rep: rep._replace(Y=rep.Y + _identity(rep)),
+        {"raw-relation-XY", "raw-relation-YZ"},
+    ),
     "Z + I": (
         lambda rep: rep._replace(Z=rep.Z + _identity(rep)),
         {"raw-relation-YZ", "raw-relation-ZX"},
+    ),
+    "X' + I": (
+        lambda rep: rep._replace(Xp=rep.Xp + _identity(rep)),
+        {
+            "affine-relation-XY",
+            "affine-relation-YZ",
+            "affine-relation-ZX",
+            "askey-wilson-cyclic-presentation",
+            "qhahn-LZ",
+            "qhahn-ML",
+            "qhahn-ZM",
+        },
+    ),
+    "casimir + X'": (
+        lambda rep: rep._replace(casimir=rep.casimir + rep.Xp),
+        {"casimir-central-Y", "casimir-central-Z", "qhahn-ML"},
     ),
     "casimir + Y'": (
         lambda rep: rep._replace(casimir=rep.casimir + rep.Yp),
@@ -152,7 +172,13 @@ ALGEBRA_FAULTS = {
     ),
     "alpha1 + 1": (
         lambda rep: rep._replace(alpha1=rep.alpha1 + 1),
-        {"affine-relation-YZ", "askey-wilson-cyclic-presentation", "qhahn-ML", "qhahn-ZM"},
+        {
+            "affine-relation-YZ",
+            "askey-wilson-cyclic-presentation",
+            "qhahn-LZ",
+            "qhahn-ML",
+            "qhahn-ZM",
+        },
     ),
 }
 
@@ -164,3 +190,9 @@ def test_algebra_fault_fails_exactly_its_checks(fault, params):
     failed = [c for c in _algebra_suite(corrupt(make_algebra_rep(params))) if c.status != "PASS"]
     assert {check.name for check in failed} == names
     assert all(check.witness for check in failed)
+
+
+def test_every_algebra_check_fails_under_a_pinned_fault():
+    names = {check.name for check in _algebra_suite(make_algebra_rep(REFERENCE))}
+    assert len(names) == 13
+    assert set().union(*(failed for _, failed in ALGEBRA_FAULTS.values())) == names

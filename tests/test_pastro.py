@@ -17,6 +17,7 @@ from family_reference import (
     pastro_poly_series,
     raise_factor,
 )
+from pastroq import pastro
 from pastroq.pastro import (
     _norm_constants,
     baxter_coefficients,
@@ -185,16 +186,10 @@ def test_baxter_system_first_steps():
     assert x() * p1 - p2 == data.alpha[1] * (q_polys[1].invert_variable() * x(1))
 
 
-def baxter_checks(n_max: int, params: QParams, corrupt=None):
-    """verify_baxter_consistency over the records of n <= n_max.
-
-    ``corrupt`` maps each record to the record the checks are shown.
-    """
+def baxter_checks(n_max: int, params: QParams):
+    """verify_baxter_consistency over the records of n <= n_max."""
     data = baxter_coefficients(n_max, params)
-    records = degree_records(params, n_max, data)
-    if corrupt is not None:
-        records = map(corrupt, records)
-    return verify_baxter_consistency(n_max, params, data, records)
+    return verify_baxter_consistency(n_max, params, data, degree_records(params, n_max, data))
 
 
 def test_baxter_consistency_suite_passes():
@@ -237,7 +232,7 @@ def list_loop_witnesses(n_max, params, p_coupled, q_coupled):
 
 
 @pytest.mark.parametrize("bad_degrees", [(2, 3), (0,), (5,), (1, 4)])
-def test_streamed_baxter_witnesses_match_list_loops(bad_degrees):
+def test_streamed_baxter_witnesses_match_list_loops(bad_degrees, monkeypatch):
     # corrupt P~_n and Q_n at the given degrees; each streamed check must
     # report the witness of its first failing n, as the whole-family loops do
     n_max = 5
@@ -245,15 +240,47 @@ def test_streamed_baxter_witnesses_match_list_loops(bad_degrees):
     for n in bad_degrees:
         p_coupled[n] = p_coupled[n] + x(n + 1)
         q_coupled[n] = q_coupled[n] - Fraction(1, 3)
+    monkeypatch.setattr(pastro, "_coupled_pairs", lambda data: zip(p_coupled, q_coupled))
 
-    def corrupt(record):
-        return record._replace(p_coupled=p_coupled[record.n], q_coupled=q_coupled[record.n])
-
-    checks = baxter_checks(n_max, SECOND, corrupt)
+    checks = baxter_checks(n_max, SECOND)
     assert [check.status for check in checks[:3]] == ["PASS"] * 3
     expected = list_loop_witnesses(n_max, SECOND, p_coupled, q_coupled)
     assert [check.witness for check in checks[3:]] == expected
     assert all(witness is not None for witness in expected[:2])
+
+
+def test_baxter_checks_stream_the_pairs_of_baxter_system(monkeypatch):
+    n_max = 6
+    expected = list(zip(*baxter_system(baxter_coefficients(n_max, SECOND))))
+    streamed = []
+    coupled_pairs = pastro._coupled_pairs
+
+    def recorded(data):
+        for pair in coupled_pairs(data):
+            streamed.append(pair)
+            yield pair
+
+    monkeypatch.setattr(pastro, "_coupled_pairs", recorded)
+    assert all(check.status == "PASS" for check in baxter_checks(n_max, SECOND))
+    assert streamed == expected
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 7])
+def test_baxter_system_steps_n_max_times(n_max, monkeypatch):
+    # each step reverses P~_n and Q_n once; a pair past n_max is never built
+    data = baxter_coefficients(n_max, SECOND)
+    calls = 0
+    invert_variable = LaurentPoly.invert_variable
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return invert_variable(self)
+
+    monkeypatch.setattr(LaurentPoly, "invert_variable", counted)
+    p_polys, q_polys = baxter_system(data)
+    assert len(p_polys) == len(q_polys) == n_max + 1
+    assert calls == 2 * n_max
 
 
 def test_partner_degree_zero_and_support():
@@ -341,6 +368,6 @@ def test_degree_records_carry_the_family():
     assert len(family) == 7
     assert family[3] == pastro_poly(3, REFERENCE)
     with pytest.raises(ResonantParameterError):
-        # b q^2 = 1: the coefficient table the records step with is refused
+        # b q^2 = 1: the coefficient table the records carry is refused
         resonant = QParams(Fraction(1, 2), Fraction(3), Fraction(4))
         list(degree_records(resonant, 6, baxter_coefficients(6, resonant)))

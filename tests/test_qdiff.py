@@ -1,6 +1,7 @@
 """Operator calculus and the verification of the operator identities."""
 
 import dataclasses
+import gc
 import random
 from fractions import Fraction
 
@@ -8,9 +9,10 @@ import pytest
 
 from family_reference import eigenvalue
 from pastroq import cli
-from pastroq.pastro import baxter_coefficients, baxter_system, pastro_poly
+from pastroq.pastro import baxter_coefficients, pastro_poly
 from pastroq.qcore import LaurentPoly, QParams, ResonantParameterError, x
 from pastroq.qdiff import (
+    DegreeRecord,
     QDiffOperator,
     degree_records,
     make_operators,
@@ -205,7 +207,6 @@ def test_degree_records_match_direct_constructions(params):
     shifted = params.with_b(params.b * params.q)
     built = records(params, 6)
     table = baxter_coefficients(6, params)
-    p_coupled, q_coupled = baxter_system(table)
     assert [record.n for record in built] == list(range(7))
     for n, record in enumerate(built):
         assert record.params == params
@@ -220,8 +221,6 @@ def test_degree_records_match_direct_constructions(params):
         assert record.x_image == X.apply(p)
         assert record.y_image == Y.apply(p)
         assert record.z_image == Z.apply(p)
-        assert record.p_coupled == p_coupled[n]
-        assert record.q_coupled == q_coupled[n]
 
 
 def test_corrupted_record_fails_with_witness():
@@ -277,6 +276,26 @@ def test_each_degree_dilates_p_n_twice(params, monkeypatch):
     calls = 0
     cli.verify_suite(params, n_max)
     assert calls == 2 * (n_max + 1)
+
+
+def test_verify_suite_holds_one_record_at_a_time(monkeypatch):
+    # counted at each yield, after the new record is built: the one before
+    # must be gone, from the per-degree checks and the Baxter checks alike
+    def live_records():
+        return sum(isinstance(obj, DegreeRecord) for obj in gc.get_objects())
+
+    before = live_records()
+    live = []
+    build = cli.degree_records
+
+    def counted(*args):
+        for record in build(*args):
+            live.append(live_records() - before)
+            yield record
+
+    monkeypatch.setattr(cli, "degree_records", counted)
+    cli.verify_suite(REFERENCE, 6)
+    assert live == [1] * 7
 
 
 def test_witness_pinpoints_first_mismatch():
