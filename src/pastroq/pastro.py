@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
-from math import gcd
+from itertools import accumulate
+from math import gcd, prod
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .qcore import (
     LaurentPoly,
@@ -30,8 +30,10 @@ from .qcore import (
     ResonantParameterError,
     Scalar,
     _make,
+    _point_units,
+    _powers,
+    _Units,
     format_rational,
-    q_pochhammer,
 )
 from .report import Check, equality_check, first_mismatch, poly_mismatch_witness
 
@@ -49,11 +51,6 @@ __all__ = [
 def _check_degree(n: int) -> None:
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"degree must be a nonnegative integer, got {n!r}")
-
-
-def _powers(base: int, n: int) -> list[int]:
-    """[base^0, base^1, ..., base^n]."""
-    return list(accumulate(repeat(base, n), mul, initial=1))
 
 
 def _binomial_poly(
@@ -137,37 +134,6 @@ class BaxterData:
     mu1: list[Fraction]
     mu2: list[Fraction]
     raise_factor: list[Fraction]
-
-
-class _Units(NamedTuple):
-    """The int units of a parameter point, j = 0..size, with q = p/r.
-
-    The fields ``a``, ``b``, ``ab``, ``bq`` and ``one`` hold, for z = a, b,
-    a/b, b/q and 1, the units z_den r^j - z_num p^j, so that
-    1 - z q^j = unit_j / (z_den r^j). ``p_pow`` and ``r_pow`` hold p^j and
-    r^j.
-    """
-
-    p_pow: list[int]
-    r_pow: list[int]
-    a: list[int]
-    b: list[int]
-    ab: list[int]
-    bq: list[int]
-    one: list[int]
-
-
-def _point_units(params: QParams, size: int) -> _Units:
-    """The units of ``params`` for j = 0..size, off one power table of p and r."""
-    q, a, b = params.q, params.a, params.b
-    p, r = q.as_integer_ratio()
-    p_pow, r_pow = _powers(p, size), _powers(r, size)
-
-    def units(z: Fraction) -> list[int]:
-        num, den = z.as_integer_ratio()
-        return [den * r_m - num * p_m for p_m, r_m in zip(p_pow, r_pow)]
-
-    return _Units(p_pow, r_pow, units(a), units(b), units(a / b), units(b / q), units(Fraction(1)))
 
 
 def _prefix_ratios(
@@ -351,9 +317,12 @@ def grid_weights(N: int, b: Scalar, q: Scalar) -> list[Fraction]:
 
       w_s = [(q^(1-N);q)_s / (q;q)_s] (b q^(N-1))^s / (b;q)_(N-1).
 
-    The weights are built by exact ratio iteration; their sum is checked to
-    be exactly 1 and every weight is checked nonzero, since a vanishing
-    weight would degenerate the bilinear form.
+    On the units of :func:`pastroq.qcore._point_units` at a = q^(1-N)
+    (q = p/r), w_0 = prod_(j<N-1) b_den r^j / b[j] and
+      w_s / w_0 = (r b_num p^(N-1) / (a_den b_den r^(N-1)))^s prod_(j<s) a[j] / one[j+1]
+    are int products, one Fraction per weight. Every weight is checked
+    nonzero, since a vanishing weight would degenerate the bilinear form;
+    their sum is left to the report's ``weights-normalized`` check.
     """
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"grid size must be a positive integer, got {N!r}")
@@ -364,22 +333,25 @@ def grid_weights(N: int, b: Scalar, q: Scalar) -> list[Fraction]:
         )
     if b == 0:
         raise ResonantParameterError("b must be nonzero")
-    normalizer = q_pochhammer(b, q, N - 1)
-    if normalizer == 0:
+    params = QParams(q, q ** (1 - N), b)
+    units = _point_units(params, N - 1)
+    if not all(units.b[: N - 1]):
         raise ResonantParameterError(f"(b;q)_{N - 1} vanishes")
-
-    weights = [Fraction(1) / normalizer]
-    for s in range(N - 1):
-        ratio = (1 - q ** (1 - N + s)) / (1 - q ** (s + 1)) * b * q ** (N - 1)
-        weights.append(weights[-1] * ratio)
+    r = q.denominator
+    b_num, b_den = b.as_integer_ratio()
+    first = Fraction(b_den ** (N - 1) * prod(units.r_pow[: N - 1]), prod(units.b[: N - 1]))
+    ratios = _prefix_ratios(
+        1,
+        r * b_num * units.p_pow[N - 1],
+        params.a.denominator * b_den * units.r_pow[N - 1],
+        units.a[: N - 1],
+        units.one[1:],
+        "(q;q)_{0} vanishes",
+    )
+    weights = [first] + [first * ratio for ratio in ratios]
     for s, weight in enumerate(weights):
         if weight == 0:
             raise ResonantParameterError(f"weight w_{s} vanishes")
-    total = sum(weights, Fraction(0))
-    if total != 1:
-        raise ArithmeticError(
-            f"weight normalization failed: sum = {format_rational(total)}"
-        )
     return weights
 
 

@@ -16,8 +16,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 __all__ = [
@@ -482,6 +483,42 @@ def q_pochhammer(z: Scalar, q: Scalar, n: int) -> Fraction:
     return product
 
 
+def _powers(base: int, n: int) -> list[int]:
+    """[base^0, base^1, ..., base^n]."""
+    return list(accumulate(repeat(base, n), mul, initial=1))
+
+
+class _Units(NamedTuple):
+    """The int units of a parameter point, j = 0..size, with q = p/r.
+
+    The fields ``a``, ``b``, ``ab``, ``bq`` and ``one`` hold, for z = a, b,
+    a/b, b/q and 1, the units z_den r^j - z_num p^j, so that
+    1 - z q^j = unit_j / (z_den r^j). ``p_pow`` and ``r_pow`` hold p^j and
+    r^j.
+    """
+
+    p_pow: list[int]
+    r_pow: list[int]
+    a: list[int]
+    b: list[int]
+    ab: list[int]
+    bq: list[int]
+    one: list[int]
+
+
+def _point_units(params: QParams, size: int) -> _Units:
+    """The units of ``params`` for j = 0..size, off one power table of p and r."""
+    q, a, b = params.q, params.a, params.b
+    p, r = q.as_integer_ratio()
+    p_pow, r_pow = _powers(p, size), _powers(r, size)
+
+    def units(z: Fraction) -> list[int]:
+        num, den = z.as_integer_ratio()
+        return [den * r_m - num * p_m for p_m, r_m in zip(p_pow, r_pow)]
+
+    return _Units(p_pow, r_pow, units(a), units(b), units(a / b), units(b / q), units(Fraction(1)))
+
+
 @dataclass(frozen=True)
 class QParams:
     """The parameter triple (q, a, b), all exact rationals.
@@ -518,26 +555,18 @@ class QParams:
         recurrence data, the partner family and the norm constants up to
         degree n_max: b*q^j != 1 for -1 <= j <= n_max + 1 and
         (b/a)*q^j != 1 for -(n_max + 1) <= j <= 0. Empty means admissible.
-        With q = p/r, q^j is p^j / r^j for j >= 0 and r^-j / p^-j for j < 0,
-        so each test is one int cross product, b_num p^j == b_den r^j and
-        b_num a_den p^j == a_num b_den r^j (mirrored for j < 0).
+        Each factor is read off the int units of :func:`_point_units`:
+        1 - b*q^-1 is the unit bq[0], 1 - b*q^j is b[j], and
+        1 - (b/a)*q^-j vanishes exactly when ab[j], the unit of a/b, does.
         """
-        p, r = self.q.as_integer_ratio()
-        a_num, a_den = self.a.as_integer_ratio()
-        b_num, b_den = self.b.as_integer_ratio()
-
-        def q_power(j: int) -> tuple[int, int]:
-            return (p**j, r**j) if j >= 0 else (r**-j, p**-j)
-
-        offending: list[str] = []
-        for j in range(-1, n_max + 2):
-            num, den = q_power(j)
-            if b_num * num == b_den * den:
-                offending.append(f"(1 - b*q^{j}) vanishes")
-        for j in range(-(n_max + 1), 1):
-            num, den = q_power(j)
-            if b_num * a_den * num == a_num * b_den * den:
-                offending.append(f"(1 - (b/a)*q^{j}) vanishes")
+        units = _point_units(self, n_max + 1)
+        offending = ["(1 - b*q^-1) vanishes"] if not units.bq[0] else []
+        offending += [f"(1 - b*q^{j}) vanishes" for j, unit in enumerate(units.b) if not unit]
+        offending += [
+            f"(1 - (b/a)*q^{-j}) vanishes"
+            for j in range(n_max + 1, -1, -1)
+            if not units.ab[j]
+        ]
         return offending
 
     def describe(self) -> dict[str, str]:
