@@ -84,10 +84,11 @@ _MINIMUM_SIZE = {"n_max": 0, "N": 1, "draws": 1}
 
 
 def _admissibility_issues(params: QParams, n_max: int) -> list[str]:
-    """Vanishing factors for the verify suite, including the b -> bq shift."""
-    issues = params.vanishing_factors(n_max + 2)
-    shifted = params.with_b(params.b * params.q)
-    issues += [f"(at shifted b -> bq) {text}" for text in shifted.vanishing_factors(n_max)]
+    """The factors verify_suite divides by up to n_max that vanish, b -> bq shift included."""
+    issues = params.vanishing_factors(n_max)
+    if n_max:
+        shifted = params.with_b(params.b * params.q)
+        issues += [f"(at shifted b -> bq) {text}" for text in shifted.vanishing_factors(n_max - 1)]
     return issues
 
 

@@ -5,10 +5,11 @@ arbitrary-precision rationals (``fractions.Fraction``), Laurent polynomials
 are dense lists of int numerators over one common denominator, kept in a
 unique normal form (no zero end terms, content 1), and their values at the
 points q^k come back in the same layout, as a :class:`GridVector`. The
-q-Pochhammer symbol is evaluated exactly. Since the deformation parameter
-q is a rational outside {0, 1, -1}, it is never a root of unity, so
-denominators of the form 1 - q^m (m != 0) never vanish and every identity
-downstream reduces to literal equality of normal forms.
+q-Pochhammer symbol is evaluated exactly, and the factors 1 - z q^j of a
+parameter point are one table of int units. Since the deformation
+parameter q is a rational outside {0, 1, -1}, it is never a root of unity,
+so denominators of the form 1 - q^m (m != 0) never vanish and every
+identity downstream reduces to literal equality of normal forms.
 """
 
 from __future__ import annotations
@@ -551,21 +552,18 @@ class QParams:
     def vanishing_factors(self, n_max: int) -> list[str]:
         """Names of the factors, needed up to degree n_max, that vanish.
 
-        Covers every denominator used by the polynomial family, the
-        recurrence data, the partner family and the norm constants up to
-        degree n_max: b*q^j != 1 for -1 <= j <= n_max + 1 and
-        (b/a)*q^j != 1 for -(n_max + 1) <= j <= 0. Empty means admissible.
-        Each factor is read off the int units of :func:`_point_units`:
-        1 - b*q^-1 is the unit bq[0], 1 - b*q^j is b[j], and
-        1 - (b/a)*q^-j vanishes exactly when ab[j], the unit of a/b, does.
+        These are the denominators the verify suite divides by up to degree
+        n_max: b*q^j != 1 for -1 <= j <= n_max (for 0 <= j when n_max = 0)
+        and (b/a)*q^j != 1 for -(n_max + 1) <= j <= 0. Empty means
+        admissible. Each factor is read off the int units of
+        :func:`_point_units`: 1 - b*q^-1 is the unit bq[0], 1 - b*q^j is
+        b[j], and 1 - (b/a)*q^-j vanishes exactly when ab[j] does.
         """
         units = _point_units(self, n_max + 1)
-        offending = ["(1 - b*q^-1) vanishes"] if not units.bq[0] else []
-        offending += [f"(1 - b*q^{j}) vanishes" for j, unit in enumerate(units.b) if not unit]
+        offending = ["(1 - b*q^-1) vanishes"] if n_max and not units.bq[0] else []
+        offending += [f"(1 - b*q^{j}) vanishes" for j in range(n_max + 1) if not units.b[j]]
         offending += [
-            f"(1 - (b/a)*q^{-j}) vanishes"
-            for j in range(n_max + 1, -1, -1)
-            if not units.ab[j]
+            f"(1 - (b/a)*q^{-j}) vanishes" for j in range(n_max + 1, -1, -1) if not units.ab[j]
         ]
         return offending
 

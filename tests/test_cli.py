@@ -12,7 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pastroq
@@ -31,6 +31,7 @@ from pastroq.cli import (
 from pastroq.pastro import baxter_coefficients, biorthogonal_partner, pastro_poly
 from pastroq.qcore import ParameterError, QParams, format_rational, parse_rational
 from pastroq.report import Check, Report
+from test_qcore import _maybe_resonant_params
 
 PASTROQ = [sys.executable, "-m", "pastroq"]
 
@@ -220,13 +221,13 @@ def test_sweep_is_seeded_and_skips_bad_draws():
 
 
 def test_sweep_shortfall_is_an_error(capsys):
-    # the attempt cap (1000) admits only 537 of the 900 requested draws
+    # the attempt cap (1000) admits only 592 of the 900 requested draws
     with pytest.raises(SystemExit) as exit_info:
         main(["sweep", "--draws", "900", "--nmax", "0"])
     assert exit_info.value.code == 2
     last, summary = capsys.readouterr().out.splitlines()[-2:]
     assert last.startswith("ERROR sweep-draws [draws=900 n_max=0 seed=1]")
-    assert "537 of 900 draws admissible within 1000 attempts" in last
+    assert "592 of 900 draws admissible within 1000 attempts" in last
     assert "1 ERROR" in summary
 
 
@@ -432,6 +433,40 @@ def test_verify_suite_passes_at_admissible_points(q, a, b, n_max):
     assert len(checks) == 9 * (n_max + 1) + 7
     failing = [(check.name, check.params, check.witness) for check in checks if check.status != "PASS"]
     assert failing == []
+
+
+@given(_maybe_resonant_params(), st.integers(min_value=0, max_value=6))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(QParams(Fraction(1, 2), 3, 16), 3)  # b q^4 = 1, first needed at n_max = 4
+@example(QParams(Fraction(1, 2), 3, 16), 4)
+@example(QParams(Fraction(1, 2), 3, Fraction(1, 2)), 0)  # b q^-1 = 1, needed from n_max = 1
+@example(QParams(Fraction(1, 2), 3, Fraction(1, 2)), 1)
+@example(QParams(Fraction(1, 2), 3, 6), 0)  # (b/a) q = 1, needed from n_max = 1
+@example(QParams(Fraction(1, 2), 3, 6), 1)
+def test_admissibility_refuses_exactly_where_verify_suite_raises(params, n_max):
+    issues = _admissibility_issues(params, n_max)
+    try:
+        verify_suite(params, n_max)
+    except ParameterError:
+        assert issues
+    else:
+        assert not issues
+
+
+@pytest.mark.parametrize(
+    "argv, summary",
+    [
+        # b q^4 = 1 is a factor no check divides by at n_max = 3
+        (["verify", "--q=1/2", "--a=3", "--b=16", "--nmax", "3"], "checks: 43 (43 PASS)"),
+        # b q^-1 = 1 is divided by from degree 1 on
+        (["verify", "--q=1/2", "--b=1/2", "--nmax", "0"], "checks: 16 (16 PASS)"),
+    ],
+)
+def test_points_with_unused_vanishing_factors_are_admitted(argv, summary, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == summary
 
 
 @given(draw_rationals, draw_rationals, st.integers(1, 4))

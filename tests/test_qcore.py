@@ -356,7 +356,7 @@ def test_vanishing_factors_are_exact(params, n_max):
         match = _FACTOR_NAME.match(text)
         assert match, text
         named.add((match[1], int(match[2])))
-    factors = {("b", j): 1 - b * q**j for j in range(-1, n_max + 2)}
+    factors = {("b", j): 1 - b * q**j for j in range(-1 if n_max else 0, n_max + 1)}
     factors.update({("(b/a)", j): 1 - (b / a) * q**j for j in range(-(n_max + 1), 1)})
     assert named <= set(factors)
     for key, value in factors.items():
