@@ -74,9 +74,6 @@ class QDiffOperator:
     def shifts(self) -> tuple[int, ...]:
         return tuple(sorted(self._terms))
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QDiffOperator):
             return NotImplemented
