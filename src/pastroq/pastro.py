@@ -7,8 +7,8 @@ Laurent polynomials supported on exponents [-n, 0], a terminating series
 times a prefactor. Both are built on integers from closed products: each
 coefficient is a Gaussian binomial [n, k]_q, made by exact int division,
 times factors 1 - c q^m written as int units over monomials of q = p/r.
-The per-degree scalar table of a point is built from the same kind of
-units, as int prefix products with one Fraction per entry. The
+The per-degree scalar table of a point and the grid weights read the unit
+table of :mod:`pastroq.qcore`, as int products, one Fraction per entry. The
 Baxter-style coupled recurrence, stepped by one generator, reconstructs
 both families from scratch as an independent route. The terminating series
 forms of P_n and R_n are not built here: the test suite keeps them, in
@@ -335,14 +335,14 @@ def grid_weights(N: int, b: Scalar, q: Scalar) -> list[Fraction]:
         raise ResonantParameterError("b must be nonzero")
     params = QParams(q, q ** (1 - N), b)
     units = _point_units(params, N - 1)
-    if not all(units.b[: N - 1]):
+    normalizer = prod(units.b[: N - 1])
+    if not normalizer:
         raise ResonantParameterError(f"(b;q)_{N - 1} vanishes")
-    r = q.denominator
     b_num, b_den = b.as_integer_ratio()
-    first = Fraction(b_den ** (N - 1) * prod(units.r_pow[: N - 1]), prod(units.b[: N - 1]))
+    first = Fraction(b_den ** (N - 1) * prod(units.r_pow[: N - 1]), normalizer)
     ratios = _prefix_ratios(
         1,
-        r * b_num * units.p_pow[N - 1],
+        q.denominator * b_num * units.p_pow[N - 1],
         params.a.denominator * b_den * units.r_pow[N - 1],
         units.a[: N - 1],
         units.one[1:],
