@@ -13,7 +13,6 @@ record corrupted with ``_replace`` demonstrably FAILs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -210,8 +209,7 @@ def casimir_centrality(rep: AlgebraRep) -> list[Check]:
     return checks
 
 
-@dataclass
-class AlgebraConstants:
+class AlgebraConstants(NamedTuple):
     """Structure constants of the pencil subalgebra at a given mu."""
 
     mu: Fraction

@@ -10,9 +10,7 @@ usage ERROR.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple
@@ -57,8 +55,7 @@ from .report import (
 __all__ = ["RunConfig", "run", "emit", "main", "admissible_draws", "verify_suite"]
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """One invocation: the subcommand plus every field some command reads.
 
     A command reads only the fields of its ``_COMMANDS`` entry, its only
@@ -92,10 +89,21 @@ def _admissibility_issues(params: QParams, n_max: int) -> list[str]:
     return issues
 
 
-def _admissible(config: RunConfig) -> QParams:
-    """The triple of ``config``, or a ParameterError naming every vanishing factor."""
+def _table_issues(params: QParams, n_max: int) -> list[str]:
+    """The vanishing factors that table's builds (P_n, R_n for n <= n_max, the scalar table) divide by.
+
+    They are those of :func:`_admissibility_issues`, worded alike, but two:
+    1 - (b/a)*q^0 at n_max = 0 (P_n divides by it from n = 1 on) and the
+    shifted one, 1 - (b/a)*q. Each other shifted factor is an unshifted one.
+    """
+    unused = f"{'(at shifted b -> bq) ' if n_max else ''}(1 - (b/a)*q^0) vanishes"
+    return [issue for issue in _admissibility_issues(params, n_max) if issue != unused]
+
+
+def _admissible(config: RunConfig, issues_of=_admissibility_issues) -> QParams:
+    """The triple of ``config``, or a ParameterError naming every factor ``issues_of`` finds."""
     params = QParams(config.q, config.a, config.b)
-    issues = _admissibility_issues(params, config.n_max)
+    issues = issues_of(params, config.n_max)
     if issues:
         raise ParameterError("; ".join(issues))
     return params
@@ -132,17 +140,11 @@ def verify_suite(
 
 
 def _error_check(context: dict[str, str], message: str) -> Check:
-    return Check(
-        name="parameters",
-        identity="admissible parameter configuration",
-        params=context,
-        status=ERROR,
-        witness=message,
-    )
+    return Check("parameters", "admissible parameter configuration", context, ERROR, message)
 
 
 def _table(config: RunConfig, report: Report, context: dict[str, str]) -> tuple[dict, list[str]]:
-    params = _admissible(config)
+    params = _admissible(config, _table_issues)
     degrees = range(config.n_max + 1)
     polys = [pastro_poly(n, params) for n in degrees]
     partners = [biorthogonal_partner(n, params) for n in degrees]
@@ -212,13 +214,6 @@ def _algebra(config: RunConfig, report: Report, context: dict[str, str]) -> tupl
     return extra, lines
 
 
-def _draw_triple(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
-    def rational() -> Fraction:
-        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-
-    return rational(), rational(), rational()
-
-
 #: Draws a seeded sweep or ``admissible_draws`` makes before giving up.
 _MAX_ATTEMPTS = 1000
 
@@ -232,9 +227,15 @@ def _draws(
     ``ParameterError`` text (``params`` is then None) or the vanishing
     factors for degrees up to ``n_max``.
     """
+    import random
+
     rng = random.Random(seed)
+
+    def rational() -> Fraction:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
     for attempt in range(1, _MAX_ATTEMPTS + 1):
-        triple = _draw_triple(rng)
+        triple = rational(), rational(), rational()
         try:
             params = QParams(*triple)
         except ParameterError as exc:
@@ -258,31 +259,16 @@ def _sweep(config: RunConfig, report: Report, context: dict[str, str]) -> tuple[
         label = f"draw-{attempts}"
         if problem is not None:
             drawn = {"draw": label, "q": format_rational(q), "a": format_rational(a), "b": format_rational(b)}
-            report.checks.append(
-                Check(
-                    name="sweep-draw",
-                    identity="admissible parameter draw",
-                    params=drawn,
-                    status=SKIP,
-                    witness=problem,
-                )
-            )
+            report.checks.append(Check("sweep-draw", "admissible parameter draw", drawn, SKIP, problem))
             continue
         accepted += 1
         report.extend(verify_suite(params, config.n_max, {"draw": label}))
         if accepted == config.draws:
             break
     if accepted < config.draws:
-        report.checks.append(
-            Check(
-                name="sweep-draws",
-                identity="admissible draws run = draws requested",
-                params=context,
-                status=ERROR,
-                witness=f"{accepted} of {config.draws} draws admissible "
-                f"within {attempts} attempts",
-            )
-        )
+        witness = f"{accepted} of {config.draws} draws admissible within {attempts} attempts"
+        identity = "admissible draws run = draws requested"
+        report.checks.append(Check("sweep-draws", identity, context, ERROR, witness))
     return {"draws_requested": config.draws, "draws_run": accepted}, []
 
 
@@ -383,12 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
         "polynomial family and its q-difference operator triple.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = RunConfig._field_defaults
     for name, command in _COMMANDS.items():
         subparser = sub.add_parser(name, help=command.help)
         for field in command.fields:
             flag, kind, text = _FLAGS[field]
-            subparser.add_argument(flag, dest=field, type=kind, default=getattr(RunConfig, field), help=text)
-        subparser.add_argument("--format", dest="fmt", choices=("text", "json"), default=RunConfig.fmt, help="output format")
+            subparser.add_argument(flag, dest=field, type=kind, default=defaults[field], help=text)
+        subparser.add_argument("--format", dest="fmt", choices=("text", "json"), default=defaults["fmt"], help="output format")
         subparser.set_defaults(error=subparser.error)
     return parser
 

@@ -17,12 +17,11 @@ Fractions, as the reference routes of its differential tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, prod
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .qcore import (
     LaurentPoly,
@@ -114,8 +113,7 @@ def pastro_poly(n: int, params: QParams) -> LaurentPoly:
     return _binomial_poly(0, p_pow, r_pow, heads, tails, n)
 
 
-@dataclass
-class BaxterData:
+class BaxterData(NamedTuple):
     """The per-degree scalars of one parameter point, n = 0..n_max.
 
     The coupled-recurrence coefficients alpha_n, beta_n and the norms h_n;

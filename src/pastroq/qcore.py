@@ -15,7 +15,6 @@ identity downstream reduces to literal equality of normal forms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd, lcm
@@ -520,8 +519,13 @@ def _point_units(params: QParams, size: int) -> _Units:
     return _Units(p_pow, r_pow, units(a), units(b), units(a / b), units(b / q), units(Fraction(1)))
 
 
-@dataclass(frozen=True)
-class QParams:
+class _QTriple(NamedTuple):
+    q: Fraction
+    a: Fraction
+    b: Fraction
+
+
+class QParams(_QTriple):
     """The parameter triple (q, a, b), all exact rationals.
 
     Structural requirements are enforced at construction: q outside
@@ -530,24 +534,21 @@ class QParams:
     separate, because the offending factors depend on the degree range.
     """
 
-    q: Fraction
-    a: Fraction
-    b: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", Fraction(self.q))
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.q in (0, 1, -1):
-            raise ParameterError(f"q must lie outside {{0, 1, -1}}, got {format_rational(self.q)}")
-        if self.a == 0:
+    def __new__(cls, q: Scalar, a: Scalar, b: Scalar) -> "QParams":
+        q, a, b = Fraction(q), Fraction(a), Fraction(b)
+        if q in (0, 1, -1):
+            raise ParameterError(f"q must lie outside {{0, 1, -1}}, got {format_rational(q)}")
+        if a == 0:
             raise ParameterError("a must be nonzero")
-        if self.b == 0:
+        if b == 0:
             raise ParameterError("b must be nonzero")
+        return super().__new__(cls, q, a, b)
 
     def with_b(self, new_b: Scalar) -> "QParams":
         """The same (q, a) with b replaced (used by the b -> bq contiguity shift)."""
-        return QParams(self.q, self.a, Fraction(new_b))
+        return QParams(self.q, self.a, new_b)
 
     def vanishing_factors(self, n_max: int) -> list[str]:
         """Names of the factors, needed up to degree n_max, that vanish.

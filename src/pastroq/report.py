@@ -12,11 +12,9 @@ once, so no document dict of the whole report is built.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .qcore import LaurentPoly, format_rational
 
@@ -41,34 +39,29 @@ FAIL = "FAIL"
 ERROR = "ERROR"
 SKIP = "SKIP"
 
-#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``: the one
-#: encoder every JSON value of a report goes through.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One verified identity: name, the identity itself, parameters, outcome.
 
     ``identity`` is an ASCII rendering of the mathematical statement being
     checked, so a report line is meaningful on its own. ``witness`` holds
     the first concrete discrepancy when the check does not pass. ``params``
-    may be shared by several checks (every check of one degree record
-    carries the record's context dict), so it is never mutated.
+    may be shared by several checks (those of one degree record share its
+    context dict; the default is one shared {}), so it is never mutated.
     """
 
     name: str
     identity: str
-    params: dict[str, str] = field(default_factory=dict)
+    params: dict[str, str] = {}
     status: str = PASS
     witness: str | None = None
 
 
-@dataclass
 class Report:
     """An ordered collection of checks with an aggregate exit code."""
 
-    checks: list[Check] = field(default_factory=list)
+    def __init__(self, checks: list[Check] | None = None) -> None:
+        self.checks = [] if checks is None else checks
 
     def extend(self, checks: list[Check]) -> None:
         self.checks.extend(checks)
@@ -98,22 +91,25 @@ class Report:
         distinct identity, name, params, status or witness object is encoded
         once, memoised by ``id`` (the checks keep those objects alive for
         the whole render). The other values go through the same encoder.
-        ``extra`` holds the top-level keys other than "checks".
+        ``extra`` holds the top-level keys other than "checks". Only JSON output imports json.
         """
+        import json
+
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         extra = extra or {}
         memo: dict[int, str] = {}
 
         def shared(value: object) -> str:
             text = memo.get(id(value))
             if text is None:
-                text = memo[id(value)] = _encode(value)
+                text = memo[id(value)] = encode(value)
             return text
 
         def pieces():
             for i, key in enumerate(sorted(["checks", *extra])):
-                yield f'{"," if i else "{"}{_encode(key)}:'
+                yield f'{"," if i else "{"}{encode(key)}:'
                 if key != "checks":
-                    yield _encode(extra[key])
+                    yield encode(extra[key])
                     continue
                 yield "["
                 for j, c in enumerate(self.checks):
@@ -189,9 +185,7 @@ def equality_check(
     witness: str | None,
 ) -> Check:
     """Build a PASS check, or a FAIL check carrying the given witness."""
-    if witness is None:
-        return Check(name=name, identity=identity, params=params, status=PASS)
-    return Check(name=name, identity=identity, params=params, status=FAIL, witness=witness)
+    return Check(name, identity, params, PASS if witness is None else FAIL, witness)
 
 
 def poly_to_json(poly: LaurentPoly) -> dict[str, object]:

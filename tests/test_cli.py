@@ -10,6 +10,7 @@ import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -281,6 +282,37 @@ def test_each_command_takes_only_the_flags_it_reads(command, flags):
     assert sorted(options) == sorted(flags + ["--format", "-h", "--help"])
 
 
+@pytest.mark.parametrize("command, flags", COMMAND_FLAGS.items())
+def test_parser_defaults_are_the_run_config_defaults(command, flags):
+    options = vars(build_parser().parse_args([command]))
+    del options["command"], options["error"]
+    assert len(options) == len(flags) + 1  # the command's fields and fmt
+    assert options == {field: RunConfig._field_defaults[field] for field in options}
+
+
+#: Prints the modules that importing pastroq.cli and building its parser add
+#: to sys.modules; the interpreter's own start-up modules are left out.
+_ADDED_BY_IMPORT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import pastroq.cli
+pastroq.cli.build_parser()
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_loads_neither_dataclasses_nor_json():
+    src = str(Path(pastroq.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", _ADDED_BY_IMPORT, src],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    added = set(result.stdout.split())
+    assert "pastroq.cli" in added
+    assert added & {"dataclasses", "json"} == set()
+
+
 @pytest.mark.parametrize("argv", [["biorth", "--a", "2"], ["verify", "--N", "3"]])
 def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -453,6 +485,27 @@ def test_admissibility_refuses_exactly_where_verify_suite_raises(params, n_max):
         assert not issues
 
 
+@given(_maybe_resonant_params(), st.integers(min_value=0, max_value=6))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(QParams(Fraction(1, 2), 3, 6), 1)  # (b/a) q = 1: a factor of the b -> bq shift only
+@example(QParams(Fraction(1, 2), 3, 6), 2)
+@example(QParams(Fraction(1, 2), 3, 3), 0)  # (b/a) q^0 = 1, a factor of P_n from n = 1 on
+@example(QParams(Fraction(1, 2), 3, 3), 1)
+@example(QParams(Fraction(1, 2), 3, Fraction(1, 2)), 1)  # b q^-1 = 1, a factor of R_1
+def test_table_refuses_exactly_where_its_builds_raise(params, n_max):
+    report, extra, _ = run(RunConfig("table", params.q, params.a, params.b, n_max=n_max))
+    try:
+        for n in range(n_max + 1):
+            pastro_poly(n, params)
+            biorthogonal_partner(n, params)
+        baxter_coefficients(n_max, params)
+    except ParameterError:
+        assert [check.name for check in report.checks] == ["parameters"]
+        assert report.exit_code == 2
+    else:
+        assert report.checks == [] and len(extra["pastro"]) == n_max + 1
+
+
 @pytest.mark.parametrize(
     "argv, summary",
     [
@@ -460,6 +513,8 @@ def test_admissibility_refuses_exactly_where_verify_suite_raises(params, n_max):
         (["verify", "--q=1/2", "--a=3", "--b=16", "--nmax", "3"], "checks: 43 (43 PASS)"),
         # b q^-1 = 1 is divided by from degree 1 on
         (["verify", "--q=1/2", "--b=1/2", "--nmax", "0"], "checks: 16 (16 PASS)"),
+        # (b/a) q = 1 is a factor of the b -> bq shift, which table never builds
+        (["table", "--q=1/2", "--a=3", "--b=6", "--nmax", "1"], "checks: 0"),
     ],
 )
 def test_points_with_unused_vanishing_factors_are_admitted(argv, summary, capsys):

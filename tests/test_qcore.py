@@ -307,6 +307,24 @@ def test_qparams_rejects_zero_a_b():
         QParams(Fraction(1, 2), Fraction(3), 0)
 
 
+@pytest.mark.parametrize("q, a, b", [(0, 3, 5), (1, 3, 5), (-1, 3, 5), (2, 0, 5), (2, 3, 0)])
+def test_qparams_refuses_int_arguments_too(q, a, b):
+    with pytest.raises(ParameterError):
+        QParams(q, a, b)
+
+
+def test_qparams_coerces_to_fractions_and_is_immutable():
+    params = QParams(2, -3, Fraction(1, 5))
+    assert [type(value) for value in params] == [Fraction] * 3
+    assert params == (Fraction(2), Fraction(-3), Fraction(1, 5))
+    assert QParams(q=2, a=-3, b=Fraction(1, 5)) == params
+    for field in ("q", "a", "b"):
+        with pytest.raises(AttributeError):
+            setattr(params, field, Fraction(1, 3))
+    with pytest.raises(AttributeError):
+        params.c = Fraction(1, 3)  # no instance dict either
+
+
 def test_qparams_vanishing_factors():
     clean = QParams(Fraction(1, 2), Fraction(3), Fraction(1, 5))
     assert clean.vanishing_factors(10) == []

@@ -1,6 +1,5 @@
 """Operator calculus and the verification of the operator identities."""
 
-import dataclasses
 import gc
 import random
 from fractions import Fraction
@@ -363,7 +362,7 @@ def test_corrupted_table_column_fails_its_readers(column, params, monkeypatch):
         table = baxter_coefficients(n_max, params)
         values = list(getattr(table, column))
         values[N_BAD] += 1
-        return dataclasses.replace(table, **{column: values})
+        return table._replace(**{column: values})
 
     monkeypatch.setattr(cli, "baxter_coefficients", corrupted_table)
     failed = set()

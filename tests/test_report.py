@@ -66,3 +66,14 @@ def test_render_json_matches_the_reference_encoder(report, extra):
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_render_text_matches_the_reference_renderer(report):
     assert report.render_text() == report_reference.render_text(report)
+
+
+def test_a_check_with_default_fields_renders_as_before():
+    report = Report([Check("x", "y = y"), Check("z", "w = w", status=FAIL, witness="at 0")])
+    assert report.render_json() == (
+        '{"checks":[{"identity":"y = y","name":"x","params":{},"status":"PASS","witness":null},'
+        '{"identity":"w = w","name":"z","params":{},"status":"FAIL","witness":"at 0"}]}'
+    )
+    assert report.render_text() == (
+        "PASS  x  ::  y = y\nFAIL  z  ::  w = w  witness: at 0\nchecks: 2 (1 PASS, 1 FAIL)"
+    )

@@ -5,7 +5,6 @@ the package. The loops it replaced are kept here, as they were written,
 and each rewritten witness is compared with its loop on drawn inputs.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -231,7 +230,7 @@ def test_baxter_scalar_witnesses_match_old_loops(params, column, index, change):
     data = baxter_coefficients(5, params)
     values = list(getattr(data, column))
     values[index] = 0 if change == "zero" else values[index] + change
-    data = dataclasses.replace(data, **{column: values})
+    data = data._replace(**{column: values})
     checks = verify_baxter_consistency(5, params, data, [])
     assert [check.witness for check in checks[:3]] == _old_baxter_witnesses(5, data)
 
@@ -248,7 +247,7 @@ def test_first_mismatch_words_the_first_differing_row():
 def test_zero_alpha_leaves_the_beta_ratio_undefined(params, monkeypatch):
     def zero_alpha(n_max, params):
         table = baxter_coefficients(n_max, params)
-        return dataclasses.replace(table, alpha=table.alpha[:3] + [Fraction(0)] + table.alpha[4:])
+        return table._replace(alpha=table.alpha[:3] + [Fraction(0)] + table.alpha[4:])
 
     monkeypatch.setattr(cli, "baxter_coefficients", zero_alpha)
     checks = {check.name: check for check in cli.verify_suite(params, 5)}
