@@ -5,9 +5,12 @@ than booleans, so that failures carry a witness (the first exponent, entry
 or shift where two exact values differ) and so the CLI can render a stable
 report. One loop, :func:`first_mismatch`, finds and words every failed
 comparison. Rendering is deterministic: checks keep their declaration order,
-JSON map keys are sorted, and no floats ever appear. JSON is written one
-string per check, with each shared identity, name or params object encoded
-once, so no document dict of the whole report is built.
+JSON map keys are sorted, and no floats ever appear. A report is rendered
+by joining fragments that checks share (a JSON head, params encoding or
+tail; a text status or context), each memoised by the ids of the objects it
+encodes, with the checks' own strings, so no document dict of the whole
+report and no string per check is built: rendering holds about the output
+plus a few references per check.
 """
 
 from __future__ import annotations
@@ -86,67 +89,92 @@ class Report:
         """The document ``{"checks": [...]}`` plus the keys of ``extra``.
 
         The bytes are those of ``json.dumps(document, sort_keys=True,
-        separators=(",", ":"))``, but no document is built: each check is
-        written as one string with its keys in sorted order, and each
-        distinct identity, name, params, status or witness object is encoded
-        once, memoised by ``id`` (the checks keep those objects alive for
-        the whole render). The other values go through the same encoder.
-        ``extra`` holds the top-level keys other than "checks". Only JSON output imports json.
+        separators=(",", ":"))``, but no document is built and no string is
+        made per check: each check is joined from three shared fragments.
+
+        - A head ``{"identity":…,"name":…,"params":``, with the comma before
+          it from the second check on, memoised by that comma and the ids
+          of the identity and name.
+        - The params encoding, memoised by the id of the params dict.
+        - A tail ``,"status":…,"witness":…}``, memoised by the ids of the
+          status and witness.
+
+        The checks keep those objects alive for the whole render, so an id
+        names one object throughout. Rendering thus holds about the output
+        plus three references per check. ``extra`` holds the top-level keys
+        other than "checks", encoded by the same encoder. Only JSON output
+        imports json.
         """
         import json
 
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         extra = extra or {}
-        memo: dict[int, str] = {}
-
-        def shared(value: object) -> str:
-            text = memo.get(id(value))
-            if text is None:
-                text = memo[id(value)] = encode(value)
-            return text
-
-        def pieces():
-            for i, key in enumerate(sorted(["checks", *extra])):
-                yield f'{"," if i else "{"}{encode(key)}:'
-                if key != "checks":
-                    yield encode(extra[key])
-                    continue
-                yield "["
-                for j, c in enumerate(self.checks):
-                    if j:
-                        yield ","
-                    yield (
-                        f'{{"identity":{shared(c.identity)},"name":{shared(c.name)},'
-                        f'"params":{shared(c.params)},"status":{shared(c.status)},'
-                        f'"witness":{shared(c.witness)}}}'
+        heads: dict[tuple[str, int, int], str] = {}
+        contexts: dict[int, str] = {}
+        tails: dict[tuple[int, int], str] = {}
+        pieces = []
+        for i, key in enumerate(sorted(["checks", *extra])):
+            pieces.append(f'{"," if i else "{"}{encode(key)}:')
+            if key != "checks":
+                pieces.append(encode(extra[key]))
+                continue
+            pieces.append("[")
+            lead = ""
+            for c in self.checks:
+                ids = (lead, id(c.identity), id(c.name))
+                head = heads.get(ids)
+                if head is None:
+                    head = heads[ids] = (
+                        f'{lead}{{"identity":{encode(c.identity)},"name":{encode(c.name)},"params":'
                     )
-                yield "]"
-            yield "}"
-
-        return "".join(pieces())
+                context = contexts.get(id(c.params))
+                if context is None:
+                    context = contexts[id(c.params)] = encode(c.params)
+                ids = (id(c.status), id(c.witness))
+                tail = tails.get(ids)
+                if tail is None:
+                    tail = tails[ids] = f',"status":{encode(c.status)},"witness":{encode(c.witness)}}}'
+                pieces += head, context, tail
+                lead = ","
+            pieces.append("]")
+        pieces.append("}")
+        return "".join(pieces)
 
     def render_text(self) -> str:
-        """One line per check and a tally line.
+        """One line per check, then a tally line.
 
-        Each distinct params dict's `` [k=v ...]`` text is built once,
-        memoised by ``id`` as in :meth:`render_json`.
+        As in :meth:`render_json`, no string is made per check: a line is
+        joined from the padded status (with the newline that ends the line
+        before it), the check's own name, the `` [k=v ...]`` context
+        (memoised by the id of the params dict), the constant ``  ::  `` and
+        the check's own identity; a witness adds ``  witness: `` and the
+        witness itself. Rendering thus holds about the output plus five
+        references per check (seven with a witness). Memoising whole heads
+        and tails here would save two references per check, but on a report
+        of a dozen checks that share nothing the memo costs more time and
+        memory than the strings it saves.
         """
-        lines = []
+        statuses: dict[str, str] = {}
         contexts: dict[int, str] = {}
-        for check in self.checks:
-            context = contexts.get(id(check.params))
+        pieces = []
+        for c in self.checks:
+            status = statuses.get(c.status)
+            if status is None:
+                status = statuses[c.status] = f"\n{c.status:5s} "
+            context = contexts.get(id(c.params))
             if context is None:
-                pairs = " ".join(f"{k}={v}" for k, v in sorted(check.params.items()))
-                context = contexts[id(check.params)] = f" [{pairs}]" if pairs else ""
-            line = f"{check.status:5s} {check.name}{context}"
-            line += f"  ::  {check.identity}"
-            if check.witness:
-                line += f"  witness: {check.witness}"
-            lines.append(line)
+                pairs = " ".join(f"{k}={v}" for k, v in sorted(c.params.items()))
+                context = contexts[id(c.params)] = f" [{pairs}]" if pairs else ""
+            pieces += status, c.name, context, "  ::  ", c.identity
+            if c.witness:
+                pieces += "  witness: ", c.witness
+        if not self.checks:
+            return "checks: 0"
+        pieces[0] = pieces[0][1:]  # the first line follows no other
         tally = self.counts()
         summary = ", ".join(f"{tally[s]} {s}" for s in (PASS, FAIL, ERROR, SKIP) if tally[s])
-        lines.append(f"checks: {len(self.checks)} ({summary})" if self.checks else "checks: 0")
-        return "\n".join(lines)
+        pieces.append(f"\nchecks: {len(self.checks)} ({summary})")
+        return "".join(pieces)
 
 
 def first_mismatch(template: str, rows: Iterable[tuple]) -> str | None:
