@@ -318,9 +318,11 @@ def grid_weights(N: int, b: Scalar, q: Scalar) -> list[Fraction]:
     On the units of :func:`pastroq.qcore._point_units` at a = q^(1-N)
     (q = p/r), w_0 = prod_(j<N-1) b_den r^j / b[j] and
       w_s / w_0 = (r b_num p^(N-1) / (a_den b_den r^(N-1)))^s prod_(j<s) a[j] / one[j+1]
-    are int products, one Fraction per weight. Every weight is checked
-    nonzero, since a vanishing weight would degenerate the bilinear form;
-    their sum is left to the report's ``weights-normalized`` check.
+    are int products, one Fraction per weight. None vanishes once the
+    normalizer does not: b, p and r are nonzero, and a[j] (j <= N-2) and
+    one[j+1] are the units of q^(j+1-N) and q^(j+1), while a rational q
+    outside {0, 1, -1} has q^m = 1 only at m = 0. Their sum is left to the
+    report's ``weights-normalized`` check.
     """
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"grid size must be a positive integer, got {N!r}")
@@ -346,11 +348,7 @@ def grid_weights(N: int, b: Scalar, q: Scalar) -> list[Fraction]:
         units.one[1:],
         "(q;q)_{0} vanishes",
     )
-    weights = [first] + [first * ratio for ratio in ratios]
-    for s, weight in enumerate(weights):
-        if weight == 0:
-            raise ResonantParameterError(f"weight w_{s} vanishes")
-    return weights
+    return [first] + [first * ratio for ratio in ratios]
 
 
 def verify_baxter_consistency(

@@ -46,4 +46,10 @@ CASES = [
     ("biorth_q-4_5_b-2_N32", ["biorth", "--q=-4/5", "--b=-2", "--N", "32"], 0),
     ("sweep_seed12345_draws4_nmax12", ["sweep", "--seed", "12345", "--draws", "4", "--nmax", "12"], 0),
     ("table_q-7_5_a5_3_b2_9_nmax12", ["table", "--q=-7/5", "--a=5/3", "--b=2/9", "--nmax", "12"], 0),
+    # Points where a factor vanishes that no check at this size divides by,
+    # so they are admitted and exit 0 (see
+    # test_points_with_unused_vanishing_factors_are_admitted).
+    ("verify_q1_2_a3_b16_nmax3", ["verify", "--q=1/2", "--a=3", "--b=16", "--nmax", "3"], 0),
+    ("verify_q1_2_b1_2_nmax0", ["verify", "--q=1/2", "--b=1/2", "--nmax", "0"], 0),
+    ("table_q1_2_a3_b6_nmax1", ["table", "--q=1/2", "--a=3", "--b=6", "--nmax", "1"], 0),
 ]

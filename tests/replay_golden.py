@@ -1,36 +1,34 @@
-"""Replay the golden corpus without pytest: ``PYTHONPATH=src python tests/replay_golden.py``.
+"""Replay the golden corpus through processes: ``PYTHONPATH=src python tests/replay_golden.py``.
 
-Runs every case of ``golden_cases.CASES`` in process, in text and JSON,
-diffs each output and exit code with tests/golden/, and exits 1 on any
-difference.
+Runs every case of ``golden_cases.CASES`` as ``python -m pastroq <argv>
+--format {text,json}``, one process at a time, compares its exit code and
+stdout bytes with tests/golden/, and exits 1 on any difference.
+``tests/test_golden.py`` is the in-process half of the same oracle.
 """
 
 import difflib
-import io
+import subprocess
 import sys
-from contextlib import redirect_stdout
 from pathlib import Path
 
 from golden_cases import CASES
-from pastroq.cli import main
 
 failures = 0
 for stem, argv, code in CASES:
     for fmt, suffix in (("text", "txt"), ("json", "json")):
         path = Path(__file__).parent / "golden" / f"{stem}.{suffix}"
-        out = io.StringIO()
-        with redirect_stdout(out):
-            try:
-                main(argv + ["--format", fmt])
-            except SystemExit as exit_info:
-                status = exit_info.code
-        expected, got = path.read_text(encoding="utf-8"), out.getvalue()
-        if (status, got) != (code, expected):
+        result = subprocess.run(
+            [sys.executable, "-m", "pastroq", *argv, "--format", fmt],
+            capture_output=True, timeout=120,
+        )
+        expected = path.read_bytes()
+        if (result.returncode, result.stdout) != (code, expected):
             failures += 1
-            print(f"{path.name}: exit {status}, expected {code}")
-            lines = expected.splitlines(), got.splitlines()
-            diff = difflib.unified_diff(*lines, str(path), "replay")
-            print("\n".join(line.rstrip("\n") for line in diff))
+            print(f"{path.name}: exit {result.returncode}, expected {code}")
+            lines = (out.decode("utf-8", "replace").splitlines() for out in (expected, result.stdout))
+            print("\n".join(difflib.unified_diff(*lines, str(path), "replay", lineterm="")))
+            if result.returncode != code:
+                print(result.stderr.decode("utf-8", "replace"), end="")
 total = 2 * len(CASES)
 print(f"{total - failures} of {total} golden reports identical (Python {sys.version.split()[0]})")
 sys.exit(1 if failures else 0)

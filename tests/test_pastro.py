@@ -330,7 +330,9 @@ def test_grid_weights_frozen_values():
 @pytest.mark.parametrize("b", [Fraction(1, 5), Fraction(3), Fraction(-2, 7)])
 @pytest.mark.parametrize("N", [1, 2, 5, 8])
 def test_grid_weights_sum_to_one(N, b):
-    assert sum(grid_weights(N, b, Fraction(1, 2))) == 1
+    weights = grid_weights(N, b, Fraction(1, 2))
+    assert sum(weights) == 1
+    assert 0 not in weights
 
 
 def test_grid_weights_flip_invariance():
