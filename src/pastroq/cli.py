@@ -4,13 +4,15 @@ All inputs are rational literals (``p`` or ``p/r``); floats are rejected at
 the parser. Output is deterministic: same configuration, byte-identical
 bytes, in both text and JSON formats. Exit code 0 means every check
 passed, 1 means at least one identity FAILed, 2 means a parameter or
-usage ERROR.
+usage ERROR, 3 means the report could not be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple
@@ -42,15 +44,7 @@ from .qdiff import (
     verify_qdiff_equation,
     verify_recurrence,
 )
-from .report import (
-    Check,
-    ERROR,
-    Report,
-    SKIP,
-    matrix_to_json,
-    poly_to_json,
-    vector_to_json,
-)
+from .report import Check, ERROR, Report, SKIP
 
 __all__ = ["RunConfig", "run", "emit", "main", "admissible_draws", "verify_suite"]
 
@@ -143,75 +137,70 @@ def _error_check(context: dict[str, str], message: str) -> Check:
     return Check("parameters", "admissible parameter configuration", context, ERROR, message)
 
 
-def _table(config: RunConfig, report: Report, context: dict[str, str]) -> tuple[dict, list[str]]:
+def _table(config: RunConfig, report: Report, context: dict[str, str]) -> dict:
     params = _admissible(config, _table_issues)
     degrees = range(config.n_max + 1)
-    polys = [pastro_poly(n, params) for n in degrees]
-    partners = [biorthogonal_partner(n, params) for n in degrees]
-    data = baxter_coefficients(config.n_max, params)
     extra = {
         "params": context,
-        "pastro": [poly_to_json(p) for p in polys],
-        "partners": [poly_to_json(r) for r in partners],
-        "alpha": vector_to_json(data.alpha),
-        "beta": vector_to_json(data.beta),
-        "h": vector_to_json(data.h),
+        "pastro": [pastro_poly(n, params) for n in degrees],
+        "partners": [biorthogonal_partner(n, params) for n in degrees],
     }
-    lines = [f"P_{n} = {poly}" for n, poly in enumerate(polys)]
-    lines += [f"R_{n} = {partner}" for n, partner in enumerate(partners)]
-    lines += [
-        f"alpha_{n} = {alpha}   beta_{n} = {beta}   h_{n} = {h}"
-        for n, (alpha, beta, h) in enumerate(zip(extra["alpha"], extra["beta"], extra["h"]))
-    ]
-    return extra, lines
+    data = baxter_coefficients(config.n_max, params)
+    return extra | {"alpha": data.alpha, "beta": data.beta, "h": data.h}
 
 
-def _verify(config: RunConfig, report: Report, context: dict[str, str]) -> tuple[dict, list[str]]:
+def _table_text(extra: dict) -> list[str]:
+    lines = [f"P_{n} = {poly}" for n, poly in enumerate(extra["pastro"])]
+    lines += [f"R_{n} = {partner}" for n, partner in enumerate(extra["partners"])]
+    scalars = zip(*(map(format_rational, extra[name]) for name in ("alpha", "beta", "h")))
+    return lines + [f"alpha_{n} = {a}   beta_{n} = {b}   h_{n} = {h}" for n, (a, b, h) in enumerate(scalars)]
+
+
+def _verify(config: RunConfig, report: Report, context: dict[str, str]) -> dict:
     report.extend(verify_suite(_admissible(config), config.n_max))
-    return {}, []
+    return {}
 
 
-def _biorth(config: RunConfig, report: Report, context: dict[str, str]) -> tuple[dict, list[str]]:
+def _biorth(config: RunConfig, report: Report, context: dict[str, str]) -> dict:
     rep = make_grid_rep(config.N, config.b, config.q)
     report.extend(verify_adjoint_structure(rep))
     for n in range(config.N):
         report.extend(verify_adjoint_gevp(n, rep))
     gram, biorth_checks = verify_biorthogonality(rep)
     report.extend(biorth_checks)
-
-    extra: dict = {"params": context}
-    lines = []
-    vectors = (("grid", rep.grid), ("weights", rep.w), ("h", rep.h[: config.N]))
-    for name, vector in vectors:
-        extra[name] = vector_to_json(vector)
-        lines.append(f"{name + ':':<9}" + "  ".join(extra[name]))
-    extra["gram"] = matrix_to_json(gram)
-    lines += ["gram:"] + ["  " + "  ".join(row) for row in extra["gram"]]
-    return extra, lines
+    return {"params": context, "grid": rep.grid, "weights": rep.w, "h": rep.h[: config.N], "gram": gram}
 
 
-def _algebra(config: RunConfig, report: Report, context: dict[str, str]) -> tuple[dict, list[str]]:
+def _biorth_text(extra: dict) -> list[str]:
+    def row(values):
+        return "  ".join(map(format_rational, values))
+
+    lines = [f"{name + ':':<9}{row(extra[name])}" for name in ("grid", "weights", "h")]
+    return lines + ["gram:"] + [f"  {row(values)}" for values in extra["gram"]]
+
+
+_ALGEBRA_SCALARS = ("alpha1", "alpha2", "gamma1", "gamma2", "gamma3")
+
+
+def _algebra(config: RunConfig, report: Report, context: dict[str, str]) -> dict:
     rep = make_algebra_rep(QParams(config.q, config.a, config.b))
     report.extend(verify_raw_relations(rep))
     report.extend(verify_affine_relations(rep))
     report.extend(casimir_centrality(rep))
     constants, pencil_checks = qhahn_embedding(rep, config.mu)
     report.extend(pencil_checks)
+    return {name: getattr(constants, name) for name in _ALGEBRA_SCALARS} | {
+        "params": context,
+        "gamma4": constants.gamma4,
+        "degenerate_pencil": constants.degenerate,
+        "presentation": {"beta1": "0", "beta2": "1", "delta1": "0", "delta2": "1"},
+    }
 
-    extra: dict = {"params": context}
-    lines = []
-    for name in ("alpha1", "alpha2", "gamma1", "gamma2", "gamma3"):
-        extra[name] = format_rational(getattr(constants, name))
-        lines.append(f"{name} = {extra[name]}")
-    extra["gamma4"] = [
-        {"shift": shift} | poly_to_json(coefficient)
-        for shift, coefficient in constants.gamma4.items()
-    ]
-    lines.append(f"gamma4 = {constants.gamma4}")
-    extra["degenerate_pencil"] = constants.degenerate
-    lines.append(f"degenerate pencil: {'yes' if constants.degenerate else 'no'}")
-    extra["presentation"] = {"beta1": "0", "beta2": "1", "delta1": "0", "delta2": "1"}
-    return extra, lines
+
+def _algebra_text(extra: dict) -> list[str]:
+    lines = [f"{name} = {format_rational(extra[name])}" for name in _ALGEBRA_SCALARS]
+    pencil = "yes" if extra["degenerate_pencil"] else "no"
+    return lines + [f"gamma4 = {extra['gamma4']}", f"degenerate pencil: {pencil}"]
 
 
 #: Draws a seeded sweep or ``admissible_draws`` makes before giving up.
@@ -269,7 +258,7 @@ def _sweep(config: RunConfig, report: Report, context: dict[str, str]) -> tuple[
         witness = f"{accepted} of {config.draws} draws admissible within {attempts} attempts"
         identity = "admissible draws run = draws requested"
         report.checks.append(Check("sweep-draws", identity, context, ERROR, witness))
-    return {"draws_requested": config.draws, "draws_run": accepted}, []
+    return {"draws_requested": config.draws, "draws_run": accepted}
 
 
 class _Command(NamedTuple):
@@ -278,30 +267,35 @@ class _Command(NamedTuple):
     ``fields`` are the config fields it reads: its flags, in this order,
     and its ERROR context. ``run`` bounds the size fields among them
     (those in ``_MINIMUM_SIZE``) in the same order. ``body`` appends checks
-    to the report and returns the JSON extras and text lines.
+    to the report and returns the extras as exact values, which
+    ``Report.render_json`` encodes; ``text``, if any, words them as the
+    lines that lead a text report.
     """
 
     help: str
     fields: tuple[str, ...]
-    body: Callable[[RunConfig, Report, dict[str, str]], tuple[dict, list[str]]]
+    body: Callable[[RunConfig, Report, dict[str, str]], dict]
+    text: Callable[[dict], list[str]] | None = None
 
 
 _COMMANDS = {
-    "table": _Command("emit P_n, R_n and the recurrence data", ("q", "a", "b", "n_max"), _table),
+    "table": _Command("emit P_n, R_n and the recurrence data", ("q", "a", "b", "n_max"), _table, _table_text),
     "verify": _Command("run every polynomial/operator identity check", ("q", "a", "b", "n_max"), _verify),
-    "biorth": _Command("run the grid, adjoint and biorthogonality checks", ("q", "b", "N"), _biorth),
-    "algebra": _Command("run the algebra relation checks", ("q", "a", "b", "mu"), _algebra),
+    "biorth": _Command("run the grid, adjoint and biorthogonality checks", ("q", "b", "N"), _biorth, _biorth_text),
+    "algebra": _Command("run the algebra relation checks", ("q", "a", "b", "mu"), _algebra, _algebra_text),
     "sweep": _Command("run the verify suite at seeded random points", ("n_max", "draws", "seed"), _sweep),
 }
 
 
 def run(config: RunConfig) -> tuple[Report, dict, list[str]]:
-    """Execute one configuration; returns (report, json extras, text lines).
+    """Execute one configuration; returns (report, extras, text lines).
 
-    A size field below its minimum gives one ERROR check naming it. A
-    ParameterError from the body keeps the checks already appended and adds
-    one ``parameters`` ERROR with the command's context; extras and lines
-    are then empty.
+    The extras are exact values; the text lines are built only when
+    ``config.fmt`` is "text", so no run formats both ways. A size field
+    below its minimum gives one ERROR check naming it. A ParameterError
+    from the body keeps the checks already appended and adds one
+    ``parameters`` ERROR with the command's context; extras and lines are
+    then empty.
     """
     try:
         command = _COMMANDS[config.command]
@@ -315,11 +309,11 @@ def run(config: RunConfig) -> tuple[Report, dict, list[str]]:
     context = {name: format_rational(getattr(config, name)) for name in command.fields}
     report = Report()
     try:
-        extra, lines = command.body(config, report, context)
+        extra = command.body(config, report, context)
     except ParameterError as exc:
         report.checks.append(_error_check(context, str(exc)))
         return report, {}, []
-    return report, extra, lines
+    return report, extra, command.text(extra) if command.text and config.fmt == "text" else []
 
 
 def emit(report: Report, extra: dict, lines: list[str], fmt: str) -> str:
@@ -388,7 +382,17 @@ def main(argv: list[str] | None = None) -> None:
         error(f"unrecognized arguments: {' '.join(extras)}")
     config = RunConfig(**fields)
     report, extra, lines = run(config)
-    print(emit(report, extra, lines, config.fmt))
+    output = emit(report, extra, lines, config.fmt)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except OSError as exc:  # BrokenPipeError (EPIPE) among them
+        # Python's note on SIGPIPE: point stdout at devnull, so that the
+        # interpreter's final flush does not raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with suppress(OSError):  # stderr may be the same closed pipe
+            print(f"pastroq: cannot write the report: {exc}", file=sys.stderr, flush=True)
+        sys.exit(3)
     sys.exit(report.exit_code)
 
 if __name__ == "__main__":

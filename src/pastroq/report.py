@@ -32,9 +32,7 @@ __all__ = [
     "first_mismatch",
     "poly_mismatch_witness",
     "vector_mismatch_witness",
-    "poly_to_json",
-    "matrix_to_json",
-    "vector_to_json",
+    "to_json",
 ]
 
 PASS = "PASS"
@@ -102,12 +100,13 @@ class Report:
         The checks keep those objects alive for the whole render, so an id
         names one object throughout. Rendering thus holds about the output
         plus three references per check. ``extra`` holds the top-level keys
-        other than "checks", encoded by the same encoder. Only JSON output
+        other than "checks", encoded by the same encoder, which gives each
+        exact value its form through :func:`to_json`. Only JSON output
         imports json.
         """
         import json
 
-        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=to_json).encode
         extra = extra or {}
         heads: dict[tuple[str, int, int], str] = {}
         contexts: dict[int, str] = {}
@@ -216,17 +215,20 @@ def equality_check(
     return Check(name, identity, params, PASS if witness is None else FAIL, witness)
 
 
-def poly_to_json(poly: LaurentPoly) -> dict[str, object]:
-    """Serialize a polynomial as {degree, coefficients: exponent -> 'p/r'}."""
-    return {
-        "degree": poly.degree,
-        "coefficients": {str(e): format_rational(c) for e, c in poly.items()},
-    }
+def to_json(value: object) -> object:
+    """The JSON form of an exact value: the encoder's ``default`` in :meth:`Report.render_json`.
 
+    A rational is its ``p/r`` text, a polynomial ``{degree, coefficients:
+    exponent -> 'p/r'}`` and a q-difference operator the list of its
+    terms, each its coefficient's form plus its ``shift``. Strings, ints,
+    bools, lists and dicts are JSON already and never reach it.
+    """
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, LaurentPoly):
+        return {"degree": value.degree, "coefficients": {str(e): format_rational(c) for e, c in value.items()}}
+    from .qdiff import QDiffOperator  # qdiff imports this module
 
-def vector_to_json(values: list[Fraction]) -> list[str]:
-    return [format_rational(v) for v in values]
-
-
-def matrix_to_json(matrix: list[list[Fraction]]) -> list[list[str]]:
-    return [vector_to_json(row) for row in matrix]
+    if isinstance(value, QDiffOperator):
+        return [{"shift": shift} | to_json(coefficient) for shift, coefficient in value.items()]
+    raise TypeError(f"no JSON form for {type(value).__name__}")

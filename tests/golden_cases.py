@@ -9,7 +9,7 @@ stem. Both ``test_golden.py`` and ``replay_golden.py`` read this table.
 #: cases after them are the test_criterion_8_determinism invocations; the
 #: last verify input is resonant and exits 2 with the admissibility ERROR.
 #: ``table --nmax 12`` is the one case that prints whole polynomials (str,
-#: items and poly_to_json), so it guards term order, signs and ``1*x`` elision.
+#: items and report.to_json), so it guards term order, signs and ``1*x`` elision.
 #: The four after it cover the runner's ERROR paths: a table admissibility
 #: ERROR, a QParams ERROR in algebra and in verify, and the degenerate
 #: algebra pencil at mu = 0, which still exits 0. The two verify cases at

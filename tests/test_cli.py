@@ -4,6 +4,7 @@ import argparse
 import importlib
 import io
 import json
+import os
 import pkgutil
 import subprocess
 import sys
@@ -30,7 +31,7 @@ from pastroq.cli import (
     verify_suite,
 )
 from pastroq.pastro import baxter_coefficients, biorthogonal_partner, pastro_poly
-from pastroq.qcore import ParameterError, QParams, format_rational, parse_rational
+from pastroq.qcore import LaurentPoly, ParameterError, QParams, format_rational, parse_rational
 from pastroq.report import Check, Report
 from test_qcore import _maybe_resonant_params
 
@@ -105,6 +106,23 @@ def test_table_prints_coefficients_past_the_digit_limit(capsys):
             assert coefficients == dict(build(n, params).items())
 
 
+def test_table_formats_only_in_the_requested_format(monkeypatch):
+    # a text run never gives a value its JSON form; a JSON run never words a polynomial
+    calls = Counter()
+    for owner, name in ((pastroq.report, "to_json"), (LaurentPoly, "__str__")):
+
+        def counted(*args, _name=name, _original=getattr(owner, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    for fmt, used, unused in (("text", "__str__", "to_json"), ("json", "to_json", "__str__")):
+        calls.clear()
+        report, extra, lines = run(RunConfig("table", n_max=3, fmt=fmt))
+        emit(report, extra, lines, fmt)
+        assert calls[used] > 0 and calls[unused] == 0, (fmt, calls)
+
+
 def test_verify_default_point_all_pass():
     report, _, _ = run(RunConfig("verify", n_max=4))
     assert report.exit_code == 0
@@ -112,23 +130,26 @@ def test_verify_default_point_all_pass():
 
 
 def test_biorth_single_point_gram():
-    report, extra, _ = run(RunConfig("biorth", N=1))
+    report, extra, lines = run(RunConfig("biorth", N=1))
     assert report.exit_code == 0
+    extra = json.loads(emit(report, extra, lines, "json"))
     assert extra["gram"] == [["1"]]
     assert extra["weights"] == ["1"]
 
 
 def test_biorth_frozen_two_point_gram():
-    report, extra, _ = run(RunConfig("biorth", N=2))
+    report, extra, lines = run(RunConfig("biorth", N=2))
     assert report.exit_code == 0
+    extra = json.loads(emit(report, extra, lines, "json"))
     assert extra["gram"] == [["1", "0"], ["0", "5/32"]]
     assert extra["grid"] == ["1/2", "1/4"]
     assert extra["weights"] == ["5/4", "-1/4"]
 
 
 def test_algebra_constants_surface():
-    report, extra, _ = run(RunConfig("algebra", mu=Fraction(0)))
+    report, extra, lines = run(RunConfig("algebra", mu=Fraction(0)))
     assert report.exit_code == 0
+    extra = json.loads(emit(report, extra, lines, "json"))
     assert extra["alpha1"] == "1/60"
     assert extra["alpha2"] == "-11/45"
     assert extra["gamma1"] == "1"
@@ -610,6 +631,32 @@ def test_subprocess_rejects_float_literals():
 def test_subprocess_rejects_missing_command():
     result = invoke()
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("stderr", [subprocess.PIPE, subprocess.STDOUT], ids=["own-stderr", "2>&1"])
+def test_a_closed_pipe_exits_3_without_traceback(stderr):
+    # the reader closes after its first read, while print is still writing;
+    # with 2>&1 the message cannot be written either, and the code stays 3
+    process = subprocess.Popen(PASTROQ + ["table", "--nmax", "60"], stdout=subprocess.PIPE, stderr=stderr, text=True)
+    process.stdout.read(100)
+    process.stdout.close()
+    _, err = process.communicate(timeout=120)
+    assert process.returncode == 3
+    if stderr == subprocess.PIPE:
+        assert "Traceback" not in err
+        assert err.startswith("pastroq: cannot write the report: [Errno 32]")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_full_device_exits_3_without_traceback():
+    # a report this small fails only at the flush after print
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            PASTROQ + ["verify", "--nmax", "2"], stdout=full, stderr=subprocess.PIPE, text=True, timeout=120
+        )
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("pastroq: cannot write the report: [Errno 28]")
 
 
 @pytest.mark.parametrize(

@@ -78,6 +78,11 @@ def test_render_text_matches_the_reference_renderer(report):
     assert report.render_text() == report_reference.render_text(report)
 
 
+def test_render_json_refuses_a_value_without_a_json_form():
+    with pytest.raises(TypeError, match="no JSON form for complex"):
+        Report().render_json({"x": 1j})
+
+
 def test_a_check_with_default_fields_renders_as_before():
     report = Report([Check("x", "y = y"), Check("z", "w = w", status=FAIL, witness="at 0")])
     assert report.render_json() == (
