@@ -63,6 +63,7 @@ __all__ = [
     "band_mismatch_witness",
     "mat_vec",
     "diag_times",
+    "weight_steps",
     "weight_adjoint",
     "tau_parameter",
     "tau_conjugate",
@@ -128,6 +129,8 @@ def band_entries(band: Band) -> Iterator[tuple[int, int, Fraction]]:
 
 def band_mismatch_witness(lhs: Band, rhs: Band) -> str | None:
     """First entry, in row-major order, where two bands differ, or None."""
+    if lhs == rhs:
+        return None
     entries = zip(band_entries(lhs), band_entries(rhs))
     return first_mismatch(
         "entry ({},{}): lhs {}, rhs {}",
@@ -156,15 +159,25 @@ def diag_times(diagonal: list[Fraction], band: Band) -> Band:
     )
 
 
-def weight_adjoint(band: Band, weights: list[Fraction]) -> Band:
-    """The adjoint with respect to the weighted form: W*[t][s] = (w_s/w_t) W[s][t]."""
+def weight_steps(weights: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """The step ratios (w_(t-1)/w_t for t >= 1, w_(t+1)/w_t for t < N-1).
+
+    Each is one division, taken once per weight list; the ratio down is
+    the reciprocal of the ratio up.
+    """
+    up = [after / before for before, after in zip(weights, weights[1:])]
+    return [1 / ratio for ratio in up], up
+
+
+def weight_adjoint(band: Band, steps: tuple[list[Fraction], list[Fraction]]) -> Band:
+    """The adjoint with respect to the weighted form: W*[t][s] = (w_s/w_t) W[s][t].
+
+    ``steps`` is :func:`weight_steps` of the weights, so each entry off the
+    main diagonal is one product with a step ratio.
+    """
     lower, main, upper = band
-    w = weights
-    return Band(
-        [w[t - 1] * entry / w[t] for t, entry in enumerate(upper, 1)],
-        list(main),
-        [w[t + 1] * entry / w[t] for t, entry in enumerate(lower)],
-    )
+    down, up = steps
+    return Band(list(map(mul, down, upper)), list(main), list(map(mul, up, lower)))
 
 
 def tau_parameter(b: Scalar, q: Scalar, N: int) -> Fraction:
@@ -222,14 +235,15 @@ class GridRep(NamedTuple):
     and q that every grid check carries; ``grid`` holds the points
     x_s = q^(s+1) and ``w`` their weights; ``matrices`` the bands X, Y, X*,
     Y*, and ``int_bands`` X* and Y* again as (int band, denominator) pairs;
-    ``poly_values`` and ``partner_values`` the grid samples of P_0..P_(N-1)
-    and R_0..R_(N-1), each a :class:`GridVector`; ``p_top`` the truncation
-    polynomial P_N; ``h`` the norm constants h_0..h_N; and ``q_polys`` and
-    ``lam`` the coupled-recurrence partners Q_0..Q_(N-1) of
-    :func:`baxter_system` and the eigenvalues lambda_0..lambda_(N-1) of
-    the scalar table. Only what a check reads is kept: the families P_n and
-    R_n are dropped once sampled, and so are the coupled P~_n and the rest
-    of the table, which bounds peak memory.
+    ``poly_values``, ``partner_values`` and ``baxter_values`` the grid
+    samples of P_0..P_(N-1), R_0..R_(N-1) and Q_0(1/x)..Q_(N-1)(1/x), each
+    a :class:`GridVector`, with Q_n the coupled-recurrence partners of
+    :func:`baxter_system`; ``p_top`` the truncation polynomial P_N; ``h``
+    the norm constants h_0..h_N; and ``lam`` the eigenvalues
+    lambda_0..lambda_(N-1) of the scalar table. Only what a check reads is
+    kept: the families P_n, R_n and Q_n are dropped once sampled, and so
+    are the coupled P~_n and the rest of the table, which bounds peak
+    memory.
     """
 
     N: int
@@ -241,9 +255,9 @@ class GridRep(NamedTuple):
     int_bands: dict[str, tuple[Band, int]]
     poly_values: list[GridVector]
     partner_values: list[GridVector]
+    baxter_values: list[GridVector]
     p_top: LaurentPoly
     h: list[Fraction]
-    q_polys: list[LaurentPoly]
     lam: list[Fraction]
 
 
@@ -256,6 +270,9 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
     come last, and cannot fail once h_N exists, since their denominators
     are factors of h_N's. The CLI prints that error's message, so the order
     is part of the report.
+
+    Each Q_n(1/x) is compared with R_n, and where they are equal (as they
+    are at every admissible point) R_n's samples are reused as its own.
     """
     w = grid_weights(N, b, q)
     q, b = Fraction(q), Fraction(b)
@@ -264,14 +281,20 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
     grid = [q ** (s + 1) for s in range(N)]
     exponents = range(1, N + 1)
     poly_values = [pastro_poly(n, params).sample_at_powers(q, exponents) for n in range(N)]
-    partner_values = [
-        biorthogonal_partner(m, params).sample_at_powers(q, exponents) for m in range(N)
-    ]
+    partners = [biorthogonal_partner(m, params) for m in range(N)]
+    partner_values = [partner.sample_at_powers(q, exponents) for partner in partners]
     h = _norm_constants(N, params)
     p_top = pastro_poly(N, params)
     table = baxter_coefficients(N - 1, params, h)
     _, q_polys = baxter_system(table)
-    matrices = {"X": X, "Y": Y, "X*": weight_adjoint(X, w), "Y*": weight_adjoint(Y, w)}
+    baxter_values = []
+    for coupled, partner, samples in zip(q_polys, partners, partner_values):
+        coupled = coupled.invert_variable()
+        baxter_values.append(
+            samples if coupled == partner else coupled.sample_at_powers(q, exponents)
+        )
+    steps = weight_steps(w)
+    matrices = {"X": X, "Y": Y, "X*": weight_adjoint(X, steps), "Y*": weight_adjoint(Y, steps)}
     return GridRep(
         N=N,
         params=params,
@@ -282,9 +305,9 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
         int_bands={name: _int_band(matrices[name]) for name in ("X*", "Y*")},
         poly_values=poly_values,
         partner_values=partner_values,
+        baxter_values=baxter_values,
         p_top=p_top,
         h=h,
-        q_polys=q_polys,
         lam=table.lam,
     )
 
@@ -324,13 +347,19 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
     property <W f, g> = <f, W* g> on all basis pairs, involutivity of the
     adjoint, the tau-flip expressions X* = -b q^s tau(X) and
     Y* = -(1/b) q^(s+1-N) tau(Y), and tau o tau = id.
+
+    The step ratios of ``rep.w`` are taken once per call, and every closed
+    form reads q^s from one table, [1] followed by the grid points.
     """
     N, w, context = rep.N, rep.w, rep.context
     b, q = rep.params.b, rep.params.q
+    steps = weight_steps(w)
+    powers = [Fraction(1), *rep.grid]  # q^0..q^N
+    q_top = powers[N]
     checks: list[Check] = []
 
     closed_plus = Band(
-        [q * (1 - q**s) / (b * (q**N - q**s)) for s in range(1, N)],
+        [q * (1 - powers[s]) / (b * (q_top - powers[s])) for s in range(1, N)],
         _zeros(N),
         _zeros(N - 1),
     )
@@ -339,21 +368,21 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
             "adjoint-shift-plus",
             "(T^+)* = [q (1 - q^s) / (b (q^N - q^s))] T^-",
             context,
-            band_mismatch_witness(weight_adjoint(shift_plus_matrix(N), w), closed_plus),
+            band_mismatch_witness(weight_adjoint(shift_plus_matrix(N), steps), closed_plus),
         )
     )
 
     closed_minus = Band(
         _zeros(N - 1),
         _zeros(N),
-        [b * (q**N - q ** (s + 1)) / (q * (1 - q ** (s + 1))) for s in range(N - 1)],
+        [b * (q_top - powers[s]) / (q * (1 - powers[s])) for s in range(1, N)],
     )
     checks.append(
         equality_check(
             "adjoint-shift-minus",
             "(T^-)* = [b (q^N - q^(s+1)) / (q (1 - q^(s+1)))] T^+",
             context,
-            band_mismatch_witness(weight_adjoint(shift_minus_matrix(N), w), closed_minus),
+            band_mismatch_witness(weight_adjoint(shift_minus_matrix(N), steps), closed_minus),
         )
     )
 
@@ -364,7 +393,7 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
             context,
             band_mismatch_witness(
                 rep.matrices["X*"],
-                restrict(QDiffOperator(q, {1: (x() - q**N) * b, 0: q - x() * b}), N),
+                restrict(QDiffOperator(q, {1: (x() - q_top) * b, 0: q - x() * b}), N),
             ),
         )
     )
@@ -375,7 +404,7 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
             context,
             band_mismatch_witness(
                 rep.matrices["Y*"],
-                restrict(QDiffOperator(q, {-1: (x() - q) / b, 0: q**N - x() / b}), N),
+                restrict(QDiffOperator(q, {-1: (x() - q) / b, 0: q_top - x() / b}), N),
             ),
         )
     )
@@ -384,13 +413,17 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
         matrix, adjoint = rep.matrices[name], rep.matrices[f"{name}*"]
         # <W e_i, e_j> = w_j W[j][i] and <e_i, W* e_j> = w_i W*[i][j]. Both
         # vanish off the band, so the pairs scanned in row-major order are
-        # the band entries (i, j) of W^T and of W*.
-        transpose = Band(matrix.upper, matrix.main, matrix.lower)
-        entries = zip(band_entries(transpose), band_entries(adjoint))
-        witness = first_mismatch(
-            "basis pair ({0},{1}): <W e_{0}, e_{1}> = {2}, <e_{0}, W* e_{1}> = {3}",
-            ((i, j, w[j] * left, w[i] * right) for (i, j, left), (_, _, right) in entries),
-        )
+        # the band entries (i, j) of W^T and of W*. Every pair agrees exactly
+        # when W* is the weighted adjoint of W, which the step ratios decide
+        # without a product of weights; the scan only words the witness.
+        witness = None
+        if weight_adjoint(matrix, steps) != adjoint:
+            transpose = Band(matrix.upper, matrix.main, matrix.lower)
+            entries = zip(band_entries(transpose), band_entries(adjoint))
+            witness = first_mismatch(
+                "basis pair ({0},{1}): <W e_{0}, e_{1}> = {2}, <e_{0}, W* e_{1}> = {3}",
+                ((i, j, w[j] * left, w[i] * right) for (i, j, left), (_, _, right) in entries),
+            )
         checks.append(
             equality_check(
                 f"adjoint-pairing-{name}",
@@ -404,7 +437,7 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
                 f"adjoint-involution-{name}",
                 f"({name}*)* = {name}",
                 context,
-                band_mismatch_witness(weight_adjoint(adjoint, w), matrix),
+                band_mismatch_witness(weight_adjoint(adjoint, steps), matrix),
             )
         )
 
@@ -416,10 +449,11 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
             "X* = diag(-b q^s) tau(X)",
             context,
             band_mismatch_witness(
-                rep.matrices["X*"], diag_times([-b * q**s for s in range(N)], tau_x)
+                rep.matrices["X*"], diag_times([-b * power for power in powers[:N]], tau_x)
             ),
         )
     )
+    y_scale = -b * q_top  # -(1/b) q^(s+1-N) = q^(s+1) / (-b q^N)
     checks.append(
         equality_check(
             "adjoint-Y-tau",
@@ -427,7 +461,7 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
             context,
             band_mismatch_witness(
                 rep.matrices["Y*"],
-                diag_times([-(1 / b) * q ** (s + 1 - N) for s in range(N)], tau_y),
+                diag_times([power / y_scale for power in powers[1:]], tau_y),
             ),
         )
     )
@@ -511,14 +545,12 @@ def verify_adjoint_gevp(n: int, rep: GridRep) -> list[Check]:
         )
     )
 
-    baxter = rep.q_polys[n].invert_variable()
-    baxter_samples = baxter.sample_at_powers(q, range(1, N + 1))
     checks.append(
         equality_check(
             "adjoint-partner-baxter",
             "X* P*_n prop Q_n(1/x_s)",
             context,
-            proportionality_witness(image, baxter_samples),
+            proportionality_witness(image, rep.baxter_values[n]),
         )
     )
     return checks

@@ -9,8 +9,10 @@ Fraction form of the int X* and Y* bands to P*_n, and the partner checks
 scan every pair of entries (:func:`proportionality_witness`). The two
 references read the same ``GridRep`` fields as the package's checks (the
 int vectors through ``GridVector.values()``), so a corrupted field
-reaches both routes the same way. Only these references compare dense
-matrices, so :func:`matrix_mismatch_witness` lives here too.
+reaches both routes the same way; the one exception is the coupled route,
+whose Q_n the reference builds itself from ``baxter_system`` and evaluates
+point by point. Only these references compare dense matrices, so
+:func:`matrix_mismatch_witness` lives here too.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from itertools import count
 
 from pastroq.biorth import Band, GridRep, mat_vec, tau_parameter
-from pastroq.pastro import pastro_poly
+from pastroq.pastro import baxter_coefficients, baxter_system, pastro_poly
 from pastroq.qcore import LaurentPoly, QParams, ResonantParameterError, format_rational
 from pastroq.report import (
     Check,
@@ -110,7 +112,8 @@ def reference_adjoint_gevp(n: int, rep: GridRep) -> list[Check]:
             proportionality_witness(image, flip_samples),
         )
     )
-    baxter_samples = grid_samples(rep.q_polys[n].invert_variable(), rep.grid)
+    _, q_polys = baxter_system(baxter_coefficients(N - 1, rep.params))
+    baxter_samples = grid_samples(q_polys[n].invert_variable(), rep.grid)
     checks.append(
         equality_check(
             "adjoint-partner-baxter",

@@ -35,6 +35,7 @@ from pastroq.biorth import (
     verify_adjoint_structure,
     verify_biorthogonality,
     weight_adjoint,
+    weight_steps,
 )
 from pastroq.pastro import (
     baxter_coefficients,
@@ -149,7 +150,7 @@ def test_band_operations_match_dense_reference(N):
         assert mat_vec(band, vector) == dense_mat_vec(dense(band), vector)
         matrix = dense(band)
         adjoint = [[w[s] * matrix[s][t] / w[t] for s in range(N)] for t in range(N)]
-        assert dense(weight_adjoint(band, w)) == adjoint
+        assert dense(weight_adjoint(band, weight_steps(w))) == adjoint
         other = random_band(rng, N)
         assert band_mismatch_witness(band, other) == matrix_mismatch_witness(
             dense(band), dense(other)
@@ -195,7 +196,7 @@ def test_adjoint_is_involutive():
     rep = make_grid_rep(4, B, Q)
     w = rep.w
     for name in ("X", "Y"):
-        assert weight_adjoint(rep.matrices[f"{name}*"], w) == rep.matrices[name]
+        assert weight_adjoint(rep.matrices[f"{name}*"], weight_steps(w)) == rep.matrices[name]
 
 
 def test_tau_parameter_is_involutive():
@@ -542,6 +543,13 @@ def _bumped_shift(build):
     return lambda N: _bumped_main(build(N))
 
 
+def _moved_q3(data):
+    """baxter_system with Q_3 moved by x^-1/7, so Q_3(1/x) is not R_3."""
+    p_polys, q_polys = baxter_system(data)
+    q_polys[3] += LaurentPoly({-1: Fraction(1, 7)})
+    return p_polys, q_polys
+
+
 #: A fault in the operator triple, the shift matrices or the tau flip,
 #: applied before (a monkeypatched ``biorth`` attribute, built for the rep's
 #: b) or after (``None``: a corruption of the built rep) the rep is built,
@@ -589,6 +597,11 @@ OPERATOR_FAULTS = {
         lambda b: _bumped_shift(shift_minus_matrix),
         {"adjoint-shift-minus"},
     ),
+    "coupled Q_3 + x^-1/7": (
+        "baxter_system",
+        lambda b: _moved_q3,
+        {"adjoint-partner-baxter"},
+    ),
 }
 
 #: The witnesses pinned among an operator fault's failures.
@@ -612,6 +625,19 @@ def test_operator_fault_fails_exactly_its_grid_checks(fault, q, b, monkeypatch):
     assert all(witness for _, _, witness in failures)
     if fault in OPERATOR_WITNESSES:
         assert OPERATOR_WITNESSES[fault] in {witness for _, _, witness in failures}
+
+
+@pytest.mark.parametrize("q, b", [(Q, B), (Fraction(-4, 5), Fraction(-2))])
+def test_moved_coupled_partner_fails_as_the_fraction_route(q, b, monkeypatch):
+    # The build samples Q_3(1/x) itself, and reuses R_n's samples elsewhere.
+    monkeypatch.setattr(biorth, "baxter_system", _moved_q3)
+    monkeypatch.setattr(grid_reference, "baxter_system", _moved_q3)
+    rep = make_grid_rep(5, b, q)
+    assert rep.baxter_values[3] != rep.partner_values[3]
+    assert all(rep.baxter_values[n] is rep.partner_values[n] for n in (0, 1, 2, 4))
+    checks = _grid_suite(rep, verify_adjoint_gevp, verify_biorthogonality)
+    assert checks == _grid_suite(rep, reference_adjoint_gevp, reference_biorthogonality)
+    assert [(name, n) for name, n, _ in _failures(checks)] == [("adjoint-partner-baxter", "3")]
 
 
 def test_every_grid_check_fails_under_a_pinned_corruption():
@@ -711,7 +737,10 @@ def test_grid_build_computes_the_norm_constants_once(monkeypatch):
     assert calls == [N]
     assert rep.h == [norm_constant(n, rep.params) for n in range(N + 1)]
     monkeypatch.undo()
-    assert rep.q_polys == baxter_system(baxter_coefficients(N - 1, rep.params))[1]
+    _, q_polys = baxter_system(baxter_coefficients(N - 1, rep.params))
+    assert rep.baxter_values == [
+        poly.invert_variable().sample_at_powers(Q, range(1, N + 1)) for poly in q_polys
+    ]
 
 
 def test_biorth_samples_p_top_and_its_derivative_once_per_point(monkeypatch):
@@ -734,6 +763,46 @@ def test_biorth_samples_p_top_and_its_derivative_once_per_point(monkeypatch):
     verify_biorthogonality(rep)
     grid_exponents = list(range(1, N + 1))
     assert calls == [(rep.p_top, grid_exponents), (rep.p_top.derivative(), grid_exponents)]
+
+
+#: sample_at_powers calls of a whole N = 5 run (the build, the adjoint
+#: structure, the eigenvalue problem at every degree and biorthogonality)
+#: when the eigenvalue problem sampled each Q_n(1/x) on its own, although
+#: it is the polynomial R_n that the build samples.
+SAMPLES_WITH_Q_SAMPLED_APART = 43
+
+
+@pytest.mark.parametrize("q, b", [(Q, B), (Fraction(-4, 5), Fraction(-2))])
+def test_a_grid_run_samples_each_partner_once(q, b, monkeypatch):
+    calls = []
+    sample_at_powers = LaurentPoly.sample_at_powers
+
+    def counted(self, q, exponents):
+        calls.append(self)
+        return sample_at_powers(self, q, exponents)
+
+    monkeypatch.setattr(LaurentPoly, "sample_at_powers", counted)
+    N = 5
+    rep = make_grid_rep(N, b, q)
+    _grid_suite(rep, verify_adjoint_gevp, verify_biorthogonality)
+    assert len(calls) == SAMPLES_WITH_Q_SAMPLED_APART - N
+    assert all(baxter is partner for baxter, partner in zip(rep.baxter_values, rep.partner_values))
+
+
+def _laurent_polys(value):
+    """Every LaurentPoly reachable from ``value`` through lists, tuples and dicts."""
+    if isinstance(value, LaurentPoly):
+        yield value
+    elif isinstance(value, (list, tuple, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _laurent_polys(item)
+
+
+@pytest.mark.parametrize("q, b", [(Q, B), (Fraction(-4, 5), Fraction(-2))])
+def test_a_grid_rep_keeps_no_polynomial_but_p_top(q, b):
+    rep = make_grid_rep(5, b, q)
+    polys = list(_laurent_polys(rep))
+    assert len(polys) == 1 and polys[0] is rep.p_top
 
 
 @pytest.mark.parametrize("q, b", [(Q, B), (Fraction(-4, 5), Fraction(-2))])

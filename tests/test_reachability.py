@@ -26,6 +26,8 @@ UNREACHED = {
     "admissible_draws": "bench/run.py draws its inputs with it",
     "vector_mismatch_witness": "runs only when adjoint-gevp FAILs: "
     "test_corrupted_lam_fails_only_the_adjoint_gevp_at_that_degree",
+    "band_entries": "runs only when a band or pairing check FAILs: "
+    "test_pairing_witness_matches_dense_basis_pairs",
     "LaurentPoly.valuation": "value-type method the tests read",
     "LaurentPoly.leading_coefficient": "value-type method the tests read",
     "LaurentPoly.__hash__": "value type: tests put polynomials in sets",
