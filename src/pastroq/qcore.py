@@ -464,6 +464,89 @@ def _make(low: int, nums: list[int], den: int, bound: int) -> LaurentPoly:
     return _raw(low + start, nums, den)
 
 
+def _compose(
+    q: Fraction, left: Mapping[int, LaurentPoly], right: Mapping[int, LaurentPoly]
+) -> dict[int, LaurentPoly]:
+    """The coefficients, by shift, of (sum_j a_j T^j)(sum_k b_k T^k) over q.
+
+    The twisted product rule (a T^j)(b T^k) = a(x) b(q^j x) T^(j+k) is
+    worked on the int parts: b's numerators are scaled by the powers of
+    q^j = N/D that the dilation needs, as in :meth:`LaurentPoly.dilate`,
+    multiplied by a's numerators, and added to the sum of shift j + k over
+    the lcm of the denominators. Nothing is normalized before the end,
+    which takes one content gcd per shift and drops a shift that sums to
+    zero, so the coefficients are in normal form. An operator holds no zero
+    coefficient, so no term pair is empty.
+    """
+    p, r = q.numerator, q.denominator
+    sums: dict[int, list] = {}
+    for j, a in left.items():
+        a_nums, a_low, a_den = a._nums, a._low, a._den
+        if j:
+            # q^j = N/D with D > 0.
+            if not p:
+                raise ValueError("dilation factor must be nonzero")
+            N, D = (p**j, r**j) if j > 0 else (r**-j, p**-j)
+            if D < 0:
+                N, D = -N, -D
+        for k, b in right.items():
+            nums, low = b._nums, b._low
+            den = a_den * b._den
+            if j:
+                # b(q^j x): the exponent-(low+i) term is scaled by
+                # N^i D^(top-i) times N^low / D^(low+top), the common factor
+                # kept as two ints with the sign of N^low on the numerator.
+                top = len(nums) - 1
+                if low >= 0:
+                    scale, scale_den = N**low, D ** (low + top)
+                else:
+                    scale = -(D**-low) if N < 0 and low % 2 else D**-low
+                    scale_den = abs(N) ** -low * D**top
+                nums = [n * N**i * D ** (top - i) * scale for i, n in enumerate(nums)]
+                den *= scale_den
+            # Schoolbook product, one row per term of the shorter factor.
+            if len(a_nums) >= len(nums):
+                long, short = a_nums, nums
+            else:
+                long, short = nums, a_nums
+            if len(short) == 1:
+                factor = short[0]
+                product = [n * factor for n in long]
+            else:
+                size = len(long)
+                product = [0] * (size + len(short) - 1)
+                for i, factor in enumerate(short):
+                    if factor:
+                        row = [n * factor for n in long]
+                        product[i : i + size] = map(add, product[i : i + size], row)
+            low += a_low
+            shift = j + k
+            total = sums.get(shift)
+            if total is not None:
+                # Add to the shift's sum over the lcm of the two denominators.
+                t_low, t_nums, t_den = total
+                common = lcm(t_den, den)
+                start = min(t_low, low)
+                merged = [0] * (max(t_low + len(t_nums), low + len(product)) - start)
+                for part_low, part, part_den in ((t_low, t_nums, t_den), (low, product, den)):
+                    lift = common // part_den
+                    if lift != 1:
+                        part = [n * lift for n in part]
+                    begin = part_low - start
+                    end = begin + len(part)
+                    merged[begin:end] = map(add, merged[begin:end], part)
+                low, product, den = start, merged, common
+            # A list, not a tuple: a freed 3-tuple stays allocated on the
+            # interpreter's tuple free list and so counts toward the traced peak.
+            sums[shift] = [low, product, den]
+    terms = {}
+    for shift, (low, nums, den) in sums.items():
+        coefficient = _make(low, nums, den, den)
+        if coefficient._nums:
+            terms[shift] = coefficient
+    return terms
+
+
 def x(power: int = 1) -> LaurentPoly:
     """The monomial x^power (power may be negative)."""
     return LaurentPoly.monomial(1, power)

@@ -19,10 +19,10 @@ single pass over the degrees.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .qcore import LaurentPoly, QParams, Scalar, format_rational, x
+from .qcore import LaurentPoly, QParams, Scalar, _compose, format_rational, x
 from .pastro import BaxterData, pastro_poly
 from .report import Check, equality_check, poly_mismatch_witness
 
@@ -86,7 +86,7 @@ class QDiffOperator:
         return _operator(self.q, chain(self._terms.items(), other._terms.items()))
 
     def __neg__(self) -> "QDiffOperator":
-        return _operator(self.q, ((k, -c) for k, c in self._terms.items()))
+        return _wrap(self.q, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "QDiffOperator") -> "QDiffOperator":
         if not isinstance(other, QDiffOperator):
@@ -96,18 +96,23 @@ class QDiffOperator:
     def __mul__(self, factor: Scalar) -> "QDiffOperator":
         if not isinstance(factor, (int, Fraction)):
             return NotImplemented
-        return _operator(self.q, ((k, c * factor) for k, c in self._terms.items()))
+        # A nonzero scalar leaves every coefficient nonzero: nothing to merge.
+        if not factor:
+            return _wrap(self.q, {})
+        return _wrap(self.q, {k: c * factor for k, c in self._terms.items()})
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "QDiffOperator") -> "QDiffOperator":
-        """Composition: (c1 T^j)(c2 T^k) = c1(x) c2(q^j x) T^(j+k)."""
+        """Composition: (c1 T^j)(c2 T^k) = c1(x) c2(q^j x) T^(j+k).
+
+        Worked on the coefficients' int numerators with one content gcd per
+        output shift: no ``LaurentPoly`` product or dilation per term pair.
+        """
         if not isinstance(other, QDiffOperator):
             return NotImplemented
         self._require_same_ambient(other)
-        powers = {j: self.q**j for j in self._terms}
-        pairs = product(self._terms.items(), other._terms.items())
-        return _operator(self.q, ((j + k, c1 * c2.dilate(powers[j])) for (j, c1), (k, c2) in pairs))
+        return _wrap(self.q, _compose(self.q, self._terms, other._terms))
 
     def apply(
         self, f: LaurentPoly, dilations: Mapping[int, LaurentPoly] | None = None
@@ -153,14 +158,21 @@ def _operator(q: Fraction, terms: Iterable[tuple[int, LaurentPoly]]) -> QDiffOpe
     for shift, coefficient in terms:
         existing = merged.get(shift)
         merged[shift] = coefficient if existing is None else existing + coefficient
+    return _wrap(q, {shift: coefficient for shift, coefficient in merged.items() if coefficient})
+
+
+def _wrap(q: Fraction, terms: dict[int, LaurentPoly]) -> QDiffOperator:
+    """The operator over q with ``terms``, already in normal form, as its terms."""
     result = QDiffOperator.__new__(QDiffOperator)
     result.q = q
-    result._terms = {shift: coefficient for shift, coefficient in merged.items() if coefficient}
+    result._terms = terms
     return result
 
 
 def operator_mismatch_witness(lhs: QDiffOperator, rhs: QDiffOperator) -> str | None:
     """First (shift, exponent) where two operators differ, or None."""
+    if lhs == rhs:
+        return None
     for shift in sorted(set(lhs.shifts) | set(rhs.shifts)):
         mismatch = poly_mismatch_witness(lhs.coefficient(shift), rhs.coefficient(shift))
         if mismatch:

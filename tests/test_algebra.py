@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import operator_reference
 from pastroq.algebra import (
     casimir_centrality,
     make_algebra_rep,
@@ -190,6 +191,21 @@ def test_algebra_fault_fails_exactly_its_checks(fault, params):
     failed = [c for c in _algebra_suite(corrupt(make_algebra_rep(params))) if c.status != "PASS"]
     assert {check.name for check in failed} == names
     assert all(check.witness for check in failed)
+
+
+@pytest.mark.parametrize("params", POINTS)
+def test_fault_reports_match_the_reference_composition(params, monkeypatch):
+    # every check, status and witness of the suite, clean and under each
+    # fault, is the one the polynomial-product composition gives
+    def reports():
+        rows = {"clean": _algebra_suite(make_algebra_rep(params))}
+        for fault, (corrupt, _) in ALGEBRA_FAULTS.items():
+            rows[fault] = _algebra_suite(corrupt(make_algebra_rep(params)))
+        return rows
+
+    kernel = reports()
+    monkeypatch.setattr(QDiffOperator, "__matmul__", operator_reference.compose)
+    assert reports() == kernel
 
 
 def test_every_algebra_check_fails_under_a_pinned_fault():

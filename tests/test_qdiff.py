@@ -5,9 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import operator_reference
 from family_reference import eigenvalue
-from pastroq import cli
+from pastroq import cli, qcore, qdiff
 from pastroq.pastro import baxter_coefficients, pastro_poly
 from pastroq.qcore import LaurentPoly, QParams, ResonantParameterError, x
 from pastroq.qdiff import (
@@ -82,6 +85,63 @@ def _random_operator(rng: random.Random) -> QDiffOperator:
     return QDiffOperator(
         Q, {k: _random_poly(rng) for k in rng.sample(range(-2, 3), k=2)}
     )
+
+
+#: Both signs of q, with |p| < r and |p| > r.
+COMPOSE_QS = [Fraction(1, 2), Fraction(-4, 5), Fraction(7, 3), Fraction(-3, 2)]
+
+_coefficients = st.dictionaries(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    max_size=4,
+).map(LaurentPoly)
+_operator_terms = st.dictionaries(st.integers(min_value=-3, max_value=3), _coefficients, max_size=4)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(COMPOSE_QS), _operator_terms, _operator_terms)
+def test_composition_matches_the_reference_route(q, left, right):
+    A, B = QDiffOperator(q, left), QDiffOperator(q, right)
+    assert A @ B == operator_reference.compose(A, B)
+
+
+@pytest.mark.parametrize("q", COMPOSE_QS)
+def test_composition_fixed_cases(q):
+    X, _, _ = make_operators(QParams(q, 3, Fraction(1, 5)))
+    zero, identity = QDiffOperator(q), QDiffOperator.identity(q)
+    assert zero @ X == X @ zero == zero
+    assert (zero @ X).shifts == ()
+    assert identity @ X == X @ identity == X
+    assert identity @ identity == identity
+    # (T + I)(T^-1 - I) = T^-1 - T: the shift-0 terms cancel and are dropped
+    T_plus = QDiffOperator(q, {1: 1})
+    T_minus = QDiffOperator(q, {-1: 1})
+    product = (T_plus + identity) @ (T_minus - identity)
+    assert product == T_minus - T_plus
+    assert product.shifts == (-1, 1)
+    assert product == operator_reference.compose(T_plus + identity, T_minus - identity)
+
+
+def test_composition_normalizes_once_per_output_shift(monkeypatch):
+    X, Y, _ = make_operators(REFERENCE)
+    calls = {"mul": 0, "dilate": 0, "make": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting("mul", LaurentPoly.__mul__))
+    monkeypatch.setattr(LaurentPoly, "__rmul__", counting("mul", LaurentPoly.__rmul__))
+    monkeypatch.setattr(LaurentPoly, "dilate", counting("dilate", LaurentPoly.dilate))
+    monkeypatch.setattr(qcore, "_make", counting("make", qcore._make))
+    product = X @ Y
+    output_shifts = {j + k for j in X.shifts for k in Y.shifts}
+    assert product.shifts == (-1, 0, 1)
+    assert calls["mul"] == calls["dilate"] == 0
+    assert 0 < calls["make"] <= len(output_shifts)
 
 
 def test_distinct_normal_forms_act_differently():
@@ -309,6 +369,22 @@ def test_witness_pinpoints_first_mismatch():
     assert operator_mismatch_witness(
         QDiffOperator(Q, {1: x()}), QDiffOperator(Q, {1: x()})
     ) is None
+
+
+def test_equal_operators_take_no_polynomial_witness(monkeypatch):
+    calls = []
+
+    def counted(lhs, rhs):
+        calls.append((lhs, rhs))
+        return poly_mismatch_witness(lhs, rhs)
+
+    monkeypatch.setattr(qdiff, "poly_mismatch_witness", counted)
+    X, Y, _ = make_operators(REFERENCE)
+    assert operator_mismatch_witness(X @ Y, X @ Y) is None
+    assert calls == []
+    assert operator_mismatch_witness(X, Y) == "shift -1, " + poly_mismatch_witness(
+        X.coefficient(-1), Y.coefficient(-1)
+    )
 
 
 #: For each column of the scalar table, the checks that read it at degree
