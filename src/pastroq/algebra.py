@@ -7,8 +7,11 @@ alpha1, alpha2. In the new generators a cubic Casimir element commutes
 with everything, and the pencil L = X' + mu Y' generates a q-Hahn type
 subalgebra whose relations close on L, Z' and their q-commutator M.
 All relation checks are exact operator equalities in normal form. Each
-check reads one :class:`AlgebraRep`, built once per parameter point, so a
-record corrupted with ``_replace`` demonstrably FAILs.
+q-commutator c AB - BA is one :func:`q_commutator` and each linear
+expression one :func:`linear_combination`, its scalars distributed over
+the terms, so every side is merged and normalized once. Each check reads
+one :class:`AlgebraRep`, built once per parameter point, so a record
+corrupted with ``_replace`` demonstrably FAILs.
 """
 
 from __future__ import annotations
@@ -17,7 +20,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .qcore import QParams, Scalar, format_rational
-from .qdiff import QDiffOperator, make_operators, operator_mismatch_witness
+from .qdiff import (
+    QDiffOperator,
+    linear_combination,
+    make_operators,
+    operator_mismatch_witness,
+    q_commutator,
+)
 from .report import Check, equality_check
 
 __all__ = [
@@ -68,9 +77,9 @@ def make_algebra_rep(params: QParams) -> AlgebraRep:
     X, Y, Z = make_operators(params)
     q, a, b = params.q, params.a, params.b
     I = QDiffOperator.identity(q)
-    Xp = (a / (b * q * (q - 1))) * X - (a / (b * (q - 1))) * I
-    Yp = (b / q) * Y - (b / a) * I
-    Zp = (-1 / a) * Z - (b / a) * I
+    Xp = linear_combination(q, ((a / (b * q * (q - 1)), X), (-a / (b * (q - 1)), I)))
+    Yp = linear_combination(q, ((b / q, Y), (-b / a, I)))
+    Zp = linear_combination(q, ((-1 / a, Z), (-b / a, I)))
     a1 = b * (q - 1) ** 2 * (q + 1) / (a**2 * q)
     a2 = (q - 1) * (a * b + a * q + b * q) / (a**2 * q)
     casimir = casimir_element(q, (Xp, Yp, Zp), a1, a2)
@@ -94,7 +103,8 @@ def verify_raw_relations(rep: AlgebraRep) -> list[Check]:
             "q XY - YX = q (q-1) ((1/a) X + Y)",
             context,
             operator_mismatch_witness(
-                q * (X @ Y) - Y @ X, q * (q - 1) * ((1 / a) * X + Y)
+                q_commutator(q, X, Y),
+                linear_combination(q, ((q * (q - 1) / a, X), (q * (q - 1), Y))),
             ),
         ),
         equality_check(
@@ -102,13 +112,15 @@ def verify_raw_relations(rep: AlgebraRep) -> list[Check]:
             "q YZ - ZY = (q-1) (-(1+q)/(bq) X - b Y + (q/a) Z + (1-b)(a-bq)/(ab) I)",
             context,
             operator_mismatch_witness(
-                q * (Y @ Z) - Z @ Y,
-                (q - 1)
-                * (
-                    (-(1 + q) / (b * q)) * X
-                    + (-b) * Y
-                    + (q / a) * Z
-                    + ((1 - b) * (a - b * q) / (a * b)) * I
+                q_commutator(q, Y, Z),
+                linear_combination(
+                    q,
+                    (
+                        ((q - 1) * -(1 + q) / (b * q), X),
+                        ((q - 1) * -b, Y),
+                        ((q - 1) * q / a, Z),
+                        ((q - 1) * (1 - b) * (a - b * q) / (a * b), I),
+                    ),
                 ),
             ),
         ),
@@ -116,7 +128,10 @@ def verify_raw_relations(rep: AlgebraRep) -> list[Check]:
             "raw-relation-ZX",
             "q ZX - XZ = (q-1) (-b X + q Z)",
             context,
-            operator_mismatch_witness(q * (Z @ X) - X @ Z, (q - 1) * ((-b) * X + q * Z)),
+            operator_mismatch_witness(
+                q_commutator(q, Z, X),
+                linear_combination(q, (((q - 1) * -b, X), ((q - 1) * q, Z))),
+            ),
         ),
     ]
     return checks
@@ -137,11 +152,11 @@ def verify_affine_relations(rep: AlgebraRep) -> list[Check]:
     a1, a2 = rep.alpha1, rep.alpha2
     I = QDiffOperator.identity(q)
 
-    witness_xy = operator_mismatch_witness(q * (Xp @ Yp) - Yp @ Xp, I)
+    witness_xy = operator_mismatch_witness(q_commutator(q, Xp, Yp), I)
     witness_yz = operator_mismatch_witness(
-        q * (Yp @ Zp) - Zp @ Yp, a1 * Xp + a2 * I
+        q_commutator(q, Yp, Zp), linear_combination(q, ((a1, Xp), (a2, I)))
     )
-    witness_zx = operator_mismatch_witness(q * (Zp @ Xp) - Xp @ Zp, I)
+    witness_zx = operator_mismatch_witness(q_commutator(q, Zp, Xp), I)
     checks = [
         equality_check(
             "affine-relation-XY", "q X'Y' - Y'X' = I", context, witness_xy
@@ -184,10 +199,16 @@ def casimir_element(
         + (1/q)(1/q + 1)(alpha2 X' + (1/q) Y' + Z').
     """
     Xp, Yp, Zp = generators
-    return (
-        (q**-2 - 1) * (Xp @ Yp @ Zp)
-        + (alpha1 / q) * (Xp @ Xp)
-        + (1 / q) * (1 / q + 1) * (alpha2 * Xp + (1 / q) * Yp + Zp)
+    tail = (1 / q) * (1 / q + 1)
+    return linear_combination(
+        q,
+        (
+            (q**-2 - 1, Xp @ Yp @ Zp),
+            (alpha1 / q, Xp @ Xp),
+            (tail * alpha2, Xp),
+            (tail / q, Yp),
+            (tail, Zp),
+        ),
     )
 
 
@@ -242,13 +263,13 @@ def qhahn_embedding(
     a1, a2 = rep.alpha1, rep.alpha2
     I = QDiffOperator.identity(q)
 
-    L = Xp + mu * Yp
+    L = linear_combination(q, ((1, Xp), (mu, Yp)))
     gamma1 = mu * a2 + 1
-    lz = q * (L @ Zp) - Zp @ L
-    M = lz - gamma1 * I
+    lz = q_commutator(q, L, Zp)
+    M = linear_combination(q, ((1, lz), (-gamma1, I)))
     gamma2 = mu * a1
     gamma3 = mu * (q + 1) ** 2 * (q - 1) / q
-    gamma4 = (-mu * q**2 * (q - 1)) * rep.casimir + (mu**2 * a1) * I
+    gamma4 = linear_combination(q, ((-mu * q**2 * (q - 1), rep.casimir), (mu**2 * a1, I)))
 
     context = rep.context | {"mu": format_rational(mu)}
     if mu == 0:
@@ -259,20 +280,27 @@ def qhahn_embedding(
             "q L Z' - Z' L = M + (mu alpha2 + 1) I",
             context,
             operator_mismatch_witness(
-                lz, (q * (Xp @ Zp) - Zp @ Xp + (mu * a1) * Xp - I) + gamma1 * I
+                lz,
+                linear_combination(
+                    q, ((1, q_commutator(q, Xp, Zp)), (mu * a1, Xp), (-1, I), (gamma1, I))
+                ),
             ),
         ),
         equality_check(
             "qhahn-ZM",
             "q Z' M - M Z' = mu alpha1 I",
             context,
-            operator_mismatch_witness(q * (Zp @ M) - M @ Zp, gamma2 * I),
+            operator_mismatch_witness(
+                q_commutator(q, Zp, M), linear_combination(q, ((gamma2, I),))
+            ),
         ),
         equality_check(
             "qhahn-ML",
             "q M L - L M = mu ((q+1)^2 (q-1)/q) Z' - mu q^2 (q-1) Q + mu^2 alpha1 I",
             context,
-            operator_mismatch_witness(q * (M @ L) - L @ M, gamma3 * Zp + gamma4),
+            operator_mismatch_witness(
+                q_commutator(q, M, L), linear_combination(q, ((gamma3, Zp), (1, gamma4)))
+            ),
         ),
     ]
     constants = AlgebraConstants(

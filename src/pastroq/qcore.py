@@ -464,28 +464,91 @@ def _make(low: int, nums: list[int], den: int, bound: int) -> LaurentPoly:
     return _raw(low + start, nums, den)
 
 
-def _compose(
-    q: Fraction, left: Mapping[int, LaurentPoly], right: Mapping[int, LaurentPoly]
-) -> dict[int, LaurentPoly]:
-    """The coefficients, by shift, of (sum_j a_j T^j)(sum_k b_k T^k) over q.
+def _merge(sums: dict[int, list], shift: int, low: int, nums: list[int], den: int) -> None:
+    """Add (sum_i nums[i] x^(low+i)) / den to the running sum of ``shift``.
+
+    ``sums`` maps a shift to ``[low, nums, den]`` with ``den > 0``, not
+    normalized. A second part at a shift is added over the lcm of the two
+    denominators; no list is changed in place, so a part may share the
+    numerators of a coefficient.
+    """
+    total = sums.get(shift)
+    if total is not None:
+        t_low, t_nums, t_den = total
+        common = lcm(t_den, den)
+        start = min(t_low, low)
+        merged = [0] * (max(t_low + len(t_nums), low + len(nums)) - start)
+        for part_low, part, part_den in ((t_low, t_nums, t_den), (low, nums, den)):
+            lift = common // part_den
+            if lift != 1:
+                part = [n * lift for n in part]
+            begin = part_low - start
+            end = begin + len(part)
+            merged[begin:end] = map(add, merged[begin:end], part)
+        low, nums, den = start, merged, common
+    # A list, not a tuple: a freed 3-tuple stays allocated on the
+    # interpreter's tuple free list and so counts toward the traced peak.
+    sums[shift] = [low, nums, den]
+
+
+def _finish(sums: dict[int, list]) -> dict[int, LaurentPoly]:
+    """The coefficients, by shift, of the running sums of :func:`_merge`.
+
+    One content gcd per shift brings each sum to normal form, and a shift
+    that sums to zero is dropped.
+    """
+    terms = {}
+    for shift, (low, nums, den) in sums.items():
+        coefficient = _make(low, nums, den, den)
+        if coefficient._nums:
+            terms[shift] = coefficient
+    return terms
+
+
+def _accumulate_scaled(
+    sums: dict[int, list], weight: Scalar, terms: Mapping[int, LaurentPoly]
+) -> None:
+    """Add weight * sum_k c_k T^k to ``sums``.
+
+    With weight = w_num / w_den, each c_k enters as its numerators times
+    w_num over its denominator times w_den. A zero weight adds nothing.
+    """
+    w_num, w_den = weight.as_integer_ratio()
+    if not w_num:
+        return
+    for shift, c in terms.items():
+        nums = c._nums if w_num == 1 else [n * w_num for n in c._nums]
+        _merge(sums, shift, c._low, nums, c._den * w_den)
+
+
+def _accumulate_product(
+    sums: dict[int, list],
+    q: Fraction,
+    weight: Scalar,
+    left: Mapping[int, LaurentPoly],
+    right: Mapping[int, LaurentPoly],
+) -> None:
+    """Add weight * (sum_j a_j T^j)(sum_k b_k T^k) over q to ``sums``.
 
     The twisted product rule (a T^j)(b T^k) = a(x) b(q^j x) T^(j+k) is
-    worked on the int parts: b's numerators are scaled by the powers of
-    q^j = N/D that the dilation needs, as in :meth:`LaurentPoly.dilate`,
-    multiplied by a's numerators, and added to the sum of shift j + k over
-    the lcm of the denominators. Nothing is normalized before the end,
-    which takes one content gcd per shift and drops a shift that sums to
-    zero, so the coefficients are in normal form. An operator holds no zero
-    coefficient, so no term pair is empty.
+    worked on the int parts: the weight scales each a_j once, b's
+    numerators are scaled by the powers of q^j = N/D that the dilation
+    needs, as in :meth:`LaurentPoly.dilate`, multiplied by a's numerators,
+    and merged into the sum of shift j + k. Nothing is normalized here;
+    :func:`_finish` takes one content gcd per shift. An operator holds no
+    zero coefficient and its q is nonzero, so no term pair is empty and
+    every power of q is defined. A zero weight adds nothing.
     """
+    w_num, w_den = weight.as_integer_ratio()
+    if not w_num:
+        return
     p, r = q.numerator, q.denominator
-    sums: dict[int, list] = {}
     for j, a in left.items():
-        a_nums, a_low, a_den = a._nums, a._low, a._den
+        a_nums, a_low, a_den = a._nums, a._low, a._den * w_den
+        if w_num != 1:
+            a_nums = [n * w_num for n in a_nums]
         if j:
             # q^j = N/D with D > 0.
-            if not p:
-                raise ValueError("dilation factor must be nonzero")
             N, D = (p**j, r**j) if j > 0 else (r**-j, p**-j)
             if D < 0:
                 N, D = -N, -D
@@ -519,32 +582,7 @@ def _compose(
                     if factor:
                         row = [n * factor for n in long]
                         product[i : i + size] = map(add, product[i : i + size], row)
-            low += a_low
-            shift = j + k
-            total = sums.get(shift)
-            if total is not None:
-                # Add to the shift's sum over the lcm of the two denominators.
-                t_low, t_nums, t_den = total
-                common = lcm(t_den, den)
-                start = min(t_low, low)
-                merged = [0] * (max(t_low + len(t_nums), low + len(product)) - start)
-                for part_low, part, part_den in ((t_low, t_nums, t_den), (low, product, den)):
-                    lift = common // part_den
-                    if lift != 1:
-                        part = [n * lift for n in part]
-                    begin = part_low - start
-                    end = begin + len(part)
-                    merged[begin:end] = map(add, merged[begin:end], part)
-                low, product, den = start, merged, common
-            # A list, not a tuple: a freed 3-tuple stays allocated on the
-            # interpreter's tuple free list and so counts toward the traced peak.
-            sums[shift] = [low, product, den]
-    terms = {}
-    for shift, (low, nums, den) in sums.items():
-        coefficient = _make(low, nums, den, den)
-        if coefficient._nums:
-            terms[shift] = coefficient
-    return terms
+            _merge(sums, j + k, low + a_low, product, den)
 
 
 def x(power: int = 1) -> LaurentPoly:

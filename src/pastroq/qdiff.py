@@ -5,7 +5,9 @@ argument, (T^k f)(x) = f(q^k x), and each coefficient c_k is a Laurent
 polynomial. Operators compose by the twisted product rule
 (c1 T^j)(c2 T^k) = c1(x) c2(q^j x) T^(j+k) and are kept in normal form
 (at most one term per shift, zero coefficients dropped), so operator
-equality is literal equality of normal forms.
+equality is literal equality of normal forms. Compositions, sums, scalar
+multiples and q-commutators share one merge of int numerators by shift
+and one content gcd per output shift.
 
 The triple (X, Y, Z) below satisfies the generalized eigenvalue problem
 Y P_n = lambda_n X P_n on the monic family, with Z = (1/x) X acting
@@ -19,15 +21,26 @@ single pass over the degrees.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .qcore import LaurentPoly, QParams, Scalar, _compose, format_rational, x
+from .qcore import (
+    LaurentPoly,
+    ParameterError,
+    QParams,
+    Scalar,
+    _accumulate_product,
+    _accumulate_scaled,
+    _finish,
+    format_rational,
+    x,
+)
 from .pastro import BaxterData, pastro_poly
 from .report import Check, equality_check, poly_mismatch_witness
 
 __all__ = [
     "QDiffOperator",
+    "linear_combination",
+    "q_commutator",
     "operator_mismatch_witness",
     "make_operators",
     "DegreeRecord",
@@ -40,14 +53,15 @@ __all__ = [
 
 
 class QDiffOperator:
-    """A finite sum of shifted multiplication operators c_k(x) T^k."""
+    """A finite sum of shifted multiplication operators c_k(x) T^k over a
+    nonzero q."""
 
     __slots__ = ("q", "_terms")
 
     def __init__(
         self, q: Scalar, terms: Mapping[int, LaurentPoly | Scalar] | None = None
     ) -> None:
-        self.q = Fraction(q)
+        self.q = _ambient_q(q)
         data: dict[int, LaurentPoly] = {}
         if terms is not None:
             for shift, coefficient in terms.items():
@@ -82,24 +96,20 @@ class QDiffOperator:
     def __add__(self, other: "QDiffOperator") -> "QDiffOperator":
         if not isinstance(other, QDiffOperator):
             return NotImplemented
-        self._require_same_ambient(other)
-        return _operator(self.q, chain(self._terms.items(), other._terms.items()))
+        return linear_combination(self.q, ((1, self), (1, other)))
 
     def __neg__(self) -> "QDiffOperator":
-        return _wrap(self.q, {k: -c for k, c in self._terms.items()})
+        return linear_combination(self.q, ((-1, self),))
 
     def __sub__(self, other: "QDiffOperator") -> "QDiffOperator":
         if not isinstance(other, QDiffOperator):
             return NotImplemented
-        return self + (-other)
+        return linear_combination(self.q, ((1, self), (-1, other)))
 
     def __mul__(self, factor: Scalar) -> "QDiffOperator":
         if not isinstance(factor, (int, Fraction)):
             return NotImplemented
-        # A nonzero scalar leaves every coefficient nonzero: nothing to merge.
-        if not factor:
-            return _wrap(self.q, {})
-        return _wrap(self.q, {k: c * factor for k, c in self._terms.items()})
+        return linear_combination(self.q, ((factor, self),))
 
     __rmul__ = __mul__
 
@@ -111,8 +121,10 @@ class QDiffOperator:
         """
         if not isinstance(other, QDiffOperator):
             return NotImplemented
-        self._require_same_ambient(other)
-        return _wrap(self.q, _compose(self.q, self._terms, other._terms))
+        _require_ambient(self.q, other)
+        sums: dict[int, list] = {}
+        _accumulate_product(sums, self.q, 1, self._terms, other._terms)
+        return _wrap(self.q, _finish(sums))
 
     def apply(
         self, f: LaurentPoly, dilations: Mapping[int, LaurentPoly] | None = None
@@ -132,13 +144,6 @@ class QDiffOperator:
             total = total + coefficient * dilations[k]
         return total
 
-    def _require_same_ambient(self, other: "QDiffOperator") -> None:
-        if self.q != other.q:
-            raise ValueError(
-                f"ambient q mismatch: {format_rational(self.q)} vs "
-                f"{format_rational(other.q)}"
-            )
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -148,21 +153,67 @@ class QDiffOperator:
         return f"QDiffOperator(q={format_rational(self.q)}, {dict(sorted(self._terms.items()))!r})"
 
 
-def _operator(q: Fraction, terms: Iterable[tuple[int, LaurentPoly]]) -> QDiffOperator:
-    """The operator sum_k c_k T^k over q from (shift, coefficient) pairs.
+def linear_combination(
+    q: Scalar, parts: Iterable[tuple[Scalar, QDiffOperator]]
+) -> QDiffOperator:
+    """The operator sum_i w_i A_i over q, from the pairs (w_i, A_i).
 
-    Coefficients of equal shifts are summed, and a shift whose sum is zero
-    is dropped, so the result is in normal form.
+    Each coefficient's int numerators are scaled by w_i and merged by
+    shift over a common denominator, as a composition merges its term
+    pairs; one content gcd per shift brings the sums to normal form, and a
+    shift that sums to zero is dropped. A weight of 0 contributes nothing.
+    Every A_i must be over q.
     """
-    merged: dict[int, LaurentPoly] = {}
-    for shift, coefficient in terms:
-        existing = merged.get(shift)
-        merged[shift] = coefficient if existing is None else existing + coefficient
-    return _wrap(q, {shift: coefficient for shift, coefficient in merged.items() if coefficient})
+    q = _ambient_q(q)
+    sums: dict[int, list] = {}
+    for weight, operator in parts:
+        _require_scalar(weight)
+        _require_ambient(q, operator)
+        _accumulate_scaled(sums, weight, operator._terms)
+    return _wrap(q, _finish(sums))
+
+
+def q_commutator(c: Scalar, A: QDiffOperator, B: QDiffOperator) -> QDiffOperator:
+    """c AB - BA, both compositions merged into one sum and finished once."""
+    _require_scalar(c)
+    if not isinstance(A, QDiffOperator):
+        raise TypeError(f"expected a QDiffOperator, got {A!r}")
+    _require_ambient(A.q, B)
+    sums: dict[int, list] = {}
+    _accumulate_product(sums, A.q, c, A._terms, B._terms)
+    _accumulate_product(sums, A.q, -1, B._terms, A._terms)
+    return _wrap(A.q, _finish(sums))
+
+
+def _ambient_q(q: Scalar) -> Fraction:
+    """q as a Fraction, refused if zero: T^k would dilate by q^k."""
+    q = Fraction(q)
+    if not q:
+        raise ParameterError("an operator's q must be nonzero, got 0")
+    return q
+
+
+def _require_scalar(value: object) -> None:
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an exact scalar, got {value!r}")
+
+
+def _require_ambient(q: Fraction, operator: object) -> None:
+    """Refuse anything but an operator over q."""
+    if not isinstance(operator, QDiffOperator):
+        raise TypeError(f"expected a QDiffOperator, got {operator!r}")
+    if operator.q != q:
+        raise ValueError(
+            f"ambient q mismatch: {format_rational(q)} vs {format_rational(operator.q)}"
+        )
 
 
 def _wrap(q: Fraction, terms: dict[int, LaurentPoly]) -> QDiffOperator:
-    """The operator over q with ``terms``, already in normal form, as its terms."""
+    """The operator over q with ``terms``, already in normal form, as its terms.
+
+    q is nonzero: it comes from an operator already built or has passed
+    :func:`_ambient_q`.
+    """
     result = QDiffOperator.__new__(QDiffOperator)
     result.q = q
     result._terms = terms

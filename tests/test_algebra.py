@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import operator_reference
+from pastroq import algebra, cli
 from pastroq.algebra import (
     casimir_centrality,
     make_algebra_rep,
@@ -196,7 +197,8 @@ def test_algebra_fault_fails_exactly_its_checks(fault, params):
 @pytest.mark.parametrize("params", POINTS)
 def test_fault_reports_match_the_reference_composition(params, monkeypatch):
     # every check, status and witness of the suite, clean and under each
-    # fault, is the one the polynomial-product composition gives
+    # fault, is the one the polynomial-product routes give: compositions,
+    # q-commutators and linear combinations alike
     def reports():
         rows = {"clean": _algebra_suite(make_algebra_rep(params))}
         for fault, (corrupt, _) in ALGEBRA_FAULTS.items():
@@ -205,7 +207,26 @@ def test_fault_reports_match_the_reference_composition(params, monkeypatch):
 
     kernel = reports()
     monkeypatch.setattr(QDiffOperator, "__matmul__", operator_reference.compose)
+    monkeypatch.setattr(algebra, "q_commutator", operator_reference.q_commutator)
+    monkeypatch.setattr(algebra, "linear_combination", operator_reference.linear_combination)
     assert reports() == kernel
+
+
+def test_one_algebra_run_composes_nine_times(monkeypatch):
+    # the 10 q-commutators fuse their compositions; what is left is the
+    # Casimir's X'Y'Z' and X'^2 (3) and its centrality (6)
+    calls = 0
+    compose = QDiffOperator.__matmul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return compose(self, other)
+
+    monkeypatch.setattr(QDiffOperator, "__matmul__", counted)
+    report, _, _ = cli.run(cli.RunConfig("algebra"))
+    assert all(check.status == "PASS" for check in report.checks)
+    assert calls == 9
 
 
 def test_every_algebra_check_fails_under_a_pinned_fault():

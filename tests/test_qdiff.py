@@ -12,13 +12,15 @@ import operator_reference
 from family_reference import eigenvalue
 from pastroq import cli, qcore, qdiff
 from pastroq.pastro import baxter_coefficients, pastro_poly
-from pastroq.qcore import LaurentPoly, QParams, ResonantParameterError, x
+from pastroq.qcore import LaurentPoly, ParameterError, QParams, ResonantParameterError, x
 from pastroq.qdiff import (
     DegreeRecord,
     QDiffOperator,
     degree_records,
+    linear_combination,
     make_operators,
     operator_mismatch_witness,
+    q_commutator,
     verify_contiguity,
     verify_gevp,
     verify_qdiff_equation,
@@ -122,9 +124,10 @@ def test_composition_fixed_cases(q):
     assert product == operator_reference.compose(T_plus + identity, T_minus - identity)
 
 
-def test_composition_normalizes_once_per_output_shift(monkeypatch):
-    X, Y, _ = make_operators(REFERENCE)
-    calls = {"mul": 0, "dilate": 0, "make": 0}
+def _count_substrate_calls(monkeypatch) -> dict[str, int]:
+    """Count, from here on, the LaurentPoly products, sums and dilations and
+    the normal-form builds of qcore."""
+    calls = {"mul": 0, "add": 0, "dilate": 0, "make": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -133,15 +136,101 @@ def test_composition_normalizes_once_per_output_shift(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(LaurentPoly, "__mul__", counting("mul", LaurentPoly.__mul__))
-    monkeypatch.setattr(LaurentPoly, "__rmul__", counting("mul", LaurentPoly.__rmul__))
-    monkeypatch.setattr(LaurentPoly, "dilate", counting("dilate", LaurentPoly.dilate))
-    monkeypatch.setattr(qcore, "_make", counting("make", qcore._make))
+    for name, owner, attributes in (
+        ("mul", LaurentPoly, ("__mul__", "__rmul__")),
+        ("add", LaurentPoly, ("__add__", "__radd__")),
+        ("dilate", LaurentPoly, ("dilate",)),
+        ("make", qcore, ("_make",)),
+    ):
+        for attribute in attributes:
+            monkeypatch.setattr(owner, attribute, counting(name, getattr(owner, attribute)))
+    return calls
+
+
+def test_composition_normalizes_once_per_output_shift(monkeypatch):
+    X, Y, _ = make_operators(REFERENCE)
+    calls = _count_substrate_calls(monkeypatch)
     product = X @ Y
     output_shifts = {j + k for j in X.shifts for k in Y.shifts}
     assert product.shifts == (-1, 0, 1)
     assert calls["mul"] == calls["dilate"] == 0
     assert 0 < calls["make"] <= len(output_shifts)
+
+
+def test_q_commutator_normalizes_once_per_output_shift(monkeypatch):
+    X, Y, _ = make_operators(REFERENCE)
+    calls = _count_substrate_calls(monkeypatch)
+    commutator = q_commutator(REFERENCE.q, X, Y)
+    output_shifts = {j + k for j in X.shifts for k in Y.shifts}
+    assert commutator.shifts == (-1, 0, 1)
+    assert calls["mul"] == calls["add"] == calls["dilate"] == 0
+    assert 0 < calls["make"] <= len(output_shifts)
+
+
+#: Weights with 0, +-1 and large denominators among them.
+_weights = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(0), Fraction(-1)]),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**15),
+    st.integers(min_value=-(10**20), max_value=10**20),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(COMPOSE_QS), st.lists(st.tuples(_weights, _operator_terms), max_size=4))
+def test_linear_combination_matches_the_reference_route(q, parts):
+    parts = [(weight, QDiffOperator(q, terms)) for weight, terms in parts]
+    assert linear_combination(q, parts) == operator_reference.linear_combination(q, parts)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(COMPOSE_QS), _weights, _operator_terms, _operator_terms)
+def test_q_commutator_matches_the_reference_route(q, c, left, right):
+    A, B = QDiffOperator(q, left), QDiffOperator(q, right)
+    assert q_commutator(c, A, B) == operator_reference.q_commutator(c, A, B)
+
+
+@pytest.mark.parametrize("q", COMPOSE_QS)
+def test_linear_fixed_cases(q):
+    X, Y, _ = make_operators(QParams(q, 3, Fraction(1, 5)))
+    zero = QDiffOperator(q)
+    # A - A cancels every shift
+    assert (X - X).shifts == ()
+    assert linear_combination(q, ((1, X), (-1, X))) == zero
+    # a weight of 0 contributes nothing: the mu = 0 pencil X' + 0 Y' is X'
+    assert linear_combination(q, ((1, X), (0, Y))) == X
+    assert linear_combination(q, ((0, X), (Fraction(0), Y))).shifts == ()
+    assert linear_combination(q, ()) == zero
+    assert 0 * X == zero
+    # q_commutator(1, A, A) = AA - AA is the zero operator
+    assert q_commutator(1, X, X).shifts == ()
+    assert q_commutator(q, X, Y) == q * (X @ Y) - Y @ X
+    assert q_commutator(q, X, Y) == operator_reference.q_commutator(q, X, Y)
+    assert (Fraction(2, 7) * X) + (-1 * Y) == linear_combination(
+        q, ((Fraction(2, 7), X), (-1, Y))
+    )
+
+
+def test_linear_operations_refuse_a_foreign_q():
+    A, B = QDiffOperator.identity(Fraction(1, 2)), QDiffOperator.identity(Fraction(1, 3))
+    for build in (
+        lambda: linear_combination(Fraction(1, 2), ((1, A), (1, B))),
+        lambda: linear_combination(Fraction(1, 3), ((1, A),)),
+        lambda: q_commutator(2, A, B),
+        lambda: A + B,
+        lambda: A - B,
+    ):
+        with pytest.raises(ValueError, match="ambient q mismatch: 1/2 vs 1/3|1/3 vs 1/2"):
+            build()
+
+
+def test_operator_refuses_q_zero():
+    # T^k dilates by q^k: at q = 0 no operator is built to fail later
+    with pytest.raises(ParameterError, match="q must be nonzero"):
+        QDiffOperator(0, {-1: 1, 0: x()})
+    with pytest.raises(ParameterError, match="q must be nonzero"):
+        QDiffOperator.identity(Fraction(0))
+    with pytest.raises(ParameterError, match="q must be nonzero"):
+        linear_combination(0, ())
 
 
 def test_distinct_normal_forms_act_differently():
