@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .qcore import QParams, Scalar, format_rational
+from .qcore import QParams, Scalar, _exact, format_rational
 from .qdiff import (
     QDiffOperator,
     linear_combination,
@@ -257,7 +257,7 @@ def qhahn_embedding(
     M = q X'Z' - Z'X' + mu alpha1 X' - I, so it FAILs with the affine YZ
     relation. mu = 0 collapses the pencil to X' and is flagged degenerate.
     """
-    mu = Fraction(mu)
+    mu = _exact(mu)
     q = rep.params.q
     Xp, Yp, Zp = rep.Xp, rep.Yp, rep.Zp
     a1, a2 = rep.alpha1, rep.alpha2

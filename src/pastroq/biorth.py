@@ -42,6 +42,7 @@ from .qcore import (
     QParams,
     ResonantParameterError,
     Scalar,
+    _exact,
     format_rational,
     x,
 )
@@ -182,7 +183,7 @@ def weight_adjoint(band: Band, steps: tuple[list[Fraction], list[Fraction]]) -> 
 
 def tau_parameter(b: Scalar, q: Scalar, N: int) -> Fraction:
     """The parameter flip b -> q^(1-N)/b (an exact involution)."""
-    b, q = Fraction(b), Fraction(q)
+    b, q = _exact(b), _exact(q)
     return q ** (1 - N) / b
 
 

@@ -28,6 +28,7 @@ from .qcore import (
     QParams,
     ResonantParameterError,
     Scalar,
+    _exact,
     _make,
     _point_units,
     _powers,
@@ -326,7 +327,7 @@ def grid_weights(N: int, b: Scalar, q: Scalar) -> list[Fraction]:
     """
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"grid size must be a positive integer, got {N!r}")
-    q, b = Fraction(q), Fraction(b)
+    q, b = _exact(q), _exact(b)
     if q in (0, 1, -1):
         raise ResonantParameterError(
             f"q must lie outside {{0, 1, -1}}, got {format_rational(q)}"

@@ -97,6 +97,16 @@ def format_rational(value: Scalar) -> str:
     return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
 
 
+def _exact(value: Scalar) -> Fraction:
+    """``value`` as a Fraction; anything but an int or a Fraction raises
+    TypeError, so a float or a str cannot enter as an inexact scalar."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"expected an exact scalar (int or Fraction), got {value!r}")
+
+
 class GridVector(NamedTuple):
     """Values at a list of points as int numerators over one positive
     denominator: the :class:`LaurentPoly` layout applied to vectors.
@@ -151,7 +161,7 @@ class LaurentPoly:
             for exponent, coefficient in items:
                 if not isinstance(exponent, int):
                     raise TypeError(f"exponent must be int, got {exponent!r}")
-                data[exponent] = data.get(exponent, 0) + Fraction(coefficient)
+                data[exponent] = data.get(exponent, 0) + _exact(coefficient)
         data = {e: c for e, c in data.items() if c}
         if not data:
             self._low, self._nums, self._den = 0, [], 1
@@ -179,7 +189,7 @@ class LaurentPoly:
     def monomial(cls, coefficient: Scalar, exponent: int) -> "LaurentPoly":
         if not isinstance(exponent, int):
             raise TypeError(f"exponent must be int, got {exponent!r}")
-        coefficient = Fraction(coefficient)
+        coefficient = _exact(coefficient)
         if not coefficient:
             return _raw(0, [], 1)
         return _raw(exponent, [coefficient.numerator], coefficient.denominator)
@@ -246,16 +256,7 @@ class LaurentPoly:
             return self
         if not self._nums:
             return other
-        den = lcm(self._den, other._den)
-        low = min(self._low, other._low)
-        high = max(self._low + len(self._nums), other._low + len(other._nums))
-        nums = [0] * (high - low)
-        for term in (self, other):
-            scale = den // term._den
-            part = term._nums if scale == 1 else [n * scale for n in term._nums]
-            start = term._low - low
-            stop = start + len(part)
-            nums[start:stop] = map(add, nums[start:stop], part)
+        low, nums, den = _sum(self._low, self._nums, self._den, other._low, other._nums, other._den)
         # Only a prime of equal valuation in both denominators can divide
         # the content of the sum, so gcd(den_a, den_b) bounds it.
         return _make(low, nums, den, gcd(self._den, other._den))
@@ -296,24 +297,12 @@ class LaurentPoly:
             common = gcd(a_den, *b)
             if common != 1:
                 b, a_den = [n // common for n in b], a_den // common
-        low, den = self._low + b_low, a_den * b_den
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1:
-            factor = b[0]
-            return _raw(low, [n * factor for n in a], den)
-        # Schoolbook product, one row per term of the shorter factor.
-        width = len(a)
-        nums = [0] * (width + len(b) - 1)
-        for i, factor in enumerate(b):
-            if factor:
-                nums[i : i + width] = map(add, nums[i : i + width], [n * factor for n in a])
-        return _raw(low, nums, den)
+        return _raw(self._low + b_low, _product(a, b), a_den * b_den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalar) -> "LaurentPoly":
-        divisor = Fraction(other)
+        divisor = _exact(other)
         if divisor == 0:
             raise ZeroDivisionError("division of a Laurent polynomial by zero")
         return self * (1 / divisor)
@@ -323,7 +312,7 @@ class LaurentPoly:
 
         A nonzero point is the one-point :meth:`sample_at_powers` at q^1.
         """
-        point = Fraction(point)
+        point = _exact(point)
         if not point:
             if self._nums and self._low < 0:
                 raise ZeroDivisionError("negative exponents cannot be evaluated at 0")
@@ -338,7 +327,7 @@ class LaurentPoly:
         the lcm of the values' reduced denominators: no Fraction is built
         per point. q must be nonzero and every k >= 1.
         """
-        q = Fraction(q)
+        q = _exact(q)
         if not q or min(exponents, default=1) < 1:
             raise ValueError("sample points must be q^k with q nonzero and k >= 1")
         nums, low = self._nums, self._low
@@ -370,27 +359,16 @@ class LaurentPoly:
 
     def dilate(self, factor: Scalar) -> "LaurentPoly":
         """Substitute x -> factor*x, i.e. scale the exponent-k term by factor^k."""
-        factor = Fraction(factor)
+        factor = _exact(factor)
         if factor == 0:
             raise ValueError("dilation factor must be nonzero")
-        nums, low = self._nums, self._low
-        if not nums or factor == 1:
+        if not self._nums or factor == 1:
             return self
-        # With factor = p/r, the exponent-(low+i) term is scaled by
-        # p^i r^(top-i) times the common factor p^low / r^high, high = low + top,
-        # kept as two ints: for low < 0 it is r^-low / (p^-low r^top), with the
-        # sign of p^-low moved to the numerator. The one content gcd below
-        # divides out the powers of r the two share.
-        p, r = factor.numerator, factor.denominator
-        top = len(nums) - 1
-        if low >= 0:
-            scale_num, scale_den = p**low, r ** (low + top)
-        else:
-            scale_num = -(r**-low) if p < 0 and low % 2 else r**-low
-            scale_den = abs(p) ** -low * r**top
-        scaled = [n * p**i * r ** (top - i) * scale_num for i, n in enumerate(nums)]
+        # The one content gcd divides out the powers of r that the
+        # dilation's numerators and denominator share.
+        scaled, scale_den = _dilation(self._low, self._nums, factor.numerator, factor.denominator)
         den = self._den * scale_den
-        return _make(low, scaled, den, den)
+        return _make(self._low, scaled, den, den)
 
     def derivative(self) -> "LaurentPoly":
         """Formal derivative, valid for all integer exponents."""
@@ -464,31 +442,73 @@ def _make(low: int, nums: list[int], den: int, bound: int) -> LaurentPoly:
     return _raw(low + start, nums, den)
 
 
+# The three integer kernels of polynomial arithmetic, shared by LaurentPoly
+# and the operator sums below. Each works on the int parts (low, nums, den)
+# of sum_i (nums[i] / den) x^(low + i), normalizes nothing and changes no
+# list in place, so an operand may share the numerators of a LaurentPoly;
+# each caller makes its own normal form.
+
+
+def _sum(
+    a_low: int, a_nums: list[int], a_den: int, b_low: int, b_nums: list[int], b_den: int
+) -> list:
+    """The parts ``[low, nums, den]`` of a + b, over lcm(a_den, b_den)."""
+    den = lcm(a_den, b_den)
+    low = min(a_low, b_low)
+    nums = [0] * (max(a_low + len(a_nums), b_low + len(b_nums)) - low)
+    for part_low, part, part_den in ((a_low, a_nums, a_den), (b_low, b_nums, b_den)):
+        lift = den // part_den
+        if lift != 1:
+            part = [n * lift for n in part]
+        start = part_low - low
+        stop = start + len(part)
+        nums[start:stop] = map(add, nums[start:stop], part)
+    # A list, not a tuple: :func:`_merge` keeps it, and a freed 3-tuple
+    # stays on the interpreter's tuple free list, counted in the traced peak.
+    return [low, nums, den]
+
+
+def _product(a: list[int], b: list[int]) -> list[int]:
+    """The numerators of the product of two nonempty numerator lists:
+    the schoolbook product, one row per term of the shorter list."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        factor = b[0]
+        return [n * factor for n in a]
+    width = len(a)
+    nums = [0] * (width + len(b) - 1)
+    for i, factor in enumerate(b):
+        if factor:
+            nums[i : i + width] = map(add, nums[i : i + width], [n * factor for n in a])
+    return nums
+
+
+def _dilation(low: int, nums: list[int], p: int, r: int) -> tuple[list[int], int]:
+    """The numerators of f(p/r x), f = sum_i nums[i] x^(low+i) and r > 0,
+    and the one extra int denominator they are over.
+
+    The exponent-(low+i) term is scaled by p^i r^(top-i) times the common
+    factor p^low / r^(low+top), kept as two ints: for low < 0 it is
+    r^-low / (|p|^-low r^top), the sign of p^low on the numerator.
+    """
+    top = len(nums) - 1
+    if low >= 0:
+        scale, extra = p**low, r ** (low + top)
+    else:
+        scale = -(r**-low) if p < 0 and low % 2 else r**-low
+        extra = abs(p) ** -low * r**top
+    return [n * p**i * r ** (top - i) * scale for i, n in enumerate(nums)], extra
+
+
 def _merge(sums: dict[int, list], shift: int, low: int, nums: list[int], den: int) -> None:
     """Add (sum_i nums[i] x^(low+i)) / den to the running sum of ``shift``.
 
     ``sums`` maps a shift to ``[low, nums, den]`` with ``den > 0``, not
-    normalized. A second part at a shift is added over the lcm of the two
-    denominators; no list is changed in place, so a part may share the
-    numerators of a coefficient.
+    normalized; a second part at a shift is added by :func:`_sum`.
     """
     total = sums.get(shift)
-    if total is not None:
-        t_low, t_nums, t_den = total
-        common = lcm(t_den, den)
-        start = min(t_low, low)
-        merged = [0] * (max(t_low + len(t_nums), low + len(nums)) - start)
-        for part_low, part, part_den in ((t_low, t_nums, t_den), (low, nums, den)):
-            lift = common // part_den
-            if lift != 1:
-                part = [n * lift for n in part]
-            begin = part_low - start
-            end = begin + len(part)
-            merged[begin:end] = map(add, merged[begin:end], part)
-        low, nums, den = start, merged, common
-    # A list, not a tuple: a freed 3-tuple stays allocated on the
-    # interpreter's tuple free list and so counts toward the traced peak.
-    sums[shift] = [low, nums, den]
+    sums[shift] = [low, nums, den] if total is None else _sum(*total, low, nums, den)
 
 
 def _finish(sums: dict[int, list]) -> dict[int, LaurentPoly]:
@@ -531,10 +551,9 @@ def _accumulate_product(
     """Add weight * (sum_j a_j T^j)(sum_k b_k T^k) over q to ``sums``.
 
     The twisted product rule (a T^j)(b T^k) = a(x) b(q^j x) T^(j+k) is
-    worked on the int parts: the weight scales each a_j once, b's
-    numerators are scaled by the powers of q^j = N/D that the dilation
-    needs, as in :meth:`LaurentPoly.dilate`, multiplied by a's numerators,
-    and merged into the sum of shift j + k. Nothing is normalized here;
+    worked on the int parts: the weight scales each a_j once, and the
+    :func:`_dilation` of b by q^j = N/D times a by :func:`_product` is
+    merged into the sum of shift j + k. Nothing is normalized here;
     :func:`_finish` takes one content gcd per shift. An operator holds no
     zero coefficient and its q is nonzero, so no term pair is empty and
     every power of q is defined. A zero weight adds nothing.
@@ -553,36 +572,11 @@ def _accumulate_product(
             if D < 0:
                 N, D = -N, -D
         for k, b in right.items():
-            nums, low = b._nums, b._low
-            den = a_den * b._den
+            nums, den = b._nums, a_den * b._den
             if j:
-                # b(q^j x): the exponent-(low+i) term is scaled by
-                # N^i D^(top-i) times N^low / D^(low+top), the common factor
-                # kept as two ints with the sign of N^low on the numerator.
-                top = len(nums) - 1
-                if low >= 0:
-                    scale, scale_den = N**low, D ** (low + top)
-                else:
-                    scale = -(D**-low) if N < 0 and low % 2 else D**-low
-                    scale_den = abs(N) ** -low * D**top
-                nums = [n * N**i * D ** (top - i) * scale for i, n in enumerate(nums)]
-                den *= scale_den
-            # Schoolbook product, one row per term of the shorter factor.
-            if len(a_nums) >= len(nums):
-                long, short = a_nums, nums
-            else:
-                long, short = nums, a_nums
-            if len(short) == 1:
-                factor = short[0]
-                product = [n * factor for n in long]
-            else:
-                size = len(long)
-                product = [0] * (size + len(short) - 1)
-                for i, factor in enumerate(short):
-                    if factor:
-                        row = [n * factor for n in long]
-                        product[i : i + size] = map(add, product[i : i + size], row)
-            _merge(sums, j + k, low + a_low, product, den)
+                nums, extra = _dilation(b._low, nums, N, D)
+                den *= extra
+            _merge(sums, j + k, b._low + a_low, _product(a_nums, nums), den)
 
 
 def x(power: int = 1) -> LaurentPoly:
@@ -594,8 +588,8 @@ def q_pochhammer(z: Scalar, q: Scalar, n: int) -> Fraction:
     """The q-shifted factorial (z; q)_n = prod_{j=0}^{n-1} (1 - z*q^j)."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"length must be a nonnegative integer, got {n!r}")
-    z = Fraction(z)
-    q = Fraction(q)
+    z = _exact(z)
+    q = _exact(q)
     product = Fraction(1)
     power = Fraction(1)
     for _ in range(n):
@@ -658,7 +652,7 @@ class QParams(_QTriple):
     __slots__ = ()
 
     def __new__(cls, q: Scalar, a: Scalar, b: Scalar) -> "QParams":
-        q, a, b = Fraction(q), Fraction(a), Fraction(b)
+        q, a, b = _exact(q), _exact(a), _exact(b)
         if q in (0, 1, -1):
             raise ParameterError(f"q must lie outside {{0, 1, -1}}, got {format_rational(q)}")
         if a == 0:

@@ -30,6 +30,7 @@ from .qcore import (
     Scalar,
     _accumulate_product,
     _accumulate_scaled,
+    _exact,
     _finish,
     format_rational,
     x,
@@ -167,7 +168,7 @@ def linear_combination(
     q = _ambient_q(q)
     sums: dict[int, list] = {}
     for weight, operator in parts:
-        _require_scalar(weight)
+        weight = _exact(weight)
         _require_ambient(q, operator)
         _accumulate_scaled(sums, weight, operator._terms)
     return _wrap(q, _finish(sums))
@@ -175,7 +176,7 @@ def linear_combination(
 
 def q_commutator(c: Scalar, A: QDiffOperator, B: QDiffOperator) -> QDiffOperator:
     """c AB - BA, both compositions merged into one sum and finished once."""
-    _require_scalar(c)
+    c = _exact(c)
     if not isinstance(A, QDiffOperator):
         raise TypeError(f"expected a QDiffOperator, got {A!r}")
     _require_ambient(A.q, B)
@@ -187,15 +188,10 @@ def q_commutator(c: Scalar, A: QDiffOperator, B: QDiffOperator) -> QDiffOperator
 
 def _ambient_q(q: Scalar) -> Fraction:
     """q as a Fraction, refused if zero: T^k would dilate by q^k."""
-    q = Fraction(q)
+    q = _exact(q)
     if not q:
         raise ParameterError("an operator's q must be nonzero, got 0")
     return q
-
-
-def _require_scalar(value: object) -> None:
-    if not isinstance(value, (int, Fraction)):
-        raise TypeError(f"expected an exact scalar, got {value!r}")
 
 
 def _require_ambient(q: Fraction, operator: object) -> None:

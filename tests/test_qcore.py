@@ -16,6 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from family_reference import phi21_terminating
+from pastroq.algebra import make_algebra_rep, qhahn_embedding
+from pastroq.biorth import tau_parameter
+from pastroq.pastro import grid_weights
 from pastroq.qcore import (
     GridVector,
     LaurentPoly,
@@ -27,6 +30,7 @@ from pastroq.qcore import (
     q_pochhammer,
     x,
 )
+from pastroq.qdiff import QDiffOperator, linear_combination, q_commutator
 
 
 def test_parse_rational_reduces():
@@ -323,6 +327,39 @@ def test_qparams_coerces_to_fractions_and_is_immutable():
             setattr(params, field, Fraction(1, 3))
     with pytest.raises(AttributeError):
         params.c = Fraction(1, 3)  # no instance dict either
+
+
+_SAMPLE = LaurentPoly({-1: Fraction(2, 3), 2: 1})
+
+#: Each public entry point that turns a scalar argument into a Fraction.
+_SCALAR_ENTRIES = {
+    "QParams": lambda s: QParams(Fraction(1, 2), 3, s),
+    "LaurentPoly": lambda s: LaurentPoly({0: s}),
+    "monomial": lambda s: LaurentPoly.monomial(s, 1),
+    "truediv": lambda s: _SAMPLE / s,
+    "dilate": lambda s: _SAMPLE.dilate(s),
+    "sample_at_powers": lambda s: _SAMPLE.sample_at_powers(s, (1, 2)),
+    "eval_at": lambda s: _SAMPLE.eval_at(s),
+    "q_pochhammer": lambda s: q_pochhammer(s, Fraction(1, 2), 3),
+    "grid_weights": lambda s: grid_weights(3, Fraction(1, 5), s),
+    "tau_parameter": lambda s: tau_parameter(s, Fraction(1, 2), 3),
+    "QDiffOperator": lambda s: QDiffOperator(s, {1: 1}),
+    "linear_combination": lambda s: linear_combination(1, ((s, QDiffOperator(1, {1: 1})),)),
+    "q_commutator": lambda s: q_commutator(s, QDiffOperator(1, {1: 1}), QDiffOperator(1)),
+    "qhahn_embedding": lambda s: qhahn_embedding(
+        make_algebra_rep(QParams(Fraction(1, 2), 3, Fraction(1, 5))), s
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, "1/2"], ids=["float", "str"])
+@pytest.mark.parametrize("entry", sorted(_SCALAR_ENTRIES))
+def test_library_scalars_must_be_exact(entry, value):
+    # A float or a str would enter as an inexact or parsed rational
+    # (0.2 as 3602879701896397/18014398509481984); only int and Fraction pass.
+    with pytest.raises(TypeError, match=re.escape(repr(value))):
+        _SCALAR_ENTRIES[entry](value)
+    _SCALAR_ENTRIES[entry](Fraction(1, 2))
 
 
 def test_qparams_vanishing_factors():

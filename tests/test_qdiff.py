@@ -125,9 +125,10 @@ def test_composition_fixed_cases(q):
 
 
 def _count_substrate_calls(monkeypatch) -> dict[str, int]:
-    """Count, from here on, the LaurentPoly products, sums and dilations and
-    the normal-form builds of qcore."""
-    calls = {"mul": 0, "add": 0, "dilate": 0, "make": 0}
+    """Count, from here on, the LaurentPoly products, sums and dilations,
+    the normal-form builds of qcore and the calls of its three integer
+    kernels (``sum``, ``product`` and ``dilation``)."""
+    calls = {"mul": 0, "add": 0, "dilate": 0, "make": 0, "sum": 0, "product": 0, "dilation": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -141,6 +142,9 @@ def _count_substrate_calls(monkeypatch) -> dict[str, int]:
         ("add", LaurentPoly, ("__add__", "__radd__")),
         ("dilate", LaurentPoly, ("dilate",)),
         ("make", qcore, ("_make",)),
+        ("sum", qcore, ("_sum",)),
+        ("product", qcore, ("_product",)),
+        ("dilation", qcore, ("_dilation",)),
     ):
         for attribute in attributes:
             monkeypatch.setattr(owner, attribute, counting(name, getattr(owner, attribute)))
@@ -167,6 +171,28 @@ def test_q_commutator_normalizes_once_per_output_shift(monkeypatch):
     assert 0 < calls["make"] <= len(output_shifts)
 
 
+def test_polynomial_and_operator_arithmetic_share_one_kernel_each(monkeypatch):
+    X, Y, _ = make_operators(REFERENCE)
+    f, g = pastro_poly(3, REFERENCE), pastro_poly(2, REFERENCE)
+    shifted = QDiffOperator(REFERENCE.q, {1: x(), 0: f})
+    assert set(X.shifts) & set(Y.shifts)
+    calls = _count_substrate_calls(monkeypatch)
+
+    def kernel_calls(operation):
+        before = dict(calls)
+        operation()
+        return {name: calls[name] - before[name] for name in ("sum", "product", "dilation")}
+
+    assert kernel_calls(lambda: f * g) == {"sum": 0, "product": 1, "dilation": 0}
+    assert kernel_calls(lambda: f.dilate(REFERENCE.q)) == {"sum": 0, "product": 0, "dilation": 1}
+    assert kernel_calls(lambda: f + g) == {"sum": 1, "product": 0, "dilation": 0}
+    composed = kernel_calls(lambda: shifted @ Y)
+    assert composed["product"] == 2 * len(Y.shifts)
+    assert composed["dilation"] == len(Y.shifts)
+    assert kernel_calls(lambda: X @ Y)["product"] == len(X.shifts) * len(Y.shifts)
+    assert kernel_calls(lambda: linear_combination(REFERENCE.q, ((1, X), (2, Y))))["sum"] > 0
+
+
 #: Weights with 0, +-1 and large denominators among them.
 _weights = st.one_of(
     st.sampled_from([0, 1, -1, Fraction(0), Fraction(-1)]),
@@ -187,6 +213,34 @@ def test_linear_combination_matches_the_reference_route(q, parts):
 def test_q_commutator_matches_the_reference_route(q, c, left, right):
     A, B = QDiffOperator(q, left), QDiffOperator(q, right)
     assert q_commutator(c, A, B) == operator_reference.q_commutator(c, A, B)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(COMPOSE_QS),
+    _weights,
+    _operator_terms,
+    _operator_terms,
+    _coefficients,
+    _coefficients,
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+)
+def test_arithmetic_leaves_its_operands_unchanged(q, weight, left, right, f, g, factor):
+    # The kernels share operand lists uncopied (a weight of 1 passes a
+    # coefficient's numerators as they are), so none may change one in place.
+    A, B = QDiffOperator(q, left), QDiffOperator(q, right)
+    operands = [f, g, *A._terms.values(), *B._terms.values()]
+    before = [list(operand._nums) for operand in operands]
+    A @ B
+    B @ A
+    linear_combination(q, ((1, A), (1, B), (1, A)))
+    linear_combination(q, ((weight, A), (1, B), (weight, B)))
+    q_commutator(weight, A, B)
+    f + g
+    f * g
+    f * factor
+    f.dilate(factor)
+    assert [operand._nums for operand in operands] == before
 
 
 @pytest.mark.parametrize("q", COMPOSE_QS)
