@@ -26,6 +26,8 @@ from .pastro import (
     baxter_system,
     biorthogonal_partner,
     grid_weights,
+    partner_family,
+    pastro_family,
     pastro_poly,
     verify_baxter_consistency,
 )
@@ -76,6 +78,8 @@ __all__ = [
     "baxter_system",
     "biorthogonal_partner",
     "grid_weights",
+    "partner_family",
+    "pastro_family",
     "pastro_poly",
     "verify_baxter_consistency",
     "DegreeRecord",

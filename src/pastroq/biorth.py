@@ -31,7 +31,7 @@ at the first differing band entry, basis pair, Gram entry or cross product.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import lcm
 from operator import mul
 from typing import Iterator, NamedTuple
@@ -50,8 +50,9 @@ from .pastro import (
     _norm_constants,
     baxter_coefficients,
     baxter_system,
-    biorthogonal_partner,
     grid_weights,
+    partner_family,
+    pastro_family,
     pastro_poly,
 )
 from .qdiff import QDiffOperator, make_operators
@@ -266,7 +267,9 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
     """Build the truncated representation at a = q^(1-N).
 
     Raises ResonantParameterError at the first vanishing factor in this
-    build order: weights, P_0..P_(N-1), R_0..R_(N-1), h_0..h_N, P_N. The
+    build order: weights, P_0..P_(N-1), R_0..R_(N-1), h_0..h_N, P_N. One
+    :func:`pastroq.pastro.pastro_family` steps P_0..P_N, paused while the
+    partners and h are built, and one partner family steps R_0..R_(N-1). The
     scalar table (which reuses h_0..h_(N-1)) and the coupled recurrences
     come last, and cannot fail once h_N exists, since their denominators
     are factors of h_N's. The CLI prints that error's message, so the order
@@ -281,13 +284,14 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
     X, Y = _restricted_pair(params, N)
     grid = [q ** (s + 1) for s in range(N)]
     exponents = range(1, N + 1)
-    poly_values = [pastro_poly(n, params).sample_at_powers(q, exponents) for n in range(N)]
-    partners = [biorthogonal_partner(m, params) for m in range(N)]
+    family = pastro_family(params)
+    poly_values = [next(family).sample_at_powers(q, exponents) for _ in range(N)]
+    partners = list(islice(partner_family(params), N))
     partner_values = [partner.sample_at_powers(q, exponents) for partner in partners]
     h = _norm_constants(N, params)
-    p_top = pastro_poly(N, params)
+    p_top = next(family)
     table = baxter_coefficients(N - 1, params, h)
-    _, q_polys = baxter_system(table)
+    q_polys = baxter_system(table)[1]  # the coupled P~_n are not kept
     baxter_values = []
     for coupled, partner, samples in zip(q_polys, partners, partner_values):
         coupled = coupled.invert_variable()
@@ -443,7 +447,7 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
         )
 
     flipped = tau_parameter(b, q, N)
-    tau_x, tau_y = map(tau_conjugate, _restricted_pair(rep.params.with_b(flipped), N))
+    tau_x, tau_y = map(tau_conjugate, _restricted_pair(rep.params._replace(b=flipped), N))
     checks.append(
         equality_check(
             "adjoint-X-tau",
@@ -468,7 +472,7 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
     )
 
     # rebuilt at tau(tau(b)) rather than taken from the rep: not a tautology
-    double_flip = _restricted_pair(rep.params.with_b(tau_parameter(flipped, q, N)), N)
+    double_flip = _restricted_pair(rep.params._replace(b=tau_parameter(flipped, q, N)), N)
     for name, band in zip("XY", double_flip):
         checks.append(
             equality_check(
@@ -481,7 +485,25 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
     return checks
 
 
-def verify_adjoint_gevp(n: int, rep: GridRep) -> list[Check]:
+def _flip_params(rep: GridRep) -> tuple[QParams, QParams]:
+    """The points (q, a, q^(1-N)/b) and (q, a, q^(2-N)/b) of the flipped
+    and the reflected families, a = q^(1-N)."""
+    q, a, b, N = rep.params.q, rep.params.a, rep.params.b, rep.N
+    return QParams(q, a, tau_parameter(b, q, N)), QParams(q, a, q ** (2 - N) / b)
+
+
+def _adjoint_pairs(rep: GridRep) -> Iterator[tuple[LaurentPoly, LaurentPoly]]:
+    """The pairs (P_n at the flip q^(1-N)/b, P_n at the reflection
+    q^(2-N)/b), n = 0, 1, ..., that :func:`verify_adjoint_gevp` reads, each
+    family stepped by :func:`pastroq.pastro.pastro_family`; at each degree
+    the flipped member is built first."""
+    flipped, reflected = _flip_params(rep)
+    return zip(pastro_family(flipped), pastro_family(reflected))
+
+
+def verify_adjoint_gevp(
+    n: int, rep: GridRep, pair: tuple[LaurentPoly, LaurentPoly] | None = None
+) -> list[Check]:
     """Check the adjoint eigenvalue problem and the partner cross-derivations.
 
     The flipped eigenvector P*_n has grid values P_n(q^(N-s); a, q^(1-N)/b).
@@ -493,17 +515,23 @@ def verify_adjoint_gevp(n: int, rep: GridRep) -> list[Check]:
     where 'prop' means proportional by a single nonzero scalar. Every
     vector is a :class:`GridVector` and both bands are ``rep.int_bands``,
     so the eigenvalue equation is compared on ints with lambda_n's
-    numerator and denominator cross-multiplied.
+    numerator and denominator cross-multiplied. ``pair``, if given, is
+    degree n of :func:`_adjoint_pairs`, so a caller that runs every degree
+    steps both families once; otherwise the two P_n are built here.
     """
     N = rep.N
-    b, q = rep.params.b, rep.params.q
+    q = rep.params.q
     if not 0 <= n < N:
         raise ValueError(f"degree must lie in [0, {N - 1}], got {n}")
     context = rep.context | {"n": str(n)}
     flip_exponents = range(N, 0, -1)  # the points q^(N-s), s = 0..N-1
 
-    flipped = QParams(q, rep.params.a, tau_parameter(b, q, N))
-    p_star = pastro_poly(n, flipped).sample_at_powers(q, flip_exponents)
+    if pair is None:
+        flipped, reflected = _flip_params(rep)
+        flipped_poly = pastro_poly(n, flipped)
+    else:
+        flipped_poly, reflected_poly = pair
+    p_star = flipped_poly.sample_at_powers(q, flip_exponents)
 
     lam = rep.lam[n]
     (x_band, x_den), (y_band, y_den) = rep.int_bands["X*"], rep.int_bands["Y*"]
@@ -535,8 +563,9 @@ def verify_adjoint_gevp(n: int, rep: GridRep) -> list[Check]:
         )
     )
 
-    reflected = QParams(q, rep.params.a, q ** (2 - N) / b)
-    flip_samples = pastro_poly(n, reflected).sample_at_powers(q, flip_exponents)
+    if pair is None:
+        reflected_poly = pastro_poly(n, reflected)
+    flip_samples = reflected_poly.sample_at_powers(q, flip_exponents)
     checks.append(
         equality_check(
             "adjoint-partner-parameter-flip",

@@ -25,6 +25,7 @@ from .algebra import (
     verify_raw_relations,
 )
 from .biorth import (
+    _adjoint_pairs,
     make_grid_rep,
     verify_adjoint_gevp,
     verify_adjoint_structure,
@@ -32,8 +33,8 @@ from .biorth import (
 )
 from .pastro import (
     baxter_coefficients,
-    biorthogonal_partner,
-    pastro_poly,
+    partner_family,
+    pastro_family,
     verify_baxter_consistency,
 )
 from .qcore import ParameterError, QParams, format_rational, parse_rational
@@ -78,7 +79,7 @@ def _admissibility_issues(params: QParams, n_max: int) -> list[str]:
     """The factors verify_suite divides by up to n_max that vanish, b -> bq shift included."""
     issues = params.vanishing_factors(n_max)
     if n_max:
-        shifted = params.with_b(params.b * params.q)
+        shifted = params._replace(b=params.b * params.q)
         issues += [f"(at shifted b -> bq) {text}" for text in shifted.vanishing_factors(n_max - 1)]
     return issues
 
@@ -139,11 +140,11 @@ def _error_check(context: dict[str, str], message: str) -> Check:
 
 def _table(config: RunConfig, report: Report, context: dict[str, str]) -> dict:
     params = _admissible(config, _table_issues)
-    degrees = range(config.n_max + 1)
+    count = config.n_max + 1
     extra = {
         "params": context,
-        "pastro": [pastro_poly(n, params) for n in degrees],
-        "partners": [biorthogonal_partner(n, params) for n in degrees],
+        "pastro": list(islice(pastro_family(params), count)),
+        "partners": list(islice(partner_family(params), count)),
     }
     data = baxter_coefficients(config.n_max, params)
     return extra | {"alpha": data.alpha, "beta": data.beta, "h": data.h}
@@ -164,8 +165,9 @@ def _verify(config: RunConfig, report: Report, context: dict[str, str]) -> dict:
 def _biorth(config: RunConfig, report: Report, context: dict[str, str]) -> dict:
     rep = make_grid_rep(config.N, config.b, config.q)
     report.extend(verify_adjoint_structure(rep))
-    for n in range(config.N):
-        report.extend(verify_adjoint_gevp(n, rep))
+    for n, pair in zip(range(config.N), _adjoint_pairs(rep)):
+        report.extend(verify_adjoint_gevp(n, rep, pair))
+    del pair  # not held while biorthogonality is checked
     gram, biorth_checks = verify_biorthogonality(rep)
     report.extend(biorth_checks)
     return {"params": context, "grid": rep.grid, "weights": rep.w, "h": rep.h[: config.N], "gram": gram}

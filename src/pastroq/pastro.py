@@ -4,11 +4,13 @@ Everything in this module is a function of the parameter triple
 (q, a, b). The polynomials P_n are monic of degree n, the solutions of an
 exact two-term coefficient recurrence; their biorthogonal partners R_n are
 Laurent polynomials supported on exponents [-n, 0], a terminating series
-times a prefactor. Both are built on integers from closed products: each
-coefficient is a Gaussian binomial [n, k]_q, made by exact int division,
-times factors 1 - c q^m written as int units over monomials of q = p/r.
-The per-degree scalar table of a point and the grid weights read the unit
-table of :mod:`pastroq.qcore`, as int products, one Fraction per entry. The
+times a prefactor. In both, each coefficient is a Gaussian binomial
+[n, k]_q times factors 1 - c q^m, written as int units over monomials of
+q = p/r, and each family is stepped on integers from degree to degree by
+the q-Pascal rule of its Gaussian binomials: one int kernel,
+:func:`_pascal_step`, builds member n+1 from member n. The per-degree
+scalar table of a point and the grid weights read the unit table of
+:mod:`pastroq.qcore`, as int products, one Fraction per entry. The
 Baxter-style coupled recurrence, stepped by one generator, reconstructs
 both families from scratch as an independent route. The terminating series
 forms of P_n and R_n are not built here: the test suite keeps them, in
@@ -18,9 +20,9 @@ Fractions, as the reference routes of its differential tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from math import gcd, prod
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple
 
 from .qcore import (
@@ -39,6 +41,8 @@ from .report import Check, equality_check, first_mismatch, poly_mismatch_witness
 
 __all__ = [
     "pastro_poly",
+    "pastro_family",
+    "partner_family",
     "BaxterData",
     "baxter_coefficients",
     "baxter_system",
@@ -53,65 +57,205 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"degree must be a nonnegative integer, got {n!r}")
 
 
-def _binomial_poly(
-    low: int, p_pow: list[int], r_pow: list[int], heads: list[int], tails: list[int], one: int
-) -> LaurentPoly:
-    """sum_i (c_i / c_one) x^(low + i), i = 0..n, from nonzero int heads and tails:
+def _pascal_step(
+    nums: list[int], heads: list[int], tails: list[int], p_pow: list[int], r_pow: list[int]
+) -> list[int]:
+    """The numerators of member n+1 of a family from those of member n.
 
-      c_i = G_i * heads[0] ... heads[i-1] * tails[i] ... tails[n-1].
-
-    G_i = r^(i(n-i)) [n, i]_q is the Gaussian binomial of q = p/r made
-    homogeneous (``p_pow`` and ``r_pow`` hold p^0..p^n and r^0..r^n). From
-    G_n = 1, G_(i-1) = G_i (r^i - p^i) / (r^(n-i+1) - p^(n-i+1)) is one exact
-    int division, and G_(n-i) = G_i gives the other half. The one content
-    gcd left divides out only what the units share.
+    With the Gaussian binomial made homogeneous, G_i = r^(i(n-i)) [n, i]_q
+    for q = p/r, the q-Pascal rule [n+1, i]_q = [n, i-1]_q + q^i [n, i]_q
+    (Gasper and Rahman, *Basic Hypergeometric Series*, ch. 1) reads
+    G'_i = r^(n+1-i) G_(i-1) + p^i G_i. A member whose coefficients are
+    c_i = G_i h_0 ... h_(i-1) t_0 ... t_(n-1-i), over the int units
+    ``heads`` h_k and ``tails`` t_m, therefore steps as
+      N'_i = r^(n+1-i) h_(i-1) N_(i-1) + p^i t_(n-i) N_i, N_(-1) = N_(n+1) = 0.
+    The step is linear, so ``nums`` may be member n's numerators times any
+    constant. The unit lists and the powers p^i, r^i reach at least index n.
     """
-    n = len(heads)
-    gauss = [1] * (n + 1)
-    for i in range(n, (n + 1) // 2, -1):
-        j = n - i + 1
-        gauss[i - 1] = gauss[j] = gauss[i] * (r_pow[i] - p_pow[i]) // (r_pow[j] - p_pow[j])
-    suffix = list(accumulate(reversed(tails), mul, initial=1))[::-1]
-    prefix = accumulate(heads, mul, initial=1)
-    nums = [g * head * tail for g, head, tail in zip(gauss, prefix, suffix)]
+    n = len(nums) - 1
+    out = [p_i * tail * num for p_i, tail, num in zip(p_pow, tails[n::-1], nums)]
+    out.append(0)
+    lifted = [r_j * head * num for r_j, head, num in zip(r_pow[n::-1], heads, nums)]
+    out[1:] = map(add, out[1:], lifted)
+    return out
+
+
+def _member(nums: list[int], monic: bool) -> LaurentPoly:
+    """Member n of a family, in normal form, from its numerators: P_n
+    (``monic``) normalized at x^n, or R_n, supported on [-n, 0], at x^-n."""
+    n = len(nums) - 1
+    low, one = (0, n) if monic else (-n, 0)
     if nums[one] < 0:
         nums = [-c for c in nums]
     return _make(low, nums, nums[one], nums[one])
 
 
-def pastro_poly(n: int, params: QParams) -> LaurentPoly:
-    """The monic polynomial P_n(x; a, b) of degree n, as a closed product.
+#: A family's unit coefficients at a point: (h_r, h_p, t_r, t_p, shift),
+#: for heads h_k = h_r r^k - h_p p^k and tails
+#: t_m = t_r r^(m+shift) - t_p p^(m+shift), q = p/r.
+_Coefficients = tuple[int, int, int, int, int]
 
-    The recurrence (1 - q^(k-n)) (1 - b q^k) C_k
+
+def _coefficients(params: QParams, monic: bool) -> _Coefficients:
+    """The unit coefficients of P_n (``monic``) or of R_n at ``params``."""
+    return _pastro_coefficients(params) if monic else _partner_coefficients(params)
+
+
+def _units(
+    params: QParams,
+    monic: bool,
+    coefficients: _Coefficients,
+    p_pow: list[int],
+    r_pow: list[int],
+    n: int,
+) -> tuple[list[int], list[int]]:
+    """The heads and tails h_k, t_m, k, m < n, that member n is built from
+    (the powers reach index n), or the ResonantParameterError of the first
+    that vanishes, in the order in which member n's closed form checks them."""
+    h_r, h_p, t_r, t_p, shift = coefficients
+    heads = [h_r * r_k - h_p * p_k for p_k, r_k in zip(p_pow[:n], r_pow)]
+    tails = [t_r * r_m - t_p * p_m for p_m, r_m in zip(p_pow[shift : n + shift], r_pow[shift:])]
+    if not (all(heads) and all(tails)):
+        (_pastro_vanishing if monic else _partner_vanishing)(params, n, heads, tails)
+    return heads, tails
+
+
+def _pastro_coefficients(params: QParams) -> _Coefficients:
+    """The unit coefficients of P_n at ``params``.
+
+    With q = p/r, b = b_num/b_den and b/a = s_num/s_den, the descending
+    recurrence (1 - q^(k-n)) (1 - b q^k) C_k
     = (1 - (b/a) q^(k+1-n)) (1 - q^(k+1)) C_(k+1), C_n = 1, multiplies out to
       C_k = (-1)^(n-k) q^((n-k)(n-k+1)/2) [n, k]_q
-            * prod_{j=k}^{n-1} (1 - (b/a) q^(j+1-n)) / (1 - b q^j).
-    With q = p/r, b = b_num/b_den and b/a = s_num/s_den, that is
-      C_k = (-p b_den / (s_den r))^(n-k) G_k prod_{j=k}^{n-1} U_j / V_j
-    over the int units U_j = s_den p^(n-1-j) - s_num r^(n-1-j) and
-    V_j = b_den r^j - b_num p^j (G_k as in :func:`_binomial_poly`). For
-    k = n-1 down to 0, the shift factor U_k and then the b factor V_k are
-    checked, and reported exactly when they vanish.
+            * prod_{j=k}^{n-1} (1 - (b/a) q^(j+1-n)) / (1 - b q^j)
+          = (-p b_den / (s_den r))^(n-k) G_k prod_{j=k}^{n-1} U_(n-1-j) / V_j,
+    over V_k = b_den r^k - b_num p^k and U_m = s_den p^m - s_num r^m. Over
+    the common denominator prod_k V_k, the numerator of C_k is
+    G_k h_0 ... h_(k-1) t_0 ... t_(n-1-k), with heads h_k = scale V_k and
+    tails t_m = monomial U_m, monomial/scale = -p b_den / (s_den r)
+    reduced.
     """
-    _check_degree(n)
     p, r = params.q.as_integer_ratio()
     b_num, b_den = params.b.as_integer_ratio()
     s_num, s_den = (params.b / params.a).as_integer_ratio()
-    p_pow, r_pow = _powers(p, n), _powers(r, n)
     common = gcd(p * b_den, s_den * r)
     monomial, scale = -p * b_den // common, s_den * r // common
-    heads, tails = [0] * n, [0] * n
+    return scale * b_den, scale * b_num, -monomial * s_num, -monomial * s_den, 0
+
+
+def _pastro_vanishing(params: QParams, n: int, heads: list[int], tails: list[int]) -> None:
+    """For k = n-1 down to 0, P_n's closed form checks the shift factor
+    t_(n-1-k) and then the b factor h_k."""
     for m, k in enumerate(range(n - 1, -1, -1)):
-        tails[k] = monomial * (s_den * p_pow[m] - s_num * r_pow[m])
-        if not tails[k]:
+        if not tails[m]:
             raise ResonantParameterError(
-                f"factor (1 - (b/a)*q^{k + 1 - n}) vanishes: "
-                f"monic family of degree {n} degenerates"
+                f"factor (1 - (b/a)*q^{-m}) vanishes: monic family of degree {n} degenerates"
             )
-        heads[k] = scale * (b_den * r_pow[k] - b_num * p_pow[k])
         if not heads[k]:
             raise ResonantParameterError(f"factor (1 - b*q^{k}) vanishes")
-    return _binomial_poly(0, p_pow, r_pow, heads, tails, n)
+
+
+def _partner_coefficients(params: QParams) -> _Coefficients:
+    """The unit coefficients of R_n at ``params``.
+
+    R_n = [(q^-n;q)_n (b/q;q)_n / (((b/a)q^-n;q)_n (q;q)_n)]
+          * 2phi1(q^-n, (a/b)q; q^(2-n)/b; q, q^2/(a x)).
+    The prefactor's (b/q;q)_n cancels the series' lower factors, and
+    ((b/a)q^-n;q)_n is a monomial times ((a/b)q;q)_n; every monomial then
+    cancels but one, and the coefficient of x^-k is
+      (a/b)^(n-k) [n, k]_q ((a/b)q;q)_k (b/q;q)_(n-k) / ((a/b)q;q)_n
+      = (t_num r / c_den)^(n-k) G_k prod_{j<n-k} W_j / prod_{k<i<=n} A_i,
+    with q = p/r, a/b = t_num/t_den, b/q = c_num/c_den and the int units
+    A_i = t_den r^i - t_num p^i and W_j = c_den r^j - c_num p^j. Over the
+    common denominator prod_i A_i, the numerator of the coefficient of
+    x^(i-n) is G_i h_0 ... h_(i-1) t_0 ... t_(n-1-i), with heads
+    h_j = monomial W_j and tails t_m = scale A_(m+1),
+    monomial/scale = t_num r / c_den reduced.
+    """
+    p, r = params.q.as_integer_ratio()
+    t_num, t_den = (params.a / params.b).as_integer_ratio()
+    c_num, c_den = (params.b / params.q).as_integer_ratio()
+    common = gcd(t_num * r, c_den)
+    monomial, scale = t_num * r // common, c_den // common
+    return monomial * c_den, monomial * c_num, scale * t_den, scale * t_num, 1
+
+
+def _partner_vanishing(params: QParams, n: int, heads: list[int], tails: list[int]) -> None:
+    """R_n's closed form checks the factors of ((b/a)q^-n;q)_n, each zero
+    exactly when a unit A_i is, first; then the series factors
+    (1 - lower*q^k), k = 0..n-1, lower = q^(2-n)/b, each zero with
+    W_(n-1-k)."""
+    if not all(tails):
+        raise ResonantParameterError(
+            f"((b/a)*q^{-n};q)_{n} vanishes: partner of degree {n} degenerates"
+        )
+    q = params.q
+    j = next(j for j in range(n - 1, -1, -1) if not heads[j])
+    raise ResonantParameterError(
+        f"series denominator factor (1 - lower*q^{n - 1 - j}) vanishes "
+        f"(lower = {format_rational(q ** (2 - n) / params.b)}, q = {format_rational(q)})"
+    )
+
+
+def _member_n(n: int, params: QParams, monic: bool, previous: LaurentPoly | None) -> LaurentPoly:
+    """Member n of the family P (``monic``) or R: one :func:`_pascal_step`
+    from ``previous``, member n-1's normal form, and one content gcd; or,
+    without it, n steps from 1 with no gcd between them.
+
+    The units and powers of degree n are built here, so a family that
+    steps through this holds only its last member. Every unit of degree n
+    is read in its closed form's order before any step, so member n
+    raises the error of its own closed form either way (after member n-1,
+    the first vanishing unit is one of its two new ones).
+    """
+    _check_degree(n)
+    if previous is not None and (n == 0 or len(previous._nums) != n):
+        raise ValueError(f"previous must be the member of degree {n - 1}")
+    p, r = params.q.as_integer_ratio()
+    p_pow, r_pow = _powers(p, n), _powers(r, n)
+    heads, tails = _units(params, monic, _coefficients(params, monic), p_pow, r_pow, n)
+    if previous is not None:
+        return _member(_pascal_step(previous._nums, heads, tails, p_pow, r_pow), monic)
+    nums = [1]
+    for _ in range(n):
+        nums = _pascal_step(nums, heads, tails, p_pow, r_pow)
+    return _member(nums, monic)
+
+
+def pastro_poly(n: int, params: QParams, *, previous: LaurentPoly | None = None) -> LaurentPoly:
+    """The monic polynomial P_n(x; a, b) of degree n (see
+    :func:`_pastro_coefficients`), stepped from ``previous`` = P_(n-1)
+    at the same ``params`` when given."""
+    return _member_n(n, params, True, previous)
+
+
+def biorthogonal_partner(
+    n: int, params: QParams, *, previous: LaurentPoly | None = None
+) -> LaurentPoly:
+    """The partner R_n, a Laurent polynomial supported on exponents [-n, 0]
+    (see :func:`_partner_coefficients`), stepped from ``previous`` =
+    R_(n-1) at the same ``params`` when given."""
+    return _member_n(n, params, False, previous)
+
+
+def pastro_family(params: QParams) -> Iterator[LaurentPoly]:
+    """The monic polynomials P_0, P_1, P_2, ... of ``params``, each one
+    :func:`pastro_poly` step from the one before."""
+    member = pastro_poly(0, params)
+    yield member
+    for n in count(1):
+        member = pastro_poly(n, params, previous=member)
+        yield member
+
+
+def partner_family(params: QParams) -> Iterator[LaurentPoly]:
+    """The partners R_0, R_1, R_2, ... of ``params``, each one
+    :func:`biorthogonal_partner` step from the one before."""
+    member = biorthogonal_partner(0, params)
+    yield member
+    for n in count(1):
+        member = biorthogonal_partner(n, params, previous=member)
+        yield member
 
 
 class BaxterData(NamedTuple):
@@ -262,53 +406,13 @@ def baxter_system(data: BaxterData) -> tuple[list[LaurentPoly], list[LaurentPoly
     """The pairs of :func:`_coupled_pairs` as lists ``(p_polys, q_polys)``.
 
     ``data`` is the scalar table of a parameter point for n <= n_max. This
-    route never references the eigenvalue problem, so agreement of its P~_n
-    with :func:`pastro_poly` (and of its Q_n(1/x) with the closed-form
-    partner) is a genuine cross-method consistency statement.
+    route never references the eigenvalue problem or the q-Pascal step, so
+    agreement of its P~_n with :func:`pastro_family` (and of its Q_n(1/x)
+    with :func:`partner_family`) is a genuine cross-method consistency
+    statement.
     """
     p_polys, q_polys = zip(*_coupled_pairs(data))
     return list(p_polys), list(q_polys)
-
-
-def biorthogonal_partner(n: int, params: QParams) -> LaurentPoly:
-    """The partner R_n, a Laurent polynomial supported on exponents [-n, 0].
-
-    R_n = [(q^-n;q)_n (b/q;q)_n / (((b/a)q^-n;q)_n (q;q)_n)]
-          * 2phi1(q^-n, (a/b)q; q^(2-n)/b; q, q^2/(a x)).
-
-    The prefactor's (b/q;q)_n cancels the series' lower factors, and
-    ((b/a)q^-n;q)_n is a monomial times ((a/b)q;q)_n; every monomial then
-    cancels but one, and the coefficient of x^-k is
-      (a/b)^(n-k) [n, k]_q ((a/b)q;q)_k (b/q;q)_(n-k) / ((a/b)q;q)_n
-      = (t_num r / c_den)^(n-k) G_k prod_{j<n-k} W_j / prod_{k<i<=n} A_i,
-    with q = p/r, a/b = t_num/t_den, b/q = c_num/c_den, the int units
-    A_i = t_den r^i - t_num p^i and W_j = c_den r^j - c_num p^j, and G_k as
-    in :func:`_binomial_poly`. The factors of ((b/a)q^-n;q)_n, each zero
-    exactly when a unit A_i is, are checked first; then the series factors
-    (1 - lower*q^k), k = 0..n-1, lower = q^(2-n)/b, each zero with W_(n-1-k).
-    """
-    _check_degree(n)
-    q = params.q
-    p, r = q.as_integer_ratio()
-    t_num, t_den = (params.a / params.b).as_integer_ratio()
-    c_num, c_den = (params.b / q).as_integer_ratio()
-    p_pow, r_pow = _powers(p, n), _powers(r, n)
-    common = gcd(t_num * r, c_den)
-    monomial, scale = t_num * r // common, c_den // common
-    tails = [scale * (t_den * r_pow[i] - t_num * p_pow[i]) for i in range(n, 0, -1)]
-    if not all(tails):
-        raise ResonantParameterError(
-            f"((b/a)*q^{-n};q)_{n} vanishes: partner of degree {n} degenerates"
-        )
-    heads = [0] * n
-    for j in range(n - 1, -1, -1):
-        heads[j] = monomial * (c_den * r_pow[j] - c_num * p_pow[j])
-        if not heads[j]:
-            raise ResonantParameterError(
-                f"series denominator factor (1 - lower*q^{n - 1 - j}) vanishes "
-                f"(lower = {format_rational(q ** (2 - n) / params.b)}, q = {format_rational(q)})"
-            )
-    return _binomial_poly(-n, p_pow, r_pow, heads, tails, 0)
 
 
 def grid_weights(N: int, b: Scalar, q: Scalar) -> list[Fraction]:
@@ -364,15 +468,17 @@ def verify_baxter_consistency(
     Covers: the alpha/beta recurrences against the three-term recurrence
     coefficients, the product formula for h_n, agreement of the iterated
     P_n with the eigenvalue-route P_n, agreement of Q_n(1/x) with the
-    closed-form partner R_n, and both coupled recurrences restated with the
+    stepped partner R_n, and both coupled recurrences restated with the
     eigenvalue-route polynomials substituted in.
 
     ``data`` is the scalar table of ``params`` for n <= n_max.
     ``records`` yields one record per degree n = 0..n_max, in order, with
     the eigenvalue-route P_(n-1), P_n and P_(n+1) (``p_prev``, ``p``,
     ``p_next``), as :func:`pastroq.qdiff.degree_records` builds them; one
-    pair P~_n, Q_n of :func:`_coupled_pairs` is stepped beside each, and
-    only Q_(n-1) outlives its degree. The four polynomial checks are
+    pair P~_n, Q_n of :func:`_coupled_pairs` and one partner R_n of
+    :func:`partner_family` are stepped beside each, after it, and only
+    Q_(n-1) and the family's R_(n-1) outlive their degree. The partner
+    family stops at the first mismatch. The four polynomial checks are
     evaluated as the records stream past, and each keeps the witness of
     the first n that fails.
     The three scalar checks read ``data`` and word their first differing
@@ -401,9 +507,11 @@ def verify_baxter_consistency(
 
     products = accumulate((1 - a * b for a, b in zip(alpha, beta)), mul, initial=Fraction(1))
     norm_witness = first_mismatch("n={}: h_n {}, prod {}", zip(range(n_max + 1), data.h, products))
+    del products  # its last product is not held through the degree loop
 
     pastro_witness = partner_witness = p_witness = q_witness = None
     coupled = _coupled_pairs(data)
+    partners = partner_family(params)
     q_prev = None  # Q_(n-1), for the Q recurrence at n - 1
     for record in records:
         n = record.n
@@ -414,7 +522,7 @@ def verify_baxter_consistency(
             if mismatch:
                 pastro_witness = f"n={n}: {mismatch}"
         if partner_witness is None:
-            mismatch = poly_mismatch_witness(reversed_q, biorthogonal_partner(n, params))
+            mismatch = poly_mismatch_witness(reversed_q, next(partners))
             if mismatch:
                 partner_witness = f"n={n}: {mismatch}"
         if p_witness is None and n < n_max:
@@ -430,7 +538,8 @@ def verify_baxter_consistency(
             if residual:
                 q_witness = f"n={n - 1}: residual {residual}"
         q_prev = q_coupled
-        del record  # not held while the next record is built
+        # not held while the next record is built and checked
+        del record, p_coupled, reversed_q
 
     return [
         equality_check(

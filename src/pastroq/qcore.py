@@ -252,14 +252,7 @@ class LaurentPoly:
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not other._nums:
-            return self
-        if not self._nums:
-            return other
-        low, nums, den = _sum(self._low, self._nums, self._den, other._low, other._nums, other._den)
-        # Only a prime of equal valuation in both denominators can divide
-        # the content of the sum, so gcd(den_a, den_b) bounds it.
-        return _make(low, nums, den, gcd(self._den, other._den))
+        return _signed_sum(self, other, 1)
 
     __radd__ = __add__
 
@@ -271,7 +264,7 @@ class LaurentPoly:
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-other)
+        return _signed_sum(self, other, -1)
 
     def __rsub__(self, other: Scalar) -> "LaurentPoly":
         return LaurentPoly.constant(other) - self
@@ -449,20 +442,45 @@ def _make(low: int, nums: list[int], den: int, bound: int) -> LaurentPoly:
 # each caller makes its own normal form.
 
 
+def _signed_sum(a: LaurentPoly, b: LaurentPoly, sign: int) -> LaurentPoly:
+    """a + sign b in normal form, sign = 1 or -1. b enters :func:`_sum`
+    with its sign, term by term, so no negated copy of b is built."""
+    if not b._nums:
+        return a
+    if not a._nums:
+        return b if sign == 1 else -b
+    low, nums, den = _sum(a._low, a._nums, a._den, b._low, b._nums, b._den, sign)
+    # Only a prime of equal valuation in both denominators can divide
+    # the content of the sum, so gcd(den_a, den_b) bounds it.
+    return _make(low, nums, den, gcd(a._den, b._den))
+
+
 def _sum(
-    a_low: int, a_nums: list[int], a_den: int, b_low: int, b_nums: list[int], b_den: int
+    a_low: int,
+    a_nums: list[int],
+    a_den: int,
+    b_low: int,
+    b_nums: list[int],
+    b_den: int,
+    b_sign: int = 1,
 ) -> list:
-    """The parts ``[low, nums, den]`` of a + b, over lcm(a_den, b_den)."""
+    """The parts ``[low, nums, den]`` of a + b_sign b, over lcm(a_den, b_den).
+
+    a is placed, lifted, into zeros and b added onto it; each part is lifted
+    (b with its sign) term by term as it is consumed, so no lifted copy of a
+    part is held.
+    """
     den = lcm(a_den, b_den)
     low = min(a_low, b_low)
     nums = [0] * (max(a_low + len(a_nums), b_low + len(b_nums)) - low)
-    for part_low, part, part_den in ((a_low, a_nums, a_den), (b_low, b_nums, b_den)):
-        lift = den // part_den
-        if lift != 1:
-            part = [n * lift for n in part]
-        start = part_low - low
-        stop = start + len(part)
-        nums[start:stop] = map(add, nums[start:stop], part)
+    start = a_low - low
+    a_lift, b_lift = den // a_den, b_sign * (den // b_den)
+    nums[start : start + len(a_nums)] = a_nums if a_lift == 1 else map(mul, a_nums, repeat(a_lift))
+    start = b_low - low
+    stop = start + len(b_nums)
+    if b_lift != 1:
+        b_nums = map(mul, b_nums, repeat(b_lift))
+    nums[start:stop] = map(add, nums[start:stop], b_nums)
     # A list, not a tuple: :func:`_merge` keeps it, and a freed 3-tuple
     # stays on the interpreter's tuple free list, counted in the traced peak.
     return [low, nums, den]
@@ -645,8 +663,11 @@ class QParams(_QTriple):
 
     Structural requirements are enforced at construction: q outside
     {0, 1, -1} (hence never a root of unity, q being rational), a and b
-    nonzero. Resonance checks against vanishing q-Pochhammer factors are
-    separate, because the offending factors depend on the degree range.
+    nonzero, each an int or a Fraction. Every route to an instance checks
+    them: ``_make``, and so ``_replace`` (``params._replace(b=...)`` is the
+    point with b replaced), build through :meth:`__new__`. Resonance checks
+    against vanishing q-Pochhammer factors are separate, because the
+    offending factors depend on the degree range.
     """
 
     __slots__ = ()
@@ -661,9 +682,15 @@ class QParams(_QTriple):
             raise ParameterError("b must be nonzero")
         return super().__new__(cls, q, a, b)
 
-    def with_b(self, new_b: Scalar) -> "QParams":
-        """The same (q, a) with b replaced (used by the b -> bq contiguity shift)."""
-        return QParams(self.q, self.a, new_b)
+    @classmethod
+    def _make(cls, iterable: Iterable[Scalar]) -> "QParams":
+        """The triple of ``iterable``, through :meth:`__new__`: the
+        NamedTuple ``_make``, which ``_replace`` calls too, would skip it.
+        The triple is unpacked, not starred: ``_replace`` passes a map, and
+        a tuple built from it would be resized into the interpreter's tuple
+        free list on every call, which the traced peak counts."""
+        q, a, b = iterable
+        return cls(q, a, b)
 
     def vanishing_factors(self, n_max: int) -> list[str]:
         """Names of the factors, needed up to degree n_max, that vanish.

@@ -5,9 +5,9 @@ argument, (T^k f)(x) = f(q^k x), and each coefficient c_k is a Laurent
 polynomial. Operators compose by the twisted product rule
 (c1 T^j)(c2 T^k) = c1(x) c2(q^j x) T^(j+k) and are kept in normal form
 (at most one term per shift, zero coefficients dropped), so operator
-equality is literal equality of normal forms. Compositions, sums, scalar
-multiples and q-commutators share one merge of int numerators by shift
-and one content gcd per output shift.
+equality is literal equality of normal forms. Compositions, linear
+combinations and q-commutators share one merge of int numerators by
+shift and one content gcd per output shift.
 
 The triple (X, Y, Z) below satisfies the generalized eigenvalue problem
 Y P_n = lambda_n X P_n on the monic family, with Z = (1/x) X acting
@@ -35,7 +35,7 @@ from .qcore import (
     format_rational,
     x,
 )
-from .pastro import BaxterData, pastro_poly
+from .pastro import BaxterData, pastro_family
 from .report import Check, equality_check, poly_mismatch_witness
 
 __all__ = [
@@ -93,26 +93,6 @@ class QDiffOperator:
         if not isinstance(other, QDiffOperator):
             return NotImplemented
         return self.q == other.q and self._terms == other._terms
-
-    def __add__(self, other: "QDiffOperator") -> "QDiffOperator":
-        if not isinstance(other, QDiffOperator):
-            return NotImplemented
-        return linear_combination(self.q, ((1, self), (1, other)))
-
-    def __neg__(self) -> "QDiffOperator":
-        return linear_combination(self.q, ((-1, self),))
-
-    def __sub__(self, other: "QDiffOperator") -> "QDiffOperator":
-        if not isinstance(other, QDiffOperator):
-            return NotImplemented
-        return linear_combination(self.q, ((1, self), (-1, other)))
-
-    def __mul__(self, factor: Scalar) -> "QDiffOperator":
-        if not isinstance(factor, (int, Fraction)):
-            return NotImplemented
-        return linear_combination(self.q, ((factor, self),))
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other: "QDiffOperator") -> "QDiffOperator":
         """Composition: (c1 T^j)(c2 T^k) = c1(x) c2(q^j x) T^(j+k).
@@ -287,8 +267,10 @@ def degree_records(
 
     X, Y, Z are built once, and so are the q-difference coefficients,
     straight from x and the parameters, not from the coefficients of X and
-    Y; each P_k is built once and held only while a record still needs it
-    (as P_(n+1), then P_n, then P_(n-1)); each P_n is dilated once by q and
+    Y; :func:`pastroq.pastro.pastro_family` steps each P_k once from
+    P_(k-1), and a second family at bq steps P_n(.; bq) after P_(n+1). Each
+    P_k is held only while a record still needs it (as P_(n+1), then P_n,
+    then P_(n-1)); each P_n is dilated once by q and
     once by 1/q, and X, Y, Z sum their images from those two results
     (through :meth:`QDiffOperator.apply`), as the q-difference equation reads
     them from the record. ``data`` is the scalar table of ``params`` for
@@ -305,10 +287,11 @@ def degree_records(
     )
     q_inv = 1 / q
     described = params.describe() | (context or {})
-    shifted = params.with_b(params.b * params.q)
-    p_prev, p = LaurentPoly.zero(), pastro_poly(0, params)
+    family = pastro_family(params)
+    shifted = pastro_family(params._replace(b=params.b * params.q))
+    p_prev, p = LaurentPoly.zero(), next(family)
     for n in range(n_max + 1):
-        p_next = pastro_poly(n + 1, params)
+        p_next = next(family)
         dilations = {-1: p.dilate(q_inv), 0: p, 1: p.dilate(q)}
         yield DegreeRecord(
             n=n,
@@ -321,7 +304,7 @@ def degree_records(
             p_next=p_next,
             p_qx=dilations[1],
             p_x_over_q=dilations[-1],
-            p_shifted=pastro_poly(n, shifted),
+            p_shifted=next(shifted),
             x_image=X.apply(p, dilations),
             y_image=Y.apply(p, dilations),
             z_image=Z.apply(p, dilations),
@@ -371,19 +354,21 @@ def verify_contiguity(record: DegreeRecord) -> list[Check]:
       Y P_n(.; b) = -(1/b) (1 - b q^n) x P_n(.; bq),
       Z P_n(.; b) = q^-n (1 - b q^n) P_n(.; bq).
     The Y factor is one Fraction of ints: with q = p/r and b = b_num/b_den,
-    -(1/b)(1 - b q^n) = (b_num p^n - b_den r^n) / (b_num r^n).
+    -(1/b)(1 - b q^n) = (b_num p^n - b_den r^n) / (b_num r^n). The X and Z
+    right-hand sides are one product, P_n(.; bq) times the raise factor,
+    shifted by x for X.
     """
     n, params, p_shifted = record.n, record.params, record.p_shifted
     p, r = params.q.as_integer_ratio()
     b_num, b_den = params.b.as_integer_ratio()
-    factor = record.table.raise_factor[n]
+    raised = p_shifted * record.table.raise_factor[n]
     x_p_shifted = p_shifted.times_x(1)
     return [
         equality_check(
             "contiguity-X",
             "X P_n(.; b) = q^-n (1 - b q^n) x P_n(.; bq)",
             record.context,
-            poly_mismatch_witness(record.x_image, x_p_shifted * factor),
+            poly_mismatch_witness(record.x_image, raised.times_x(1)),
         ),
         equality_check(
             "contiguity-Y",
@@ -397,7 +382,7 @@ def verify_contiguity(record: DegreeRecord) -> list[Check]:
             "contiguity-Z",
             "Z P_n(.; b) = q^-n (1 - b q^n) P_n(.; bq)",
             record.context,
-            poly_mismatch_witness(record.z_image, p_shifted * factor),
+            poly_mismatch_witness(record.z_image, raised),
         ),
     ]
 
@@ -423,8 +408,12 @@ def verify_recurrence(record: DegreeRecord) -> list[Check]:
     p_n, r_n = p**n, r**n
     table = record.table
     raise_factor = table.raise_factor[n]
-    x_rhs = p_next * raise_factor + p_now * Fraction(
-        p * (b_den * a_num * p_n - b_num * a_den * r_n), r * b_den * a_num * p_n
+    # Each witness is taken as soon as its two sides exist, so that no
+    # right-hand side outlives its check.
+    x_witness = poly_mismatch_witness(
+        record.x_image,
+        p_next * raise_factor
+        + p_now * Fraction(p * (b_den * a_num * p_n - b_num * a_den * r_n), r * b_den * a_num * p_n),
     )
     z_rhs = p_now * raise_factor
     if n >= 1:
@@ -433,29 +422,31 @@ def verify_recurrence(record: DegreeRecord) -> list[Check]:
             b_num * (p_n - r_n) * (a_den * r_m - a_num * p_m),
             r * p_m * a_num * (b_den * r_m - b_num * p_m),
         )
-
-    three_lhs = p_next + p_now * table.mu1[n]
-    three_rhs = (p_now + p_prev * table.mu2[n]).times_x(1)
+    z_witness = poly_mismatch_witness(record.z_image, z_rhs)
+    del z_rhs
+    three_witness = poly_mismatch_witness(
+        p_next + p_now * table.mu1[n], (p_now + p_prev * table.mu2[n]).times_x(1)
+    )
 
     return [
         equality_check(
             "recurrence-X-action",
             "X P_n = q^-n (1 - b q^n) P_(n+1) + q (1 - (b/a) q^-n) P_n",
             record.context,
-            poly_mismatch_witness(record.x_image, x_rhs),
+            x_witness,
         ),
         equality_check(
             "recurrence-Z-action",
             "Z P_n = q^-n (1 - b q^n) P_n "
             "+ b q (1 - q^-n)(1 - a q^(n-1)) / (a (1 - b q^(n-1))) P_(n-1)",
             record.context,
-            poly_mismatch_witness(record.z_image, z_rhs),
+            z_witness,
         ),
         equality_check(
             "recurrence-three-term",
             "P_(n+1) + mu1_n P_n = x (P_n + mu2_n P_(n-1))",
             record.context,
-            poly_mismatch_witness(three_lhs, three_rhs),
+            three_witness,
         ),
         equality_check(
             "recurrence-X-from-Z",

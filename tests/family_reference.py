@@ -1,15 +1,25 @@
-"""The Fraction routes of P_n and R_n, kept as the reference of the
-differential tests.
+"""The reference routes of P_n and R_n, kept for the differential tests.
 
-P_n is built two ways. ``pastro_poly`` steps the descending coefficient
+The package steps each family from degree to degree by the q-Pascal rule.
+Three routes here build each member on its own, from scratch.
+
+The closed products on ints. ``pastro_poly_closed`` and
+``biorthogonal_partner_closed`` write each coefficient as a homogeneous
+Gaussian binomial, made by one exact int division per index, times
+prefix and suffix products of int units, over one common denominator,
+with one content gcd (``_binomial_poly``). They raise the package's
+``ResonantParameterError`` texts, in the order in which the closed form of
+each degree checks its factors.
+
+The Fraction routes. ``pastro_poly`` steps the descending coefficient
 recurrence in reduced Fractions and hands the coefficients to the
 ``LaurentPoly`` constructor. ``pastro_poly_series`` sums the terminating
 basic hypergeometric series 2phi1(q^-n, b; (b/a) q^(1-n); q, x) with
 ``phi21_terminating`` and scales it by ``pastro_monic_prefactor``. R_n
 multiplies four ``q_pochhammer`` products into a prefactor and expands
 its series with ``phi21_terminating``. The recurrence P_n and R_n raise the
-same ``ResonantParameterError`` texts, in the same order, as the package's
-builders; the series P_n checks (b;q)_n first, so its texts can differ.
+same ``ResonantParameterError`` texts, in the same order, as the closed
+products; the series P_n checks (b;q)_n first, so its texts can differ.
 
 The degree-by-degree closed forms of the coefficient ratio C_k / C_0, of
 the coupled-recurrence coefficients alpha_n and beta_n, of the norm
@@ -23,6 +33,9 @@ that table, and the coefficients of P_n, against these formulas.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd
+from operator import mul
 
 from pastroq.pastro import _check_degree
 from pastroq.qcore import (
@@ -30,10 +43,109 @@ from pastroq.qcore import (
     QParams,
     ResonantParameterError,
     Scalar,
+    _make,
+    _powers,
     format_rational,
     q_pochhammer,
     x,
 )
+
+
+def _binomial_poly(
+    low: int, p_pow: list[int], r_pow: list[int], heads: list[int], tails: list[int], one: int
+) -> LaurentPoly:
+    """sum_i (c_i / c_one) x^(low + i), i = 0..n, from nonzero int heads and tails:
+
+      c_i = G_i * heads[0] ... heads[i-1] * tails[i] ... tails[n-1].
+
+    G_i = r^(i(n-i)) [n, i]_q is the Gaussian binomial of q = p/r made
+    homogeneous (``p_pow`` and ``r_pow`` hold p^0..p^n and r^0..r^n). From
+    G_n = 1, G_(i-1) = G_i (r^i - p^i) / (r^(n-i+1) - p^(n-i+1)) is one exact
+    int division, and G_(n-i) = G_i gives the other half. The one content
+    gcd left divides out only what the units share.
+    """
+    n = len(heads)
+    gauss = [1] * (n + 1)
+    for i in range(n, (n + 1) // 2, -1):
+        j = n - i + 1
+        gauss[i - 1] = gauss[j] = gauss[i] * (r_pow[i] - p_pow[i]) // (r_pow[j] - p_pow[j])
+    suffix = list(accumulate(reversed(tails), mul, initial=1))[::-1]
+    prefix = accumulate(heads, mul, initial=1)
+    nums = [g * head * tail for g, head, tail in zip(gauss, prefix, suffix)]
+    if nums[one] < 0:
+        nums = [-c for c in nums]
+    return _make(low, nums, nums[one], nums[one])
+
+
+def pastro_poly_closed(n: int, params: QParams) -> LaurentPoly:
+    """The monic P_n as a closed product on ints.
+
+    The recurrence (1 - q^(k-n)) (1 - b q^k) C_k
+    = (1 - (b/a) q^(k+1-n)) (1 - q^(k+1)) C_(k+1), C_n = 1, multiplies out to
+      C_k = (-1)^(n-k) q^((n-k)(n-k+1)/2) [n, k]_q
+            * prod_{j=k}^{n-1} (1 - (b/a) q^(j+1-n)) / (1 - b q^j).
+    With q = p/r, b = b_num/b_den and b/a = s_num/s_den, that is
+      C_k = (-p b_den / (s_den r))^(n-k) G_k prod_{j=k}^{n-1} U_j / V_j
+    over the int units U_j = s_den p^(n-1-j) - s_num r^(n-1-j) and
+    V_j = b_den r^j - b_num p^j (G_k as in :func:`_binomial_poly`). For
+    k = n-1 down to 0, the shift factor U_k and then the b factor V_k are
+    checked, and reported exactly when they vanish.
+    """
+    _check_degree(n)
+    p, r = params.q.as_integer_ratio()
+    b_num, b_den = params.b.as_integer_ratio()
+    s_num, s_den = (params.b / params.a).as_integer_ratio()
+    p_pow, r_pow = _powers(p, n), _powers(r, n)
+    common = gcd(p * b_den, s_den * r)
+    monomial, scale = -p * b_den // common, s_den * r // common
+    heads, tails = [0] * n, [0] * n
+    for m, k in enumerate(range(n - 1, -1, -1)):
+        tails[k] = monomial * (s_den * p_pow[m] - s_num * r_pow[m])
+        if not tails[k]:
+            raise ResonantParameterError(
+                f"factor (1 - (b/a)*q^{k + 1 - n}) vanishes: "
+                f"monic family of degree {n} degenerates"
+            )
+        heads[k] = scale * (b_den * r_pow[k] - b_num * p_pow[k])
+        if not heads[k]:
+            raise ResonantParameterError(f"factor (1 - b*q^{k}) vanishes")
+    return _binomial_poly(0, p_pow, r_pow, heads, tails, n)
+
+
+def biorthogonal_partner_closed(n: int, params: QParams) -> LaurentPoly:
+    """The partner R_n as a closed product on ints, supported on [-n, 0].
+
+    The coefficient of x^-k is
+      (a/b)^(n-k) [n, k]_q ((a/b)q;q)_k (b/q;q)_(n-k) / ((a/b)q;q)_n
+      = (t_num r / c_den)^(n-k) G_k prod_{j<n-k} W_j / prod_{k<i<=n} A_i,
+    with q = p/r, a/b = t_num/t_den, b/q = c_num/c_den, the int units
+    A_i = t_den r^i - t_num p^i and W_j = c_den r^j - c_num p^j, and G_k as
+    in :func:`_binomial_poly`. The factors of ((b/a)q^-n;q)_n, each zero
+    exactly when a unit A_i is, are checked first; then the series factors
+    (1 - lower*q^k), k = 0..n-1, lower = q^(2-n)/b, each zero with W_(n-1-k).
+    """
+    _check_degree(n)
+    q = params.q
+    p, r = q.as_integer_ratio()
+    t_num, t_den = (params.a / params.b).as_integer_ratio()
+    c_num, c_den = (params.b / q).as_integer_ratio()
+    p_pow, r_pow = _powers(p, n), _powers(r, n)
+    common = gcd(t_num * r, c_den)
+    monomial, scale = t_num * r // common, c_den // common
+    tails = [scale * (t_den * r_pow[i] - t_num * p_pow[i]) for i in range(n, 0, -1)]
+    if not all(tails):
+        raise ResonantParameterError(
+            f"((b/a)*q^{-n};q)_{n} vanishes: partner of degree {n} degenerates"
+        )
+    heads = [0] * n
+    for j in range(n - 1, -1, -1):
+        heads[j] = monomial * (c_den * r_pow[j] - c_num * p_pow[j])
+        if not heads[j]:
+            raise ResonantParameterError(
+                f"series denominator factor (1 - lower*q^{n - 1 - j}) vanishes "
+                f"(lower = {format_rational(q ** (2 - n) / params.b)}, q = {format_rational(q)})"
+            )
+    return _binomial_poly(-n, p_pow, r_pow, heads, tails, 0)
 
 
 def pastro_coefficients(n: int, params: QParams) -> list[Fraction]:

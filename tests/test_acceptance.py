@@ -39,6 +39,7 @@ from pastroq.qcore import ParameterError, QParams
 from pastroq.qdiff import (
     QDiffOperator,
     degree_records,
+    linear_combination,
     verify_contiguity,
     verify_gevp,
     verify_qdiff_equation,
@@ -219,7 +220,8 @@ def test_criterion_7_algebra():
     )
     mutated = verify_raw_relations(rep._replace(X=corrupted))
     ok = ok and any(check.status == "FAIL" for check in mutated)
-    perturbed = casimir_centrality(rep._replace(casimir=rep.casimir + rep.Xp))
+    perturbed_casimir = linear_combination(rep.X.q, ((1, rep.casimir), (1, rep.Xp)))
+    perturbed = casimir_centrality(rep._replace(casimir=perturbed_casimir))
     ok = ok and any(check.status == "FAIL" for check in perturbed)
     assert record(
         7,

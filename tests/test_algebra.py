@@ -14,7 +14,7 @@ from pastroq.algebra import (
     verify_raw_relations,
 )
 from pastroq.qcore import QParams
-from pastroq.qdiff import QDiffOperator
+from pastroq.qdiff import QDiffOperator, linear_combination
 
 REFERENCE = QParams(Fraction(1, 2), 3, Fraction(1, 5))
 SECOND = QParams(Fraction(-4, 5), 6, -2)
@@ -64,7 +64,8 @@ def test_casimir_acts_as_frozen_scalar():
     # in the Laurent-polynomial realization the Casimir is a pure scalar;
     # -74/5 was computed by hand from its action on the constant function
     element = make_algebra_rep(REFERENCE).casimir
-    assert element == Fraction(-74, 5) * QDiffOperator.identity(REFERENCE.q)
+    identity = QDiffOperator.identity(REFERENCE.q)
+    assert element == linear_combination(REFERENCE.q, ((Fraction(-74, 5), identity),))
 
 
 @pytest.mark.parametrize("params", POINTS)
@@ -108,13 +109,13 @@ def test_corrupted_raw_triple_fails():
 
 def test_corrupted_affine_triple_fails():
     rep = make_algebra_rep(REFERENCE)
-    checks = verify_affine_relations(rep._replace(Xp=rep.Xp + rep.Yp))
+    checks = verify_affine_relations(rep._replace(Xp=_sum_of(rep.Xp, rep.Yp)))
     assert any(check.status == "FAIL" for check in checks)
 
 
 def test_perturbed_casimir_fails_centrality():
     rep = make_algebra_rep(REFERENCE)
-    checks = casimir_centrality(rep._replace(casimir=rep.casimir + rep.Xp))
+    checks = casimir_centrality(rep._replace(casimir=_sum_of(rep.casimir, rep.Xp)))
     assert any(check.status == "FAIL" for check in checks)
     # the record's own Casimir still passes
     for check in casimir_centrality(rep):
@@ -138,18 +139,23 @@ def _identity(rep):
     return QDiffOperator.identity(rep.params.q)
 
 
+def _sum_of(*operators):
+    """The sum of operators over one q, as one linear combination."""
+    return linear_combination(operators[0].q, ((1, operator) for operator in operators))
+
+
 #: One field of an AlgebraRep moved, and the exact set of checks it FAILs.
 ALGEBRA_FAULTS = {
     "Y + I": (
-        lambda rep: rep._replace(Y=rep.Y + _identity(rep)),
+        lambda rep: rep._replace(Y=_sum_of(rep.Y, _identity(rep))),
         {"raw-relation-XY", "raw-relation-YZ"},
     ),
     "Z + I": (
-        lambda rep: rep._replace(Z=rep.Z + _identity(rep)),
+        lambda rep: rep._replace(Z=_sum_of(rep.Z, _identity(rep))),
         {"raw-relation-YZ", "raw-relation-ZX"},
     ),
     "X' + I": (
-        lambda rep: rep._replace(Xp=rep.Xp + _identity(rep)),
+        lambda rep: rep._replace(Xp=_sum_of(rep.Xp, _identity(rep))),
         {
             "affine-relation-XY",
             "affine-relation-YZ",
@@ -161,15 +167,15 @@ ALGEBRA_FAULTS = {
         },
     ),
     "casimir + X'": (
-        lambda rep: rep._replace(casimir=rep.casimir + rep.Xp),
+        lambda rep: rep._replace(casimir=_sum_of(rep.casimir, rep.Xp)),
         {"casimir-central-Y", "casimir-central-Z", "qhahn-ML"},
     ),
     "casimir + Y'": (
-        lambda rep: rep._replace(casimir=rep.casimir + rep.Yp),
+        lambda rep: rep._replace(casimir=_sum_of(rep.casimir, rep.Yp)),
         {"casimir-central-X", "casimir-central-Z", "qhahn-ML"},
     ),
     "casimir + I": (
-        lambda rep: rep._replace(casimir=rep.casimir + _identity(rep)),
+        lambda rep: rep._replace(casimir=_sum_of(rep.casimir, _identity(rep))),
         {"qhahn-ML"},
     ),
     "alpha1 + 1": (

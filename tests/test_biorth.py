@@ -50,7 +50,7 @@ from pastroq.qcore import (
     ResonantParameterError,
     x,
 )
-from pastroq.qdiff import QDiffOperator, make_operators
+from pastroq.qdiff import QDiffOperator, linear_combination, make_operators
 
 Q = Fraction(1, 2)
 B = Fraction(1, 5)
@@ -507,7 +507,10 @@ def _plus_third(index: int):
 
     def corrupted(params):
         triple = list(make_operators(params))
-        triple[index] += Fraction(1, 3) * QDiffOperator.identity(params.q)
+        identity = QDiffOperator.identity(params.q)
+        triple[index] = linear_combination(
+            params.q, ((1, triple[index]), (Fraction(1, 3), identity))
+        )
         return tuple(triple)
 
     return corrupted

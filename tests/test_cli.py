@@ -358,10 +358,10 @@ def test_parameter_error_after_checks_keeps_them(monkeypatch):
 
     real = cli.verify_adjoint_gevp
 
-    def raising(n, rep):
+    def raising(n, rep, pair=None):
         if n == 1:
             raise ParameterError("injected at n = 1")
-        return real(n, rep)
+        return real(n, rep, pair)
 
     monkeypatch.setattr(cli, "verify_adjoint_gevp", raising)
     report, extra, lines = run(RunConfig("biorth", N=3))

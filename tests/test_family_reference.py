@@ -1,17 +1,19 @@
-"""Differential tests: the integer builders against the Fraction routes.
+"""Differential tests: the stepped families against the reference routes.
 
-``family_reference`` holds the recurrence-in-Fractions P_n, the series
-P_n (``pastro_poly_series``), the ``q_pochhammer``/``phi21_terminating``
-R_n, and the degree-by-degree closed forms of the scalar table.
+``family_reference`` holds the closed products of P_n and R_n on ints,
+the recurrence-in-Fractions P_n, the series P_n (``pastro_poly_series``),
+the ``q_pochhammer``/``phi21_terminating`` R_n, and the degree-by-degree
+closed forms of the scalar table. ``pastro_family``, ``partner_family``,
 ``pastro_poly``, ``biorthogonal_partner`` and ``baxter_coefficients`` must
 give the same polynomials and scalars, or raise a
 ``ResonantParameterError`` with the same text, at admissible points and at
-points placed on the factors that vanish. Against the series P_n, which
-checks (b;q)_n before the series factors, only the error's class must
-agree.
+points placed on the factors that vanish; a family raises at its first
+member whose closed form raises. Against the series P_n, which checks
+(b;q)_n before the series factors, only the error's class must agree.
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -19,7 +21,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import family_reference
-from pastroq.pastro import baxter_coefficients, biorthogonal_partner, pastro_poly
+from pastroq.pastro import (
+    baxter_coefficients,
+    biorthogonal_partner,
+    partner_family,
+    pastro_family,
+    pastro_poly,
+)
 from pastroq.qcore import ParameterError, QParams, ResonantParameterError
 
 #: Small rationals, where factors vanish often, and heights up to 1000 (such
@@ -175,3 +183,148 @@ def test_vanishing_partner_factors_raise_first(a, b, message):
         with pytest.raises(ResonantParameterError) as raised:
             build(4, params)
         assert str(raised.value) == message
+
+
+def _members(family, n_max: int):
+    """Members 0..n_max of a family as ("poly", member) outcomes, ending
+    early with ("error", text) at the first member that raises."""
+    outcomes = []
+    try:
+        for member in islice(family, n_max + 1):
+            outcomes.append(("poly", member))
+    except ResonantParameterError as exc:
+        outcomes.append(("error", str(exc)))
+    return outcomes
+
+
+def _closed_members(closed, n_max: int, params: QParams):
+    """The outcomes of ``closed`` at n = 0..n_max, up to its first error."""
+    outcomes = []
+    for n in range(n_max + 1):
+        outcomes.append(_outcome(closed, n, params))
+        if outcomes[-1][0] == "error":
+            break
+    return outcomes
+
+
+def _parts(outcomes):
+    """Outcomes with each polynomial as its exact int parts (low, nums, den)."""
+    return [
+        (kind, (value._low, value._nums, value._den) if kind == "poly" else value)
+        for kind, value in outcomes
+    ]
+
+
+#: Each family with its single-degree builder, its closed product on ints
+#: and its Fraction route.
+_FAMILIES = (
+    (pastro_family, pastro_poly, family_reference.pastro_poly_closed, family_reference.pastro_poly),
+    (
+        partner_family,
+        biorthogonal_partner,
+        family_reference.biorthogonal_partner_closed,
+        family_reference.biorthogonal_partner,
+    ),
+)
+
+
+@given(
+    _rationals,
+    _rationals,
+    _rationals,
+    st.integers(0, 40),
+    st.sampled_from(_PLACEMENTS),
+    st.integers(-2, 41),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_families_match_the_closed_products_at_drawn_points(q, a, b, n_max, placement, j):
+    # Every member, or the text of the first one that raises, is the closed
+    # product's, byte for byte; the last member reached is the Fraction
+    # route's too, and so is the single-degree builder at n_max.
+    assume(q not in (0, 1, -1))
+    try:
+        params = QParams(*_place(placement, q, a, b, j))
+    except ParameterError:
+        assume(False)
+    for family, single, closed, fraction_route in _FAMILIES:
+        stepped = _members(family(params), n_max)
+        assert _parts(stepped) == _parts(_closed_members(closed, n_max, params))
+        for kind, member in stepped:
+            if kind == "poly":
+                assert_normal_form(member)
+        last = len(stepped) - 1
+        assert stepped[-1] == _outcome(fraction_route, last, params)
+        assert _parts([_outcome(single, n_max, params)]) == _parts([_outcome(closed, n_max, params)])
+
+
+@pytest.mark.parametrize(
+    "q, a, b", [(Fraction(997, 991), Fraction(3), Fraction(1, 5)), (Fraction(997, 991), Fraction(-5, 3), Fraction(2, 9))]
+)
+def test_families_match_the_closed_products_to_degree_64(q, a, b):
+    # q = 997/991: heights near 1000, where the units share few factors
+    params = QParams(q, a, b)
+    for family, single, closed, _ in _FAMILIES:
+        stepped = _members(family(params), 64)
+        assert _parts(stepped) == _parts(_closed_members(closed, 64, params))
+        assert single(64, params) == stepped[64][1]
+
+
+def test_resonant_members_raise_the_closed_product_texts():
+    # b q^3 = 1: P_4 is the first member with the unit 1 - b q^3. At degree
+    # 6 the closed form checks it third, after the pairs (1 - (b/a) q^0,
+    # 1 - b q^5) and (1 - (b/a) q^-1, 1 - b q^4), so the family and the
+    # single-degree builder both name it.
+    params = QParams(Fraction(1, 2), Fraction(3), Fraction(8))
+    outcomes = _members(pastro_family(params), 6)
+    assert outcomes[-1] == ("error", "factor (1 - b*q^3) vanishes")
+    assert len(outcomes) == 5
+    for n in (4, 6):
+        with pytest.raises(ResonantParameterError) as raised:
+            pastro_poly(n, params)
+        assert str(raised.value) == "factor (1 - b*q^3) vanishes"
+
+
+@pytest.mark.parametrize(
+    "q, a, b, n, single_text, family_text",
+    [
+        # 1 - (b/a) q^0 and 1 - b q^0 both vanish: at degree 1 the shift
+        # factor is checked first
+        (
+            Fraction(1, 2), Fraction(1), Fraction(1), 1,
+            "factor (1 - (b/a)*q^0) vanishes: monic family of degree 1 degenerates",
+            "factor (1 - (b/a)*q^0) vanishes: monic family of degree 1 degenerates",
+        ),
+        # 1 - (b/a) q^-1 and 1 - b q^1 both vanish: degree 3 checks them as
+        # one pair, shift factor first; P_2 already meets 1 - b q^1 first
+        (
+            Fraction(1, 2), Fraction(4), Fraction(2), 3,
+            "factor (1 - (b/a)*q^-1) vanishes: monic family of degree 3 degenerates",
+            "factor (1 - b*q^1) vanishes",
+        ),
+        # the two new units of P_3, 1 - b q^2 and 1 - (b/a) q^-2, both vanish:
+        # from degree 2 on the b factor comes first
+        (
+            Fraction(1, 2), Fraction(16), Fraction(4), 3,
+            "factor (1 - b*q^2) vanishes",
+            "factor (1 - b*q^2) vanishes",
+        ),
+    ],
+)
+def test_vanishing_pastro_factors_raise_in_closed_form_order(q, a, b, n, single_text, family_text):
+    params = QParams(q, a, b)
+    for build in (pastro_poly, family_reference.pastro_poly_closed):
+        with pytest.raises(ResonantParameterError) as raised:
+            build(n, params)
+        assert str(raised.value) == single_text
+    assert _members(pastro_family(params), n)[-1] == ("error", family_text)
+
+
+def test_partner_checks_its_prefactor_before_its_series():
+    # (a/b) q = 1 zeroes A_1 and b = q zeroes W_0: R_1 names ((b/a)q^-1;q)_1
+    params = QParams(Fraction(1, 2), Fraction(1), Fraction(1, 2))
+    text = "((b/a)*q^-1;q)_1 vanishes: partner of degree 1 degenerates"
+    for build in (biorthogonal_partner, family_reference.biorthogonal_partner_closed):
+        with pytest.raises(ResonantParameterError) as raised:
+            build(1, params)
+        assert str(raised.value) == text
+    assert _members(partner_family(params), 1)[-1] == ("error", text)

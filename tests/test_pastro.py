@@ -17,7 +17,7 @@ from family_reference import (
     pastro_poly_series,
     raise_factor,
 )
-from pastroq import pastro
+from pastroq import biorth, cli, pastro, qdiff
 from pastroq.pastro import (
     _norm_constants,
     baxter_coefficients,
@@ -373,3 +373,73 @@ def test_degree_records_carry_the_family():
         # b q^2 = 1: the coefficient table the records carry is refused
         resonant = QParams(Fraction(1, 2), Fraction(3), Fraction(4))
         list(degree_records(resonant, 6, baxter_coefficients(6, resonant)))
+
+
+@pytest.mark.parametrize("build", [pastro_poly, biorthogonal_partner])
+def test_a_step_reads_only_the_member_before(build):
+    p1, p2 = build(1, REFERENCE), build(2, REFERENCE)
+    assert build(2, REFERENCE, previous=p1) == p2
+    assert build(3, REFERENCE, previous=p2) == build(3, REFERENCE)
+    for n, previous in ((3, p1), (1, p2), (0, p1)):
+        with pytest.raises(ValueError, match=f"degree {n - 1}"):
+            build(n, REFERENCE, previous=previous)
+
+
+def _steps(*ranges):
+    """The degrees of the members built, one step each, from these ranges."""
+    return sorted(degree for members in ranges for degree in members)
+
+
+#: A run, and the degree of every member its families step to: each
+#: family steps once per degree past 0.
+_FAMILY_RUNS = {
+    # P_1..P_7 at b, P_1..P_6 at bq, R_1..R_6
+    "verify": (
+        lambda: cli.verify_suite(REFERENCE, 6),
+        _steps(range(1, 8), range(1, 7), range(1, 7)),
+    ),
+    # the grid's P_1..P_5 and R_1..R_4; the flipped and reflected P_1..P_4
+    "biorth": (
+        lambda: cli.run(cli.RunConfig("biorth", N=5))[0].checks,
+        _steps(range(1, 6), range(1, 5), range(1, 5), range(1, 5)),
+    ),
+    # P_1..P_6 and R_1..R_6
+    "table": (
+        lambda: cli.run(cli.RunConfig("table", n_max=6))[0].checks,
+        _steps(range(1, 7), range(1, 7)),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FAMILY_RUNS))
+def test_runs_step_each_family_once_per_degree(command, monkeypatch):
+    run, expected = _FAMILY_RUNS[command]
+    degrees = []
+    step = pastro._pascal_step
+
+    def counted(nums, *args):
+        degrees.append(len(nums))  # the degree of the member it builds
+        return step(nums, *args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a single-degree builder ran")
+
+    def stepped_only(build):
+        def wrapper(n, params, *, previous=None):
+            if n and previous is None:
+                raise AssertionError(f"member {n} was built alone, not stepped")
+            return build(n, params, previous=previous)
+
+        return wrapper
+
+    monkeypatch.setattr(pastro, "_pascal_step", counted)
+    # The families step through pastro's own bindings; no other module
+    # builds a member.
+    for name in ("pastro_poly", "biorthogonal_partner"):
+        monkeypatch.setattr(pastro, name, stepped_only(vars(pastro)[name]))
+        for module in (qdiff, biorth, cli):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, refused)
+    checks = run()
+    assert all(check.status == "PASS" for check in checks)
+    assert sorted(degrees) == expected

@@ -374,11 +374,47 @@ def test_qparams_vanishing_factors():
     assert any("(b/a)" in text for text in ratio_resonant.vanishing_factors(3))
 
 
-def test_qparams_with_b():
+def test_qparams_replace_b():
     params = QParams(Fraction(1, 2), Fraction(3), Fraction(1, 5))
-    shifted = params.with_b(params.b * params.q)
+    shifted = params._replace(b=params.b * params.q)
+    assert type(shifted) is QParams
     assert shifted.b == Fraction(1, 10)
     assert (shifted.q, shifted.a) == (params.q, params.a)
+
+
+_VALID_TRIPLE = {"q": Fraction(1, 2), "a": Fraction(3), "b": Fraction(1, 5)}
+
+#: Every route to a QParams, each given a valid triple with one field
+#: replaced: the constructor, the NamedTuple ``_make``, and ``_replace`` of
+#: that field on a valid point.
+_CONSTRUCTION_ROUTES = {
+    "QParams": lambda field, value: QParams(**(_VALID_TRIPLE | {field: value})),
+    "_make": lambda field, value: QParams._make((_VALID_TRIPLE | {field: value}).values()),
+    "_replace": lambda field, value: QParams(**_VALID_TRIPLE)._replace(**{field: value}),
+}
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("q", 0.5, TypeError),
+        ("a", 0.5, TypeError),
+        ("b", "1/3", TypeError),
+        ("q", 0, ParameterError),
+        ("q", 1, ParameterError),
+        ("q", -1, ParameterError),
+        ("a", 0, ParameterError),
+        ("b", 0, ParameterError),
+    ],
+)
+@pytest.mark.parametrize("route", sorted(_CONSTRUCTION_ROUTES))
+def test_every_qparams_route_refuses_what_the_constructor_refuses(route, field, value, error):
+    build = _CONSTRUCTION_ROUTES[route]
+    with pytest.raises(error):
+        build(field, value)
+    built = build(field, Fraction(2))
+    assert type(built) is QParams
+    assert getattr(built, field) == Fraction(2)
 
 
 _FACTOR_NAME = re.compile(r"\(1 - (b|\(b/a\))\*q\^(-?\d+)\) vanishes\Z")
