@@ -5,12 +5,13 @@ Everything in this module is a function of the parameter triple
 exact two-term coefficient recurrence; their biorthogonal partners R_n are
 Laurent polynomials supported on exponents [-n, 0], a terminating series
 times a prefactor. In both, each coefficient is a Gaussian binomial
-[n, k]_q times factors 1 - c q^m, written as int units over monomials of
-q = p/r, and each family is stepped on integers from degree to degree by
-the q-Pascal rule of its Gaussian binomials: one int kernel,
-:func:`_pascal_step`, builds member n+1 from member n. The per-degree
-scalar table of a point and the grid weights read the unit table of
-:mod:`pastroq.qcore`, as int products, one Fraction per entry. The
+[n, k]_q times factors 1 - c q^m, and each family is stepped on integers
+from degree to degree by the q-Pascal rule of its Gaussian binomials: one
+int kernel, :func:`_pascal_step`, builds member n+1 from member n. Its
+heads and tails are the int unit lists of :mod:`pastroq.qcore` (q = p/r)
+times the two reduced terms of the ratio of alpha_n (for P_n) or beta_n
+(for R_n). The per-degree scalar table of a point and the grid weights
+read the same unit lists, as int products, one Fraction per entry. The
 Baxter-style coupled recurrence, stepped by one generator, reconstructs
 both families from scratch as an independent route. The terminating series
 forms of P_n and R_n are not built here: the test suite keeps them, in
@@ -34,6 +35,7 @@ from .qcore import (
     _make,
     _point_units,
     _powers,
+    _unit_list,
     _Units,
     format_rational,
 )
@@ -90,57 +92,61 @@ def _member(nums: list[int], monic: bool) -> LaurentPoly:
     return _make(low, nums, nums[one], nums[one])
 
 
-#: A family's unit coefficients at a point: (h_r, h_p, t_r, t_p, shift),
-#: for heads h_k = h_r r^k - h_p p^k and tails
-#: t_m = t_r r^(m+shift) - t_p p^(m+shift), q = p/r.
-_Coefficients = tuple[int, int, int, int, int]
-
-
-def _coefficients(params: QParams, monic: bool) -> _Coefficients:
-    """The unit coefficients of P_n (``monic``) or of R_n at ``params``."""
-    return _pastro_coefficients(params) if monic else _partner_coefficients(params)
-
-
 def _units(
-    params: QParams,
-    monic: bool,
-    coefficients: _Coefficients,
-    p_pow: list[int],
-    r_pow: list[int],
-    n: int,
-) -> tuple[list[int], list[int]]:
-    """The heads and tails h_k, t_m, k, m < n, that member n is built from
-    (the powers reach index n), or the ResonantParameterError of the first
-    that vanishes, in the order in which member n's closed form checks them."""
-    h_r, h_p, t_r, t_p, shift = coefficients
-    heads = [h_r * r_k - h_p * p_k for p_k, r_k in zip(p_pow[:n], r_pow)]
-    tails = [t_r * r_m - t_p * p_m for p_m, r_m in zip(p_pow[shift : n + shift], r_pow[shift:])]
-    if not (all(heads) and all(tails)):
-        (_pastro_vanishing if monic else _partner_vanishing)(params, n, heads, tails)
-    return heads, tails
+    params: QParams, monic: bool, n: int
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The heads h_k and tails t_m, k, m < n, that member n of P (``monic``)
+    or R is built from, and the powers p^j, r^j, j < n, with q = p/r: the
+    last four arguments of the :func:`_pascal_step` to member n. Raises the
+    ResonantParameterError of the first unit that vanishes, in the order in
+    which member n's closed form checks them.
 
+    Heads and tails are each a :func:`pastroq.qcore._unit_list`, the units
+    of 1 - z q^j, times one reduced scale; in the unit lists b[j], ab[j],
+    bq[j] of :func:`pastroq.qcore._point_units`, with b = b_num/b_den,
+    a/b = t_num/t_den and b/q = c_num/c_den, 1 - z q^j = z[j] / (z_den r^j).
 
-def _pastro_coefficients(params: QParams) -> _Coefficients:
-    """The unit coefficients of P_n at ``params``.
-
-    With q = p/r, b = b_num/b_den and b/a = s_num/s_den, the descending
-    recurrence (1 - q^(k-n)) (1 - b q^k) C_k
+    P_n: the descending recurrence (1 - q^(k-n)) (1 - b q^k) C_k
     = (1 - (b/a) q^(k+1-n)) (1 - q^(k+1)) C_(k+1), C_n = 1, multiplies out to
       C_k = (-1)^(n-k) q^((n-k)(n-k+1)/2) [n, k]_q
             * prod_{j=k}^{n-1} (1 - (b/a) q^(j+1-n)) / (1 - b q^j)
-          = (-p b_den / (s_den r))^(n-k) G_k prod_{j=k}^{n-1} U_(n-1-j) / V_j,
-    over V_k = b_den r^k - b_num p^k and U_m = s_den p^m - s_num r^m. Over
-    the common denominator prod_k V_k, the numerator of C_k is
-    G_k h_0 ... h_(k-1) t_0 ... t_(n-1-k), with heads h_k = scale V_k and
-    tails t_m = monomial U_m, monomial/scale = -p b_den / (s_den r)
-    reduced.
+          = (p b_den / (t_num r))^(n-k) G_k prod_{m<n-k} ab[m] / prod_{j=k}^{n-1} b[j],
+    as 1 - (b/a) q^-m = -ab[m] / (t_num p^m). Over the common denominator
+    prod_k b[k], the numerator of C_k is G_k h_0 ... h_(k-1) t_0 ... t_(n-1-k),
+    with heads h_k = d b[k] and tails t_m = c ab[m], c/d = p b_den / (t_num r)
+    reduced, d > 0: the ratio of alpha_n in :func:`baxter_coefficients`.
+
+    R_n = [(q^-n;q)_n (b/q;q)_n / (((b/a)q^-n;q)_n (q;q)_n)]
+          * 2phi1(q^-n, (a/b)q; q^(2-n)/b; q, q^2/(a x)).
+    The prefactor's (b/q;q)_n cancels the series' lower factors, and
+    ((b/a)q^-n;q)_n is a monomial times ((a/b)q;q)_n; every monomial then
+    cancels but one, and the coefficient of x^-k is
+      (a/b)^(n-k) [n, k]_q ((a/b)q;q)_k (b/q;q)_(n-k) / ((a/b)q;q)_n
+      = (t_num r / c_den)^(n-k) G_k prod_{j<n-k} bq[j] / prod_{k<i<=n} ab[i].
+    Over the common denominator prod_i ab[i], the numerator of the
+    coefficient of x^(i-n) is G_i h_0 ... h_(i-1) t_0 ... t_(n-1-i), with
+    heads h_j = c' bq[j] and tails t_m = d' ab[m+1], c'/d' = t_num r / c_den
+    reduced: the ratio of beta_n. Since
+    ab[m+1] = (t_den r) r^m - (t_num p) p^m, the tails read the same powers.
     """
     p, r = params.q.as_integer_ratio()
-    b_num, b_den = params.b.as_integer_ratio()
-    s_num, s_den = (params.b / params.a).as_integer_ratio()
-    common = gcd(p * b_den, s_den * r)
-    monomial, scale = -p * b_den // common, s_den * r // common
-    return scale * b_den, scale * b_num, -monomial * s_num, -monomial * s_den, 0
+    t_num, t_den = (params.a / params.b).as_integer_ratio()
+    p_pow, r_pow = (_powers(p, n - 1), _powers(r, n - 1)) if n else ([], [])
+    if monic:
+        b_num, b_den = params.b.as_integer_ratio()
+        common = gcd(p * b_den, t_num * r) * (1 if t_num > 0 else -1)
+        c, d = p * b_den // common, t_num * r // common
+        heads = _unit_list(d * b_num, d * b_den, p_pow, r_pow)
+        tails = _unit_list(c * t_num, c * t_den, p_pow, r_pow)
+    else:
+        c_num, c_den = (params.b / params.q).as_integer_ratio()
+        common = gcd(t_num * r, c_den)
+        c, d = t_num * r // common, c_den // common
+        heads = _unit_list(c * c_num, c * c_den, p_pow, r_pow)
+        tails = _unit_list(d * t_num * p, d * t_den * r, p_pow, r_pow)
+    if not (all(heads) and all(tails)):
+        (_pastro_vanishing if monic else _partner_vanishing)(params, n, heads, tails)
+    return heads, tails, p_pow, r_pow
 
 
 def _pastro_vanishing(params: QParams, n: int, heads: list[int], tails: list[int]) -> None:
@@ -153,31 +159,6 @@ def _pastro_vanishing(params: QParams, n: int, heads: list[int], tails: list[int
             )
         if not heads[k]:
             raise ResonantParameterError(f"factor (1 - b*q^{k}) vanishes")
-
-
-def _partner_coefficients(params: QParams) -> _Coefficients:
-    """The unit coefficients of R_n at ``params``.
-
-    R_n = [(q^-n;q)_n (b/q;q)_n / (((b/a)q^-n;q)_n (q;q)_n)]
-          * 2phi1(q^-n, (a/b)q; q^(2-n)/b; q, q^2/(a x)).
-    The prefactor's (b/q;q)_n cancels the series' lower factors, and
-    ((b/a)q^-n;q)_n is a monomial times ((a/b)q;q)_n; every monomial then
-    cancels but one, and the coefficient of x^-k is
-      (a/b)^(n-k) [n, k]_q ((a/b)q;q)_k (b/q;q)_(n-k) / ((a/b)q;q)_n
-      = (t_num r / c_den)^(n-k) G_k prod_{j<n-k} W_j / prod_{k<i<=n} A_i,
-    with q = p/r, a/b = t_num/t_den, b/q = c_num/c_den and the int units
-    A_i = t_den r^i - t_num p^i and W_j = c_den r^j - c_num p^j. Over the
-    common denominator prod_i A_i, the numerator of the coefficient of
-    x^(i-n) is G_i h_0 ... h_(i-1) t_0 ... t_(n-1-i), with heads
-    h_j = monomial W_j and tails t_m = scale A_(m+1),
-    monomial/scale = t_num r / c_den reduced.
-    """
-    p, r = params.q.as_integer_ratio()
-    t_num, t_den = (params.a / params.b).as_integer_ratio()
-    c_num, c_den = (params.b / params.q).as_integer_ratio()
-    common = gcd(t_num * r, c_den)
-    monomial, scale = t_num * r // common, c_den // common
-    return monomial * c_den, monomial * c_num, scale * t_den, scale * t_num, 1
 
 
 def _partner_vanishing(params: QParams, n: int, heads: list[int], tails: list[int]) -> None:
@@ -211,21 +192,18 @@ def _member_n(n: int, params: QParams, monic: bool, previous: LaurentPoly | None
     _check_degree(n)
     if previous is not None and (n == 0 or len(previous._nums) != n):
         raise ValueError(f"previous must be the member of degree {n - 1}")
-    p, r = params.q.as_integer_ratio()
-    p_pow, r_pow = _powers(p, n), _powers(r, n)
-    heads, tails = _units(params, monic, _coefficients(params, monic), p_pow, r_pow, n)
+    units = _units(params, monic, n)
     if previous is not None:
-        return _member(_pascal_step(previous._nums, heads, tails, p_pow, r_pow), monic)
+        return _member(_pascal_step(previous._nums, *units), monic)
     nums = [1]
     for _ in range(n):
-        nums = _pascal_step(nums, heads, tails, p_pow, r_pow)
+        nums = _pascal_step(nums, *units)
     return _member(nums, monic)
 
 
 def pastro_poly(n: int, params: QParams, *, previous: LaurentPoly | None = None) -> LaurentPoly:
-    """The monic polynomial P_n(x; a, b) of degree n (see
-    :func:`_pastro_coefficients`), stepped from ``previous`` = P_(n-1)
-    at the same ``params`` when given."""
+    """The monic polynomial P_n(x; a, b) of degree n (see :func:`_units`),
+    stepped from ``previous`` = P_(n-1) at the same ``params`` when given."""
     return _member_n(n, params, True, previous)
 
 
@@ -233,29 +211,31 @@ def biorthogonal_partner(
     n: int, params: QParams, *, previous: LaurentPoly | None = None
 ) -> LaurentPoly:
     """The partner R_n, a Laurent polynomial supported on exponents [-n, 0]
-    (see :func:`_partner_coefficients`), stepped from ``previous`` =
-    R_(n-1) at the same ``params`` when given."""
+    (see :func:`_units`), stepped from ``previous`` = R_(n-1) at the same
+    ``params`` when given."""
     return _member_n(n, params, False, previous)
+
+
+def _family(build, params: QParams) -> Iterator[LaurentPoly]:
+    """The members 0, 1, 2, ... of ``build``'s family at ``params``, each
+    one ``build`` step from the one before."""
+    member = build(0, params)
+    yield member
+    for n in count(1):
+        member = build(n, params, previous=member)
+        yield member
 
 
 def pastro_family(params: QParams) -> Iterator[LaurentPoly]:
     """The monic polynomials P_0, P_1, P_2, ... of ``params``, each one
     :func:`pastro_poly` step from the one before."""
-    member = pastro_poly(0, params)
-    yield member
-    for n in count(1):
-        member = pastro_poly(n, params, previous=member)
-        yield member
+    return _family(pastro_poly, params)
 
 
 def partner_family(params: QParams) -> Iterator[LaurentPoly]:
     """The partners R_0, R_1, R_2, ... of ``params``, each one
     :func:`biorthogonal_partner` step from the one before."""
-    member = biorthogonal_partner(0, params)
-    yield member
-    for n in count(1):
-        member = biorthogonal_partner(n, params, previous=member)
-        yield member
+    return _family(biorthogonal_partner, params)
 
 
 class BaxterData(NamedTuple):

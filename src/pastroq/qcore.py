@@ -90,8 +90,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Scalar) -> str:
-    """Format a rational as ``p`` or ``p/r``; inverse of :func:`parse_rational`."""
-    value = Fraction(value)
+    """Format an exact rational as ``p`` or ``p/r``; inverse of
+    :func:`parse_rational`. A float or a str raises TypeError, as in :func:`_exact`."""
+    value = _exact(value)
     if value.denominator == 1:
         return _int_text(value.numerator)
     return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
@@ -639,6 +640,12 @@ class _Units(NamedTuple):
     one: list[int]
 
 
+def _unit_list(num: int, den: int, p_pow: list[int], r_pow: list[int]) -> list[int]:
+    """[den r^j - num p^j] over the powers p^j, r^j of ``p_pow`` and
+    ``r_pow``: for z = num/den and q = p/r, the units of 1 - z q^j."""
+    return [den * r_j - num * p_j for p_j, r_j in zip(p_pow, r_pow)]
+
+
 def _point_units(params: QParams, size: int) -> _Units:
     """The units of ``params`` for j = 0..size, off one power table of p and r."""
     q, a, b = params.q, params.a, params.b
@@ -646,8 +653,7 @@ def _point_units(params: QParams, size: int) -> _Units:
     p_pow, r_pow = _powers(p, size), _powers(r, size)
 
     def units(z: Fraction) -> list[int]:
-        num, den = z.as_integer_ratio()
-        return [den * r_m - num * p_m for p_m, r_m in zip(p_pow, r_pow)]
+        return _unit_list(*z.as_integer_ratio(), p_pow, r_pow)
 
     return _Units(p_pow, r_pow, units(a), units(b), units(a / b), units(b / q), units(Fraction(1)))
 

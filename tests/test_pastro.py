@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from family_reference import (
     alpha_coefficient,
@@ -27,7 +29,7 @@ from pastroq.pastro import (
     pastro_poly,
     verify_baxter_consistency,
 )
-from pastroq.qcore import LaurentPoly, QParams, ResonantParameterError, x
+from pastroq.qcore import LaurentPoly, QParams, ResonantParameterError, _point_units, x
 from pastroq.qdiff import degree_records
 from pastroq.report import poly_mismatch_witness
 
@@ -383,6 +385,43 @@ def test_a_step_reads_only_the_member_before(build):
     for n, previous in ((3, p1), (1, p2), (0, p1)):
         with pytest.raises(ValueError, match=f"degree {n - 1}"):
             build(n, REFERENCE, previous=previous)
+
+
+@given(
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    st.integers(0, 9),
+)
+@example(Fraction(-4, 5), Fraction(6), Fraction(-2), 7)  # q < 0, a/b < 0
+@example(Fraction(-7, 5), Fraction(5, 3), Fraction(-2, 9), 9)
+@example(Fraction(1, 2), Fraction(2, 5), Fraction(1, 5), 3)  # b/a = q: P_3 resonant
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_family_units_are_point_units_times_the_alpha_and_beta_ratios(q, a, b, n):
+    assume(q not in (0, 1, -1) and a and b)
+    params = QParams(q, a, b)
+    units = _point_units(params, n)
+    p, r = q.as_integer_ratio()
+    t_num = (a / b).numerator
+    alpha = Fraction(p * b.denominator, t_num * r)  # c/d
+    beta = Fraction(t_num * r, (b / q).denominator)  # c'/d'
+    families = {
+        True: (
+            [alpha.denominator * unit for unit in units.b[:n]],
+            [alpha.numerator * unit for unit in units.ab[:n]],
+        ),
+        False: (
+            [beta.numerator * unit for unit in units.bq[:n]],
+            [beta.denominator * unit for unit in units.ab[1:]],
+        ),
+    }
+    for monic, (heads, tails) in families.items():
+        if all(heads) and all(tails):
+            expected = (heads, tails, units.p_pow[:n], units.r_pow[:n])
+            assert pastro._units(params, monic, n) == expected
+        else:
+            with pytest.raises(ResonantParameterError):
+                pastro._units(params, monic, n)
 
 
 def _steps(*ranges):

@@ -340,6 +340,7 @@ _SCALAR_ENTRIES = {
     "dilate": lambda s: _SAMPLE.dilate(s),
     "sample_at_powers": lambda s: _SAMPLE.sample_at_powers(s, (1, 2)),
     "eval_at": lambda s: _SAMPLE.eval_at(s),
+    "format_rational": format_rational,
     "q_pochhammer": lambda s: q_pochhammer(s, Fraction(1, 2), 3),
     "grid_weights": lambda s: grid_weights(3, Fraction(1, 5), s),
     "tau_parameter": lambda s: tau_parameter(s, Fraction(1, 2), 3),
