@@ -22,6 +22,7 @@ from .qcore import (
 )
 from .pastro import (
     BaxterData,
+    ScalarRow,
     baxter_coefficients,
     baxter_system,
     biorthogonal_partner,
@@ -29,6 +30,7 @@ from .pastro import (
     partner_family,
     pastro_family,
     pastro_poly,
+    scalar_rows,
     verify_baxter_consistency,
 )
 from .qdiff import (
@@ -74,6 +76,7 @@ __all__ = [
     "q_pochhammer",
     "x",
     "BaxterData",
+    "ScalarRow",
     "baxter_coefficients",
     "baxter_system",
     "biorthogonal_partner",
@@ -81,6 +84,7 @@ __all__ = [
     "partner_family",
     "pastro_family",
     "pastro_poly",
+    "scalar_rows",
     "verify_baxter_consistency",
     "DegreeRecord",
     "QDiffOperator",

@@ -35,6 +35,7 @@ from .pastro import (
     baxter_coefficients,
     partner_family,
     pastro_family,
+    scalar_rows,
     verify_baxter_consistency,
 )
 from .qcore import ParameterError, QParams, format_rational, parse_rational
@@ -109,14 +110,17 @@ def verify_suite(
 ) -> list[Check]:
     """Every polynomial/operator identity at one parameter triple, n <= n_max.
 
-    One pass over n = 0..n_max: each degree's record is built once, read by
-    the per-degree groups, then streamed into the Baxter checks, which step
-    the coupled pair beside it; no reference to it outlives that degree.
+    One pass over n = 0..n_max: each degree's record, with the scalar row
+    of that degree, is built once, read by the per-degree groups, then
+    streamed into the Baxter checks, which step the coupled pair beside
+    it; no reference to it outlives that degree, and no row outlives the
+    next one. A resonant triple raises the error of
+    :func:`pastroq.pastro.scalar_rows` before any record is built.
     The groups are reported in the order gevp, q-difference, recurrence,
     contiguity, baxter. The keys of ``context`` join the one params dict of
     each record and the one of the Baxter checks.
     """
-    data = baxter_coefficients(n_max, params)
+    rows = scalar_rows(n_max, params)
     gevp: list[Check] = []
     qdiff_equation: list[Check] = []
     recurrence: list[Check] = []
@@ -129,8 +133,8 @@ def verify_suite(
         contiguity.extend(verify_contiguity(record))
         return record
 
-    records = degree_records(params, n_max, data, context)
-    baxter = verify_baxter_consistency(n_max, params, data, map(checked, records), context)
+    records = degree_records(params, n_max, rows, context)
+    baxter = verify_baxter_consistency(n_max, params, map(checked, records), context)
     return gevp + qdiff_equation + recurrence + contiguity + baxter
 
 

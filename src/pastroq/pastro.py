@@ -10,20 +10,21 @@ from degree to degree by the q-Pascal rule of its Gaussian binomials: one
 int kernel, :func:`_pascal_step`, builds member n+1 from member n. Its
 heads and tails are the int unit lists of :mod:`pastroq.qcore` (q = p/r)
 times the two reduced terms of the ratio of alpha_n (for P_n) or beta_n
-(for R_n). The per-degree scalar table of a point and the grid weights
-read the same unit lists, as int products, one Fraction per entry. The
-Baxter-style coupled recurrence, stepped by one generator, reconstructs
-both families from scratch as an independent route. The terminating series
-forms of P_n and R_n are not built here: the test suite keeps them, in
-Fractions, as the reference routes of its differential tests.
+(for R_n). The per-degree scalars of a point come from one generator of
+rows, stepped from degree to degree on the same units, and the grid
+weights read them too. The Baxter-style coupled recurrence, stepped by
+one generator, reconstructs both families from scratch as an independent
+route. The terminating series forms of P_n and R_n are not built here:
+the test suite keeps them, in Fractions, as the reference routes of its
+differential tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import chain, count, islice, pairwise
 from math import gcd, prod
-from operator import add, mul
+from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 from .qcore import (
@@ -36,6 +37,7 @@ from .qcore import (
     _point_units,
     _powers,
     _unit_list,
+    _unit_rows,
     _Units,
     format_rational,
 )
@@ -45,6 +47,8 @@ __all__ = [
     "pastro_poly",
     "pastro_family",
     "partner_family",
+    "ScalarRow",
+    "scalar_rows",
     "BaxterData",
     "baxter_coefficients",
     "baxter_system",
@@ -238,17 +242,30 @@ def partner_family(params: QParams) -> Iterator[LaurentPoly]:
     return _family(biorthogonal_partner, params)
 
 
-class BaxterData(NamedTuple):
-    """The per-degree scalars of one parameter point, n = 0..n_max.
+class ScalarRow(NamedTuple):
+    """The per-degree scalars of one parameter point at one degree n.
 
-    The coupled-recurrence coefficients alpha_n, beta_n and the norms h_n;
+    The coupled-recurrence coefficients alpha_n, beta_n and the norm h_n;
     the eigenvalue lambda_n = -q^n/b; the three-term recurrence
     coefficients mu1_n, mu2_n; and the degree-raising factor
-    q^-n (1 - b q^n) of X and Z. Each column is read off its own closed
-    form, written on the int units of :func:`_point_units`, never off
-    another column, so the checks that compare columns compare independent
-    routes. :func:`_coupled_pairs` steps the coupled families from it.
+    q^-n (1 - b q^n) of X and Z. :func:`scalar_rows` yields one row per
+    degree, and each entry is read off its own closed form, written on the
+    int units of :func:`pastroq.qcore._unit_rows`, never off another entry,
+    so the checks that compare entries compare independent routes.
     """
+
+    alpha: Fraction
+    beta: Fraction
+    h: Fraction
+    lam: Fraction
+    mu1: Fraction
+    mu2: Fraction
+    raise_factor: Fraction
+
+
+class BaxterData(NamedTuple):
+    """The rows of :func:`scalar_rows` for n = 0..n_max as columns, one list
+    per :class:`ScalarRow` field."""
 
     alpha: list[Fraction]
     beta: list[Fraction]
@@ -260,51 +277,52 @@ class BaxterData(NamedTuple):
 
 
 def _prefix_ratios(
-    sign: int, scale_num: int, scale_den: int, nums: list[int], dens: list[int], vanishing: str
-) -> list[Fraction]:
-    """sign (scale_num/scale_den)^m prod_(j<m) nums[j] / prod_(j<m) dens[j], m = 1..len(nums).
+    sign: int, scale_num: int, scale_den: int, units: Iterable[tuple[int, int]], vanishing: str
+) -> Iterator[Fraction]:
+    """sign (scale_num/scale_den)^m prod_(j<m) num_j / prod_(j<m) den_j, m = 1, 2, ...,
+    over the pairs (num_j, den_j) of ``units``.
 
-    The prefix products run on ints, and each entry is one Fraction (one
-    gcd). Raises ``vanishing.format(m)`` at the first m whose denominator
-    vanishes.
+    Each entry is the one before times scale_num num_j / (scale_den den_j),
+    so it is reduced by two gcds of a large int with a small one. Raises
+    ``vanishing.format(m)`` at the first m whose denominator vanishes.
     """
-    common = gcd(scale_num, scale_den)
-    scale_num, scale_den = scale_num // common, scale_den // common
-    num = den = 1
-    ratios = []
-    for m, (unit_num, unit_den) in enumerate(zip(nums, dens), 1):
+    ratio = Fraction(sign)
+    for m, (unit_num, unit_den) in enumerate(units, 1):
         if not unit_den:
             raise ResonantParameterError(vanishing.format(m))
-        num *= scale_num * unit_num
-        den *= scale_den * unit_den
-        ratios.append(Fraction(sign * num, den))
-    return ratios
+        ratio *= Fraction(scale_num * unit_num, scale_den * unit_den)
+        yield ratio
 
 
-def _norm_constants(n_max: int, params: QParams, units: _Units | None = None) -> list[Fraction]:
-    """h_n = (a;q)_n (q;q)_n / (((a/b)q;q)_n (b;q)_n) for n <= n_max.
-
-    On the units of :func:`_point_units` (a/b = t_num/t_den), that is
-      h_n = (t_den b_den / a_den)^n prod_(j<n) a[j] one[j+1] / (ab[j+1] b[j]);
-    raises at the first n whose denominator vanishes. A caller that already
-    holds the units of ``params``, up to n_max or further, passes them in.
-    """
-    if units is None:
-        units = _point_units(params, n_max)
-    a_den, b_den = params.a.denominator, params.b.denominator
+def _norm_ratios(
+    params: QParams, pairs: Iterable[tuple[_Units, _Units]]
+) -> Iterator[Fraction]:
+    """h_1, h_2, ... of ``params`` (see :func:`_norm_constants`), from the
+    unit rows (j, j + 1), j = 0, 1, ..., of ``pairs``."""
     t_den = (params.a / params.b).denominator
-    return [Fraction(1)] + _prefix_ratios(
+    return _prefix_ratios(
         1,
-        t_den * b_den,
-        a_den,
-        [units.a[j] * units.one[j + 1] for j in range(n_max)],
-        [units.ab[j + 1] * units.b[j] for j in range(n_max)],
+        t_den * params.b.denominator,
+        params.a.denominator,
+        ((now.a * after.one, after.ab * now.b) for now, after in pairs),
         "((a/b)*q;q)_{0} * (b;q)_{0} vanishes",
     )
 
 
-def baxter_coefficients(n_max: int, params: QParams, h: list | None = None) -> BaxterData:
-    """The scalar table of ``params`` for n <= n_max.
+def _norm_constants(n_max: int, params: QParams) -> list[Fraction]:
+    """h_n = (a;q)_n (q;q)_n / (((a/b)q;q)_n (b;q)_n) for n <= n_max.
+
+    On the units of :func:`pastroq.qcore._unit_rows` (a/b = t_num/t_den),
+    that is
+      h_n = (t_den b_den / a_den)^n prod_(j<n) a[j] one[j+1] / (ab[j+1] b[j]);
+    raises at the first n whose denominator vanishes. :func:`scalar_rows`
+    reads h_n off the same products.
+    """
+    return [Fraction(1), *islice(_norm_ratios(params, pairwise(_unit_rows(params))), n_max)]
+
+
+def scalar_rows(n_max: int, params: QParams) -> Iterator[ScalarRow]:
+    """The :class:`ScalarRow` of ``params`` at n = 0..n_max, one at a time.
 
       alpha_n = -((b/a)q)^(n+1) (a/b;q)_(n+1) / (b;q)_(n+1),
       beta_n  = -(a/b)^(n+1) (b/q;q)_(n+1) / ((a/b)q;q)_(n+1),
@@ -313,85 +331,113 @@ def baxter_coefficients(n_max: int, params: QParams, h: list | None = None) -> B
       mu2_n = -b q (1 - q^n)(1 - a q^(n-1)) / (a (1 - b q^n)(1 - b q^(n-1))),
     with mu2_0 = 0 (the 1 - q^n factor), the raise factor q^-n (1 - b q^n),
     and h_n as in :func:`_norm_constants`. Every factor 1 - z q^j is an int
-    unit of :func:`_point_units`, built once off one power table of p and r
-    (q = p/r), so with a/b = t_num/t_den and b/q = c_num/c_den
+    unit of :func:`pastroq.qcore._unit_rows` (q = p/r), so with
+    a/b = t_num/t_den and b/q = c_num/c_den
       alpha_n = -(p b_den / (t_num r))^(n+1) prod_(j<=n) ab[j] / b[j],
       beta_n  = -(t_num r / c_den)^(n+1) prod_(j<=n) bq[j] / ab[j+1]
-    are int prefix products, and every entry is one Fraction. The lists are
-    filled alpha first, then beta, then h, so a resonant triple raises the
-    first vanishing denominator in that order. The columns after h divide
-    only by b, a and units b[n], n <= n_max, which alpha has already
-    divided by, so they raise nothing. A caller that holds h_0..h_n_max
-    passes ``h``.
+    are prefix products: each of alpha_n, beta_n and h_n is the entry of
+    degree n - 1 times one ratio of units, and the other entries are one
+    int ratio each. The rows are stepped from running powers and these
+    running products, so the generator holds the unit rows of at most
+    three consecutive degrees and no list of any length.
+
+    A resonant triple raises here, at the call, before any row: the units
+    are scanned first, without being kept, and the first vanishing
+    denominator of alpha_0..alpha_n_max is named, then that of the betas.
+    h_n divides by units of alpha_(n-1) and beta_(n-1), and the other
+    entries only by b, a and b[n], b[n-1], so nothing else can vanish.
     """
     _check_degree(n_max)
-    count = n_max + 1
-    units = _point_units(params, count)
+    beta_vanishing = None
+    for j, units in zip(range(n_max + 2), _unit_rows(params)):
+        if j <= n_max and not units.b:
+            raise ResonantParameterError(f"(b;q)_{j + 1} vanishes")
+        if j and not units.ab and beta_vanishing is None:
+            beta_vanishing = f"((a/b)*q;q)_{j} vanishes"
+    if beta_vanishing:
+        raise ResonantParameterError(beta_vanishing)
+    return _scalar_rows(n_max, params)
+
+
+def _scalar_rows(n_max: int, params: QParams) -> Iterator[ScalarRow]:
+    """The rows of :func:`scalar_rows`, after its scan."""
     p, r = params.q.as_integer_ratio()
     a_num, a_den = params.a.as_integer_ratio()
     b_num, b_den = params.b.as_integer_ratio()
     t_num = (params.a / params.b).numerator
     c_den = (params.b / params.q).denominator
-    alpha = _prefix_ratios(
-        -1, p * b_den, t_num * r, units.ab[:count], units.b[:count], "(b;q)_{0} vanishes"
-    )
-    beta = _prefix_ratios(
-        -1, t_num * r, c_den, units.bq[:count], units.ab[1:], "((a/b)*q;q)_{0} vanishes"
-    )
-    h = _norm_constants(n_max, params, units) if h is None else h[:count]
-    p_pow, r_pow, b_units = units.p_pow, units.r_pow, units.b
-    mu2 = [Fraction(0)] + [
-        Fraction(
-            -b_num * b_den * p * units.one[n] * units.a[n - 1],
-            a_num * r * b_units[n] * b_units[n - 1],
+    norms = chain([Fraction(1)], _norm_ratios(params, pairwise(_unit_rows(params))))
+    alpha = beta = Fraction(-1)
+    before = None  # the units of degree n - 1
+    for n, h, (now, after) in zip(range(n_max + 1), norms, pairwise(_unit_rows(params))):
+        alpha *= Fraction(p * b_den * now.ab, t_num * r * now.b)
+        beta *= Fraction(t_num * r * now.bq, c_den * after.ab)
+        p_n, r_n, b_n = now.p_pow, now.r_pow, now.b
+        mu2 = (
+            Fraction(-b_num * b_den * p * now.one * before.a, a_num * r * b_n * before.b)
+            if n
+            else Fraction(0)
         )
-        for n in range(1, count)
-    ]
-    return BaxterData(
-        alpha=alpha,
-        beta=beta,
-        h=h,
-        lam=[Fraction(-b_den * p_pow[n], b_num * r_pow[n]) for n in range(count)],
-        mu1=[
-            Fraction(
-                -p * (b_num * a_den * r_pow[n] - a_num * b_den * p_pow[n]),
-                a_num * r * b_units[n],
-            )
-            for n in range(count)
-        ],
-        mu2=mu2,
-        raise_factor=[Fraction(b_units[n], b_den * p_pow[n]) for n in range(count)],
-    )
+        yield ScalarRow(
+            alpha=alpha,
+            beta=beta,
+            h=h,
+            lam=Fraction(-b_den * p_n, b_num * r_n),
+            mu1=Fraction(-p * (b_num * a_den * r_n - a_num * b_den * p_n), a_num * r * b_n),
+            mu2=mu2,
+            raise_factor=Fraction(b_n, b_den * p_n),
+        )
+        before = now
 
 
-def _coupled_pairs(data: BaxterData) -> Iterator[tuple[LaurentPoly, LaurentPoly]]:
-    """(P~_n, Q_n) for n = 0..n_max, from P~_0 = Q_0 = 1 and the coupled recurrences
+def baxter_coefficients(n_max: int, params: QParams, h: list | None = None) -> BaxterData:
+    """The rows of :func:`scalar_rows` for n <= n_max, drained into columns.
+
+    A resonant triple raises the error of :func:`scalar_rows`. A caller
+    that holds h_0..h_n_max, or more, passes ``h``, and the table carries
+    its first n_max + 1 entries. The columns are read off the rows field by
+    field, not transposed by ``zip``, whose tuples of fewer than 20 entries
+    would stay on the interpreter's tuple free list, counted in the traced
+    peak.
+    """
+    rows = list(scalar_rows(n_max, params))
+    data = BaxterData._make([row[field] for row in rows] for field in range(len(rows[0])))
+    return data if h is None else data._replace(h=h[: n_max + 1])
+
+
+def _coupled_pairs(rows: Iterable[ScalarRow]) -> Iterator[tuple[LaurentPoly, LaurentPoly]]:
+    """(P~_n, Q_n) for n = 0, 1, ..., from P~_0 = Q_0 = 1 and the coupled recurrences
 
       P~_(n+1)(x) = x P~_n(x) - alpha_n x^n Q_n(1/x),
       Q_(n+1)(x) = x Q_n(x) - beta_n x^n P~_n(1/x),
-    with the alpha_n, beta_n of ``data``. A pair is stepped only when it is
-    asked for, so draining the generator takes exactly n_max steps.
+    with the alpha_n, beta_n of the n-th row of ``rows``. A pair is stepped
+    only when it is asked for, and each step reads one row, so the pairs of
+    n <= n_max read the rows of n < n_max.
     """
     p_poly = q_poly = LaurentPoly.one()
     yield p_poly, q_poly
-    for n in range(len(data.alpha) - 1):
+    n = 0
+    for row in rows:
         p_poly, q_poly = (
-            p_poly.times_x(1) - q_poly.invert_variable().times_x(n) * data.alpha[n],
-            q_poly.times_x(1) - p_poly.invert_variable().times_x(n) * data.beta[n],
+            p_poly.times_x(1) - q_poly.invert_variable().times_x(n) * row.alpha,
+            q_poly.times_x(1) - p_poly.invert_variable().times_x(n) * row.beta,
         )
+        del row  # not held while the pair is in use
+        n += 1
         yield p_poly, q_poly
 
 
 def baxter_system(data: BaxterData) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
     """The pairs of :func:`_coupled_pairs` as lists ``(p_polys, q_polys)``.
 
-    ``data`` is the scalar table of a parameter point for n <= n_max. This
-    route never references the eigenvalue problem or the q-Pascal step, so
-    agreement of its P~_n with :func:`pastro_family` (and of its Q_n(1/x)
-    with :func:`partner_family`) is a genuine cross-method consistency
-    statement.
+    ``data`` is the scalar table of a parameter point for n <= n_max, and
+    the lists run over n <= n_max. This route never references the
+    eigenvalue problem or the q-Pascal step, so agreement of its P~_n with
+    :func:`pastro_family` (and of its Q_n(1/x) with :func:`partner_family`)
+    is a genuine cross-method consistency statement.
     """
-    p_polys, q_polys = zip(*_coupled_pairs(data))
+    rows = islice(map(ScalarRow._make, zip(*data)), len(data.alpha) - 1)
+    p_polys, q_polys = zip(*_coupled_pairs(rows))
     return list(p_polys), list(q_polys)
 
 
@@ -401,13 +447,13 @@ def grid_weights(N: int, b: Scalar, q: Scalar) -> list[Fraction]:
       w_s = [(q^(1-N);q)_s / (q;q)_s] (b q^(N-1))^s / (b;q)_(N-1).
 
     On the units of :func:`pastroq.qcore._point_units` at a = q^(1-N)
-    (q = p/r), w_0 = prod_(j<N-1) b_den r^j / b[j] and
+    (q = p/r), w_0 = prod_(j<N-1) b_den r^j / b[j] is one int ratio, and
       w_s / w_0 = (r b_num p^(N-1) / (a_den b_den r^(N-1)))^s prod_(j<s) a[j] / one[j+1]
-    are int products, one Fraction per weight. None vanishes once the
-    normalizer does not: b, p and r are nonzero, and a[j] (j <= N-2) and
-    one[j+1] are the units of q^(j+1-N) and q^(j+1), while a rational q
-    outside {0, 1, -1} has q^m = 1 only at m = 0. Their sum is left to the
-    report's ``weights-normalized`` check.
+    is a prefix product, each ratio the one before times one unit ratio.
+    None vanishes once the normalizer does not: b, p and r are nonzero, and
+    a[j] (j <= N-2) and one[j+1] are the units of q^(j+1-N) and q^(j+1),
+    while a rational q outside {0, 1, -1} has q^m = 1 only at m = 0. Their
+    sum is left to the report's ``weights-normalized`` check.
     """
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"grid size must be a positive integer, got {N!r}")
@@ -429,8 +475,7 @@ def grid_weights(N: int, b: Scalar, q: Scalar) -> list[Fraction]:
         1,
         q.denominator * b_num * units.p_pow[N - 1],
         params.a.denominator * b_den * units.r_pow[N - 1],
-        units.a[: N - 1],
-        units.one[1:],
+        zip(units.a[: N - 1], units.one[1:]),
         "(q;q)_{0} vanishes",
     )
     return [first] + [first * ratio for ratio in ratios]
@@ -439,7 +484,6 @@ def grid_weights(N: int, b: Scalar, q: Scalar) -> list[Fraction]:
 def verify_baxter_consistency(
     n_max: int,
     params: QParams,
-    data: BaxterData,
     records: Iterable,
     context: dict[str, str] | None = None,
 ) -> list[Check]:
@@ -451,50 +495,55 @@ def verify_baxter_consistency(
     stepped partner R_n, and both coupled recurrences restated with the
     eigenvalue-route polynomials substituted in.
 
-    ``data`` is the scalar table of ``params`` for n <= n_max.
     ``records`` yields one record per degree n = 0..n_max, in order, with
-    the eigenvalue-route P_(n-1), P_n and P_(n+1) (``p_prev``, ``p``,
-    ``p_next``), as :func:`pastroq.qdiff.degree_records` builds them; one
-    pair P~_n, Q_n of :func:`_coupled_pairs` and one partner R_n of
-    :func:`partner_family` are stepped beside each, after it, and only
-    Q_(n-1) and the family's R_(n-1) outlive their degree. The partner
-    family stops at the first mismatch. The four polynomial checks are
-    evaluated as the records stream past, and each keeps the witness of
-    the first n that fails.
-    The three scalar checks read ``data`` and word their first differing
-    degree through :func:`pastroq.report.first_mismatch`. The beta ratio is
-    undefined from the first alpha_(n+1) = 0 on, so its scan stops there,
-    and that degree is the witness when no earlier one differs. The seven
-    checks share one context: ``params.describe()``, n_max and the keys of
-    ``context``.
+    the :class:`ScalarRow` of degree n (``row``) and the eigenvalue-route
+    P_(n-1), P_n and P_(n+1) (``p_prev``, ``p``, ``p_next``), as
+    :func:`pastroq.qdiff.degree_records` builds them. One pair P~_n, Q_n of
+    :func:`_coupled_pairs` and one partner R_n of :func:`partner_family` are
+    stepped beside each record, after it; only the row of degree n - 1,
+    Q_(n-1), the family's R_(n-1) and the running norm product outlive
+    their degree. The partner family stops at the first mismatch. All
+    seven checks are evaluated as the records stream past, and each keeps
+    the witness of the first n that fails. The three scalar checks word it
+    through :func:`pastroq.report.first_mismatch`. The beta check at n
+    reads the row of n + 1, so it is evaluated one record late; the beta
+    ratio is undefined from the first alpha_(n+1) = 0 on, so its scan
+    stops there, and that degree is the witness when no earlier one
+    differs. The seven checks share one context: ``params.describe()``,
+    n_max and the keys of ``context``.
     """
     _check_degree(n_max)
     context = params.describe() | {"n_max": str(n_max)} | (context or {})
 
-    alpha, beta, mu1, mu2 = data.alpha, data.beta, data.mu1, data.mu2
-    alpha_witness = first_mismatch(
-        "n={}: alpha_n {}, -alpha_(n-1)*mu1_n {}",
-        ((n, alpha[n], -alpha[n - 1] * mu1[n]) for n in range(1, n_max + 1)),
-    )
-
-    first_zero = next((n for n in range(n_max) if alpha[n + 1] == 0), n_max)
-    beta_witness = first_mismatch(
-        "n={}: beta_n {}, (mu2_(n+1) - mu1_(n+1))/alpha_(n+1) {}",
-        ((n, beta[n], (mu2[n + 1] - mu1[n + 1]) / alpha[n + 1]) for n in range(first_zero)),
-    )
-    if beta_witness is None and first_zero < n_max:
-        beta_witness = f"n={first_zero}: alpha_(n+1) = 0, ratio undefined"
-
-    products = accumulate((1 - a * b for a, b in zip(alpha, beta)), mul, initial=Fraction(1))
-    norm_witness = first_mismatch("n={}: h_n {}, prod {}", zip(range(n_max + 1), data.h, products))
-    del products  # its last product is not held through the degree loop
-
+    alpha_witness = beta_witness = norm_witness = None
     pastro_witness = partner_witness = p_witness = q_witness = None
-    coupled = _coupled_pairs(data)
+    product = Fraction(1)  # prod_(k<n) (1 - alpha_k beta_k)
+    before = None  # the row of degree n - 1
+    # The coupled step to degree n reads alpha_(n-1) and beta_(n-1): each
+    # time it asks for a row, it gets the row of the record before.
+    coupled = _coupled_pairs(iter(lambda: before, None))
     partners = partner_family(params)
     q_prev = None  # Q_(n-1), for the Q recurrence at n - 1
     for record in records:
-        n = record.n
+        n, row = record.n, record.row
+        if before is not None:
+            if alpha_witness is None:
+                alpha_witness = first_mismatch(
+                    "n={}: alpha_n {}, -alpha_(n-1)*mu1_n {}",
+                    [(n, row.alpha, -before.alpha * row.mu1)],
+                )
+            if beta_witness is None:
+                if row.alpha:
+                    beta_witness = first_mismatch(
+                        "n={}: beta_n {}, (mu2_(n+1) - mu1_(n+1))/alpha_(n+1) {}",
+                        [(n - 1, before.beta, (row.mu2 - row.mu1) / row.alpha)],
+                    )
+                else:
+                    beta_witness = f"n={n - 1}: alpha_(n+1) = 0, ratio undefined"
+        if norm_witness is None:
+            norm_witness = first_mismatch("n={}: h_n {}, prod {}", [(n, row.h, product)])
+            if n < n_max:
+                product *= 1 - row.alpha * row.beta
         p_coupled, q_coupled = next(coupled)
         reversed_q = q_coupled.invert_variable()
         if pastro_witness is None:
@@ -506,18 +555,18 @@ def verify_baxter_consistency(
             if mismatch:
                 partner_witness = f"n={n}: {mismatch}"
         if p_witness is None and n < n_max:
-            residual = record.p_next - record.p.times_x(1) + reversed_q.times_x(n) * data.alpha[n]
+            residual = record.p_next - record.p.times_x(1) + reversed_q.times_x(n) * row.alpha
             if residual:
                 p_witness = f"n={n}: residual {residual}"
         if q_witness is None and q_prev is not None:
             residual = (
                 q_coupled
                 - q_prev.times_x(1)
-                + record.p_prev.invert_variable().times_x(n - 1) * data.beta[n - 1]
+                + record.p_prev.invert_variable().times_x(n - 1) * before.beta
             )
             if residual:
                 q_witness = f"n={n - 1}: residual {residual}"
-        q_prev = q_coupled
+        q_prev, before = q_coupled, row
         # not held while the next record is built and checked
         del record, p_coupled, reversed_q
 

@@ -231,10 +231,10 @@ class LaurentPoly:
         return bool(self._nums)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if type(other) is not LaurentPoly:
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         return (
             self._low == other._low and self._den == other._den and self._nums == other._nums
         )
@@ -249,10 +249,10 @@ class LaurentPoly:
         return hash((self._low, self._den, tuple(nums)))
 
     def __add__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if type(other) is not LaurentPoly:
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         return _signed_sum(self, other, 1)
 
     __radd__ = __add__
@@ -261,10 +261,10 @@ class LaurentPoly:
         return _raw(self._low, [-n for n in self._nums], self._den)
 
     def __sub__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if type(other) is not LaurentPoly:
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         return _signed_sum(self, other, -1)
 
     def __rsub__(self, other: Scalar) -> "LaurentPoly":
@@ -403,6 +403,21 @@ class LaurentPoly:
         return f"LaurentPoly({dict(self.items())!r})"
 
 
+def _operand(other: object) -> LaurentPoly:
+    """``other`` as the right operand of ``+``, ``-`` or ``==``: a scalar as
+    a constant, a LaurentPoly as itself, anything else NotImplemented.
+
+    The operators call this only when ``type(other)`` is not LaurentPoly:
+    ``Fraction``'s metaclass is ``ABCMeta``, whose ``isinstance`` runs in
+    Python, so the common case skips it.
+    """
+    if isinstance(other, (int, Fraction)):
+        return LaurentPoly.constant(other)
+    if isinstance(other, LaurentPoly):
+        return other
+    return NotImplemented
+
+
 def _raw(low: int, nums: list[int], den: int) -> LaurentPoly:
     """A LaurentPoly from parts already in normal form."""
     poly = object.__new__(LaurentPoly)
@@ -416,24 +431,26 @@ def _make(low: int, nums: list[int], den: int, bound: int) -> LaurentPoly:
     ``bound`` is a positive divisor of ``den`` that the content
     gcd(den, *nums) is known to divide (``den`` itself when nothing is
     known). Strips the zero end terms and divides out gcd(bound, *nums),
-    which is that content; a bound of 1 costs no gcd.
+    which is that content; a bound of 1 costs no gcd. Parts whose end terms
+    are both nonzero are not scanned.
     """
-    stop = len(nums)
-    while stop and not nums[stop - 1]:
-        stop -= 1
-    if not stop:
-        return _raw(0, [], 1)
-    start = 0
-    while not nums[start]:
-        start += 1
-    if start or stop < len(nums):
+    if not (nums and nums[0] and nums[-1]):
+        stop = len(nums)
+        while stop and not nums[stop - 1]:
+            stop -= 1
+        if not stop:
+            return _raw(0, [], 1)
+        start = 0
+        while not nums[start]:
+            start += 1
         nums = nums[start:stop]
+        low += start
     if bound != 1:
         content = gcd(bound, *nums)
         if content != 1:
             den //= content
             nums = [n // content for n in nums]
-    return _raw(low + start, nums, den)
+    return _raw(low, nums, den)
 
 
 # The three integer kernels of polynomial arithmetic, shared by LaurentPoly
@@ -489,12 +506,25 @@ def _sum(
 
 def _product(a: list[int], b: list[int]) -> list[int]:
     """The numerators of the product of two nonempty numerator lists:
-    the schoolbook product, one row per term of the shorter list."""
+    the schoolbook product, one row per term of the shorter list. A
+    shorter list of one or two terms, a scalar or a linear multiplier,
+    takes one pass over the longer one."""
     if len(a) < len(b):
         a, b = b, a
     if len(b) == 1:
         factor = b[0]
         return [n * factor for n in a]
+    if len(b) == 2:
+        # c_i = u a_i + v a_(i-1), into a list of the exact length: a
+        # product is kept as a polynomial's numerators.
+        u, v = b
+        nums = [0] * (len(a) + 1)
+        before = 0
+        for i, n in enumerate(a):
+            nums[i] = u * n + v * before
+            before = n
+        nums[-1] = v * before
+        return nums
     width = len(a)
     nums = [0] * (width + len(b) - 1)
     for i, factor in enumerate(b):
@@ -623,7 +653,9 @@ def _powers(base: int, n: int) -> list[int]:
 
 
 class _Units(NamedTuple):
-    """The int units of a parameter point, j = 0..size, with q = p/r.
+    """The int units of a parameter point, with q = p/r: for j = 0..size,
+    one list per field (:func:`_point_units`), or at one j, one int per
+    field (:func:`_unit_rows`).
 
     The fields ``a``, ``b``, ``ab``, ``bq`` and ``one`` hold, for z = a, b,
     a/b, b/q and 1, the units z_den r^j - z_num p^j, so that
@@ -631,13 +663,13 @@ class _Units(NamedTuple):
     r^j.
     """
 
-    p_pow: list[int]
-    r_pow: list[int]
-    a: list[int]
-    b: list[int]
-    ab: list[int]
-    bq: list[int]
-    one: list[int]
+    p_pow: list[int] | int
+    r_pow: list[int] | int
+    a: list[int] | int
+    b: list[int] | int
+    ab: list[int] | int
+    bq: list[int] | int
+    one: list[int] | int
 
 
 def _unit_list(num: int, den: int, p_pow: list[int], r_pow: list[int]) -> list[int]:
@@ -656,6 +688,20 @@ def _point_units(params: QParams, size: int) -> _Units:
         return _unit_list(*z.as_integer_ratio(), p_pow, r_pow)
 
     return _Units(p_pow, r_pow, units(a), units(b), units(a / b), units(b / q), units(Fraction(1)))
+
+
+def _unit_rows(params: QParams) -> Iterator[_Units]:
+    """The units of ``params`` for j = 0, 1, 2, ..., one int per field at a
+    time, off running powers of p and r: the rows of :func:`_point_units`,
+    for a reader that holds only the rows it keeps."""
+    q, a, b = params
+    p, r = q.as_integer_ratio()
+    ratios = [z.as_integer_ratio() for z in (a, b, a / b, b / q)] + [(1, 1)]
+    p_j = r_j = 1
+    while True:
+        yield _Units(p_j, r_j, *[den * r_j - num * p_j for num, den in ratios])
+        p_j *= p
+        r_j *= r
 
 
 class _QTriple(NamedTuple):

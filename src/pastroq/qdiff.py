@@ -35,7 +35,7 @@ from .qcore import (
     format_rational,
     x,
 )
-from .pastro import BaxterData, pastro_family
+from .pastro import ScalarRow, pastro_family
 from .report import Check, equality_check, poly_mismatch_witness
 
 __all__ = [
@@ -233,21 +233,22 @@ class DegreeRecord(NamedTuple):
     The eigenvalue-route P_(n-1) (zero at n = 0), P_n and P_(n+1); the two
     dilations P_n(qx) and P_n(x/q), the only ones taken at this degree;
     P_n at the shifted parameter bq; the images X P_n, Y P_n, Z P_n, summed
-    from P_n and those two dilations; the scalar table of ``params``,
-    from which the checks read lambda_n, mu1_n, mu2_n and the raise factor
-    at n; ``qdiff_coefficients``, the four coefficients x - q/a, q/a - x/b,
-    x - q and q - b x of the q-difference equation; and ``context``, the
-    report parameters ``params.describe()`` plus n and the caller's keys,
-    one dict that every check of the record carries.
-    The table and the coefficients are built once per parameter point and
-    shared by every record. The Baxter checks step the coupled pair P~_n,
-    Q_n themselves; a record holds only eigenvalue-route polynomials.
+    from P_n and those two dilations; ``row``, the
+    :class:`pastroq.pastro.ScalarRow` of degree n, from which the checks
+    read lambda_n, mu1_n, mu2_n and the raise factor, and the Baxter checks
+    alpha_n, beta_n and h_n; ``qdiff_coefficients``, the four coefficients
+    x - q/a, q/a - x/b, x - q and q - b x of the q-difference equation; and
+    ``context``, the report parameters ``params.describe()`` plus n and the
+    caller's keys, one dict that every check of the record carries.
+    The coefficients are built once per parameter point and shared by
+    every record. The Baxter checks step the coupled pair P~_n, Q_n
+    themselves; a record holds only eigenvalue-route polynomials.
     """
 
     n: int
     params: QParams
     context: dict[str, str]
-    table: BaxterData
+    row: ScalarRow
     qdiff_coefficients: tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]
     p_prev: LaurentPoly
     p: LaurentPoly
@@ -261,7 +262,10 @@ class DegreeRecord(NamedTuple):
 
 
 def degree_records(
-    params: QParams, n_max: int, data: BaxterData, context: dict[str, str] | None = None
+    params: QParams,
+    n_max: int,
+    rows: Iterable[ScalarRow],
+    context: dict[str, str] | None = None,
 ) -> Iterator[DegreeRecord]:
     """The records of n = 0..n_max, built in one pass over the degrees.
 
@@ -273,9 +277,11 @@ def degree_records(
     then P_(n-1)); each P_n is dilated once by q and
     once by 1/q, and X, Y, Z sum their images from those two results
     (through :meth:`QDiffOperator.apply`), as the q-difference equation reads
-    them from the record. ``data`` is the scalar table of ``params`` for
-    n <= n_max, and every record carries it. The keys of ``context`` (a
-    sweep's draw label, say) join each record's context.
+    them from the record. ``rows`` yields the scalar rows of ``params``,
+    n = 0, 1, ..., as :func:`pastroq.pastro.scalar_rows` does; the record of
+    degree n reads the row of n, one row per record, and carries it. The
+    keys of ``context`` (a sweep's draw label, say) join each record's
+    context.
     """
     X, Y, Z = make_operators(params)
     q, a, b = params.q, params.a, params.b
@@ -290,14 +296,14 @@ def degree_records(
     family = pastro_family(params)
     shifted = pastro_family(params._replace(b=params.b * params.q))
     p_prev, p = LaurentPoly.zero(), next(family)
-    for n in range(n_max + 1):
+    for n, row in zip(range(n_max + 1), rows):
         p_next = next(family)
         dilations = {-1: p.dilate(q_inv), 0: p, 1: p.dilate(q)}
         yield DegreeRecord(
             n=n,
             params=params,
             context=described | {"n": str(n)},
-            table=data,
+            row=row,
             qdiff_coefficients=qdiff_coefficients,
             p_prev=p_prev,
             p=p,
@@ -310,11 +316,12 @@ def degree_records(
             z_image=Z.apply(p, dilations),
         )
         p_prev, p = p, p_next
+        del dilations  # P_n(qx) and P_n(x/q) are not held while P_(n+2) is stepped
 
 
 def verify_gevp(record: DegreeRecord) -> Check:
     """Check the generalized eigenvalue identity Y P_n = lambda_n X P_n."""
-    lam = record.table.lam[record.n]
+    lam = record.row.lam
     witness = poly_mismatch_witness(record.y_image, record.x_image * lam)
     return equality_check(
         "gevp", "Y P_n = lambda_n X P_n, lambda_n = -q^n/b", record.context, witness
@@ -335,7 +342,7 @@ def verify_qdiff_equation(record: DegreeRecord) -> Check:
     """
     p = record.p
     lhs_dilated, lhs_fixed, rhs_dilated, rhs_fixed = record.qdiff_coefficients
-    lam = record.table.lam[record.n]
+    lam = record.row.lam
     lhs = lhs_dilated * record.p_qx + lhs_fixed * p
     rhs = (rhs_dilated * record.p_x_over_q + rhs_fixed * p) * lam
     return equality_check(
@@ -361,7 +368,7 @@ def verify_contiguity(record: DegreeRecord) -> list[Check]:
     n, params, p_shifted = record.n, record.params, record.p_shifted
     p, r = params.q.as_integer_ratio()
     b_num, b_den = params.b.as_integer_ratio()
-    raised = p_shifted * record.table.raise_factor[n]
+    raised = p_shifted * record.row.raise_factor
     x_p_shifted = p_shifted.times_x(1)
     return [
         equality_check(
@@ -406,8 +413,8 @@ def verify_recurrence(record: DegreeRecord) -> list[Check]:
     a_num, a_den = params.a.as_integer_ratio()
     b_num, b_den = params.b.as_integer_ratio()
     p_n, r_n = p**n, r**n
-    table = record.table
-    raise_factor = table.raise_factor[n]
+    row = record.row
+    raise_factor = row.raise_factor
     # Each witness is taken as soon as its two sides exist, so that no
     # right-hand side outlives its check.
     x_witness = poly_mismatch_witness(
@@ -425,7 +432,7 @@ def verify_recurrence(record: DegreeRecord) -> list[Check]:
     z_witness = poly_mismatch_witness(record.z_image, z_rhs)
     del z_rhs
     three_witness = poly_mismatch_witness(
-        p_next + p_now * table.mu1[n], (p_now + p_prev * table.mu2[n]).times_x(1)
+        p_next + p_now * row.mu1, (p_now + p_prev * row.mu2).times_x(1)
     )
 
     return [

@@ -34,6 +34,7 @@ from pastroq.pastro import (
     biorthogonal_partner,
     grid_weights,
     pastro_poly,
+    scalar_rows,
 )
 from pastroq.qcore import ParameterError, QParams
 from pastroq.qdiff import (
@@ -61,7 +62,7 @@ def all_pass(checks) -> bool:
 
 
 def family_records(params: QParams, n_max: int):
-    return degree_records(params, n_max, baxter_coefficients(n_max, params))
+    return degree_records(params, n_max, scalar_rows(n_max, params))
 
 
 def test_criterion_1_gevp():

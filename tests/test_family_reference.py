@@ -21,12 +21,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import family_reference
+from pastroq.cli import verify_suite
 from pastroq.pastro import (
+    BaxterData,
+    ScalarRow,
     baxter_coefficients,
     biorthogonal_partner,
     partner_family,
     pastro_family,
     pastro_poly,
+    scalar_rows,
 )
 from pastroq.qcore import ParameterError, QParams, ResonantParameterError
 
@@ -140,6 +144,38 @@ def test_baxter_coefficients_match_closed_forms_at_drawn_points(q, a, b, n_max, 
     data = baxter_coefficients(n_max, params)
     for column, closed_form in _COLUMNS.items():
         assert getattr(data, column) == [closed_form(n, params) for n in range(n_max + 1)], column
+
+
+@given(
+    _rationals,
+    _rationals,
+    _rationals,
+    st.integers(0, 20),
+    st.sampled_from(_PLACEMENTS),
+    st.integers(-2, 21),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_streamed_rows_are_the_table_rows_and_raise_its_errors(q, a, b, n_max, placement, j):
+    # scalar_rows raises when it is called, before any row, and
+    # verify_suite raises the same text before it builds a record
+    assume(q not in (0, 1, -1))
+    try:
+        params = QParams(*_place(placement, q, a, b, j))
+    except ParameterError:
+        assume(False)
+    expected = family_reference.first_closed_form_error(n_max, params)
+    if expected is not None:
+        for route in (scalar_rows, baxter_coefficients, lambda n, p: verify_suite(p, n)):
+            with pytest.raises(ResonantParameterError) as raised:
+                route(n_max, params)
+            assert str(raised.value) == expected
+        return
+    rows = list(scalar_rows(n_max, params))
+    assert rows == [
+        ScalarRow(**{column: closed_form(n, params) for column, closed_form in _COLUMNS.items()})
+        for n in range(n_max + 1)
+    ]
+    assert baxter_coefficients(n_max, params) == BaxterData._make(map(list, zip(*rows)))
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from pastroq.pastro import (
     biorthogonal_partner,
     grid_weights,
     pastro_poly,
+    scalar_rows,
     verify_baxter_consistency,
 )
 from pastroq.qcore import LaurentPoly, QParams, ResonantParameterError, _point_units, x
@@ -190,8 +191,9 @@ def test_baxter_system_first_steps():
 
 def baxter_checks(n_max: int, params: QParams):
     """verify_baxter_consistency over the records of n <= n_max."""
-    data = baxter_coefficients(n_max, params)
-    return verify_baxter_consistency(n_max, params, data, degree_records(params, n_max, data))
+    return verify_baxter_consistency(
+        n_max, params, degree_records(params, n_max, scalar_rows(n_max, params))
+    )
 
 
 def test_baxter_consistency_suite_passes():
@@ -367,14 +369,13 @@ def test_truncation_polynomial_splits_over_grid():
 
 
 def test_degree_records_carry_the_family():
-    data = baxter_coefficients(6, REFERENCE)
-    family = [record.p for record in degree_records(REFERENCE, 6, data)]
+    family = [record.p for record in degree_records(REFERENCE, 6, scalar_rows(6, REFERENCE))]
     assert len(family) == 7
     assert family[3] == pastro_poly(3, REFERENCE)
     with pytest.raises(ResonantParameterError):
-        # b q^2 = 1: the coefficient table the records carry is refused
+        # b q^2 = 1: the scalar rows the records carry are refused
         resonant = QParams(Fraction(1, 2), Fraction(3), Fraction(4))
-        list(degree_records(resonant, 6, baxter_coefficients(6, resonant)))
+        list(degree_records(resonant, 6, scalar_rows(6, resonant)))
 
 
 @pytest.mark.parametrize("build", [pastro_poly, biorthogonal_partner])

@@ -5,6 +5,7 @@ The terminating 2phi1 series is the test suite's own reference route
 q-Pochhammer symbol it is built from.
 """
 
+import abc
 import re
 import sys
 from contextlib import contextmanager
@@ -28,6 +29,7 @@ from pastroq.qcore import (
     format_rational,
     parse_rational,
     q_pochhammer,
+    _product,
     x,
 )
 from pastroq.qdiff import QDiffOperator, linear_combination, q_commutator
@@ -454,3 +456,55 @@ def test_vanishing_factors_are_exact(params, n_max):
     for key, value in factors.items():
         assert (value == 0) == (key in named), key
     assert len(params.vanishing_factors(n_max)) == len(named)
+
+
+def test_polynomial_operands_take_no_abc_instance_check(monkeypatch):
+    # Fraction's metaclass is ABCMeta, whose __instancecheck__ runs in
+    # Python; a LaurentPoly operand of +, - or == must not reach it.
+    f = LaurentPoly({0: 1, 2: Fraction(1, 3)})
+    g = LaurentPoly({-1: Fraction(-5, 2), 1: 2})
+    h = LaurentPoly({0: 1, 2: Fraction(1, 3)})
+    calls = 0
+    instancecheck = abc.ABCMeta.__instancecheck__
+
+    def counted(cls, instance):
+        nonlocal calls
+        calls += 1
+        return instancecheck(cls, instance)
+
+    monkeypatch.setattr(abc.ABCMeta, "__instancecheck__", counted)
+    total, difference = f + g, f - g
+    equal, unequal = f == h, f == g
+    assert calls == 0
+    assert not isinstance(f, Fraction) and calls == 1  # the counter is live
+    monkeypatch.undo()
+    assert (equal, unequal) == (True, False)
+    assert total == LaurentPoly({-1: Fraction(-5, 2), 0: 1, 1: 2, 2: Fraction(1, 3)})
+    assert difference == LaurentPoly({-1: Fraction(5, 2), 0: 1, 1: -2, 2: Fraction(1, 3)})
+
+
+def _schoolbook(a: list[int], b: list[int]) -> list[int]:
+    nums = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            nums[i + j] += u * v
+    return nums
+
+
+_numerators = st.one_of(st.just(0), st.integers(-(10**40), 10**40), st.integers(-3, 3))
+
+
+@given(
+    st.lists(_numerators, min_size=1, max_size=12),
+    st.tuples(_numerators, _numerators),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_linear_multiplier_product_matches_the_schoolbook_product(a, b):
+    b = list(b)
+    copies = list(a), list(b)
+    expected = _schoolbook(a, b)
+    for left, right in ((a, b), (b, a)):
+        product = _product(left, right)
+        assert product == expected
+        assert len(product) == len(a) + 1
+    assert (a, b) == copies

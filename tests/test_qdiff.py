@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import operator_reference
 from family_reference import eigenvalue
-from pastroq import cli, qcore, qdiff
-from pastroq.pastro import baxter_coefficients, pastro_poly
+from pastroq import cli, pastro, qcore, qdiff
+from pastroq.pastro import ScalarRow, baxter_coefficients, pastro_poly, scalar_rows
 from pastroq.qcore import LaurentPoly, ParameterError, QParams, ResonantParameterError, x
 from pastroq.qdiff import (
     DegreeRecord,
@@ -34,7 +34,7 @@ Q = Fraction(1, 2)
 
 
 def records(params: QParams, n_max: int):
-    return list(degree_records(params, n_max, baxter_coefficients(n_max, params)))
+    return list(degree_records(params, n_max, scalar_rows(n_max, params)))
 
 
 def test_shift_operator_dilates():
@@ -420,7 +420,7 @@ def test_degree_records_match_direct_constructions(params):
     assert [record.n for record in built] == list(range(7))
     for n, record in enumerate(built):
         assert record.params == params
-        assert record.table == table
+        assert record.row == ScalarRow._make(column[n] for column in table)
         p = pastro_poly(n, params)
         assert record.p_prev == (pastro_poly(n - 1, params) if n else LaurentPoly.zero())
         assert record.p == p
@@ -508,6 +508,46 @@ def test_verify_suite_holds_one_record_at_a_time(monkeypatch):
     assert live == [1] * 7
 
 
+def test_verify_suite_streams_the_rows_beside_the_records(monkeypatch):
+    # No whole scalar table is built. Counted when record n is handed to
+    # the checks and again when the Baxter checks ask for the next one:
+    # no row past degree n + 1 has been read, and at most two rows live.
+    def refused(*args):
+        raise AssertionError("the whole scalar table was built")
+
+    monkeypatch.setattr(cli, "baxter_coefficients", refused)
+    monkeypatch.setattr(pastro, "baxter_coefficients", refused)
+    read = 0
+    stream = cli.scalar_rows
+
+    def counted(n_max, params):
+        nonlocal read
+        for row in stream(n_max, params):
+            read += 1
+            yield row
+
+    def live_rows():
+        return sum(isinstance(obj, ScalarRow) for obj in gc.get_objects())
+
+    before = live_rows()
+    seen = []
+    build = cli.degree_records
+
+    def tracked(*args):
+        for record in build(*args):
+            seen.append((record.n, read, live_rows() - before))
+            yield record
+            seen.append((record.n, read, live_rows() - before))
+
+    monkeypatch.setattr(cli, "scalar_rows", counted)
+    monkeypatch.setattr(cli, "degree_records", tracked)
+    n_max = 6
+    assert all(check.status == "PASS" for check in cli.verify_suite(SECOND, n_max))
+    assert [n for n, _, _ in seen] == [n for n in range(n_max + 1) for _ in range(2)]
+    assert all(rows <= n + 2 and alive <= 2 for n, rows, alive in seen), seen
+    assert read == n_max + 1
+
+
 def test_witness_pinpoints_first_mismatch():
     witness = poly_mismatch_witness(
         LaurentPoly({2: 1, 0: 1}), LaurentPoly({2: 1, 0: 2})
@@ -585,13 +625,12 @@ COLUMN_READERS = {
 @pytest.mark.parametrize("params", [REFERENCE, SECOND])
 @pytest.mark.parametrize("column", sorted(COLUMN_READERS))
 def test_corrupted_table_column_fails_its_readers(column, params, monkeypatch):
-    def corrupted_table(n_max, params):
-        table = baxter_coefficients(n_max, params)
-        values = list(getattr(table, column))
-        values[N_BAD] += 1
-        return table._replace(**{column: values})
+    # the column's entry is corrupted in the streamed row of degree N_BAD
+    def corrupted_rows(n_max, params):
+        for n, row in enumerate(scalar_rows(n_max, params)):
+            yield row._replace(**{column: getattr(row, column) + 1}) if n == N_BAD else row
 
-    monkeypatch.setattr(cli, "baxter_coefficients", corrupted_table)
+    monkeypatch.setattr(cli, "scalar_rows", corrupted_rows)
     failed = set()
     for check in cli.verify_suite(params, 5):
         if check.status == "PASS":

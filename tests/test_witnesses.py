@@ -22,8 +22,9 @@ from pastroq.biorth import (
     proportionality_witness,
     verify_adjoint_structure,
 )
-from pastroq.pastro import baxter_coefficients, verify_baxter_consistency
+from pastroq.pastro import ScalarRow, baxter_coefficients, scalar_rows, verify_baxter_consistency
 from pastroq.qcore import QParams, format_rational
+from pastroq.qdiff import degree_records
 from pastroq.report import first_mismatch, vector_mismatch_witness
 
 REFERENCE = QParams(Fraction(1, 2), Fraction(3), Fraction(1, 5))
@@ -231,7 +232,8 @@ def test_baxter_scalar_witnesses_match_old_loops(params, column, index, change):
     values = list(getattr(data, column))
     values[index] = 0 if change == "zero" else values[index] + change
     data = data._replace(**{column: values})
-    checks = verify_baxter_consistency(5, params, data, [])
+    records = degree_records(params, 5, map(ScalarRow._make, zip(*data)))
+    checks = verify_baxter_consistency(5, params, records)
     assert [check.witness for check in checks[:3]] == _old_baxter_witnesses(5, data)
 
 
@@ -246,10 +248,10 @@ def test_first_mismatch_words_the_first_differing_row():
 @pytest.mark.parametrize("params", [REFERENCE, SECOND])
 def test_zero_alpha_leaves_the_beta_ratio_undefined(params, monkeypatch):
     def zero_alpha(n_max, params):
-        table = baxter_coefficients(n_max, params)
-        return table._replace(alpha=table.alpha[:3] + [Fraction(0)] + table.alpha[4:])
+        for n, row in enumerate(scalar_rows(n_max, params)):
+            yield row._replace(alpha=Fraction(0)) if n == 3 else row
 
-    monkeypatch.setattr(cli, "baxter_coefficients", zero_alpha)
+    monkeypatch.setattr(cli, "scalar_rows", zero_alpha)
     checks = {check.name: check for check in cli.verify_suite(params, 5)}
     beta = checks["baxter-beta-recurrence"]
     assert (beta.status, beta.witness) == ("FAIL", "n=2: alpha_(n+1) = 0, ratio undefined")
