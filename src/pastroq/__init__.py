@@ -21,9 +21,7 @@ from .qcore import (
     x,
 )
 from .pastro import (
-    BaxterData,
     ScalarRow,
-    baxter_coefficients,
     baxter_system,
     biorthogonal_partner,
     grid_weights,
@@ -75,9 +73,7 @@ __all__ = [
     "parse_rational",
     "q_pochhammer",
     "x",
-    "BaxterData",
     "ScalarRow",
-    "baxter_coefficients",
     "baxter_system",
     "biorthogonal_partner",
     "grid_weights",

@@ -48,12 +48,11 @@ from .qcore import (
 )
 from .pastro import (
     _norm_constants,
-    baxter_coefficients,
     baxter_system,
     grid_weights,
     partner_family,
     pastro_family,
-    pastro_poly,
+    scalar_rows,
 )
 from .qdiff import QDiffOperator, make_operators
 from .report import Check, equality_check, first_mismatch, vector_mismatch_witness
@@ -242,9 +241,9 @@ class GridRep(NamedTuple):
     a :class:`GridVector`, with Q_n the coupled-recurrence partners of
     :func:`baxter_system`; ``p_top`` the truncation polynomial P_N; ``h``
     the norm constants h_0..h_N; and ``lam`` the eigenvalues
-    lambda_0..lambda_(N-1) of the scalar table. Only what a check reads is
+    lambda_0..lambda_(N-1) of the scalar rows. Only what a check reads is
     kept: the families P_n, R_n and Q_n are dropped once sampled, and so
-    are the coupled P~_n and the rest of the table, which bounds peak
+    are the coupled P~_n and the rest of the rows, which bounds peak
     memory.
     """
 
@@ -270,7 +269,7 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
     build order: weights, P_0..P_(N-1), R_0..R_(N-1), h_0..h_N, P_N. One
     :func:`pastroq.pastro.pastro_family` steps P_0..P_N, paused while the
     partners and h are built, and one partner family steps R_0..R_(N-1). The
-    scalar table (which reuses h_0..h_(N-1)) and the coupled recurrences
+    scalar rows of n < N, which give lambda_n and the coupled recurrences,
     come last, and cannot fail once h_N exists, since their denominators
     are factors of h_N's. The CLI prints that error's message, so the order
     is part of the report.
@@ -290,8 +289,9 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
     partner_values = [partner.sample_at_powers(q, exponents) for partner in partners]
     h = _norm_constants(N, params)
     p_top = next(family)
-    table = baxter_coefficients(N - 1, params, h)
-    q_polys = baxter_system(table)[1]  # the coupled P~_n are not kept
+    rows = list(scalar_rows(N - 1, params))
+    lam = [row.lam for row in rows]
+    q_polys = baxter_system(rows)[1]  # the coupled P~_n are not kept
     baxter_values = []
     for coupled, partner, samples in zip(q_polys, partners, partner_values):
         coupled = coupled.invert_variable()
@@ -313,7 +313,7 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
         baxter_values=baxter_values,
         p_top=p_top,
         h=h,
-        lam=table.lam,
+        lam=lam,
     )
 
 
@@ -485,24 +485,19 @@ def verify_adjoint_structure(rep: GridRep) -> list[Check]:
     return checks
 
 
-def _flip_params(rep: GridRep) -> tuple[QParams, QParams]:
-    """The points (q, a, q^(1-N)/b) and (q, a, q^(2-N)/b) of the flipped
-    and the reflected families, a = q^(1-N)."""
-    q, a, b, N = rep.params.q, rep.params.a, rep.params.b, rep.N
-    return QParams(q, a, tau_parameter(b, q, N)), QParams(q, a, q ** (2 - N) / b)
-
-
 def _adjoint_pairs(rep: GridRep) -> Iterator[tuple[LaurentPoly, LaurentPoly]]:
     """The pairs (P_n at the flip q^(1-N)/b, P_n at the reflection
-    q^(2-N)/b), n = 0, 1, ..., that :func:`verify_adjoint_gevp` reads, each
-    family stepped by :func:`pastroq.pastro.pastro_family`; at each degree
-    the flipped member is built first."""
-    flipped, reflected = _flip_params(rep)
+    q^(2-N)/b), a = q^(1-N), n = 0, 1, ..., that :func:`verify_adjoint_gevp`
+    reads, each family stepped by :func:`pastroq.pastro.pastro_family`; at
+    each degree the flipped member is built first."""
+    q, a, b, N = rep.params.q, rep.params.a, rep.params.b, rep.N
+    flipped = QParams(q, a, tau_parameter(b, q, N))
+    reflected = QParams(q, a, q ** (2 - N) / b)
     return zip(pastro_family(flipped), pastro_family(reflected))
 
 
 def verify_adjoint_gevp(
-    n: int, rep: GridRep, pair: tuple[LaurentPoly, LaurentPoly] | None = None
+    n: int, rep: GridRep, pair: tuple[LaurentPoly, LaurentPoly]
 ) -> list[Check]:
     """Check the adjoint eigenvalue problem and the partner cross-derivations.
 
@@ -515,9 +510,9 @@ def verify_adjoint_gevp(
     where 'prop' means proportional by a single nonzero scalar. Every
     vector is a :class:`GridVector` and both bands are ``rep.int_bands``,
     so the eigenvalue equation is compared on ints with lambda_n's
-    numerator and denominator cross-multiplied. ``pair``, if given, is
-    degree n of :func:`_adjoint_pairs`, so a caller that runs every degree
-    steps both families once; otherwise the two P_n are built here.
+    numerator and denominator cross-multiplied. ``pair`` is degree n of
+    :func:`_adjoint_pairs`, so a caller that runs every degree steps both
+    families once.
     """
     N = rep.N
     q = rep.params.q
@@ -526,11 +521,7 @@ def verify_adjoint_gevp(
     context = rep.context | {"n": str(n)}
     flip_exponents = range(N, 0, -1)  # the points q^(N-s), s = 0..N-1
 
-    if pair is None:
-        flipped, reflected = _flip_params(rep)
-        flipped_poly = pastro_poly(n, flipped)
-    else:
-        flipped_poly, reflected_poly = pair
+    flipped_poly, reflected_poly = pair
     p_star = flipped_poly.sample_at_powers(q, flip_exponents)
 
     lam = rep.lam[n]
@@ -563,8 +554,6 @@ def verify_adjoint_gevp(
         )
     )
 
-    if pair is None:
-        reflected_poly = pastro_poly(n, reflected)
     flip_samples = reflected_poly.sample_at_powers(q, flip_exponents)
     checks.append(
         equality_check(

@@ -32,7 +32,6 @@ from .biorth import (
     verify_biorthogonality,
 )
 from .pastro import (
-    baxter_coefficients,
     partner_family,
     pastro_family,
     scalar_rows,
@@ -86,7 +85,7 @@ def _admissibility_issues(params: QParams, n_max: int) -> list[str]:
 
 
 def _table_issues(params: QParams, n_max: int) -> list[str]:
-    """The vanishing factors that table's builds (P_n, R_n for n <= n_max, the scalar table) divide by.
+    """The vanishing factors that table's builds (P_n, R_n for n <= n_max, the scalar rows) divide by.
 
     They are those of :func:`_admissibility_issues`, worded alike, but two:
     1 - (b/a)*q^0 at n_max = 0 (P_n divides by it from n = 1 on) and the
@@ -150,8 +149,8 @@ def _table(config: RunConfig, report: Report, context: dict[str, str]) -> dict:
         "pastro": list(islice(pastro_family(params), count)),
         "partners": list(islice(partner_family(params), count)),
     }
-    data = baxter_coefficients(config.n_max, params)
-    return extra | {"alpha": data.alpha, "beta": data.beta, "h": data.h}
+    rows = list(scalar_rows(config.n_max, params))
+    return extra | {name: [getattr(row, name) for row in rows] for name in ("alpha", "beta", "h")}
 
 
 def _table_text(extra: dict) -> list[str]:

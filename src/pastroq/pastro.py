@@ -24,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, count, islice, pairwise
 from math import gcd, prod
-from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 from .qcore import (
@@ -34,7 +33,6 @@ from .qcore import (
     Scalar,
     _exact,
     _make,
-    _point_units,
     _powers,
     _unit_list,
     _unit_rows,
@@ -49,8 +47,6 @@ __all__ = [
     "partner_family",
     "ScalarRow",
     "scalar_rows",
-    "BaxterData",
-    "baxter_coefficients",
     "baxter_system",
     "verify_baxter_consistency",
     "biorthogonal_partner",
@@ -76,13 +72,19 @@ def _pascal_step(
     ``heads`` h_k and ``tails`` t_m, therefore steps as
       N'_i = r^(n+1-i) h_(i-1) N_(i-1) + p^i t_(n-i) N_i, N_(-1) = N_(n+1) = 0.
     The step is linear, so ``nums`` may be member n's numerators times any
-    constant. The unit lists and the powers p^i, r^i reach at least index n.
+    constant. The unit lists and the powers p^i, r^i reach at least index n,
+    and p^0 = r^0 = 1. Each N'_i is built in one pass, so the step holds
+    one list of member n+1's size.
     """
     n = len(nums) - 1
-    out = [p_i * tail * num for p_i, tail, num in zip(p_pow, tails[n::-1], nums)]
-    out.append(0)
-    lifted = [r_j * head * num for r_j, head, num in zip(r_pow[n::-1], heads, nums)]
-    out[1:] = map(add, out[1:], lifted)
+    out = [tails[n] * nums[0]]
+    out += [
+        p_i * tail * num + r_j * head * below
+        for p_i, tail, num, r_j, head, below in zip(
+            p_pow[1:], tails[n - 1 :: -1], nums[1:], r_pow[n::-1], heads, nums
+        )
+    ]
+    out.append(heads[n] * nums[n])
     return out
 
 
@@ -106,8 +108,8 @@ def _units(
     which member n's closed form checks them.
 
     Heads and tails are each a :func:`pastroq.qcore._unit_list`, the units
-    of 1 - z q^j, times one reduced scale; in the unit lists b[j], ab[j],
-    bq[j] of :func:`pastroq.qcore._point_units`, with b = b_num/b_den,
+    of 1 - z q^j, times one reduced scale; in the units b[j], ab[j], bq[j]
+    of :func:`pastroq.qcore._unit_rows`, with b = b_num/b_den,
     a/b = t_num/t_den and b/q = c_num/c_den, 1 - z q^j = z[j] / (z_den r^j).
 
     P_n: the descending recurrence (1 - q^(k-n)) (1 - b q^k) C_k
@@ -118,7 +120,7 @@ def _units(
     as 1 - (b/a) q^-m = -ab[m] / (t_num p^m). Over the common denominator
     prod_k b[k], the numerator of C_k is G_k h_0 ... h_(k-1) t_0 ... t_(n-1-k),
     with heads h_k = d b[k] and tails t_m = c ab[m], c/d = p b_den / (t_num r)
-    reduced, d > 0: the ratio of alpha_n in :func:`baxter_coefficients`.
+    reduced, d > 0: the ratio of alpha_n in :func:`scalar_rows`.
 
     R_n = [(q^-n;q)_n (b/q;q)_n / (((b/a)q^-n;q)_n (q;q)_n)]
           * 2phi1(q^-n, (a/b)q; q^(2-n)/b; q, q^2/(a x)).
@@ -263,19 +265,6 @@ class ScalarRow(NamedTuple):
     raise_factor: Fraction
 
 
-class BaxterData(NamedTuple):
-    """The rows of :func:`scalar_rows` for n = 0..n_max as columns, one list
-    per :class:`ScalarRow` field."""
-
-    alpha: list[Fraction]
-    beta: list[Fraction]
-    h: list[Fraction]
-    lam: list[Fraction]
-    mu1: list[Fraction]
-    mu2: list[Fraction]
-    raise_factor: list[Fraction]
-
-
 def _prefix_ratios(
     sign: int, scale_num: int, scale_den: int, units: Iterable[tuple[int, int]], vanishing: str
 ) -> Iterator[Fraction]:
@@ -390,21 +379,6 @@ def _scalar_rows(n_max: int, params: QParams) -> Iterator[ScalarRow]:
         before = now
 
 
-def baxter_coefficients(n_max: int, params: QParams, h: list | None = None) -> BaxterData:
-    """The rows of :func:`scalar_rows` for n <= n_max, drained into columns.
-
-    A resonant triple raises the error of :func:`scalar_rows`. A caller
-    that holds h_0..h_n_max, or more, passes ``h``, and the table carries
-    its first n_max + 1 entries. The columns are read off the rows field by
-    field, not transposed by ``zip``, whose tuples of fewer than 20 entries
-    would stay on the interpreter's tuple free list, counted in the traced
-    peak.
-    """
-    rows = list(scalar_rows(n_max, params))
-    data = BaxterData._make([row[field] for row in rows] for field in range(len(rows[0])))
-    return data if h is None else data._replace(h=h[: n_max + 1])
-
-
 def _coupled_pairs(rows: Iterable[ScalarRow]) -> Iterator[tuple[LaurentPoly, LaurentPoly]]:
     """(P~_n, Q_n) for n = 0, 1, ..., from P~_0 = Q_0 = 1 and the coupled recurrences
 
@@ -427,17 +401,17 @@ def _coupled_pairs(rows: Iterable[ScalarRow]) -> Iterator[tuple[LaurentPoly, Lau
         yield p_poly, q_poly
 
 
-def baxter_system(data: BaxterData) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
+def baxter_system(rows: Iterable[ScalarRow]) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
     """The pairs of :func:`_coupled_pairs` as lists ``(p_polys, q_polys)``.
 
-    ``data`` is the scalar table of a parameter point for n <= n_max, and
-    the lists run over n <= n_max. This route never references the
-    eigenvalue problem or the q-Pascal step, so agreement of its P~_n with
-    :func:`pastro_family` (and of its Q_n(1/x) with :func:`partner_family`)
-    is a genuine cross-method consistency statement.
+    ``rows`` are the :class:`ScalarRow` of a parameter point for
+    n = 0..n_max, as :func:`scalar_rows` yields them, and the lists run over
+    n <= n_max; the row of n_max is not read. This route never references
+    the eigenvalue problem or the q-Pascal step, so agreement of its P~_n
+    with :func:`pastro_family` (and of its Q_n(1/x) with
+    :func:`partner_family`) is a genuine cross-method consistency statement.
     """
-    rows = islice(map(ScalarRow._make, zip(*data)), len(data.alpha) - 1)
-    p_polys, q_polys = zip(*_coupled_pairs(rows))
+    p_polys, q_polys = zip(*_coupled_pairs(row for row, _ in pairwise(rows)))
     return list(p_polys), list(q_polys)
 
 
@@ -446,7 +420,7 @@ def grid_weights(N: int, b: Scalar, q: Scalar) -> list[Fraction]:
 
       w_s = [(q^(1-N);q)_s / (q;q)_s] (b q^(N-1))^s / (b;q)_(N-1).
 
-    On the units of :func:`pastroq.qcore._point_units` at a = q^(1-N)
+    On the units of :func:`pastroq.qcore._unit_rows` at a = q^(1-N)
     (q = p/r), w_0 = prod_(j<N-1) b_den r^j / b[j] is one int ratio, and
       w_s / w_0 = (r b_num p^(N-1) / (a_den b_den r^(N-1)))^s prod_(j<s) a[j] / one[j+1]
     is a prefix product, each ratio the one before times one unit ratio.
@@ -465,17 +439,17 @@ def grid_weights(N: int, b: Scalar, q: Scalar) -> list[Fraction]:
     if b == 0:
         raise ResonantParameterError("b must be nonzero")
     params = QParams(q, q ** (1 - N), b)
-    units = _point_units(params, N - 1)
-    normalizer = prod(units.b[: N - 1])
+    units = list(islice(_unit_rows(params), N))  # j = 0..N-1
+    normalizer = prod(row.b for row in units[:-1])
     if not normalizer:
         raise ResonantParameterError(f"(b;q)_{N - 1} vanishes")
     b_num, b_den = b.as_integer_ratio()
-    first = Fraction(b_den ** (N - 1) * prod(units.r_pow[: N - 1]), normalizer)
+    first = Fraction(b_den ** (N - 1) * prod(row.r_pow for row in units[:-1]), normalizer)
     ratios = _prefix_ratios(
         1,
-        q.denominator * b_num * units.p_pow[N - 1],
-        params.a.denominator * b_den * units.r_pow[N - 1],
-        zip(units.a[: N - 1], units.one[1:]),
+        q.denominator * b_num * units[-1].p_pow,
+        params.a.denominator * b_den * units[-1].r_pow,
+        ((now.a, after.one) for now, after in pairwise(units)),
         "(q;q)_{0} vanishes",
     )
     return [first] + [first * ratio for ratio in ratios]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
@@ -653,23 +653,22 @@ def _powers(base: int, n: int) -> list[int]:
 
 
 class _Units(NamedTuple):
-    """The int units of a parameter point, with q = p/r: for j = 0..size,
-    one list per field (:func:`_point_units`), or at one j, one int per
-    field (:func:`_unit_rows`).
+    """The int units of a parameter point at one j, with q = p/r: a row of
+    :func:`_unit_rows`.
 
     The fields ``a``, ``b``, ``ab``, ``bq`` and ``one`` hold, for z = a, b,
-    a/b, b/q and 1, the units z_den r^j - z_num p^j, so that
-    1 - z q^j = unit_j / (z_den r^j). ``p_pow`` and ``r_pow`` hold p^j and
+    a/b, b/q and 1, the unit z_den r^j - z_num p^j, so that
+    1 - z q^j = unit / (z_den r^j). ``p_pow`` and ``r_pow`` hold p^j and
     r^j.
     """
 
-    p_pow: list[int] | int
-    r_pow: list[int] | int
-    a: list[int] | int
-    b: list[int] | int
-    ab: list[int] | int
-    bq: list[int] | int
-    one: list[int] | int
+    p_pow: int
+    r_pow: int
+    a: int
+    b: int
+    ab: int
+    bq: int
+    one: int
 
 
 def _unit_list(num: int, den: int, p_pow: list[int], r_pow: list[int]) -> list[int]:
@@ -678,22 +677,10 @@ def _unit_list(num: int, den: int, p_pow: list[int], r_pow: list[int]) -> list[i
     return [den * r_j - num * p_j for p_j, r_j in zip(p_pow, r_pow)]
 
 
-def _point_units(params: QParams, size: int) -> _Units:
-    """The units of ``params`` for j = 0..size, off one power table of p and r."""
-    q, a, b = params.q, params.a, params.b
-    p, r = q.as_integer_ratio()
-    p_pow, r_pow = _powers(p, size), _powers(r, size)
-
-    def units(z: Fraction) -> list[int]:
-        return _unit_list(*z.as_integer_ratio(), p_pow, r_pow)
-
-    return _Units(p_pow, r_pow, units(a), units(b), units(a / b), units(b / q), units(Fraction(1)))
-
-
 def _unit_rows(params: QParams) -> Iterator[_Units]:
-    """The units of ``params`` for j = 0, 1, 2, ..., one int per field at a
-    time, off running powers of p and r: the rows of :func:`_point_units`,
-    for a reader that holds only the rows it keeps."""
+    """The units of ``params`` for j = 0, 1, 2, ..., one row at a time, off
+    running powers of p and r, for a reader that holds only the rows it
+    keeps."""
     q, a, b = params
     p, r = q.as_integer_ratio()
     ratios = [z.as_integer_ratio() for z in (a, b, a / b, b / q)] + [(1, 1)]
@@ -751,14 +738,15 @@ class QParams(_QTriple):
         n_max: b*q^j != 1 for -1 <= j <= n_max (for 0 <= j when n_max = 0)
         and (b/a)*q^j != 1 for -(n_max + 1) <= j <= 0. Empty means
         admissible. Each factor is read off the int units of
-        :func:`_point_units`: 1 - b*q^-1 is the unit bq[0], 1 - b*q^j is
-        b[j], and 1 - (b/a)*q^-j vanishes exactly when ab[j] does.
+        :func:`_unit_rows`, j = 0..n_max+1: 1 - b*q^-1 is the unit bq of
+        j = 0, 1 - b*q^j is the unit b of j, and 1 - (b/a)*q^-j vanishes
+        exactly when the unit ab of j does.
         """
-        units = _point_units(self, n_max + 1)
-        offending = ["(1 - b*q^-1) vanishes"] if n_max and not units.bq[0] else []
-        offending += [f"(1 - b*q^{j}) vanishes" for j in range(n_max + 1) if not units.b[j]]
+        rows = list(islice(_unit_rows(self), n_max + 2))
+        offending = ["(1 - b*q^-1) vanishes"] if n_max and not rows[0].bq else []
+        offending += [f"(1 - b*q^{j}) vanishes" for j in range(n_max + 1) if not rows[j].b]
         offending += [
-            f"(1 - (b/a)*q^{-j}) vanishes" for j in range(n_max + 1, -1, -1) if not units.ab[j]
+            f"(1 - (b/a)*q^{-j}) vanishes" for j in range(n_max + 1, -1, -1) if not rows[j].ab
         ]
         return offending
 

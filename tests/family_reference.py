@@ -25,9 +25,9 @@ The degree-by-degree closed forms of the coefficient ratio C_k / C_0, of
 the coupled-recurrence coefficients alpha_n and beta_n, of the norm
 constant h_n, of the eigenvalue lambda_n, of the three-term recurrence
 coefficients mu1_n and mu2_n and of the raise factor q^-n (1 - b q^n) are
-kept here too: the package reads them off one scalar table per parameter
-point, ``baxter_coefficients`` (and ``GridRep.h``), and the tests compare
-that table, and the coefficients of P_n, against these formulas.
+kept here too: the package reads them off the rows of ``scalar_rows`` (and
+``GridRep.h``), and the tests compare those rows, and the coefficients of
+P_n, against these formulas.
 """
 
 from __future__ import annotations

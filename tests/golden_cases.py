@@ -55,4 +55,8 @@ CASES = [
     # P_1's factor 1 - (b/a)q^0 at b = a = q^(1-N), which the grid weights do
     # not divide by: the monic family's ResonantParameterError text.
     ("biorth_q1_2_b4_N3", ["biorth", "--q=1/2", "--b=4", "--N", "3"], 2),
+    # The smallest grid, and at b = 1 the norm stage's error text: h_1
+    # divides by 1 - b, which the weights of N = 1 do not.
+    ("biorth_N1", ["biorth", "--N", "1"], 0),
+    ("biorth_N1_b1", ["biorth", "--N", "1", "--b", "1"], 2),
 ]

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import count
 
 from pastroq.biorth import Band, GridRep, mat_vec, tau_parameter
-from pastroq.pastro import baxter_coefficients, baxter_system, pastro_poly
+from pastroq.pastro import baxter_system, pastro_poly, scalar_rows
 from pastroq.qcore import LaurentPoly, QParams, ResonantParameterError, format_rational
 from pastroq.report import (
     Check,
@@ -112,7 +112,7 @@ def reference_adjoint_gevp(n: int, rep: GridRep) -> list[Check]:
             proportionality_witness(image, flip_samples),
         )
     )
-    _, q_polys = baxter_system(baxter_coefficients(N - 1, rep.params))
+    _, q_polys = baxter_system(scalar_rows(N - 1, rep.params))
     baxter_samples = grid_samples(q_polys[n].invert_variable(), rep.grid)
     checks.append(
         equality_check(

@@ -20,6 +20,7 @@ from pastroq.algebra import (
     verify_raw_relations,
 )
 from pastroq.biorth import (
+    _adjoint_pairs,
     make_grid_rep,
     mat_vec,
     tau_parameter,
@@ -29,7 +30,6 @@ from pastroq.biorth import (
 )
 from pastroq.cli import admissible_draws
 from pastroq.pastro import (
-    baxter_coefficients,
     baxter_system,
     biorthogonal_partner,
     grid_weights,
@@ -145,7 +145,7 @@ def test_criterion_5_cross_method_partner():
     points = [REFERENCE] + admissible_draws(seed=17, count=3, n_max=10)
     ok = len(points) == 4
     for params in points:
-        _, q_polys = baxter_system(baxter_coefficients(10, params))
+        _, q_polys = baxter_system(scalar_rows(10, params))
         for n in range(11):
             ok = ok and q_polys[n].invert_variable() == biorthogonal_partner(
                 n, params
@@ -193,8 +193,8 @@ def test_criterion_6_adjoint_suite():
         for b in (Fraction(1, 5), Fraction(-3, 4)):
             rep = make_grid_rep(N, b, GRID_Q)
             ok = ok and all_pass(verify_adjoint_structure(rep))
-            for n in range(N):
-                ok = ok and all_pass(verify_adjoint_gevp(n, rep))
+            for n, pair in zip(range(N), _adjoint_pairs(rep)):
+                ok = ok and all_pass(verify_adjoint_gevp(n, rep, pair))
     assert record(
         6,
         "shift adjoints, closed-form X*/Y*, parameter-flip conjugations, "

@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from itertools import islice
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -19,7 +20,12 @@ from hypothesis import strategies as st
 
 import pastroq
 from pastroq import algebra
-from pastroq.biorth import make_grid_rep, verify_adjoint_gevp, verify_adjoint_structure
+from pastroq.biorth import (
+    _adjoint_pairs,
+    make_grid_rep,
+    verify_adjoint_gevp,
+    verify_adjoint_structure,
+)
 from pastroq.cli import (
     RunConfig,
     _admissibility_issues,
@@ -30,7 +36,7 @@ from pastroq.cli import (
     run,
     verify_suite,
 )
-from pastroq.pastro import baxter_coefficients, biorthogonal_partner, pastro_poly
+from pastroq.pastro import biorthogonal_partner, pastro_poly, scalar_rows
 from pastroq.qcore import LaurentPoly, ParameterError, QParams, format_rational, parse_rational
 from pastroq.report import Check, Report
 from test_qcore import _maybe_resonant_params
@@ -86,20 +92,20 @@ def test_table_prints_coefficients_past_the_digit_limit(capsys):
     # more than 4300 digits, Python's default limit for str(int).
     argv = ["table", "--q=997/991", "--a=3", "--b=1/5", "--nmax", "39"]
     params = QParams(Fraction(997, 991), Fraction(3), Fraction(1, 5))
-    data = baxter_coefficients(39, params)
+    rows = list(scalar_rows(39, params))
     out = {}
     for fmt in ("text", "json"):
         with pytest.raises(SystemExit) as exit_info:
             main(argv + ["--format", fmt])
         assert exit_info.value.code == 0
         out[fmt] = capsys.readouterr().out
-    assert len(format_rational(data.h[39])) > 4300
+    assert len(format_rational(rows[39].h)) > 4300
     last = out["text"].splitlines()[-2].split()
     assert last[0::3] == ["alpha_39", "beta_39", "h_39"]
-    assert [parse_rational(v) for v in last[2::3]] == [data.alpha[39], data.beta[39], data.h[39]]
+    assert [parse_rational(v) for v in last[2::3]] == [rows[39].alpha, rows[39].beta, rows[39].h]
     payload = json.loads(out["json"])
     for name in ("alpha", "beta", "h"):
-        assert [parse_rational(v) for v in payload[name]] == getattr(data, name)
+        assert [parse_rational(v) for v in payload[name]] == [getattr(row, name) for row in rows]
     for key, build in (("pastro", pastro_poly), ("partners", biorthogonal_partner)):
         for n, poly in enumerate(payload[key]):
             coefficients = {int(e): parse_rational(c) for e, c in poly["coefficients"].items()}
@@ -201,7 +207,8 @@ def test_grid_checks_share_the_rep_context():
     rep = make_grid_rep(4, Fraction(1, 5), Fraction(1, 2))
     assert rep.context == {"N": "4", "b": "1/5", "q": "1/2"}
     assert all(check.params is rep.context for check in verify_adjoint_structure(rep))
-    for check in verify_adjoint_gevp(2, rep):
+    pair = next(islice(_adjoint_pairs(rep), 2, None))
+    for check in verify_adjoint_gevp(2, rep, pair):
         assert check.params == rep.context | {"n": "2"}
 
 
@@ -358,7 +365,7 @@ def test_parameter_error_after_checks_keeps_them(monkeypatch):
 
     real = cli.verify_adjoint_gevp
 
-    def raising(n, rep, pair=None):
+    def raising(n, rep, pair):
         if n == 1:
             raise ParameterError("injected at n = 1")
         return real(n, rep, pair)
@@ -519,7 +526,7 @@ def test_table_refuses_exactly_where_its_builds_raise(params, n_max):
         for n in range(n_max + 1):
             pastro_poly(n, params)
             biorthogonal_partner(n, params)
-        baxter_coefficients(n_max, params)
+        list(scalar_rows(n_max, params))
     except ParameterError:
         assert [check.name for check in report.checks] == ["parameters"]
         assert report.exit_code == 2

@@ -4,7 +4,7 @@
 the recurrence-in-Fractions P_n, the series P_n (``pastro_poly_series``),
 the ``q_pochhammer``/``phi21_terminating`` R_n, and the degree-by-degree
 closed forms of the scalar table. ``pastro_family``, ``partner_family``,
-``pastro_poly``, ``biorthogonal_partner`` and ``baxter_coefficients`` must
+``pastro_poly``, ``biorthogonal_partner`` and ``scalar_rows`` must
 give the same polynomials and scalars, or raise a
 ``ResonantParameterError`` with the same text, at admissible points and at
 points placed on the factors that vanish; a family raises at its first
@@ -23,9 +23,7 @@ from hypothesis import strategies as st
 import family_reference
 from pastroq.cli import verify_suite
 from pastroq.pastro import (
-    BaxterData,
     ScalarRow,
-    baxter_coefficients,
     biorthogonal_partner,
     partner_family,
     pastro_family,
@@ -138,12 +136,14 @@ def test_baxter_coefficients_match_closed_forms_at_drawn_points(q, a, b, n_max, 
     expected = family_reference.first_closed_form_error(n_max, params)
     if expected is not None:
         with pytest.raises(ResonantParameterError) as raised:
-            baxter_coefficients(n_max, params)
+            scalar_rows(n_max, params)
         assert str(raised.value) == expected
         return
-    data = baxter_coefficients(n_max, params)
+    rows = list(scalar_rows(n_max, params))
     for column, closed_form in _COLUMNS.items():
-        assert getattr(data, column) == [closed_form(n, params) for n in range(n_max + 1)], column
+        assert [getattr(row, column) for row in rows] == [
+            closed_form(n, params) for n in range(n_max + 1)
+        ], column
 
 
 @given(
@@ -165,7 +165,7 @@ def test_streamed_rows_are_the_table_rows_and_raise_its_errors(q, a, b, n_max, p
         assume(False)
     expected = family_reference.first_closed_form_error(n_max, params)
     if expected is not None:
-        for route in (scalar_rows, baxter_coefficients, lambda n, p: verify_suite(p, n)):
+        for route in (scalar_rows, lambda n, p: verify_suite(p, n)):
             with pytest.raises(ResonantParameterError) as raised:
                 route(n_max, params)
             assert str(raised.value) == expected
@@ -175,7 +175,6 @@ def test_streamed_rows_are_the_table_rows_and_raise_its_errors(q, a, b, n_max, p
         ScalarRow(**{column: closed_form(n, params) for column, closed_form in _COLUMNS.items()})
         for n in range(n_max + 1)
     ]
-    assert baxter_coefficients(n_max, params) == BaxterData._make(map(list, zip(*rows)))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The polynomial family, partners, recurrence data, weights."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,7 +23,6 @@ from family_reference import (
 from pastroq import biorth, cli, pastro, qdiff
 from pastroq.pastro import (
     _norm_constants,
-    baxter_coefficients,
     baxter_system,
     biorthogonal_partner,
     grid_weights,
@@ -30,7 +30,7 @@ from pastroq.pastro import (
     scalar_rows,
     verify_baxter_consistency,
 )
-from pastroq.qcore import LaurentPoly, QParams, ResonantParameterError, _point_units, x
+from pastroq.qcore import LaurentPoly, QParams, ResonantParameterError, _unit_rows, x
 from pastroq.qdiff import degree_records
 from pastroq.report import poly_mismatch_witness
 
@@ -80,35 +80,34 @@ def test_resonant_family_raises():
 
 
 def test_eigenvalues():
-    assert baxter_coefficients(2, REFERENCE).lam == [-5, Fraction(-5, 2), Fraction(-5, 4)]
+    assert [row.lam for row in scalar_rows(2, REFERENCE)] == [-5, Fraction(-5, 2), Fraction(-5, 4)]
 
 
 def test_mu_frozen_values():
-    data = baxter_coefficients(1, REFERENCE)
-    assert data.mu1 == [Fraction(7, 12), Fraction(13, 54)]
-    assert data.mu2 == [0, Fraction(5, 108)]
+    rows = list(scalar_rows(1, REFERENCE))
+    assert [row.mu1 for row in rows] == [Fraction(7, 12), Fraction(13, 54)]
+    assert [row.mu2 for row in rows] == [0, Fraction(5, 108)]
 
 
 def test_baxter_coefficient_frozen_values():
-    data = baxter_coefficients(1, REFERENCE)
-    assert data.alpha[0] == Fraction(7, 12)
-    assert data.beta[0] == Fraction(18, 13)
-    assert data.h[0] == 1
-    assert data.h[1] == Fraction(5, 26)
-    assert baxter_coefficients(1, TRUNCATED).h[1] == Fraction(5, 32)
+    rows = list(scalar_rows(1, REFERENCE))
+    assert rows[0].alpha == Fraction(7, 12)
+    assert rows[0].beta == Fraction(18, 13)
+    assert rows[0].h == 1
+    assert rows[1].h == Fraction(5, 26)
+    assert list(scalar_rows(1, TRUNCATED))[1].h == Fraction(5, 32)
 
 
 @pytest.mark.parametrize("params", [REFERENCE, SECOND, TRUNCATED])
 def test_baxter_coefficients_match_closed_forms(params):
-    data = baxter_coefficients(12, params)
-    assert data.alpha == [alpha_coefficient(n, params) for n in range(13)]
-    assert data.beta == [beta_coefficient(n, params) for n in range(13)]
-    assert data.h == [norm_constant(n, params) for n in range(13)]
-    assert data.lam == [eigenvalue(n, params) for n in range(13)]
-    assert data.mu1 == [mu1_coefficient(n, params) for n in range(13)]
-    assert data.mu2 == [mu2_coefficient(n, params) for n in range(13)]
-    assert data.raise_factor == [raise_factor(n, params) for n in range(13)]
-    assert baxter_coefficients(12, params, _norm_constants(14, params)) == data
+    rows = list(scalar_rows(12, params))
+    assert [row.alpha for row in rows] == [alpha_coefficient(n, params) for n in range(13)]
+    assert [row.beta for row in rows] == [beta_coefficient(n, params) for n in range(13)]
+    assert [row.h for row in rows] == [norm_constant(n, params) for n in range(13)]
+    assert [row.lam for row in rows] == [eigenvalue(n, params) for n in range(13)]
+    assert [row.mu1 for row in rows] == [mu1_coefficient(n, params) for n in range(13)]
+    assert [row.mu2 for row in rows] == [mu2_coefficient(n, params) for n in range(13)]
+    assert [row.raise_factor for row in rows] == [raise_factor(n, params) for n in range(13)]
 
 
 @pytest.mark.parametrize(
@@ -125,28 +124,28 @@ def test_baxter_coefficients_match_closed_forms(params):
 def test_baxter_coefficients_raise_the_first_closed_form_error(params):
     expected = first_closed_form_error(6, params)
     if expected is None:
-        assert baxter_coefficients(6, params).alpha == [
+        assert [row.alpha for row in scalar_rows(6, params)] == [
             alpha_coefficient(n, params) for n in range(7)
         ]
         return
     with pytest.raises(ResonantParameterError) as error:
-        baxter_coefficients(6, params)
+        scalar_rows(6, params)
     assert str(error.value) == expected
 
 
 def test_norm_constant_product_form():
-    data = baxter_coefficients(8, REFERENCE)
+    rows = list(scalar_rows(8, REFERENCE))
     product = Fraction(1)
     for n in range(9):
-        assert data.h[n] == product
-        product *= 1 - data.alpha[n] * data.beta[n]
+        assert rows[n].h == product
+        product *= 1 - rows[n].alpha * rows[n].beta
 
 
 def test_norm_vanishes_at_truncation():
     # a = q^(1-N) forces h_N = 0
     for N in range(1, 7):
         params = QParams(Fraction(1, 2), Fraction(1, 2) ** (1 - N), Fraction(1, 5))
-        h = baxter_coefficients(N, params).h
+        h = [row.h for row in scalar_rows(N, params)]
         assert h[N] == 0
         assert all(h[n] != 0 for n in range(N))
 
@@ -177,16 +176,16 @@ def test_norm_prefixes_match_the_closed_form_on_grid_inputs():
 
 
 def test_baxter_system_first_steps():
-    data = baxter_coefficients(2, REFERENCE)
-    p_polys, q_polys = baxter_system(data)
+    rows = list(scalar_rows(2, REFERENCE))
+    p_polys, q_polys = baxter_system(rows)
     assert len(p_polys) == len(q_polys) == 3
     assert p_polys[0] == 1
     assert q_polys[0] == 1
-    assert p_polys[1] == x() - data.alpha[0]
-    assert q_polys[1] == x() - data.beta[0]
+    assert p_polys[1] == x() - rows[0].alpha
+    assert q_polys[1] == x() - rows[0].beta
     # mixed-route restatement of the P recurrence at n = 1
     p1, p2 = pastro_poly(1, REFERENCE), pastro_poly(2, REFERENCE)
-    assert x() * p1 - p2 == data.alpha[1] * (q_polys[1].invert_variable() * x(1))
+    assert x() * p1 - p2 == rows[1].alpha * (q_polys[1].invert_variable() * x(1))
 
 
 def baxter_checks(n_max: int, params: QParams):
@@ -204,7 +203,7 @@ def test_baxter_consistency_suite_passes():
 
 def list_loop_witnesses(n_max, params, p_coupled, q_coupled):
     """Witnesses of the four polynomial checks by the whole-family loops."""
-    data = baxter_coefficients(n_max, params)
+    rows = list(scalar_rows(n_max, params))
     eigen = [pastro_poly(n, params) for n in range(n_max + 1)]
 
     def first(found):
@@ -222,13 +221,13 @@ def list_loop_witnesses(n_max, params, p_coupled, q_coupled):
     )
     recurrence_p = first(
         f"n={n}: residual {r}"
-        if (r := eigen[n + 1] - x() * eigen[n] + data.alpha[n] * (q_coupled[n].invert_variable() * x(n)))
+        if (r := eigen[n + 1] - x() * eigen[n] + rows[n].alpha * (q_coupled[n].invert_variable() * x(n)))
         else None
         for n in range(n_max)
     )
     recurrence_q = first(
         f"n={n}: residual {r}"
-        if (r := q_coupled[n + 1] - x() * q_coupled[n] + data.beta[n] * (eigen[n].invert_variable() * x(n)))
+        if (r := q_coupled[n + 1] - x() * q_coupled[n] + rows[n].beta * (eigen[n].invert_variable() * x(n)))
         else None
         for n in range(n_max)
     )
@@ -240,7 +239,7 @@ def test_streamed_baxter_witnesses_match_list_loops(bad_degrees, monkeypatch):
     # corrupt P~_n and Q_n at the given degrees; each streamed check must
     # report the witness of its first failing n, as the whole-family loops do
     n_max = 5
-    p_coupled, q_coupled = baxter_system(baxter_coefficients(n_max, SECOND))
+    p_coupled, q_coupled = baxter_system(scalar_rows(n_max, SECOND))
     for n in bad_degrees:
         p_coupled[n] = p_coupled[n] + x(n + 1)
         q_coupled[n] = q_coupled[n] - Fraction(1, 3)
@@ -255,7 +254,7 @@ def test_streamed_baxter_witnesses_match_list_loops(bad_degrees, monkeypatch):
 
 def test_baxter_checks_stream_the_pairs_of_baxter_system(monkeypatch):
     n_max = 6
-    expected = list(zip(*baxter_system(baxter_coefficients(n_max, SECOND))))
+    expected = list(zip(*baxter_system(scalar_rows(n_max, SECOND))))
     streamed = []
     coupled_pairs = pastro._coupled_pairs
 
@@ -272,7 +271,7 @@ def test_baxter_checks_stream_the_pairs_of_baxter_system(monkeypatch):
 @pytest.mark.parametrize("n_max", [0, 1, 7])
 def test_baxter_system_steps_n_max_times(n_max, monkeypatch):
     # each step reverses P~_n and Q_n once; a pair past n_max is never built
-    data = baxter_coefficients(n_max, SECOND)
+    rows = list(scalar_rows(n_max, SECOND))
     calls = 0
     invert_variable = LaurentPoly.invert_variable
 
@@ -282,7 +281,7 @@ def test_baxter_system_steps_n_max_times(n_max, monkeypatch):
         return invert_variable(self)
 
     monkeypatch.setattr(LaurentPoly, "invert_variable", counted)
-    p_polys, q_polys = baxter_system(data)
+    p_polys, q_polys = baxter_system(rows)
     assert len(p_polys) == len(q_polys) == n_max + 1
     assert calls == 2 * n_max
 
@@ -306,16 +305,16 @@ def test_partner_frozen_value():
 
 
 def test_partner_equals_reversed_baxter_polynomial():
-    _, q_polys = baxter_system(baxter_coefficients(8, SECOND))
+    _, q_polys = baxter_system(scalar_rows(8, SECOND))
     for n in range(9):
         assert q_polys[n].invert_variable() == biorthogonal_partner(n, SECOND)
 
 
 def test_alpha_beta_resonance():
     with pytest.raises(ResonantParameterError, match=r"^\(b;q\)_2 vanishes$"):
-        baxter_coefficients(1, QParams(Fraction(1, 2), Fraction(3), Fraction(2)))
+        scalar_rows(1, QParams(Fraction(1, 2), Fraction(3), Fraction(2)))
     with pytest.raises(ResonantParameterError, match=r"^\(\(a/b\)\*q;q\)_1 vanishes$"):
-        baxter_coefficients(0, QParams(Fraction(1, 2), Fraction(2, 5), Fraction(1, 5)))
+        scalar_rows(0, QParams(Fraction(1, 2), Fraction(2, 5), Fraction(1, 5)))
 
 
 def test_grid_weights_trivial_grid():
@@ -401,24 +400,25 @@ def test_a_step_reads_only_the_member_before(build):
 def test_family_units_are_point_units_times_the_alpha_and_beta_ratios(q, a, b, n):
     assume(q not in (0, 1, -1) and a and b)
     params = QParams(q, a, b)
-    units = _point_units(params, n)
+    units = list(islice(_unit_rows(params), n + 1))  # j = 0..n
     p, r = q.as_integer_ratio()
     t_num = (a / b).numerator
     alpha = Fraction(p * b.denominator, t_num * r)  # c/d
     beta = Fraction(t_num * r, (b / q).denominator)  # c'/d'
     families = {
         True: (
-            [alpha.denominator * unit for unit in units.b[:n]],
-            [alpha.numerator * unit for unit in units.ab[:n]],
+            [alpha.denominator * row.b for row in units[:n]],
+            [alpha.numerator * row.ab for row in units[:n]],
         ),
         False: (
-            [beta.numerator * unit for unit in units.bq[:n]],
-            [beta.denominator * unit for unit in units.ab[1:]],
+            [beta.numerator * row.bq for row in units[:n]],
+            [beta.denominator * row.ab for row in units[1:]],
         ),
     }
+    powers = [row.p_pow for row in units[:n]], [row.r_pow for row in units[:n]]
     for monic, (heads, tails) in families.items():
         if all(heads) and all(tails):
-            expected = (heads, tails, units.p_pow[:n], units.r_pow[:n])
+            expected = (heads, tails, *powers)
             assert pastro._units(params, monic, n) == expected
         else:
             with pytest.raises(ResonantParameterError):

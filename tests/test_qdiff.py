@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import operator_reference
 from family_reference import eigenvalue
 from pastroq import cli, pastro, qcore, qdiff
-from pastroq.pastro import ScalarRow, baxter_coefficients, pastro_poly, scalar_rows
+from pastroq.pastro import ScalarRow, pastro_poly, scalar_rows
 from pastroq.qcore import LaurentPoly, ParameterError, QParams, ResonantParameterError, x
 from pastroq.qdiff import (
     DegreeRecord,
@@ -416,11 +416,11 @@ def test_degree_records_match_direct_constructions(params):
     X, Y, Z = make_operators(params)
     shifted = params._replace(b=params.b * params.q)
     built = records(params, 6)
-    table = baxter_coefficients(6, params)
+    table = list(scalar_rows(6, params))
     assert [record.n for record in built] == list(range(7))
     for n, record in enumerate(built):
         assert record.params == params
-        assert record.row == ScalarRow._make(column[n] for column in table)
+        assert record.row == table[n]
         p = pastro_poly(n, params)
         assert record.p_prev == (pastro_poly(n - 1, params) if n else LaurentPoly.zero())
         assert record.p == p
@@ -512,11 +512,6 @@ def test_verify_suite_streams_the_rows_beside_the_records(monkeypatch):
     # No whole scalar table is built. Counted when record n is handed to
     # the checks and again when the Baxter checks ask for the next one:
     # no row past degree n + 1 has been read, and at most two rows live.
-    def refused(*args):
-        raise AssertionError("the whole scalar table was built")
-
-    monkeypatch.setattr(cli, "baxter_coefficients", refused)
-    monkeypatch.setattr(pastro, "baxter_coefficients", refused)
     read = 0
     stream = cli.scalar_rows
 

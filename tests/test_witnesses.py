@@ -22,7 +22,7 @@ from pastroq.biorth import (
     proportionality_witness,
     verify_adjoint_structure,
 )
-from pastroq.pastro import ScalarRow, baxter_coefficients, scalar_rows, verify_baxter_consistency
+from pastroq.pastro import scalar_rows, verify_baxter_consistency
 from pastroq.qcore import QParams, format_rational
 from pastroq.qdiff import degree_records
 from pastroq.report import first_mismatch, vector_mismatch_witness
@@ -95,28 +95,28 @@ def _old_cross_product_witness(u, v):
     return None
 
 
-def _old_baxter_witnesses(n_max, data):
+def _old_baxter_witnesses(n_max, rows):
     """The alpha, beta and norm-product witnesses of ``verify_baxter_consistency``."""
     alpha_witness = None
     for n in range(1, n_max + 1):
-        expected = -data.alpha[n - 1] * data.mu1[n]
-        if data.alpha[n] != expected:
+        expected = -rows[n - 1].alpha * rows[n].mu1
+        if rows[n].alpha != expected:
             alpha_witness = (
-                f"n={n}: alpha_n {format_rational(data.alpha[n])}, "
+                f"n={n}: alpha_n {format_rational(rows[n].alpha)}, "
                 f"-alpha_(n-1)*mu1_n {format_rational(expected)}"
             )
             break
 
     beta_witness = None
     for n in range(n_max):
-        alpha_next = data.alpha[n + 1]
+        alpha_next = rows[n + 1].alpha
         if alpha_next == 0:
             beta_witness = f"n={n}: alpha_(n+1) = 0, ratio undefined"
             break
-        expected = (data.mu2[n + 1] - data.mu1[n + 1]) / alpha_next
-        if data.beta[n] != expected:
+        expected = (rows[n + 1].mu2 - rows[n + 1].mu1) / alpha_next
+        if rows[n].beta != expected:
             beta_witness = (
-                f"n={n}: beta_n {format_rational(data.beta[n])}, "
+                f"n={n}: beta_n {format_rational(rows[n].beta)}, "
                 f"(mu2_(n+1) - mu1_(n+1))/alpha_(n+1) {format_rational(expected)}"
             )
             break
@@ -124,13 +124,13 @@ def _old_baxter_witnesses(n_max, data):
     norm_witness = None
     product = Fraction(1)
     for n in range(n_max + 1):
-        if data.h[n] != product:
+        if rows[n].h != product:
             norm_witness = (
-                f"n={n}: h_n {format_rational(data.h[n])}, "
+                f"n={n}: h_n {format_rational(rows[n].h)}, "
                 f"prod {format_rational(product)}"
             )
             break
-        product *= 1 - data.alpha[n] * data.beta[n]
+        product *= 1 - rows[n].alpha * rows[n].beta
     return [alpha_witness, beta_witness, norm_witness]
 
 
@@ -228,13 +228,12 @@ def test_cross_product_witness_matches_old_loop(pair):
 )
 @_settings
 def test_baxter_scalar_witnesses_match_old_loops(params, column, index, change):
-    data = baxter_coefficients(5, params)
-    values = list(getattr(data, column))
-    values[index] = 0 if change == "zero" else values[index] + change
-    data = data._replace(**{column: values})
-    records = degree_records(params, 5, map(ScalarRow._make, zip(*data)))
+    rows = list(scalar_rows(5, params))
+    value = getattr(rows[index], column)
+    rows[index] = rows[index]._replace(**{column: 0 if change == "zero" else value + change})
+    records = degree_records(params, 5, iter(rows))
     checks = verify_baxter_consistency(5, params, records)
-    assert [check.witness for check in checks[:3]] == _old_baxter_witnesses(5, data)
+    assert [check.witness for check in checks[:3]] == _old_baxter_witnesses(5, rows)
 
 
 def test_first_mismatch_words_the_first_differing_row():
