@@ -47,8 +47,8 @@ from .qcore import (
     x,
 )
 from .pastro import (
+    _coupled_pairs,
     _norm_constants,
-    baxter_system,
     grid_weights,
     partner_family,
     pastro_family,
@@ -238,13 +238,15 @@ class GridRep(NamedTuple):
     Y*, and ``int_bands`` X* and Y* again as (int band, denominator) pairs;
     ``poly_values``, ``partner_values`` and ``baxter_values`` the grid
     samples of P_0..P_(N-1), R_0..R_(N-1) and Q_0(1/x)..Q_(N-1)(1/x), each
-    a :class:`GridVector`, with Q_n the coupled-recurrence partners of
-    :func:`baxter_system`; ``p_top`` the truncation polynomial P_N; ``h``
-    the norm constants h_0..h_N; and ``lam`` the eigenvalues
-    lambda_0..lambda_(N-1) of the scalar rows. Only what a check reads is
-    kept: the families P_n, R_n and Q_n are dropped once sampled, and so
-    are the coupled P~_n and the rest of the rows, which bounds peak
-    memory.
+    a :class:`GridVector`, with Q_n the coupled-recurrence partners that
+    :func:`pastroq.pastro.baxter_system` lists; ``p_top`` the truncation
+    polynomial P_N; ``h`` the norm constants h_0..h_N; and ``lam`` the
+    eigenvalues lambda_0..lambda_(N-1) of the scalar rows. Only what a
+    check reads is kept: the families P_n, R_n and Q_n are dropped once
+    sampled, and so are the coupled P~_n and the rest of the rows, which
+    bounds peak memory. ``poly_values`` is read by the Gram matrix alone,
+    so a run that takes the Gram matrix first may hand the other checks
+    ``rep._replace(poly_values=None)``.
     """
 
     N: int
@@ -274,8 +276,12 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
     are factors of h_N's. The CLI prints that error's message, so the order
     is part of the report.
 
-    Each Q_n(1/x) is compared with R_n, and where they are equal (as they
-    are at every admissible point) R_n's samples are reused as its own.
+    The coupled pairs (P~_n, Q_n) are stepped one at a time beside the
+    rows, and each Q_n(1/x) is compared with R_n; where they are equal (as
+    they are at every admissible point) R_n's samples are reused as its
+    own. Only the last pair is held, and each R_n leaves its list once
+    compared, so the build holds no list of P~_n or Q_n, and of R_0..R_(N-1)
+    only those still to be compared.
     """
     w = grid_weights(N, b, q)
     q, b = Fraction(q), Fraction(b)
@@ -289,15 +295,19 @@ def make_grid_rep(N: int, b: Scalar, q: Scalar) -> GridRep:
     partner_values = [partner.sample_at_powers(q, exponents) for partner in partners]
     h = _norm_constants(N, params)
     p_top = next(family)
-    rows = list(scalar_rows(N - 1, params))
-    lam = [row.lam for row in rows]
-    q_polys = baxter_system(rows)[1]  # the coupled P~_n are not kept
-    baxter_values = []
-    for coupled, partner, samples in zip(q_polys, partners, partner_values):
-        coupled = coupled.invert_variable()
+    lam, baxter_values = [], []
+    before = None  # the row of degree n - 1, which the coupled step to degree n reads
+    coupled = _coupled_pairs(iter(lambda: before, None))
+    for n, row in enumerate(scalar_rows(N - 1, params)):
+        reversed_q = next(coupled)[1].invert_variable()  # P~_n is not kept
+        partner, partners[n] = partners[n], None  # R_n is released after its degree
         baxter_values.append(
-            samples if coupled == partner else coupled.sample_at_powers(q, exponents)
+            partner_values[n]
+            if reversed_q == partner
+            else reversed_q.sample_at_powers(q, exponents)
         )
+        lam.append(row.lam)
+        before = row
     steps = weight_steps(w)
     matrices = {"X": X, "Y": Y, "X*": weight_adjoint(X, steps), "Y*": weight_adjoint(Y, steps)}
     return GridRep(
@@ -585,20 +595,22 @@ def verify_biorthogonality(rep: GridRep) -> tuple[Matrix, list[Check]]:
     w_s = h_(N-1) / (P'_N(x_s) R_(N-1)(x_s)).
 
     Each Gram entry is one int dot product of w P_n (built one row at a
-    time) with R_m, over the product of the three denominators.
+    time) with R_m, over the product of the three denominators. Every
+    entry whose dot product vanishes, all N(N-1) off the diagonal at an
+    admissible point, is the one ``Fraction(0)`` of the call.
     """
     N, w, grid, h, context = rep.N, rep.w, rep.grid, rep.h, rep.context
 
     int_w = grid_vector(w)
+    zero = Fraction(0)
     gram = []
     for poly in rep.poly_values:
         weighted, den = list(map(mul, int_w.nums, poly.nums)), int_w.den * poly.den
-        gram.append(
-            [
-                Fraction(sum(map(mul, weighted, partner.nums)), den * partner.den)
-                for partner in rep.partner_values
-            ]
-        )
+        row = []
+        for partner in rep.partner_values:
+            dot = sum(map(mul, weighted, partner.nums))
+            row.append(Fraction(dot, den * partner.den) if dot else zero)
+        gram.append(row)
     entries = (
         (n, m, g, h[n] if n == m else 0) for n, row in enumerate(gram) for m, g in enumerate(row)
     )

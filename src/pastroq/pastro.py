@@ -90,12 +90,19 @@ def _pascal_step(
 
 def _member(nums: list[int], monic: bool) -> LaurentPoly:
     """Member n of a family, in normal form, from its numerators: P_n
-    (``monic``) normalized at x^n, or R_n, supported on [-n, 0], at x^-n."""
+    (``monic``) normalized at x^n, or R_n, supported on [-n, 0], at x^-n.
+
+    The content gcd is bounded by gcd(nums[0], nums[-1]): the content
+    divides it, and it divides the denominator nums[one], one end. Both ends
+    are products of the same few units as the rest, so the bound is small
+    at once, and the running gcd stays small over the middle terms, whose
+    gcd with their neighbours alone is thousands of bits long.
+    """
     n = len(nums) - 1
     low, one = (0, n) if monic else (-n, 0)
     if nums[one] < 0:
         nums = [-c for c in nums]
-    return _make(low, nums, nums[one], nums[one])
+    return _make(low, nums, nums[one], gcd(nums[0], nums[-1]))
 
 
 def _units(
@@ -410,6 +417,12 @@ def baxter_system(rows: Iterable[ScalarRow]) -> tuple[list[LaurentPoly], list[La
     the eigenvalue problem or the q-Pascal step, so agreement of its P~_n
     with :func:`pastro_family` (and of its Q_n(1/x) with
     :func:`partner_family`) is a genuine cross-method consistency statement.
+
+    No report builds these lists: :func:`verify_baxter_consistency` and
+    :func:`pastroq.biorth.make_grid_rep` step the pairs one at a time
+    instead, each dropped after its degree, so that a run never holds
+    every P~_n and Q_n at once. The lists are the form the tests' reference
+    routes read.
     """
     p_polys, q_polys = zip(*_coupled_pairs(row for row, _ in pairwise(rows)))
     return list(p_polys), list(q_polys)

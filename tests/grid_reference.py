@@ -12,16 +12,35 @@ int vectors through ``GridVector.values()``), so a corrupted field
 reaches both routes the same way; the one exception is the coupled route,
 whose Q_n the reference builds itself from ``baxter_system`` and evaluates
 point by point. Only these references compare dense matrices, so
-:func:`matrix_mismatch_witness` lives here too.
+:func:`matrix_mismatch_witness` lives here too. :func:`listed_grid_rep`
+is the build ``make_grid_rep`` made before it stepped the coupled pairs:
+every R_n, every scalar row and both lists of ``baxter_system`` at once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 
-from pastroq.biorth import Band, GridRep, mat_vec, tau_parameter
-from pastroq.pastro import baxter_system, pastro_poly, scalar_rows
+from pastroq.biorth import (
+    Band,
+    GridRep,
+    _int_band,
+    _restricted_pair,
+    mat_vec,
+    tau_parameter,
+    weight_adjoint,
+    weight_steps,
+)
+from pastroq.pastro import (
+    _norm_constants,
+    baxter_system,
+    grid_weights,
+    partner_family,
+    pastro_family,
+    pastro_poly,
+    scalar_rows,
+)
 from pastroq.qcore import LaurentPoly, QParams, ResonantParameterError, format_rational
 from pastroq.report import (
     Check,
@@ -39,6 +58,47 @@ def matrix_mismatch_witness(lhs: list[list[Fraction]], rhs: list[list[Fraction]]
         for t, left, right in zip(count(), row_l, row_r)
     )
     return first_mismatch("entry ({},{}): lhs {}, rhs {}", entries)
+
+
+def listed_grid_rep(N: int, b: Fraction, q: Fraction) -> GridRep:
+    """The rep of ``make_grid_rep``, with Q_n taken from ``baxter_system``'s lists.
+
+    Each Q_n(1/x) equal to R_n reuses R_n's samples, as in the package.
+    """
+    w = grid_weights(N, b, q)
+    params = QParams(q, q ** (1 - N), b)
+    X, Y = _restricted_pair(params, N)
+    exponents = range(1, N + 1)
+    family = pastro_family(params)
+    poly_values = [next(family).sample_at_powers(q, exponents) for _ in range(N)]
+    partners = list(islice(partner_family(params), N))
+    partner_values = [partner.sample_at_powers(q, exponents) for partner in partners]
+    h = _norm_constants(N, params)
+    p_top = next(family)
+    rows = list(scalar_rows(N - 1, params))
+    baxter_values = []
+    for coupled, partner, samples in zip(baxter_system(rows)[1], partners, partner_values):
+        coupled = coupled.invert_variable()
+        baxter_values.append(
+            samples if coupled == partner else coupled.sample_at_powers(q, exponents)
+        )
+    steps = weight_steps(w)
+    matrices = {"X": X, "Y": Y, "X*": weight_adjoint(X, steps), "Y*": weight_adjoint(Y, steps)}
+    return GridRep(
+        N=N,
+        params=params,
+        context={"N": str(N), "b": format_rational(b), "q": format_rational(q)},
+        grid=[q ** (s + 1) for s in range(N)],
+        w=w,
+        matrices=matrices,
+        int_bands={name: _int_band(matrices[name]) for name in ("X*", "Y*")},
+        poly_values=poly_values,
+        partner_values=partner_values,
+        baxter_values=baxter_values,
+        p_top=p_top,
+        h=h,
+        lam=[row.lam for row in rows],
+    )
 
 
 def grid_samples(poly: LaurentPoly, grid: list[Fraction]) -> list[Fraction]:

@@ -13,6 +13,7 @@ import grid_reference
 from grid_reference import (
     fraction_band,
     grid_samples,
+    listed_grid_rep,
     matrix_mismatch_witness,
     reference_adjoint_gevp,
     reference_biorthogonality,
@@ -559,11 +560,22 @@ def _bumped_shift(build):
     return lambda N: _bumped_main(build(N))
 
 
+#: The move of Q_3 by which a coupled fault makes Q_3(1/x) differ from R_3.
+_Q3_MOVE = LaurentPoly({-1: Fraction(1, 7)})
+
+
 def _moved_q3(rows):
     """baxter_system with Q_3 moved by x^-1/7, so Q_3(1/x) is not R_3."""
     p_polys, q_polys = baxter_system(rows)
-    q_polys[3] += LaurentPoly({-1: Fraction(1, 7)})
+    q_polys[3] += _Q3_MOVE
     return p_polys, q_polys
+
+
+def _moved_q3_pairs(rows):
+    """_coupled_pairs with Q_3 moved by x^-1/7; every later pair is stepped
+    from the true Q_3, as in :func:`_moved_q3`."""
+    for n, (p_poly, q_poly) in enumerate(pastro._coupled_pairs(rows)):
+        yield p_poly, q_poly + _Q3_MOVE if n == 3 else q_poly
 
 
 #: A fault in the operator triple, the shift matrices or the tau flip,
@@ -614,8 +626,8 @@ OPERATOR_FAULTS = {
         {"adjoint-shift-minus"},
     ),
     "coupled Q_3 + x^-1/7": (
-        "baxter_system",
-        lambda b: _moved_q3,
+        "_coupled_pairs",
+        lambda b: _moved_q3_pairs,
         {"adjoint-partner-baxter"},
     ),
 }
@@ -646,7 +658,7 @@ def test_operator_fault_fails_exactly_its_grid_checks(fault, q, b, monkeypatch):
 @pytest.mark.parametrize("q, b", [(Q, B), (Fraction(-4, 5), Fraction(-2))])
 def test_moved_coupled_partner_fails_as_the_fraction_route(q, b, monkeypatch):
     # The build samples Q_3(1/x) itself, and reuses R_n's samples elsewhere.
-    monkeypatch.setattr(biorth, "baxter_system", _moved_q3)
+    monkeypatch.setattr(biorth, "_coupled_pairs", _moved_q3_pairs)
     monkeypatch.setattr(grid_reference, "baxter_system", _moved_q3)
     rep = make_grid_rep(5, b, q)
     assert rep.baxter_values[3] != rep.partner_values[3]
@@ -654,6 +666,19 @@ def test_moved_coupled_partner_fails_as_the_fraction_route(q, b, monkeypatch):
     checks = _grid_suite(rep, verify_adjoint_gevp, verify_biorthogonality)
     assert checks == _grid_suite(rep, _reference_gevp, reference_biorthogonality)
     assert [(name, n) for name, n, _ in _failures(checks)] == [("adjoint-partner-baxter", "3")]
+
+
+@pytest.mark.parametrize("N, q, b", [(5, Q, B), (5, Fraction(-4, 5), Fraction(-2)), (1, Q, B)])
+def test_grid_build_steps_the_coupled_pairs_as_the_listed_route(N, q, b, monkeypatch):
+    # The build steps each pair beside its row; no list of P~_n or Q_n is made.
+    expected = listed_grid_rep(N, b, q)
+
+    def unexpected(rows):
+        raise AssertionError("the coupled pairs were listed")
+
+    monkeypatch.setattr(pastro, "baxter_system", unexpected)
+    monkeypatch.setattr(biorth, "baxter_system", unexpected, raising=False)
+    assert make_grid_rep(N, b, q) == expected
 
 
 def test_every_grid_check_fails_under_a_pinned_corruption():

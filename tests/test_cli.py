@@ -37,7 +37,14 @@ from pastroq.cli import (
     verify_suite,
 )
 from pastroq.pastro import biorthogonal_partner, pastro_poly, scalar_rows
-from pastroq.qcore import LaurentPoly, ParameterError, QParams, format_rational, parse_rational
+from pastroq.qcore import (
+    LaurentPoly,
+    ParameterError,
+    QParams,
+    ResonantParameterError,
+    format_rational,
+    parse_rational,
+)
 from pastroq.report import Check, Report
 from test_qcore import _maybe_resonant_params
 
@@ -380,6 +387,60 @@ def test_parameter_error_after_checks_keeps_them(monkeypatch):
     assert {check.params.get("n") for check in kept} == {None, "0"}
     assert (last.name, last.status, last.witness) == ("parameters", "ERROR", "injected at n = 1")
     assert last.params == {"q": "1/2", "b": "1/5", "N": "3"}
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_a_resonant_degree_ends_a_biorth_run_before_biorthogonality(k, monkeypatch, capsys):
+    # The Gram matrix is taken before the adjoint checks, but its checks
+    # are appended after them, so an error at degree k leaves the report
+    # of the checks before k.
+    from pastroq import cli
+
+    N = 5
+
+    def resonant_at_k(rep):
+        for n, pair in enumerate(_adjoint_pairs(rep)):
+            if n == k:
+                raise ResonantParameterError(f"injected at n = {k}")
+            yield pair
+
+    rep = make_grid_rep(N, Fraction(1, 5), Fraction(1, 2))
+    expected = verify_adjoint_structure(rep)
+    for n, pair in zip(range(k), _adjoint_pairs(rep)):
+        expected += verify_adjoint_gevp(n, rep, pair)
+    monkeypatch.setattr(cli, "_adjoint_pairs", resonant_at_k)
+    report, extra, lines = run(RunConfig("biorth", N=N))
+    *kept, last = report.checks
+    assert kept == expected
+    assert (last.name, last.status, last.witness) == ("parameters", "ERROR", f"injected at n = {k}")
+    assert (report.exit_code, extra, lines) == (2, {}, [])
+    with pytest.raises(SystemExit) as exited:
+        main(["biorth", "--N", str(N)])
+    assert exited.value.code == 2
+    assert "gram-diagonal" not in capsys.readouterr().out
+
+
+def test_biorth_adjoint_checks_read_no_p_samples(monkeypatch):
+    # Only the Gram matrix reads the P_n samples, so it is taken first and
+    # the adjoint checks get a rep without them.
+    from pastroq import cli
+
+    seen = []
+    structure, gevp = cli.verify_adjoint_structure, cli.verify_adjoint_gevp
+
+    def recorded_structure(rep):
+        seen.append(rep.poly_values)
+        return structure(rep)
+
+    def recorded_gevp(n, rep, pair):
+        seen.append(rep.poly_values)
+        return gevp(n, rep, pair)
+
+    monkeypatch.setattr(cli, "verify_adjoint_structure", recorded_structure)
+    monkeypatch.setattr(cli, "verify_adjoint_gevp", recorded_gevp)
+    report, _, _ = run(RunConfig("biorth", N=4))
+    assert report.exit_code == 0
+    assert seen == [None] * 5
 
 
 def test_size_error_wins_over_parameter_error():

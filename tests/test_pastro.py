@@ -30,7 +30,7 @@ from pastroq.pastro import (
     scalar_rows,
     verify_baxter_consistency,
 )
-from pastroq.qcore import LaurentPoly, QParams, ResonantParameterError, _unit_rows, x
+from pastroq.qcore import LaurentPoly, QParams, ResonantParameterError, _make, _unit_rows, x
 from pastroq.qdiff import degree_records
 from pastroq.report import poly_mismatch_witness
 
@@ -423,6 +423,34 @@ def test_family_units_are_point_units_times_the_alpha_and_beta_ratios(q, a, b, n
         else:
             with pytest.raises(ResonantParameterError):
                 pastro._units(params, monic, n)
+
+
+@given(
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    st.integers(1, 12),
+)
+@example(Fraction(997, 991), Fraction(13, 7), Fraction(-5, 11), 60)
+@example(Fraction(-4, 5), Fraction(6), Fraction(-2), 7)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_a_stepped_member_bounded_by_its_ends_is_in_normal_form(q, a, b, n):
+    # The content gcd of a step starts from gcd(first, last numerator); the
+    # normal form is the one whose gcd starts from the denominator.
+    assume(q not in (0, 1, -1) and a and b)
+    params = QParams(q, a, b)
+    for monic, build in ((True, pastro_poly), (False, biorthogonal_partner)):
+        try:
+            previous = build(n - 1, params)
+            units = pastro._units(params, monic, n)
+        except ResonantParameterError:
+            continue
+        nums = pastro._pascal_step(previous._nums, *units)
+        low, one = (0, n) if monic else (-n, 0)
+        if nums[one] < 0:
+            nums = [-c for c in nums]
+        # LaurentPoly equality compares the parts, so a content left in fails
+        assert pastro._member(nums, monic) == _make(low, nums, nums[one], nums[one])
 
 
 def _steps(*ranges):

@@ -24,6 +24,8 @@ UNREACHED = {
     "LaurentPoly.eval_at": "bench/spans.py traces it; tests/grid_reference.py calls it",
     "q_pochhammer": "bench/spans.py patches it by name; the tests' reference routes use it",
     "admissible_draws": "bench/run.py draws its inputs with it",
+    "baxter_system": "bench/spans.py patches it by name; tests/grid_reference.py builds Q_n "
+    "from it",
     "vector_mismatch_witness": "runs only when adjoint-gevp FAILs: "
     "test_corrupted_lam_fails_only_the_adjoint_gevp_at_that_degree",
     "band_entries": "runs only when a band or pairing check FAILs: "
