@@ -22,7 +22,7 @@ differential tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, count, islice, pairwise
+from itertools import count, islice, pairwise
 from math import gcd, prod
 from typing import Iterable, Iterator, NamedTuple
 
@@ -36,7 +36,6 @@ from .qcore import (
     _powers,
     _unit_list,
     _unit_rows,
-    _Units,
     format_rational,
 )
 from .report import Check, equality_check, first_mismatch, poly_mismatch_witness
@@ -256,11 +255,15 @@ class ScalarRow(NamedTuple):
 
     The coupled-recurrence coefficients alpha_n, beta_n and the norm h_n;
     the eigenvalue lambda_n = -q^n/b; the three-term recurrence
-    coefficients mu1_n, mu2_n; and the degree-raising factor
-    q^-n (1 - b q^n) of X and Z. :func:`scalar_rows` yields one row per
-    degree, and each entry is read off its own closed form, written on the
-    int units of :func:`pastroq.qcore._unit_rows`, never off another entry,
-    so the checks that compare entries compare independent routes.
+    coefficients mu1_n, mu2_n; the degree-raising factor q^-n (1 - b q^n)
+    of X and Z; the coefficient q (1 - (b/a) q^-n) of P_n in X P_n
+    (``x_action``) and b q (1 - q^-n)(1 - a q^(n-1)) / (a (1 - b q^(n-1)))
+    of P_(n-1) in Z P_n (``z_action``); and the factor -(1/b)(1 - b q^n) of
+    Y in the contiguity relation (``y_raise``). :func:`scalar_rows` yields
+    one row per degree, and each entry is read off its own closed form,
+    written on the int units of :func:`pastroq.qcore._unit_rows`, never off
+    another entry, so the checks that compare entries compare independent
+    routes.
     """
 
     alpha: Fraction
@@ -270,6 +273,9 @@ class ScalarRow(NamedTuple):
     mu1: Fraction
     mu2: Fraction
     raise_factor: Fraction
+    x_action: Fraction
+    z_action: Fraction
+    y_raise: Fraction
 
 
 def _prefix_ratios(
@@ -290,21 +296,6 @@ def _prefix_ratios(
         yield ratio
 
 
-def _norm_ratios(
-    params: QParams, pairs: Iterable[tuple[_Units, _Units]]
-) -> Iterator[Fraction]:
-    """h_1, h_2, ... of ``params`` (see :func:`_norm_constants`), from the
-    unit rows (j, j + 1), j = 0, 1, ..., of ``pairs``."""
-    t_den = (params.a / params.b).denominator
-    return _prefix_ratios(
-        1,
-        t_den * params.b.denominator,
-        params.a.denominator,
-        ((now.a * after.one, after.ab * now.b) for now, after in pairs),
-        "((a/b)*q;q)_{0} * (b;q)_{0} vanishes",
-    )
-
-
 def _norm_constants(n_max: int, params: QParams) -> list[Fraction]:
     """h_n = (a;q)_n (q;q)_n / (((a/b)q;q)_n (b;q)_n) for n <= n_max.
 
@@ -312,9 +303,17 @@ def _norm_constants(n_max: int, params: QParams) -> list[Fraction]:
     that is
       h_n = (t_den b_den / a_den)^n prod_(j<n) a[j] one[j+1] / (ab[j+1] b[j]);
     raises at the first n whose denominator vanishes. :func:`scalar_rows`
-    reads h_n off the same products.
+    steps h_n by the same unit ratios.
     """
-    return [Fraction(1), *islice(_norm_ratios(params, pairwise(_unit_rows(params))), n_max)]
+    t_den = (params.a / params.b).denominator
+    ratios = _prefix_ratios(
+        1,
+        t_den * params.b.denominator,
+        params.a.denominator,
+        ((now.a * after.one, after.ab * now.b) for now, after in pairwise(_unit_rows(params))),
+        "((a/b)*q;q)_{0} * (b;q)_{0} vanishes",
+    )
+    return [Fraction(1), *islice(ratios, n_max)]
 
 
 def scalar_rows(n_max: int, params: QParams) -> Iterator[ScalarRow]:
@@ -326,22 +325,29 @@ def scalar_rows(n_max: int, params: QParams) -> Iterator[ScalarRow]:
       mu1_n = -q (b - a q^n) / (a (1 - b q^n)),
       mu2_n = -b q (1 - q^n)(1 - a q^(n-1)) / (a (1 - b q^n)(1 - b q^(n-1))),
     with mu2_0 = 0 (the 1 - q^n factor), the raise factor q^-n (1 - b q^n),
-    and h_n as in :func:`_norm_constants`. Every factor 1 - z q^j is an int
-    unit of :func:`pastroq.qcore._unit_rows` (q = p/r), so with
-    a/b = t_num/t_den and b/q = c_num/c_den
+    the three action factors of :class:`ScalarRow` (z_action_0 = 0, by its
+    1 - q^-n factor) and h_n as in :func:`_norm_constants`. Every factor
+    1 - z q^j is an int unit z[j] / (z_den r^j) of
+    :func:`pastroq.qcore._unit_rows` (q = p/r), so with a/b = t_num/t_den
+    and b/q = c_num/c_den
       alpha_n = -(p b_den / (t_num r))^(n+1) prod_(j<=n) ab[j] / b[j],
-      beta_n  = -(t_num r / c_den)^(n+1) prod_(j<=n) bq[j] / ab[j+1]
-    are prefix products: each of alpha_n, beta_n and h_n is the entry of
-    degree n - 1 times one ratio of units, and the other entries are one
-    int ratio each. The rows are stepped from running powers and these
-    running products, so the generator holds the unit rows of at most
-    three consecutive degrees and no list of any length.
+      beta_n  = -(t_num r / c_den)^(n+1) prod_(j<=n) bq[j] / ab[j+1],
+      h_n     = h_(n-1) t_den b_den a[n-1] one[n] / (a_den ab[n] b[n-1]),
+    are prefix products, each the entry of degree n - 1 times one ratio of
+    units, and the other entries are one int ratio each:
+      x_action_n = -p ab[n] / (t_num r p^n),
+      z_action_n = -b_num p one[n] a[n-1] / (a_num r p^n b[n-1]),
+      y_raise_n  = -b[n] / (b_num r^n).
+    The rows are stepped off one stream of unit rows, from running powers
+    and these running products, so the generator holds the unit rows of at
+    most three consecutive degrees and no list of any length.
 
     A resonant triple raises here, at the call, before any row: the units
     are scanned first, without being kept, and the first vanishing
     denominator of alpha_0..alpha_n_max is named, then that of the betas.
     h_n divides by units of alpha_(n-1) and beta_(n-1), and the other
-    entries only by b, a and b[n], b[n-1], so nothing else can vanish.
+    entries only by t_num, a, b, p^n, r^n and b[n], b[n-1], so nothing else
+    can vanish.
     """
     _check_degree(n_max)
     beta_vanishing = None
@@ -360,20 +366,24 @@ def _scalar_rows(n_max: int, params: QParams) -> Iterator[ScalarRow]:
     p, r = params.q.as_integer_ratio()
     a_num, a_den = params.a.as_integer_ratio()
     b_num, b_den = params.b.as_integer_ratio()
-    t_num = (params.a / params.b).numerator
+    t_num, t_den = (params.a / params.b).as_integer_ratio()
     c_den = (params.b / params.q).denominator
-    norms = chain([Fraction(1)], _norm_ratios(params, pairwise(_unit_rows(params))))
     alpha = beta = Fraction(-1)
+    h = Fraction(1)
     before = None  # the units of degree n - 1
-    for n, h, (now, after) in zip(range(n_max + 1), norms, pairwise(_unit_rows(params))):
+    for n, (now, after) in zip(range(n_max + 1), pairwise(_unit_rows(params))):
         alpha *= Fraction(p * b_den * now.ab, t_num * r * now.b)
         beta *= Fraction(t_num * r * now.bq, c_den * after.ab)
         p_n, r_n, b_n = now.p_pow, now.r_pow, now.b
-        mu2 = (
-            Fraction(-b_num * b_den * p * now.one * before.a, a_num * r * b_n * before.b)
-            if n
-            else Fraction(0)
-        )
+        if n:
+            h *= Fraction(t_den * b_den * before.a * now.one, a_den * now.ab * before.b)
+            # the int factors that mu2_n and z_action_n share
+            lower_num = -b_num * p * now.one * before.a
+            lower_den = a_num * r * before.b
+            mu2 = Fraction(b_den * lower_num, lower_den * b_n)
+            z_action = Fraction(lower_num, lower_den * p_n)
+        else:
+            mu2 = z_action = Fraction(0)
         yield ScalarRow(
             alpha=alpha,
             beta=beta,
@@ -382,6 +392,9 @@ def _scalar_rows(n_max: int, params: QParams) -> Iterator[ScalarRow]:
             mu1=Fraction(-p * (b_num * a_den * r_n - a_num * b_den * p_n), a_num * r * b_n),
             mu2=mu2,
             raise_factor=Fraction(b_n, b_den * p_n),
+            x_action=Fraction(-p * now.ab, t_num * r * p_n),
+            z_action=z_action,
+            y_raise=Fraction(-b_n, b_num * r_n),
         )
         before = now
 

@@ -235,18 +235,19 @@ class DegreeRecord(NamedTuple):
     P_n at the shifted parameter bq; the images X P_n, Y P_n, Z P_n, summed
     from P_n and those two dilations; ``row``, the
     :class:`pastroq.pastro.ScalarRow` of degree n, from which the checks
-    read lambda_n, mu1_n, mu2_n and the raise factor, and the Baxter checks
-    alpha_n, beta_n and h_n; ``qdiff_coefficients``, the four coefficients
-    x - q/a, q/a - x/b, x - q and q - b x of the q-difference equation; and
-    ``context``, the report parameters ``params.describe()`` plus n and the
-    caller's keys, one dict that every check of the record carries.
+    read every scalar they compare with (lambda_n, mu1_n, mu2_n, the raise
+    factor, the X and Z action coefficients and the Y contiguity factor),
+    and the Baxter checks alpha_n, beta_n and h_n; ``qdiff_coefficients``,
+    the four coefficients x - q/a, q/a - x/b, x - q and q - b x of the
+    q-difference equation; and ``context``, the report parameters
+    ``params.describe()`` plus n and the caller's keys, one dict that every
+    check of the record carries.
     The coefficients are built once per parameter point and shared by
     every record. The Baxter checks step the coupled pair P~_n, Q_n
     themselves; a record holds only eigenvalue-route polynomials.
     """
 
     n: int
-    params: QParams
     context: dict[str, str]
     row: ScalarRow
     qdiff_coefficients: tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]
@@ -301,7 +302,6 @@ def degree_records(
         dilations = {-1: p.dilate(q_inv), 0: p, 1: p.dilate(q)}
         yield DegreeRecord(
             n=n,
-            params=params,
             context=described | {"n": str(n)},
             row=row,
             qdiff_coefficients=qdiff_coefficients,
@@ -360,16 +360,12 @@ def verify_contiguity(record: DegreeRecord) -> list[Check]:
       X P_n(.; b) = q^-n (1 - b q^n) x P_n(.; bq),
       Y P_n(.; b) = -(1/b) (1 - b q^n) x P_n(.; bq),
       Z P_n(.; b) = q^-n (1 - b q^n) P_n(.; bq).
-    The Y factor is one Fraction of ints: with q = p/r and b = b_num/b_den,
-    -(1/b)(1 - b q^n) = (b_num p^n - b_den r^n) / (b_num r^n). The X and Z
-    right-hand sides are one product, P_n(.; bq) times the raise factor,
-    shifted by x for X.
+    Both factors are read from ``record.row``: the raise factor and
+    ``y_raise``. The X and Z right-hand sides are one product,
+    P_n(.; bq) times the raise factor, shifted by x for X.
     """
-    n, params, p_shifted = record.n, record.params, record.p_shifted
-    p, r = params.q.as_integer_ratio()
-    b_num, b_den = params.b.as_integer_ratio()
-    raised = p_shifted * record.row.raise_factor
-    x_p_shifted = p_shifted.times_x(1)
+    p_shifted, row = record.p_shifted, record.row
+    raised = p_shifted * row.raise_factor
     return [
         equality_check(
             "contiguity-X",
@@ -381,9 +377,7 @@ def verify_contiguity(record: DegreeRecord) -> list[Check]:
             "contiguity-Y",
             "Y P_n(.; b) = -(1/b) (1 - b q^n) x P_n(.; bq)",
             record.context,
-            poly_mismatch_witness(
-                record.y_image, x_p_shifted * Fraction(b_num * p**n - b_den * r**n, b_num * r**n)
-            ),
+            poly_mismatch_witness(record.y_image, p_shifted.times_x(1) * row.y_raise),
         ),
         equality_check(
             "contiguity-Z",
@@ -402,35 +396,20 @@ def verify_recurrence(record: DegreeRecord) -> list[Check]:
               + [b q (1 - q^-n)(1 - a q^(n-1)) / (a (1 - b q^(n-1)))] P_(n-1),
       P_(n+1) + mu1_n P_n = x (P_n + mu2_n P_(n-1)),
       x (Z P_n) = X P_n.
-    The P_(n-1) terms drop at n = 0 through their vanishing 1 - q^-n and
-    1 - q^n factors. The two inline scalars, of P_n in the X action and of
-    P_(n-1) in the Z action, are one Fraction each, built from p^n, r^n
-    (q = p/r) and the int numerators and denominators of a and b.
+    Every scalar is read from ``record.row``: the raise factor,
+    ``x_action``, ``z_action``, mu1_n and mu2_n. The P_(n-1) terms drop at
+    n = 0, where P_(-1) = 0 and z_action_0 = mu2_0 = 0.
     """
-    n, params = record.n, record.params
     p_prev, p_now, p_next = record.p_prev, record.p, record.p_next
-    p, r = params.q.as_integer_ratio()
-    a_num, a_den = params.a.as_integer_ratio()
-    b_num, b_den = params.b.as_integer_ratio()
-    p_n, r_n = p**n, r**n
     row = record.row
-    raise_factor = row.raise_factor
     # Each witness is taken as soon as its two sides exist, so that no
     # right-hand side outlives its check.
     x_witness = poly_mismatch_witness(
-        record.x_image,
-        p_next * raise_factor
-        + p_now * Fraction(p * (b_den * a_num * p_n - b_num * a_den * r_n), r * b_den * a_num * p_n),
+        record.x_image, p_next * row.raise_factor + p_now * row.x_action
     )
-    z_rhs = p_now * raise_factor
-    if n >= 1:
-        p_m, r_m = p ** (n - 1), r ** (n - 1)
-        z_rhs = z_rhs + p_prev * Fraction(
-            b_num * (p_n - r_n) * (a_den * r_m - a_num * p_m),
-            r * p_m * a_num * (b_den * r_m - b_num * p_m),
-        )
-    z_witness = poly_mismatch_witness(record.z_image, z_rhs)
-    del z_rhs
+    z_witness = poly_mismatch_witness(
+        record.z_image, p_now * row.raise_factor + p_prev * row.z_action
+    )
     three_witness = poly_mismatch_witness(
         p_next + p_now * row.mu1, (p_now + p_prev * row.mu2).times_x(1)
     )

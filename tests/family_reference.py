@@ -24,10 +24,11 @@ products; the series P_n checks (b;q)_n first, so its texts can differ.
 The degree-by-degree closed forms of the coefficient ratio C_k / C_0, of
 the coupled-recurrence coefficients alpha_n and beta_n, of the norm
 constant h_n, of the eigenvalue lambda_n, of the three-term recurrence
-coefficients mu1_n and mu2_n and of the raise factor q^-n (1 - b q^n) are
-kept here too: the package reads them off the rows of ``scalar_rows`` (and
-``GridRep.h``), and the tests compare those rows, and the coefficients of
-P_n, against these formulas.
+coefficients mu1_n and mu2_n, of the raise factor q^-n (1 - b q^n) and of
+the X action, Z action and Y contiguity factors are kept here too: the
+package reads them off the rows of ``scalar_rows`` (and ``GridRep.h``),
+and the tests compare those rows, and the coefficients of P_n, against
+these formulas.
 """
 
 from __future__ import annotations
@@ -340,6 +341,29 @@ def raise_factor(n: int, params: QParams) -> Fraction:
     """The factor q^-n (1 - b q^n) of the X and Z actions and of the contiguity relations."""
     q, b = params.q, params.b
     return q**-n * (1 - b * q**n)
+
+
+def x_action(n: int, params: QParams) -> Fraction:
+    """The coefficient q (1 - (b/a) q^-n) of P_n in X P_n."""
+    q, a, b = params.q, params.a, params.b
+    return q * (1 - (b / a) * q**-n)
+
+
+def z_action(n: int, params: QParams) -> Fraction:
+    """The coefficient of P_(n-1) in Z P_n; exactly 0 at n = 0 (the 1 - q^-n factor).
+
+    For n >= 1, z_action_n = b q (1 - q^-n)(1 - a q^(n-1)) / (a (1 - b q^(n-1))).
+    """
+    if n == 0:
+        return Fraction(0)
+    q, a, b = params.q, params.a, params.b
+    return b * q * (1 - q**-n) * (1 - a * q ** (n - 1)) / (a * (1 - b * q ** (n - 1)))
+
+
+def y_raise(n: int, params: QParams) -> Fraction:
+    """The factor -(1/b)(1 - b q^n) of the Y contiguity relation."""
+    q, b = params.q, params.b
+    return -(1 - b * q**n) / b
 
 
 def first_closed_form_error(n_max: int, params: QParams) -> str | None:

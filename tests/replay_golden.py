@@ -1,9 +1,11 @@
-"""Replay the golden corpus through processes: ``PYTHONPATH=src python tests/replay_golden.py``.
+"""Replay the golden corpus through processes: ``PYTHONPATH=src python tests/replay_golden.py [command ...]``.
 
-Runs every case of ``golden_cases.CASES`` as ``python -m pastroq <argv>
---format {text,json}``, one process at a time, compares its exit code and
-stdout bytes with tests/golden/, and exits 1 on any difference.
-``tests/test_golden.py`` is the in-process half of the same oracle.
+Runs every case of ``golden_cases.CASES`` as ``<command> <argv> --format
+{text,json}``, one process at a time, compares its exit code and stdout
+bytes with tests/golden/, and exits 1 on any difference. The command is
+``python -m pastroq`` unless one is given: ``replay_golden.py pastroq``
+runs the installed console script. ``tests/test_golden.py`` is the
+in-process half of the same oracle.
 """
 
 import difflib
@@ -13,12 +15,13 @@ from pathlib import Path
 
 from golden_cases import CASES
 
+command = sys.argv[1:] or [sys.executable, "-m", "pastroq"]
 failures = 0
 for stem, argv, code in CASES:
     for fmt, suffix in (("text", "txt"), ("json", "json")):
         path = Path(__file__).parent / "golden" / f"{stem}.{suffix}"
         result = subprocess.run(
-            [sys.executable, "-m", "pastroq", *argv, "--format", fmt],
+            [*command, *argv, "--format", fmt],
             capture_output=True, timeout=120,
         )
         expected = path.read_bytes()

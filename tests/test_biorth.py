@@ -388,17 +388,12 @@ def test_int_grid_route_matches_the_fraction_route(q, b, N):
     assert gram == expected_gram
     assert all(type(entry) is Fraction for row in gram for entry in row)
     assert checks == expected_checks
-    pairs = _adjoint_pairs(rep)
-    for n in range(N):
-        try:
-            expected = reference_adjoint_gevp(n, rep)
-        except ResonantParameterError as error:
-            # the pairs stop at the first resonant member, with its text
-            with pytest.raises(ResonantParameterError) as raised:
-                next(pairs)
-            assert str(raised.value) == str(error)
-            break
-        assert verify_adjoint_gevp(n, rep, next(pairs)) == expected
+    # Once the grid build succeeds, no adjoint pair can raise: the flipped
+    # and reflected P_0..P_(N-1) raise only where a unit 1 - b q^k,
+    # 1 - q^(1-N+k)/b, 1 - q^(2-N+k)/b or 1 - b q^(k-1), 0 <= k <= N - 2,
+    # vanishes, and the build's P_0..P_N or R_0..R_(N-1) raises at each.
+    for n, pair in zip(range(N), _adjoint_pairs(rep)):
+        assert verify_adjoint_gevp(n, rep, pair) == reference_adjoint_gevp(n, rep)
 
 
 def _grid_suite(rep, gevp, biorthogonality):

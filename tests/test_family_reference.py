@@ -115,6 +115,9 @@ _COLUMNS = {
     "mu1": family_reference.mu1_coefficient,
     "mu2": family_reference.mu2_coefficient,
     "raise_factor": family_reference.raise_factor,
+    "x_action": family_reference.x_action,
+    "z_action": family_reference.z_action,
+    "y_raise": family_reference.y_raise,
 }
 
 

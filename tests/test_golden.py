@@ -40,7 +40,9 @@ def test_corpus_holds_exactly_the_reports_of_the_cases():
 
 def test_replay_counts_each_report_that_differs(tmp_path):
     # three small cases of the corpus: one intact, one with a corrupted
-    # byte in its JSON report, one expecting the wrong exit code
+    # byte in its JSON report, one expecting the wrong exit code; replayed
+    # through python -m pastroq, then through a given command: a script that
+    # logs its arguments and exits with main() as the console script does
     cases = [
         ("verify_nmax4", ["verify", "--nmax", "4"], 0),
         ("table_nmax5", ["table", "--nmax", "5"], 0),
@@ -56,18 +58,31 @@ def test_replay_counts_each_report_that_differs(tmp_path):
     data = bytearray(corrupted.read_bytes())
     data[len(data) // 2] ^= 1
     corrupted.write_bytes(bytes(data))
-    src = str(Path(pastroq.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, str(tmp_path / "replay_golden.py")],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
+    log, script = tmp_path / "runs.log", tmp_path / "console_script.py"
+    script.write_text(
+        "import sys\n"
+        "from pastroq.cli import main\n"
+        f"with open({str(log)!r}, 'a') as log:\n"
+        "    print(*sys.argv[1:], file=log)\n"
+        "sys.exit(main())\n",
+        encoding="utf-8",
     )
-    assert result.returncode == 1
-    lines = result.stdout.splitlines()
-    assert lines[-1].startswith("3 of 6 golden reports identical")
-    headers = [line for line in lines if ": exit " in line]
-    assert headers == [
-        "table_nmax5.json: exit 0, expected 0",
-        "biorth_N4.txt: exit 0, expected 2",
-        "biorth_N4.json: exit 0, expected 2",
-    ]
+    src = str(Path(pastroq.__file__).resolve().parents[1])
+    for command in ([], [sys.executable, str(script)]):
+        result = subprocess.run(
+            [sys.executable, str(tmp_path / "replay_golden.py"), *command],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 1
+        lines = result.stdout.splitlines()
+        assert lines[-1].startswith("3 of 6 golden reports identical")
+        headers = [line for line in lines if ": exit " in line]
+        assert headers == [
+            "table_nmax5.json: exit 0, expected 0",
+            "biorth_N4.txt: exit 0, expected 2",
+            "biorth_N4.json: exit 0, expected 2",
+        ]
+    # the given command ran each report once, and the default never ran it
+    runs = [" ".join([*argv, "--format", fmt]) for _, argv, _ in cases for fmt in ("text", "json")]
+    assert log.read_text(encoding="utf-8").splitlines() == runs

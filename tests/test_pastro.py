@@ -19,6 +19,9 @@ from family_reference import (
     pastro_monic_prefactor,
     pastro_poly_series,
     raise_factor,
+    x_action,
+    y_raise,
+    z_action,
 )
 from pastroq import biorth, cli, pastro, qdiff
 from pastroq.pastro import (
@@ -108,6 +111,24 @@ def test_baxter_coefficients_match_closed_forms(params):
     assert [row.mu1 for row in rows] == [mu1_coefficient(n, params) for n in range(13)]
     assert [row.mu2 for row in rows] == [mu2_coefficient(n, params) for n in range(13)]
     assert [row.raise_factor for row in rows] == [raise_factor(n, params) for n in range(13)]
+    assert [row.x_action for row in rows] == [x_action(n, params) for n in range(13)]
+    assert [row.z_action for row in rows] == [z_action(n, params) for n in range(13)]
+    assert [row.y_raise for row in rows] == [y_raise(n, params) for n in range(13)]
+
+
+def test_scalar_rows_step_off_one_unit_stream(monkeypatch):
+    # one stream of unit rows for the scan, and one for the rows
+    unit_rows, started = pastro._unit_rows, []
+
+    def counted(params):
+        started.append(params)
+        return unit_rows(params)
+
+    monkeypatch.setattr(pastro, "_unit_rows", counted)
+    for params in (REFERENCE, SECOND, TRUNCATED):
+        started.clear()
+        assert len(list(scalar_rows(6, params))) == 7
+        assert started == [params, params]
 
 
 @pytest.mark.parametrize(
