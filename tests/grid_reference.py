@@ -41,7 +41,13 @@ from pastroq.pastro import (
     pastro_poly,
     scalar_rows,
 )
-from pastroq.qcore import LaurentPoly, QParams, ResonantParameterError, format_rational
+from pastroq.qcore import (
+    LaurentPoly,
+    QParams,
+    ResonantParameterError,
+    format_rational,
+    q_pochhammer,
+)
 from pastroq.report import (
     Check,
     equality_check,
@@ -99,6 +105,23 @@ def listed_grid_rep(N: int, b: Fraction, q: Fraction) -> GridRep:
         h=h,
         lam=[row.lam for row in rows],
     )
+
+
+def weight_closed_form(N: int, b: Fraction, q: Fraction) -> list[Fraction]:
+    """The grid weights of the paper's closed form, one q-Pochhammer product each:
+
+      w_s = [(q^(1-N);q)_s / (q;q)_s] (b q^(N-1))^s / (b;q)_(N-1), s = 0..N-1.
+
+    A vanishing normalizer raises the package's text.
+    """
+    normalizer = q_pochhammer(b, q, N - 1)
+    if not normalizer:
+        raise ResonantParameterError(f"(b;q)_{N - 1} vanishes")
+    scale = b * q ** (N - 1)
+    return [
+        q_pochhammer(q ** (1 - N), q, s) * scale**s / (q_pochhammer(q, q, s) * normalizer)
+        for s in range(N)
+    ]
 
 
 def grid_samples(poly: LaurentPoly, grid: list[Fraction]) -> list[Fraction]:

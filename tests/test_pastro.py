@@ -23,6 +23,7 @@ from family_reference import (
     y_raise,
     z_action,
 )
+from grid_reference import weight_closed_form
 from pastroq import biorth, cli, pastro, qdiff
 from pastroq.pastro import (
     _norm_constants,
@@ -369,10 +370,30 @@ def test_grid_weights_flip_invariance():
             assert w == flipped[::-1]
 
 
+def test_grid_weights_match_the_closed_form_at_drawn_points():
+    # every q = p/r with |p| <= 6, r <= 4 outside {0, 1, -1}, so q < 0 and
+    # |q| > 1 too: equal lists, or the same text where (b;q)_(N-1) = 0
+    qs = {Fraction(p, r) for p in range(-6, 7) for r in range(1, 5)} - {0, 1, -1}
+    bs = sorted({Fraction(k, d) for k in (1, 2, 3) for d in (1, 2, 3)})
+    equal = resonant = 0
+    for q in sorted(qs):
+        for b in bs + [-b for b in bs]:
+            for N in range(1, 7):
+                route = _outcome(lambda: grid_weights(N, b, q))
+                reference = _outcome(lambda: weight_closed_form(N, b, q))
+                assert route == reference, (q, b, N)
+                if isinstance(route, str):
+                    assert route == f"(b;q)_{N - 1} vanishes", (q, b, N)
+                    resonant += 1
+                else:
+                    equal += 1
+    assert equal > 0 and resonant > 0
+
+
 def test_grid_weights_errors():
-    with pytest.raises(ResonantParameterError):
+    with pytest.raises(ResonantParameterError, match=r"^\(b;q\)_2 vanishes$"):
         grid_weights(3, Fraction(1), Fraction(1, 2))  # (b;q)_2 = 0
-    with pytest.raises(ResonantParameterError):
+    with pytest.raises(ResonantParameterError, match=r"^q must lie outside \{0, 1, -1\}, got 1$"):
         grid_weights(2, Fraction(1, 5), Fraction(1))
     with pytest.raises(ValueError):
         grid_weights(0, Fraction(1, 5), Fraction(1, 2))
