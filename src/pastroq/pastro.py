@@ -484,16 +484,28 @@ def verify_baxter_consistency(
     :func:`pastroq.qdiff.degree_records` builds them. One pair P~_n, Q_n of
     :func:`_coupled_pairs` and one partner R_n of :func:`partner_family` are
     stepped beside each record, after it; only the row of degree n - 1,
-    Q_(n-1), the family's R_(n-1) and the running norm product outlive
-    their degree. The partner family stops at the first mismatch. All
-    seven checks are evaluated as the records stream past, and each keeps
-    the witness of the first n that fails. The three scalar checks word it
-    through :func:`pastroq.report.first_mismatch`. The beta check at n
-    reads the row of n + 1, so it is evaluated one record late; the beta
-    ratio is undefined from the first alpha_(n+1) = 0 on, so its scan
-    stops there, and that degree is the witness when no earlier one
-    differs. The seven checks share one context: ``params.describe()``,
-    n_max and the keys of ``context``.
+    Q_(n-1), whether P~_(n-1) = P_(n-1), the family's R_(n-1) and the
+    running norm product outlive their degree. The partner family stops at
+    the first mismatch. All seven checks are evaluated as the records
+    stream past, and each keeps the witness of the first n that fails. The
+    three scalar checks word it through
+    :func:`pastroq.report.first_mismatch`. The beta check at n reads the
+    row of n + 1, so it is evaluated one record late; the beta ratio is
+    undefined from the first alpha_(n+1) = 0 on, so its scan stops there,
+    and that degree is the witness when no earlier one differs. The seven
+    checks share one context: ``params.describe()``, n_max and the keys of
+    ``context``.
+
+    Each pair P~_n, Q_n is the coupled step of the pair before, fed the
+    row of the record before, so the restated recurrences at n - 1 read
+      residual_P = (P_n - P~_n) - x (P_(n-1) - P~_(n-1)),
+      residual_Q = beta_(n-1) x^(n-1) (P_(n-1) - P~_(n-1))(1/x).
+    Both are decided at the record of n, one record late, off the
+    comparison P~_n = P_n that ``baxter-pastro-match`` makes anyway: the P
+    residual is 0 where P~_(n-1) = P_(n-1) and P~_n = P_n, the Q residual
+    where P~_(n-1) = P_(n-1). Only where a route disagrees is a residual
+    computed in full, from P_n, P_(n-1), Q_(n-1) and the row of n - 1, so
+    its witness is the restated recurrence's own.
     """
     _check_degree(n_max)
     context = params.describe() | {"n_max": str(n_max)} | (context or {})
@@ -506,7 +518,8 @@ def verify_baxter_consistency(
     # time it asks for a row, it gets the row of the record before.
     coupled = _coupled_pairs(iter(lambda: before, None))
     partners = partner_family(params)
-    q_prev = None  # Q_(n-1), for the Q recurrence at n - 1
+    q_prev = None  # Q_(n-1), for both recurrences at n - 1
+    agreed = False  # P~_(n-1) == P_(n-1)
     for record in records:
         n, row = record.n, record.row
         if before is not None:
@@ -528,20 +541,23 @@ def verify_baxter_consistency(
             if n < n_max:
                 product *= 1 - row.alpha * row.beta
         p_coupled, q_coupled = next(coupled)
-        reversed_q = q_coupled.invert_variable()
-        if pastro_witness is None:
-            mismatch = poly_mismatch_witness(p_coupled, record.p)
-            if mismatch:
-                pastro_witness = f"n={n}: {mismatch}"
+        agrees = p_coupled == record.p
+        if pastro_witness is None and not agrees:
+            pastro_witness = f"n={n}: {poly_mismatch_witness(p_coupled, record.p)}"
         if partner_witness is None:
-            mismatch = poly_mismatch_witness(reversed_q, next(partners))
+            mismatch = poly_mismatch_witness(q_coupled.invert_variable(), next(partners))
             if mismatch:
                 partner_witness = f"n={n}: {mismatch}"
-        if p_witness is None and n < n_max:
-            residual = record.p_next - record.p.times_x(1) + reversed_q.times_x(n) * row.alpha
+        # the residuals of degree n - 1, off the two comparisons (see above)
+        if p_witness is None and q_prev is not None and not (agreed and agrees):
+            residual = (
+                record.p
+                - record.p_prev.times_x(1)
+                + q_prev.invert_variable().times_x(n - 1) * before.alpha
+            )
             if residual:
-                p_witness = f"n={n}: residual {residual}"
-        if q_witness is None and q_prev is not None:
+                p_witness = f"n={n - 1}: residual {residual}"
+        if q_witness is None and q_prev is not None and not agreed:
             residual = (
                 q_coupled
                 - q_prev.times_x(1)
@@ -549,9 +565,9 @@ def verify_baxter_consistency(
             )
             if residual:
                 q_witness = f"n={n - 1}: residual {residual}"
-        q_prev, before = q_coupled, row
+        q_prev, before, agreed = q_coupled, row, agrees
         # not held while the next record is built and checked
-        del record, p_coupled, reversed_q
+        del record, p_coupled
 
     return [
         equality_check(

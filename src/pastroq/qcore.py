@@ -467,10 +467,11 @@ def _signed_sum(a: LaurentPoly, b: LaurentPoly, sign: int) -> LaurentPoly:
         return a
     if not a._nums:
         return b if sign == 1 else -b
-    low, nums, den = _sum(a._low, a._nums, a._den, b._low, b._nums, b._den, sign)
     # Only a prime of equal valuation in both denominators can divide
     # the content of the sum, so gcd(den_a, den_b) bounds it.
-    return _make(low, nums, den, gcd(a._den, b._den))
+    common = gcd(a._den, b._den)
+    low, nums, den = _sum(a._low, a._nums, a._den, b._low, b._nums, b._den, common, sign)
+    return _make(low, nums, den, common)
 
 
 def _sum(
@@ -480,19 +481,23 @@ def _sum(
     b_low: int,
     b_nums: list[int],
     b_den: int,
+    common: int,
     b_sign: int = 1,
 ) -> list:
-    """The parts ``[low, nums, den]`` of a + b_sign b, over lcm(a_den, b_den).
+    """The parts ``[low, nums, den]`` of a + b_sign b, over lcm(a_den, b_den),
+    given ``common`` = gcd(a_den, b_den).
 
     a is placed, lifted, into zeros and b added onto it; each part is lifted
     (b with its sign) term by term as it is consumed, so no lifted copy of a
-    part is held.
+    part is held. The lifts are the cofactors b_den/common and a_den/common
+    of the two denominators, so no quotient of the lcm is taken, and the
+    lcm a_den * (b_den/common) is made last: while the numerators are built,
+    the lifts and ``common`` are the only ints held.
     """
-    den = lcm(a_den, b_den)
+    a_lift, b_lift = b_den // common, b_sign * (a_den // common)
     low = min(a_low, b_low)
     nums = [0] * (max(a_low + len(a_nums), b_low + len(b_nums)) - low)
     start = a_low - low
-    a_lift, b_lift = den // a_den, b_sign * (den // b_den)
     nums[start : start + len(a_nums)] = a_nums if a_lift == 1 else map(mul, a_nums, repeat(a_lift))
     start = b_low - low
     stop = start + len(b_nums)
@@ -501,7 +506,7 @@ def _sum(
     nums[start:stop] = map(add, nums[start:stop], b_nums)
     # A list, not a tuple: :func:`_merge` keeps it, and a freed 3-tuple
     # stays on the interpreter's tuple free list, counted in the traced peak.
-    return [low, nums, den]
+    return [low, nums, a_den * a_lift]
 
 
 def _product(a: list[int], b: list[int]) -> list[int]:
@@ -557,7 +562,10 @@ def _merge(sums: dict[int, list], shift: int, low: int, nums: list[int], den: in
     normalized; a second part at a shift is added by :func:`_sum`.
     """
     total = sums.get(shift)
-    sums[shift] = [low, nums, den] if total is None else _sum(*total, low, nums, den)
+    if total is None:
+        sums[shift] = [low, nums, den]
+    else:
+        sums[shift] = _sum(*total, low, nums, den, gcd(total[2], den))
 
 
 def _finish(sums: dict[int, list]) -> dict[int, LaurentPoly]:

@@ -1,7 +1,7 @@
 """The polynomial family, partners, recurrence data, weights."""
 
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, pairwise
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -223,9 +223,10 @@ def test_baxter_consistency_suite_passes():
             assert check.status == "PASS", (check.name, check.witness)
 
 
-def list_loop_witnesses(n_max, params, p_coupled, q_coupled):
-    """Witnesses of the four polynomial checks by the whole-family loops."""
-    rows = list(scalar_rows(n_max, params))
+def list_loop_witnesses(n_max, params, rows):
+    """Witnesses of the four polynomial checks by the whole-family loops,
+    over the pairs that ``baxter_system`` steps from ``rows``."""
+    p_coupled, q_coupled = baxter_system(rows)
     eigen = [pastro_poly(n, params) for n in range(n_max + 1)]
 
     def first(found):
@@ -256,22 +257,94 @@ def list_loop_witnesses(n_max, params, p_coupled, q_coupled):
     return [pastro_match, partner_match, recurrence_p, recurrence_q]
 
 
-@pytest.mark.parametrize("bad_degrees", [(2, 3), (0,), (5,), (1, 4)])
-def test_streamed_baxter_witnesses_match_list_loops(bad_degrees, monkeypatch):
-    # corrupt P~_n and Q_n at the given degrees; each streamed check must
-    # report the witness of its first failing n, as the whole-family loops do
-    n_max = 5
-    p_coupled, q_coupled = baxter_system(scalar_rows(n_max, SECOND))
-    for n in bad_degrees:
-        p_coupled[n] = p_coupled[n] + x(n + 1)
-        q_coupled[n] = q_coupled[n] - Fraction(1, 3)
-    monkeypatch.setattr(pastro, "_coupled_pairs", lambda data: zip(p_coupled, q_coupled))
+def corrupted_rows(n_max, params, changes):
+    """The scalar rows of ``params``, each entry ``column`` of degree n moved
+    by ``change`` for every (column, n, change) of ``changes``."""
+    for n, row in enumerate(scalar_rows(n_max, params)):
+        for column, degree, change in changes:
+            if degree == n:
+                row = row._replace(**{column: getattr(row, column) + change})
+        yield row
 
-    checks = baxter_checks(n_max, SECOND)
-    assert [check.status for check in checks[:3]] == ["PASS"] * 3
-    expected = list_loop_witnesses(n_max, SECOND, p_coupled, q_coupled)
-    assert [check.witness for check in checks[3:]] == expected
+
+@pytest.mark.parametrize(
+    "bad_degrees",
+    [
+        (("alpha", 2), ("beta", 3)),
+        (("beta", 0),),
+        (("alpha", 3),),
+        (("alpha", 1), ("beta", 4)),
+    ],
+)
+def test_streamed_baxter_witnesses_match_list_loops(bad_degrees, monkeypatch):
+    # alpha_n or beta_n corrupted in the streamed rows at the given degrees:
+    # the coupled route leaves the eigenvalue route there, and each streamed
+    # check must report the witness of its first failing n, as the
+    # whole-family loops over the same rows do
+    n_max = 5
+    changes = [(column, n, Fraction(-1, 3)) for column, n in bad_degrees]
+    monkeypatch.setattr(
+        cli, "scalar_rows", lambda n_max, params: corrupted_rows(n_max, params, changes)
+    )
+    checks = cli.verify_suite(SECOND, n_max)[-4:]
+    assert [check.name for check in checks] == [
+        "baxter-pastro-match",
+        "baxter-partner-match",
+        "baxter-recurrence-P",
+        "baxter-recurrence-Q",
+    ]
+    expected = list_loop_witnesses(n_max, SECOND, list(corrupted_rows(n_max, SECOND, changes)))
+    assert [check.witness for check in checks] == expected
     assert all(witness is not None for witness in expected[:2])
+
+
+_small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@given(_small_rationals, _small_rationals, _small_rationals, st.integers(0, 8))
+@example(Fraction(-4, 5), Fraction(6), Fraction(-2), 8)
+@example(Fraction(1, 2), Fraction(2), Fraction(1, 5), 4)  # a = q^-1: alpha_1 = 0
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_each_coupled_pair_is_the_step_of_the_pair_before(q, a, b, n_max):
+    # the premise on which verify_baxter_consistency decides the restated
+    # recurrences: (P~_(n+1), Q_(n+1)) is the coupled step of (P~_n, Q_n)
+    # with the closed-form alpha_n and beta_n
+    assume(q not in (0, 1, -1) and a and b)
+    params = QParams(q, a, b)
+    assume(first_closed_form_error(n_max, params) is None)
+    pairs = list(pastro._coupled_pairs(scalar_rows(n_max, params)))
+    assert len(pairs) == n_max + 2
+    assert pairs[0] == (1, 1)
+    for n, ((p_poly, q_poly), (p_next, q_next)) in enumerate(pairwise(pairs)):
+        alpha, beta = alpha_coefficient(n, params), beta_coefficient(n, params)
+        assert p_next == x() * p_poly - alpha * (q_poly.invert_variable() * x(n))
+        assert q_next == x() * q_poly - beta * (p_poly.invert_variable() * x(n))
+
+
+@given(
+    _small_rationals,
+    _small_rationals,
+    _small_rationals,
+    st.integers(0, 6),
+    st.sampled_from([1, Fraction(-1, 3), Fraction(5, 2)]),
+)
+@example(Fraction(-4, 5), Fraction(6), Fraction(-2), 6, Fraction(-1, 3))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_restated_recurrence_witnesses_match_full_residuals(q, a, b, n_max, change):
+    # at an admissible point, untouched and with alpha_k or beta_k moved for
+    # each k <= n_max, the two restated recurrences, decided off the
+    # coupled step, report the witnesses of the full-residual loops
+    assume(q not in (0, 1, -1) and a and b)
+    params = QParams(q, a, b)
+    assume(not cli._admissibility_issues(params, n_max))
+    cases = [[]] + [[(column, k, change)] for column in ("alpha", "beta") for k in range(n_max + 1)]
+    for changes in cases:
+        rows = list(corrupted_rows(n_max, params, changes))
+        checks = verify_baxter_consistency(n_max, params, degree_records(params, n_max, iter(rows)))
+        expected = list_loop_witnesses(n_max, params, rows)
+        assert [check.witness for check in checks[3:]] == expected, changes
+        if not changes:
+            assert expected == [None] * 4
 
 
 def test_baxter_checks_stream_the_pairs_of_baxter_system(monkeypatch):
@@ -306,6 +379,31 @@ def test_baxter_system_steps_n_max_times(n_max, monkeypatch):
     p_polys, q_polys = baxter_system(rows)
     assert len(p_polys) == len(q_polys) == n_max + 1
     assert calls == 2 * n_max
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 7])
+def test_baxter_checks_multiply_and_reverse_only_for_steps_and_partners(n_max, monkeypatch):
+    # at an admissible point both restated recurrences are decided off the
+    # coupled step: the steps (two reversals, two products each) and the
+    # partner match (one reversal per degree) are the only polynomial
+    # products and reversals the checks make
+    records = list(degree_records(SECOND, n_max, scalar_rows(n_max, SECOND)))
+    calls = dict.fromkeys(("invert_variable", "__mul__", "__rmul__"), 0)
+
+    def counted(name):
+        method = getattr(LaurentPoly, name)
+
+        def count(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(LaurentPoly, name, counted(name))
+    checks = verify_baxter_consistency(n_max, SECOND, iter(records))
+    assert all(check.status == "PASS" for check in checks)
+    assert calls == {"invert_variable": 3 * n_max + 1, "__mul__": 2 * n_max, "__rmul__": 0}
 
 
 def test_partner_degree_zero_and_support():
